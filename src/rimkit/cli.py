@@ -46,7 +46,7 @@ from .ingest import (
     write_dataset,
 )
 from .metrics import compute_game_metrics, expand_rows
-from .model import POSTSEASON, REGULAR, validate_game
+from .model import POSTSEASON, REGULAR, is_no_crew_only, validate_game
 from .outliers import build_cells, outlier_tables, panel_rows
 from .synth import SimConfig, SimConfigError, write_corpus
 
@@ -168,6 +168,17 @@ def _fit_rows(fits, keep=lambda term: True):
     return rows
 
 
+def _fit_notes(fits) -> list[str]:
+    """Each fit's notes and the collinear columns it dropped, by outcome."""
+    notes = []
+    for outcome in sorted(fits):
+        fit = fits[outcome]
+        notes += [f"{outcome}: {note}" for note in fit.notes]
+        if fit.dropped:
+            notes.append(f"{outcome}: dropped collinear columns: " + ", ".join(fit.dropped))
+    return notes
+
+
 def _parse_colon_pair(text: str, what: str) -> tuple[str, str]:
     head, sep, tail = text.rpartition(":")
     if not sep or not head or not tail:
@@ -222,16 +233,19 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError("nothing to validate: give --dataset and/or --outputs")
     if cfg.dataset:
         games, manifest = load_dataset(Path(cfg.dataset))
-        bad = 0
+        bad = no_crew = 0
         for g in games:
             violations = validate_game(g)
-            if violations:
+            if is_no_crew_only(violations):
+                no_crew += 1  # kept by ingest on purpose; a soft flag
+            elif violations:
                 bad += 1
                 for v in violations:
                     print(f"{g.game_id}: {v}")
         print(
             f"dataset ok: {manifest.total_games} games, "
-            f"{len(manifest.partitions)} partitions, {bad} with violations"
+            f"{len(manifest.partitions)} partitions, {bad} with violations, "
+            f"{no_crew} kept without a crew"
         )
         problems += bad
     if args.outputs:
@@ -466,7 +480,7 @@ def cmd_regress(cfg: RunConfig, args: argparse.Namespace) -> int:
             out / "regression_team_side.csv",
             _FIT_CSV_COLUMNS,
             _fit_rows(fits),
-            notes=[f"target form: {cfg.target_form}"],
+            notes=[f"target form: {cfg.target_form}", *_fit_notes(fits)],
         )
         written.append("regression_team_side.csv")
 
@@ -483,7 +497,7 @@ def cmd_regress(cfg: RunConfig, args: argparse.Namespace) -> int:
                 out / "regression_series.csv",
                 _FIT_CSV_COLUMNS,
                 _fit_rows(series_fits),
-                notes=["reference level 0--0"],
+                notes=["reference level 0--0", *_fit_notes(series_fits)],
             )
             written.append("regression_series.csv")
 
@@ -504,7 +518,7 @@ def cmd_regress(cfg: RunConfig, args: argparse.Namespace) -> int:
                 out / "regression_ref_team.csv",
                 _FIT_CSV_COLUMNS,
                 _fit_rows(pair_fits),
-                notes=[f"pair minimum: {cfg.min_pair_games} games"],
+                notes=[f"pair minimum: {cfg.min_pair_games} games", *_fit_notes(pair_fits)],
             )
             written.append("regression_ref_team.csv")
 

@@ -1,21 +1,26 @@
 """Fixed-effects regressions with game-clustered errors.
 
-The design builder emits deterministic column order (intercept, home
-indicator, team effects, opponent effects, season effects, series-state
-effects, targets) with one reference level dropped per categorical family,
-then removes linearly dependent columns — earliest column wins — and
-reports what it dropped. Coefficient covariance is the cluster sandwich
-with a CR1 small-sample factor by default, confidence intervals use
-Student-t critical values, and each coefficient carries an
-omitted-variable robustness value: the equal-strength confounder
-association that would zero out its t-statistic.
+A design is an intercept, one-hot factors (one reference level dropped per
+family) and +-1 target columns, stored as ~7 (column, value) slots per row.
+X'X is a ``bincount`` over slot pairs, exact for these 0/+-1 designs. A
+sequential Cholesky on it drops dependent columns, earliest column wins:
+column j goes when its Schur pivot, the squared norm of its residual
+against the kept columns, is at most ``max(n, K) * eps`` times its squared
+norm. The kept Gram is inverted once per design and solves every outcome.
+Covariance is the cluster sandwich (CR1 by default), intervals use Student-t
+critical values, and each coefficient carries an omitted-variable
+robustness value: the equal-strength confounder association that would
+zero out its t-statistic.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +36,7 @@ HOME = "home"
 AWAY = "away"
 
 _EPS = float(np.finfo(np.float64).eps)
+_DEGENERATE = "outcome is constant; fit is degenerate"
 
 
 class DesignError(ValueError):
@@ -46,65 +52,93 @@ class FitError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _rank_filter(
-    X: np.ndarray, names: list[str]
-) -> tuple[np.ndarray, list[str], list[str]]:
-    """Drop linearly dependent columns, keeping the earliest of any group.
+def _rank_filter(gram: np.ndarray, n_rows: int) -> list[int]:
+    """Columns of X kept from X'X, earliest of any dependent group first.
 
-    Sequential Gram-Schmidt with one re-orthogonalization pass: a column
-    whose residual against the kept span is negligible relative to its own
-    norm is dependent and goes. Fixed-effect designs make dependencies
-    exact, so the tolerance can sit near machine precision.
+    Left-looking Cholesky in column order: a column whose Schur pivot is at
+    most ``max(n, K) * eps * G_jj`` lies in the span of the kept columns
+    (zero columns included) and is skipped. Fixed-effect designs make
+    dependencies exact, so the tolerance can sit near machine precision.
     """
-    n = X.shape[0]
-    tol = max(n, X.shape[1]) * _EPS
-    Q = np.empty((n, 0))
+    k = gram.shape[0]
+    tol = max(n_rows, k) * _EPS
+    L = np.zeros((k, k))
     kept: list[int] = []
-    dropped: list[str] = []
-    for j in range(X.shape[1]):
-        col = X[:, j].astype(float)
-        scale = np.linalg.norm(col)
-        if scale == 0.0:
-            dropped.append(names[j])
+    for j in range(k):
+        r = len(kept)
+        schur = gram[j:, j] - L[j:, :r] @ L[j, :r]
+        if schur[0] <= tol * gram[j, j]:
             continue
-        resid = col - Q @ (Q.T @ col)
-        resid -= Q @ (Q.T @ resid)
-        if np.linalg.norm(resid) <= tol * scale:
-            dropped.append(names[j])
-            continue
-        Q = np.hstack([Q, (resid / np.linalg.norm(resid))[:, None]])
+        L[j:, r] = schur / math.sqrt(schur[0])
         kept.append(j)
-    return X[:, kept], [names[j] for j in kept], dropped
+    return kept
 
 
-def fit_ols(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Least squares by Householder QR: (beta, residuals, rank, dof).
+@dataclass(frozen=True, eq=False)
+class SparseRows:
+    """Row i holds ``value[i, s]`` in column ``index[i, s]``; unused slots hold 0.
 
-    Expects a full-column-rank design — run the rank filter first — and
-    refuses rank deficiency rather than silently picking a solution.
+    ``gram`` is X'X; its inverse is computed once for every outcome fitted
+    on the rows.
     """
+
+    index: np.ndarray
+    value: np.ndarray
+    gram: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.index.shape[0], self.gram.shape[0]
+
+    @cached_property
+    def bread(self) -> np.ndarray:
+        try:
+            return np.linalg.inv(self.gram)
+        except np.linalg.LinAlgError as exc:
+            raise FitError("X'X is singular; apply the rank filter first") from exc
+
+
+def _as_rows(X) -> SparseRows:
+    """A design's rows as given, or a dense array as one slot per column."""
+    if isinstance(X, SparseRows):
+        return X
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or y.shape[0] != X.shape[0]:
-        raise FitError("X must be (n, k) and y length n")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise FitError("design or outcome contains non-finite values")
+    if X.ndim != 2:
+        raise FitError("X must be (n, k)")
+    if not np.isfinite(X).all():
+        raise FitError("design contains non-finite values")
     n, k = X.shape
+    return SparseRows(np.broadcast_to(np.arange(k), (n, k)), X, X.T @ X)
+
+
+def fit_ols(X, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Least squares from the normal equations: (beta, residuals, rank, dof).
+
+    ``X`` is a dense (n, k) array or a design's :class:`SparseRows`, which
+    the design builder makes full rank. A dense ``X`` must be full rank by
+    the rank filter's criterion; rank deficiency is refused rather than
+    silently resolved.
+    """
+    rows = _as_rows(X)
+    y = np.asarray(y, dtype=float)
+    n, k = rows.shape
+    if y.ndim != 1 or y.shape[0] != n:
+        raise FitError("X must be (n, k) and y length n")
+    if not np.isfinite(y).all():
+        raise FitError("outcome contains non-finite values")
     if k == 0:
         raise FitError("empty design")
     if n < k:
         raise FitError(f"{n} rows cannot identify {k} columns")
-    Q, R = np.linalg.qr(X, mode="reduced")
-    diag = np.abs(np.diag(R))
-    if diag.min() <= max(n, k) * _EPS * diag.max():
+    if not isinstance(X, SparseRows) and len(_rank_filter(rows.gram, n)) < k:
         raise FitError("design is rank deficient; apply the rank filter first")
-    beta = np.linalg.solve(R, Q.T @ y)
-    resid = y - X @ beta
-    return beta, resid, k, n - k
+    xty = np.bincount(rows.index.ravel(), (rows.value * y[:, None]).ravel(), minlength=k)
+    beta = rows.bread @ xty
+    return beta, y - (rows.value * beta[rows.index]).sum(axis=1), k, n - k
 
 
 def cluster_covariance(
-    X: np.ndarray,
+    X,
     residuals: np.ndarray,
     clusters: Sequence,
     *,
@@ -115,31 +149,25 @@ def cluster_covariance(
     bread = (X'X)^-1, meat = sum over clusters g of (X_g'e_g)(X_g'e_g)'.
     ``small_sample="cr1"`` applies [G/(G-1)]*[(n-1)/(n-k)]; ``"cr0"`` leaves
     the plain sandwich. With every row its own cluster the CR1 result is
-    exactly the HC0 estimator times the CR1 factor.
+    exactly the HC0 estimator times the CR1 factor. ``X`` is dense or
+    :class:`SparseRows`, as for :func:`fit_ols`.
     """
     if small_sample not in ("cr0", "cr1"):
         raise ValueError(f"unknown small_sample {small_sample!r}")
-    X = np.asarray(X, dtype=float)
+    rows = _as_rows(X)
     e = np.asarray(residuals, dtype=float)
-    n, k = X.shape
+    n, k = rows.shape
     if e.shape[0] != n:
         raise FitError("residual length does not match design rows")
     if n <= k:
         raise FitError("no residual degrees of freedom for the covariance")
-    uniq, inv = np.unique(np.asarray(clusters), return_inverse=True)
+    uniq, groups = np.unique(np.asarray(clusters), return_inverse=True)
     G = uniq.size
     if G < 2:
         raise FitError("clustered covariance needs at least two clusters")
-    scores = X * e[:, None]
-    S = np.zeros((G, k))
-    np.add.at(S, inv, scores)
-    meat = S.T @ S
-    XtX = X.T @ X
-    try:
-        bread = np.linalg.inv(XtX)
-    except np.linalg.LinAlgError as exc:
-        raise FitError("X'X is singular; apply the rank filter first") from exc
-    V = bread @ meat @ bread
+    cells = (groups[:, None] * k + rows.index).ravel()
+    S = np.bincount(cells, (rows.value * e[:, None]).ravel(), minlength=G * k).reshape(G, k)
+    V = rows.bread @ (S.T @ S) @ rows.bread
     if small_sample == "cr1":
         V = V * (G / (G - 1.0)) * ((n - 1.0) / (n - k))
     return (V + V.T) / 2.0
@@ -201,32 +229,114 @@ class DesignSpec:
 
 @dataclass(frozen=True, eq=False)
 class Design:
-    matrix: np.ndarray
+    """A rank-filtered design: sparse rows, one outcome, clusters, column names.
+
+    ``groups`` codes each row's cluster 0..G-1; :meth:`with_outcome` copies
+    share the rows, factorization and codes.
+    """
+
+    rows: SparseRows
     outcome: np.ndarray
     clusters: np.ndarray
     columns: tuple[str, ...]
     dropped: tuple[str, ...]
     notes: tuple[str, ...]
     outcome_name: str
+    groups: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "groups", np.unique(self.clusters, return_inverse=True)[1])
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense (n, k) view, built on first access; fitting never needs it."""
+        X = np.zeros(self.rows.shape)
+        i, s = np.nonzero(self.rows.value)  # a row's nonzero slots hold distinct columns
+        X[i, self.rows.index[i, s]] = self.rows.value[i, s]
+        return X
+
+    def with_outcome(self, name: str, y: np.ndarray) -> Design:
+        notes = tuple(n for n in self.notes if n != _DEGENERATE)
+        if np.all(y == y[0]):
+            notes += (_DEGENERATE,)
+        other = copy.copy(self)
+        for attr, value in (("outcome", y), ("outcome_name", name), ("notes", notes)):
+            object.__setattr__(other, attr, value)
+        return other
 
 
-def _dummy_block(
-    values: Sequence[str], prefix: str, reference: str | None
-) -> tuple[np.ndarray, list[str], str]:
+# A block of design columns: per-row code within the block (-1: no entry),
+# per-row value at that code, and the block's column names.
+_Block = tuple[np.ndarray, np.ndarray, list[str]]
+
+
+def _column(values: np.ndarray, name: str) -> _Block:
+    values = np.asarray(values, dtype=float)
+    return np.where(values != 0.0, 0, -1), values, [name]
+
+
+def _factor(values: Sequence[str], prefix: str, reference: str | None = None) -> tuple[_Block, str]:
+    """One-hot block for a categorical family, minus its reference level."""
     levels = sorted(set(values))
     ref = reference if reference in levels else levels[0]
-    keep = [lv for lv in levels if lv != ref]
-    col_of = {lv: i for i, lv in enumerate(keep)}
-    X = np.zeros((len(values), len(keep)))
-    for r, v in enumerate(values):
-        c = col_of.get(v)
-        if c is not None:
-            X[r, c] = 1.0
-    return X, [f"{prefix}{lv}" for lv in keep], ref
+    code = {lv: i for i, lv in enumerate(lv for lv in levels if lv != ref)}
+    codes = np.array([code.get(v, -1) for v in values], dtype=np.intp)
+    return (codes, np.ones(len(values)), [f"{prefix}{lv}" for lv in code]), ref
+
+
+def _blocks(n: int, *families: tuple[Sequence[str], str]) -> list[_Block]:
+    """Intercept plus one factor block per (values, prefix), first level as reference."""
+    return [_column(np.ones(n), "intercept")] + [_factor(v, p)[0] for v, p in families]
+
+
+def _design(blocks: Sequence[_Block], clusters: Sequence[str], notes: Sequence[str],
+            outcome_name: str, y: np.ndarray) -> Design:
+    """Assemble blocks into row slots, form X'X, drop dependent columns."""
+    n = len(clusters)
+    index = np.zeros((n, len(blocks)), dtype=np.intp)
+    value = np.zeros((n, len(blocks)))
+    names: list[str] = []
+    for s, (codes, vals, block_names) in enumerate(blocks):
+        hit = codes >= 0
+        index[hit, s] = codes[hit] + len(names)
+        value[hit, s] = vals[hit]
+        names.extend(block_names)
+    # Slots hold ascending columns, so slot pairs s <= t fill the upper triangle.
+    K = len(names)
+    s, t = np.triu_indices(len(blocks))
+    pairs = (index[:, s] * K + index[:, t]).ravel()
+    upper = np.bincount(pairs, (value[:, s] * value[:, t]).ravel(), minlength=K * K).reshape(K, K)
+    gram = upper + upper.T - np.diag(np.diag(upper))
+    kept = _rank_filter(gram, n)
+    col = np.full(K, -1, dtype=np.intp)
+    col[kept] = np.arange(len(kept))
+    index = col[index]
+    value = np.where(index >= 0, value, 0.0)
+    rows = SparseRows(np.maximum(index, 0), value, gram[np.ix_(kept, kept)])
+    columns = tuple(names[j] for j in kept)
+    dropped = tuple(name for name, c in zip(names, col) if c < 0)
+    design = Design(rows, y, np.asarray(clusters), columns, dropped, tuple(notes), outcome_name)
+    return design.with_outcome(outcome_name, y)
+
+
+def _team_outcome(rows: Sequence[TeamGameRow], outcome: str) -> np.ndarray:
+    if outcome == OUTCOME_DISPARITY:
+        return np.array([float(r.disparity) for r in rows])
+    if outcome == OUTCOME_TEAM_RIM:
+        return np.array([r.team_rim for r in rows])
+    raise DesignError(f"unknown outcome {outcome!r}")
+
+
+def _fitted_rows(rows: Sequence[TeamGameRow], series_effects: bool) -> tuple[list, list[str]]:
+    """The rows a team-side design fits, and a note counting any excluded."""
+    rows = list(rows)
+    kept = [r for r in rows if r.series_key is not None or not series_effects]
+    excluded = len(rows) - len(kept)
+    return kept, [f"excluded {excluded} rows without series state"] if excluded else []
 
 
 def build_design(rows: Sequence[TeamGameRow], spec: DesignSpec) -> Design:
-    """Team-row design matrix per ``spec``, rank-filtered, deterministic.
+    """Team-row design per ``spec``, rank-filtered, deterministic.
 
     Column order: intercept, home indicator, team effects, opponent
     effects, season effects, series-state effects (canonical label order,
@@ -237,91 +347,38 @@ def build_design(rows: Sequence[TeamGameRow], spec: DesignSpec) -> Design:
         raise DesignError(f"unknown outcome {spec.outcome!r}")
     if spec.target_form not in ("indicator", "paired"):
         raise DesignError(f"unknown target_form {spec.target_form!r}")
-    rows = list(rows)
-    notes: list[str] = []
-    if spec.series_effects:
-        with_state = [r for r in rows if r.series_key is not None]
-        dropped_rows = len(rows) - len(with_state)
-        if dropped_rows:
-            notes.append(f"excluded {dropped_rows} rows without series state")
-        rows = with_state
+    rows, notes = _fitted_rows(rows, spec.series_effects)
     if not rows:
         raise DesignError("no rows to fit")
 
-    n = len(rows)
-    blocks: list[np.ndarray] = []
-    names: list[str] = []
-    if spec.intercept:
-        blocks.append(np.ones((n, 1)))
-        names.append("intercept")
+    teams = [r.team for r in rows]
+    opponents = [r.opponent for r in rows]
+    is_home = np.array([r.is_home for r in rows], dtype=bool)
+    blocks = [_column(np.ones(len(rows)), "intercept")] if spec.intercept else []
     if spec.home_indicator:
-        blocks.append(np.array([[1.0 if r.is_home else 0.0] for r in rows]))
-        names.append("home")
-    if spec.team_effects:
-        X, nm, ref = _dummy_block(
-            [r.team for r in rows], "team_", spec.references.get("team")
-        )
-        blocks.append(X)
-        names.extend(nm)
-        notes.append(f"team reference {ref}")
-    if spec.opponent_effects:
-        X, nm, ref = _dummy_block(
-            [r.opponent for r in rows], "opp_", spec.references.get("opponent")
-        )
-        blocks.append(X)
-        names.extend(nm)
-        notes.append(f"opponent reference {ref}")
-    if spec.season_effects:
-        X, nm, ref = _dummy_block(
-            [r.season for r in rows], "season_", spec.references.get("season")
-        )
-        blocks.append(X)
-        names.extend(nm)
-        notes.append(f"season reference {ref}")
-    if spec.series_effects:
-        labels = [r.series_key.label for r in rows]  # type: ignore[union-attr]
-        X, nm, ref = _dummy_block(
-            labels, "series_", spec.references.get("series", SeriesStateKey(0, 0).label)
-        )
-        blocks.append(X)
-        names.extend(nm)
-        notes.append(f"series reference {ref}")
+        blocks.append(_column(is_home, "home"))
+    labels = [r.series_key.label for r in rows if r.series_key is not None]  # all rows, if used
+    for wanted, family, prefix, values, default in (
+        (spec.team_effects, "team", "team_", teams, None),
+        (spec.opponent_effects, "opponent", "opp_", opponents, None),
+        (spec.season_effects, "season", "season_", [r.season for r in rows], None),
+        (spec.series_effects, "series", "series_", labels, SeriesStateKey(0, 0).label),
+    ):
+        if wanted:
+            block, ref = _factor(values, prefix, spec.references.get(family, default))
+            blocks.append(block)
+            notes.append(f"{family} reference {ref}")
+    team, opponent = np.array(teams), np.array(opponents)
     for tgt in spec.targets:
-        side_home = tgt.side == HOME
-        col = np.zeros((n, 1))
-        hit = 0
-        for i, r in enumerate(rows):
-            if r.team == tgt.team and r.is_home == side_home:
-                col[i, 0] = 1.0
-                hit += 1
-            elif (
-                spec.target_form == "paired"
-                and r.opponent == tgt.team
-                and r.is_home != side_home
-            ):
-                col[i, 0] = -1.0
-        if hit == 0:
+        own = (team == tgt.team) & (is_home == (tgt.side == HOME))
+        if not own.any():
             raise DesignError(f"target {tgt.name} matches no rows")
-        blocks.append(col)
-        names.append(f"{tgt.name}[{spec.target_form}]")
-
-    X = np.hstack(blocks)
-    if spec.outcome == OUTCOME_DISPARITY:
-        y = np.array([float(r.disparity) for r in rows])
-    else:
-        y = np.array([r.team_rim for r in rows])
-    if np.all(y == y[0]):
-        notes.append("outcome is constant; fit is degenerate")
-    X, kept_names, dropped = _rank_filter(X, names)
-    return Design(
-        matrix=X,
-        outcome=y,
-        clusters=np.array([r.game_id for r in rows]),
-        columns=tuple(kept_names),
-        dropped=tuple(dropped),
-        notes=tuple(notes),
-        outcome_name=spec.outcome,
-    )
+        column = own.astype(float)
+        if spec.target_form == "paired":
+            column[(opponent == tgt.team) & (is_home != (tgt.side == HOME))] = -1.0
+        blocks.append(_column(column, f"{tgt.name}[{spec.target_form}]"))
+    y = _team_outcome(rows, spec.outcome)
+    return _design(blocks, [r.game_id for r in rows], notes, spec.outcome, y)
 
 
 # ---------------------------------------------------------------------------
@@ -399,17 +456,14 @@ def fit_clustered(
         raise ValueError(f"unknown dof_mode {dof_mode!r}")
     if not 0.0 < ci_level < 1.0:
         raise ValueError("ci_level must be in (0, 1)")
-    beta, resid, rank, resid_dof = fit_ols(design.matrix, design.outcome)
-    V = cluster_covariance(
-        design.matrix, resid, design.clusters, small_sample=small_sample
-    )
-    G = int(np.unique(design.clusters).size)
+    beta, resid, rank, resid_dof = fit_ols(design.rows, design.outcome)
+    V = cluster_covariance(design.rows, resid, design.groups, small_sample=small_sample)
+    G = int(design.groups.max()) + 1
     dof = resid_dof if dof_mode == "residual" else G - 1
     if dof < 1:
         raise FitError("no degrees of freedom for interval construction")
     se = np.sqrt(np.maximum(np.diag(V), 0.0))
-    t_stats = np.zeros_like(beta)
-    rho = np.zeros_like(beta)
+    t_stats, rho = np.zeros_like(beta), np.zeros_like(beta)
     for i in range(beta.size):
         if se[i] > 0.0:
             t_stats[i] = beta[i] / se[i]
@@ -428,7 +482,7 @@ def fit_clustered(
         ci_upper=beta + tcrit * se,
         rho=rho,
         covariance=V,
-        n_rows=design.matrix.shape[0],
+        n_rows=design.rows.shape[0],
         n_clusters=G,
         rank=rank,
         dof=dof,
@@ -438,6 +492,14 @@ def fit_clustered(
         dropped=design.dropped,
         notes=design.notes,
     )
+
+
+def _fit_outcomes(
+    design: Design, outcomes: Mapping[str, np.ndarray], **options
+) -> dict[str, FitResult]:
+    """One fit per outcome, all on the design's rows and factorization."""
+    return {name: fit_clustered(design.with_outcome(name, y), **options)
+            for name, y in outcomes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -460,23 +522,18 @@ def team_side_effects(
 
     Both rows of every game stay in the sample; clustering by game absorbs
     their mirror dependence. A target matching no rows is an error — a
-    silent zero-column would fit but estimate nothing.
+    silent zero-column would fit but estimate nothing. One design serves
+    every outcome.
     """
-    fits: dict[str, FitResult] = {}
-    for outcome in outcomes:
-        spec = DesignSpec(
-            outcome=outcome,
-            series_effects=include_series,
-            targets=tuple(targets),
-            target_form=target_form,
-            references=dict(references or {}),
-        )
-        fits[outcome] = fit_clustered(
-            build_design(rows, spec),
-            small_sample=small_sample,
-            dof_mode=dof_mode,
-        )
-    return fits
+    if not outcomes:
+        return {}
+    rows = list(rows)
+    spec = DesignSpec(outcome=outcomes[0], series_effects=include_series, targets=tuple(targets),
+                      target_form=target_form, references=dict(references or {}))
+    design = build_design(rows, spec)
+    fitted, _ = _fitted_rows(rows, include_series)
+    ys = {o: design.outcome if o == outcomes[0] else _team_outcome(fitted, o) for o in outcomes}
+    return _fit_outcomes(design, ys, small_sample=small_sample, dof_mode=dof_mode)
 
 
 def series_state_effects(
@@ -493,54 +550,29 @@ def series_state_effects(
     cluster, so the sandwich reduces to the heteroskedasticity-robust
     form.
     """
-    per_game: dict[str, TeamGameRow] = {}
-    for r in rows:
-        if r.season_type != "postseason" or r.series_key is None:
-            continue
-        if r.is_home:
-            per_game[r.game_id] = r
+    per_game = {r.game_id: r for r in rows
+                if r.season_type == "postseason" and r.series_key is not None and r.is_home}
     if not per_game:
         raise DesignError("no postseason rows with series state")
     game_rows = [per_game[g] for g in sorted(per_game)]
     n = len(game_rows)
 
-    blocks = [np.ones((n, 1))]
-    names = ["intercept"]
-    for values, prefix, family in (
-        ([r.team for r in game_rows], "home_team_", "home_team"),
-        ([r.opponent for r in game_rows], "away_team_", "away_team"),
-        ([r.season for r in game_rows], "season_", "season"),
-    ):
-        X, nm, _ = _dummy_block(values, prefix, None)
-        blocks.append(X)
-        names.extend(nm)
+    blocks = _blocks(
+        n,
+        ([r.team for r in game_rows], "home_team_"),
+        ([r.opponent for r in game_rows], "away_team_"),
+        ([r.season for r in game_rows], "season_"),
+    )
     labels = [r.series_key.label for r in game_rows]  # type: ignore[union-attr]
-    X, nm, ref = _dummy_block(labels, "series_", SeriesStateKey(0, 0).label)
-    blocks.append(X)
-    names.extend(nm)
-    matrix = np.hstack(blocks)
-    clusters = np.array([r.game_id for r in game_rows])
-
-    outcomes = {
+    block, ref = _factor(labels, "series_", SeriesStateKey(0, 0).label)
+    blocks.append(block)
+    ys = {
         "abs_disparity": np.array([float(abs(r.disparity)) for r in game_rows]),
         "game_rim": np.array([r.game_rim for r in game_rows]),
     }
-    fits: dict[str, FitResult] = {}
-    for name, y in outcomes.items():
-        Xf, kept, dropped = _rank_filter(matrix, list(names))
-        design = Design(
-            matrix=Xf,
-            outcome=y,
-            clusters=clusters,
-            columns=tuple(kept),
-            dropped=tuple(dropped),
-            notes=(f"series reference {ref}", f"games {n}"),
-            outcome_name=name,
-        )
-        fits[name] = fit_clustered(
-            design, small_sample=small_sample, dof_mode=dof_mode
-        )
-    return fits
+    notes = (f"series reference {ref}", f"games {n}")
+    design = _design(blocks, [r.game_id for r in game_rows], notes, "game_rim", ys["game_rim"])
+    return _fit_outcomes(design, ys, small_sample=small_sample, dof_mode=dof_mode)
 
 
 def ref_team_residual_effects(
@@ -562,62 +594,29 @@ def ref_team_residual_effects(
     rows = list(rows)
     if not rows:
         raise DesignError("no panel rows to fit")
-    pair_games: dict[tuple[str, str], int] = {}
-    for r in rows:
-        key = (r.referee, r.team)
-        pair_games[key] = pair_games.get(key, 0) + 1
-    kept_targets: list[tuple[str, str]] = []
-    excluded: list[str] = []
-    for pair in target_pairs:
-        if pair_games.get(tuple(pair), 0) >= min_pair_games:
-            kept_targets.append(tuple(pair))
-        else:
-            excluded.append(f"{pair[0]}|{pair[1]}")
+    ys = {"team_rim": np.array([r.team_rim for r in rows]),
+          "disparity": np.array([r.disparity for r in rows])}
+    unknown = [o for o in outcomes if o not in ys]
+    if unknown:
+        raise DesignError(f"unknown outcome {unknown[0]!r}")
+    referees, teams = [r.referee for r in rows], [r.team for r in rows]
+    pair_games = Counter(zip(referees, teams))
+    kept_targets = [tuple(p) for p in target_pairs if pair_games[tuple(p)] >= min_pair_games]
+    excluded = [f"{p[0]}|{p[1]}" for p in target_pairs if tuple(p) not in kept_targets]
     notes = [f"pair minimum {min_pair_games} games"]
     if excluded:
         notes.append("excluded targets below minimum: " + ", ".join(sorted(excluded)))
 
-    n = len(rows)
-    blocks = [np.ones((n, 1))]
-    names = ["intercept"]
-    for values, prefix in (
-        ([r.referee for r in rows], "ref_"),
-        ([r.team for r in rows], "team_"),
+    blocks = _blocks(
+        len(rows),
+        (referees, "ref_"),
+        (teams, "team_"),
         ([r.opponent for r in rows], "opp_"),
         ([r.season for r in rows], "season_"),
-    ):
-        X, nm, _ = _dummy_block(values, prefix, None)
-        blocks.append(X)
-        names.extend(nm)
-    for ref, team in kept_targets:
-        col = np.zeros((n, 1))
-        for i, r in enumerate(rows):
-            if r.referee == ref and r.team == team:
-                col[i, 0] = 1.0
-        blocks.append(col)
-        names.append(f"pair_{ref}|{team}")
-    matrix = np.hstack(blocks)
-    clusters = np.array([r.game_id for r in rows])
-
-    fits: dict[str, FitResult] = {}
-    for outcome in outcomes:
-        if outcome == "team_rim":
-            y = np.array([r.team_rim for r in rows])
-        elif outcome == "disparity":
-            y = np.array([r.disparity for r in rows])
-        else:
-            raise DesignError(f"unknown outcome {outcome!r}")
-        Xf, kept, dropped = _rank_filter(matrix, list(names))
-        design = Design(
-            matrix=Xf,
-            outcome=y,
-            clusters=clusters,
-            columns=tuple(kept),
-            dropped=tuple(dropped),
-            notes=tuple(notes),
-            outcome_name=outcome,
-        )
-        fits[outcome] = fit_clustered(
-            design, small_sample=small_sample, dof_mode=dof_mode
-        )
-    return fits
+    )
+    referee, team = np.array(referees), np.array(teams)
+    for ref, tm in kept_targets:
+        blocks.append(_column((referee == ref) & (team == tm), f"pair_{ref}|{tm}"))
+    design = _design(blocks, [r.game_id for r in rows], notes, "team_rim", ys["team_rim"])
+    ys = {o: ys[o] for o in outcomes}
+    return _fit_outcomes(design, ys, small_sample=small_sample, dof_mode=dof_mode)

@@ -8,6 +8,7 @@ handful of critical values a fit needs and is accurate to ~1e-12.
 
 from __future__ import annotations
 
+import functools
 import math
 
 _MAX_ITER = 300
@@ -87,11 +88,14 @@ def student_t_cdf(t: float, dof: float) -> float:
     return 1.0 - tail if t > 0 else tail
 
 
+@functools.lru_cache(maxsize=256)
 def student_t_quantile(p: float, dof: float) -> float:
     """Inverse Student-t CDF by bisection on a bracketed tail.
 
     Symmetric about zero; relative accuracy ~1e-13, good to the 1e-10 the
-    interval construction requires across any plausible dof.
+    interval construction requires across any plausible dof. Memoized: a
+    pure function of ``(p, dof)``, and every fit of one shape asks for the
+    same critical value.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")

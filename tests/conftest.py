@@ -155,7 +155,7 @@ def solve_normal_longdouble(X: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Accumulates X'X and X'y in longdouble and solves the small system with
     Gaussian elimination and partial pivoting (LAPACK has no longdouble
-    path). Serves as an independent oracle for the QR-based fitter.
+    path). Serves as an independent oracle for the normal-equations fitter.
     """
     Xl = np.asarray(X, dtype=np.longdouble)
     yl = np.asarray(y, dtype=np.longdouble)

@@ -287,6 +287,47 @@ def test_validate_flags_corruption_and_bad_outputs(tmp_path, capsys):
     assert "output issue" in out
 
 
+def test_validate_accepts_kept_no_crew_games(tmp_path, capsys):
+    # Ingest keeps games with an empty crew on purpose (a soft flag), so
+    # validate counts them and still passes the dataset.
+    from dataclasses import replace
+
+    from rimkit.ingest import write_dataset
+    from rimkit.synth import SimConfig, generate
+
+    games, _ = generate(SimConfig(seed=3, n_teams=6, n_referees=9, games_per_season=20,
+                                  postseason_games_per_season=0, seasons=("2021-22",)))
+    games = [replace(g, crew=()) if i in (2, 5) else g for i, g in enumerate(games)]
+    write_dataset(games, tmp_path / "ds")
+    code, out = run(capsys, "validate", "--dataset", str(tmp_path / "ds"))
+    assert code == 0, out
+    assert out.splitlines()[0].startswith("dataset ok: 20 games")
+    assert "0 with violations, 2 kept without a crew" in out
+    assert "crew:" not in out
+
+
+def test_regress_writes_fit_notes_and_dropped_columns(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    simulate_small(capsys, ds)
+    rg = tmp_path / "regress"
+    code, out = run(
+        capsys, "regress", "--dataset", str(ds), "--out", str(rg), "--min-pair-games", "2",
+        "--target", "T03:home", "--target", "T03:home",  # the repeat is collinear
+        "--pair", "Ref01:T01", "--pair", "Nobody:T01",
+    )
+    assert code == 0, out
+    team_side = (rg / "regression_team_side.csv").read_text(encoding="utf-8")
+    assert "# note: disparity: team reference T01\n" in team_side
+    assert "# note: team_rim: dropped collinear columns: T03:home[indicator]\n" in team_side
+    series = (rg / "regression_series.csv").read_text(encoding="utf-8")
+    assert "# note: game_rim: series reference 0--0\n" in series
+    ref_team = (rg / "regression_ref_team.csv").read_text(encoding="utf-8")
+    assert "# note: disparity: excluded targets below minimum: Nobody|T01\n" in ref_team
+    header, rows = read_table(rg / "regression_team_side.csv")
+    terms = [r[header.index("term")] for r in rows]
+    assert terms.count("T03:home[indicator]") == 2  # one kept copy per outcome
+
+
 def test_ingest_cli_builds_dataset(tmp_path, capsys):
     raw = tmp_path / "raw"
     raw.mkdir()

@@ -1,7 +1,9 @@
 """Tests for the regression layer: rank filter, OLS, clustered covariance,
-robustness values, design construction, and the three effect studies."""
+robustness values, design construction, the sparse solver against a dense
+oracle, and the three effect studies."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from rimkit.inference import (
     DesignSpec,
     FitError,
     TeamSideTarget,
+    _as_rows,
     _rank_filter,
     build_design,
     cluster_covariance,
@@ -24,6 +27,7 @@ from rimkit.inference import (
 )
 from rimkit.metrics import expand_rows
 from rimkit.model import REGULAR, SeriesStateKey, TeamGameRow
+from rimkit.outliers import PanelRow
 from rimkit.special import student_t_quantile
 from rimkit.synth import (
     SimConfig,
@@ -103,19 +107,14 @@ def test_rank_filter_drops_dependent_columns_earliest_wins(rng):
         ]
     )
     names = ["intercept", "x", "ones_again", "zero", "combo", "z"]
-    Xk, kept, dropped = _rank_filter(X, names)
-    assert kept == ["intercept", "x", "z"]
-    assert dropped == ["ones_again", "zero", "combo"]
-    assert Xk.shape == (n, 3)
-    assert np.array_equal(Xk[:, 1], x)
+    kept = _rank_filter(X.T @ X, n)
+    assert [names[j] for j in kept] == ["intercept", "x", "z"]
+    assert [names[j] for j in range(6) if j not in kept] == ["ones_again", "zero", "combo"]
 
 
 def test_rank_filter_keeps_independent_columns(rng):
     X = rng.normal(size=(30, 6))
-    Xk, kept, dropped = _rank_filter(X, [f"c{i}" for i in range(6)])
-    assert dropped == []
-    assert Xk.shape == (30, 6)
-    assert kept == [f"c{i}" for i in range(6)]
+    assert _rank_filter(X.T @ X, 30) == list(range(6))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +452,7 @@ def test_fit_clustered_handles_zero_se():
     # covariance entry is zero. Nonzero estimates get infinite t and an
     # undefined robustness value; the interval collapses to the point.
     design = Design(
-        matrix=np.ones((4, 1)),
+        rows=_as_rows(np.ones((4, 1))),
         outcome=np.full(4, 3.0),
         clusters=np.array(["g1", "g1", "g2", "g2"]),
         columns=("intercept",),
@@ -469,7 +468,7 @@ def test_fit_clustered_handles_zero_se():
     assert fit.ci_lower[0] == fit.ci_upper[0] == pytest.approx(3.0)
 
     zero = Design(
-        matrix=np.ones((4, 1)),
+        rows=_as_rows(np.ones((4, 1))),
         outcome=np.zeros(4),
         clusters=np.array(["g1", "g1", "g2", "g2"]),
         columns=("intercept",),
@@ -489,6 +488,213 @@ def test_fit_clustered_validates_options(rng):
         fit_clustered(design, dof_mode="jackknife")
     with pytest.raises(ValueError):
         fit_clustered(design, ci_level=1.0)
+
+
+# ---------------------------------------------------------------------------
+# Sparse solver against a dense oracle
+# ---------------------------------------------------------------------------
+
+
+def _dummies(values, prefix, reference=None):
+    levels = sorted(set(values))
+    ref = reference if reference in levels else levels[0]
+    keep = [lv for lv in levels if lv != ref]
+    X = np.array([[1.0 if v == lv else 0.0 for lv in keep] for v in values])
+    return X.reshape(len(values), len(keep)), [f"{prefix}{lv}" for lv in keep]
+
+
+def dense_team_design(rows, spec):
+    """The team-row design as dense dummy columns, before rank filtering."""
+    if spec.series_effects:
+        rows = [r for r in rows if r.series_key is not None]
+    cols, names = [], []
+    if spec.intercept:
+        cols.append(np.ones((len(rows), 1)))
+        names.append("intercept")
+    if spec.home_indicator:
+        cols.append(np.array([[float(r.is_home)] for r in rows]))
+        names.append("home")
+    for wanted, family, prefix, value, default in (
+        (spec.team_effects, "team", "team_", lambda r: r.team, None),
+        (spec.opponent_effects, "opponent", "opp_", lambda r: r.opponent, None),
+        (spec.season_effects, "season", "season_", lambda r: r.season, None),
+        (spec.series_effects, "series", "series_", lambda r: r.series_key.label,
+         SeriesStateKey(0, 0).label),
+    ):
+        if wanted:
+            X, nm = _dummies([value(r) for r in rows], prefix, spec.references.get(family, default))
+            cols.append(X)
+            names += nm
+    for tgt in spec.targets:
+        home = tgt.side == "home"
+        col = []
+        for r in rows:
+            if r.team == tgt.team and r.is_home == home:
+                col.append(1.0)
+            elif spec.target_form == "paired" and r.opponent == tgt.team and r.is_home != home:
+                col.append(-1.0)
+            else:
+                col.append(0.0)
+        cols.append(np.array(col)[:, None])
+        names.append(f"{tgt.name}[{spec.target_form}]")
+    return np.hstack(cols), names
+
+
+def dense_panel_design(rows, pairs):
+    cols, names = [np.ones((len(rows), 1))], ["intercept"]
+    for attr, prefix in (("referee", "ref_"), ("team", "team_"), ("opponent", "opp_"),
+                         ("season", "season_")):
+        X, nm = _dummies([getattr(r, attr) for r in rows], prefix)
+        cols.append(X)
+        names += nm
+    for ref, team in pairs:
+        cols.append(np.array([[float(r.referee == ref and r.team == team)] for r in rows]))
+        names.append(f"pair_{ref}|{team}")
+    return np.hstack(cols), names
+
+
+def oracle_fit(X, names, y, clusters):
+    """Gram-Schmidt earliest-wins filter, Householder QR, brute-force sandwich."""
+    n = X.shape[0]
+    tol = max(X.shape) * np.finfo(float).eps
+    Q = np.empty((n, 0))
+    kept = []
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        resid = col - Q @ (Q.T @ col)
+        resid -= Q @ (Q.T @ resid)
+        if np.linalg.norm(resid) <= tol * np.linalg.norm(col):
+            continue
+        Q = np.column_stack([Q, resid / np.linalg.norm(resid)])
+        kept.append(j)
+    Xk = X[:, kept]
+    q, r = np.linalg.qr(Xk)
+    beta = np.linalg.solve(r, q.T @ y)
+    V = brute_force_sandwich(Xk, y - Xk @ beta, np.asarray(clusters), "cr1")
+    return [names[j] for j in kept], beta, V
+
+
+def fe_rows(rng, n_games=240):
+    """Mirrored postseason rows over two seasons and five series states.
+
+    Team Z only ever plays at home, so any Z:home target is the Z team
+    dummy (indicator) or the Z team minus the Z opponent dummy (paired).
+    """
+    teams = ["A", "B", "C", "D", "E", "Z"]
+    keys = [SeriesStateKey(lo, hi) for lo, hi in ((0, 0), (0, 1), (1, 1), (1, 2), (2, 3))]
+    rows = []
+    for g in range(n_games):
+        home, away = (str(t) for t in rng.choice(teams, size=2, replace=False))
+        if away == "Z":
+            home, away = away, home
+        rows += mirrored_game(
+            f"g{g:03d}",
+            home,
+            away,
+            disparity=int(rng.integers(-6, 7)),
+            team_rim=float(rng.normal(0.0, 0.05)),
+            season=("2020-21", "2021-22")[g % 2],
+            season_type="postseason",
+            series_key=keys[int(rng.integers(len(keys)))],
+        )
+    return rows
+
+
+@pytest.mark.parametrize("form", ["indicator", "paired"])
+def test_sparse_team_fit_matches_dense_qr_oracle(rng, form):
+    rows = fe_rows(rng)
+    targets = (TeamSideTarget("Z", "home"), TeamSideTarget("B", "away"))
+    for outcome in ("disparity", "team_rim"):
+        spec = DesignSpec(outcome=outcome, series_effects=True, targets=targets,
+                          target_form=form)
+        X, names = dense_team_design(rows, spec)
+        y = np.array([float(getattr(r, outcome)) for r in rows])
+        kept, beta, V = oracle_fit(X, names, y, [r.game_id for r in rows])
+        fit = fit_clustered(build_design(rows, spec))
+        assert list(fit.terms) == kept
+        assert fit.dropped == (f"Z:home[{form}]",)
+        assert np.abs(fit.estimates - beta).max() < 1e-8
+        assert np.abs(fit.covariance - V).max() < 1e-12
+
+
+def test_sparse_ref_team_fit_matches_dense_qr_oracle(rng):
+    rows = simulate_ref_team_panel(rng, n_games=300, n_teams=6, n_referees=8)
+    # RefX appears only on T01 rows, so its pair column is its referee dummy.
+    rows += [
+        PanelRow(f"x{g}", "S1", REGULAR, "RefX", "T01", "T02", g % 2 == 0,
+                 float(rng.normal(0.0, 0.05)), float(rng.integers(-4, 5)))
+        for g in range(12)
+    ]
+    pairs = [("Ref01", "T01"), ("RefX", "T01")]
+    fits = ref_team_residual_effects(rows, pairs)
+    X, names = dense_panel_design(rows, pairs)
+    for outcome, fit in fits.items():
+        y = np.array([getattr(r, outcome) for r in rows])
+        kept, beta, V = oracle_fit(X, names, y, [r.game_id for r in rows])
+        assert list(fit.terms) == kept
+        assert fit.dropped == ("pair_RefX|T01",)
+        assert np.abs(fit.estimates - beta).max() < 1e-8
+        assert np.abs(fit.covariance - V).max() < 1e-12
+
+
+def test_one_factorization_serves_every_outcome(rng):
+    rows = fe_rows(rng)
+    targets = (TeamSideTarget("B", "away"),)
+    shared = team_side_effects(rows, targets, target_form="paired", include_series=True)
+    for outcome, fit in shared.items():
+        spec = DesignSpec(outcome=outcome, series_effects=True, targets=targets,
+                          target_form="paired")
+        alone = fit_clustered(build_design(rows, spec))
+        assert fit.terms == alone.terms and fit.notes == alone.notes
+        assert np.array_equal(fit.estimates, alone.estimates)
+        assert np.array_equal(fit.covariance, alone.covariance)
+
+    panel = simulate_ref_team_panel(rng, n_games=200, n_teams=6, n_referees=8)
+    both = ref_team_residual_effects(panel, [("Ref01", "T01")])
+    for outcome, fit in both.items():
+        alone = ref_team_residual_effects(panel, [("Ref01", "T01")], outcomes=(outcome,))
+        assert np.array_equal(fit.estimates, alone[outcome].estimates)
+        assert np.array_equal(fit.covariance, alone[outcome].covariance)
+
+    design = build_design(rows, DesignSpec(targets=targets))
+    other = design.with_outcome("team_rim", np.array([r.team_rim for r in rows]))
+    assert other.rows is design.rows and other.groups is design.groups
+    # Cluster codes always follow the clusters; they cannot be passed in.
+    clusters = np.array([f"c{i % 3}" for i in range(len(design.clusters))])
+    assert replace(design, clusters=clusters).groups.max() == 2
+    with pytest.raises(ValueError):
+        replace(design, groups=design.groups)
+
+
+def _state_rows():
+    rows = []
+    for r in four_team_rows():
+        key = SeriesStateKey(1, 2) if r.game_id in ("g1", "g4") else SeriesStateKey(0, 0)
+        rows.append(team_row(r.game_id, r.team, r.opponent, r.is_home, disparity=r.disparity,
+                             team_rim=r.team_rim, season_type="postseason", series_key=key))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "spec, series",
+    [
+        (DesignSpec(targets=(TeamSideTarget("A", "home"),)), False),
+        (DesignSpec(outcome="team_rim", references={"team": "B", "opponent": "D"}), False),
+        (DesignSpec(targets=(TeamSideTarget("A", "home"),), target_form="paired"), False),
+        (DesignSpec(series_effects=True, team_effects=False, opponent_effects=False), True),
+        (DesignSpec(targets=(TeamSideTarget("A", "home"), TeamSideTarget("A", "home"))), False),
+    ],
+)
+def test_design_matrix_matches_dense_build(spec, series):
+    rows = _state_rows() if series else four_team_rows()
+    X, names = dense_team_design(rows, spec)
+    design = build_design(rows, spec)
+    fit_clustered(design)
+    assert "matrix" not in design.__dict__  # fitting never builds the dense view
+    kept = [names.index(c) for c in design.columns]
+    assert [names[j] for j in range(len(names)) if j not in kept] == list(design.dropped)
+    assert np.array_equal(design.matrix, X[:, kept])
+    assert np.array_equal(design.rows.gram, X[:, kept].T @ X[:, kept])
 
 
 # ---------------------------------------------------------------------------

@@ -107,3 +107,12 @@ def test_t_quantile_rejects_bad_inputs():
         student_t_quantile(1.0, 5)
     with pytest.raises(ValueError):
         student_t_quantile(0.5, 0)
+
+
+def test_t_quantile_memo_returns_the_computed_values():
+    student_t_quantile.cache_clear()
+    for dof in (3.0, 2458.0, 22000.0):
+        first = student_t_quantile(0.975, dof)
+        assert student_t_quantile(0.975, dof) == first
+        assert first == student_t_quantile.__wrapped__(0.975, dof)
+    assert student_t_quantile.cache_info().hits == 3
