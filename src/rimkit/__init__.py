@@ -37,7 +37,6 @@ from .inference import (
 )
 from .ingest import (
     DatasetError,
-    FetchError,
     IngestError,
     ParseError,
     align_foul_wp,
@@ -101,7 +100,6 @@ __all__ = [
     "series_state_effects",
     "team_side_effects",
     "DatasetError",
-    "FetchError",
     "IngestError",
     "ParseError",
     "align_foul_wp",

@@ -12,9 +12,9 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .aggregate import home_away_summary, referee_distribution, top_bottom_table
 from .config import (
     ConfigError,
     RunConfig,
@@ -22,22 +22,13 @@ from .config import (
     write_run_echo,
 )
 from .figures import (
-    Column,
-    FigureOptions,
+    AnalysisContext,
+    TableReport,
     emit_figures,
-    select_outlier_pairs,
-    select_team_side_targets,
     validate_output_dir,
-    write_table,
+    write_tables,
 )
-from .inference import (
-    DesignError,
-    FitError,
-    TeamSideTarget,
-    ref_team_residual_effects,
-    series_state_effects,
-    team_side_effects,
-)
+from .inference import DesignError, TeamSideTarget
 from .ingest import (
     DatasetError,
     IngestError,
@@ -45,28 +36,12 @@ from .ingest import (
     load_dataset,
     write_dataset,
 )
-from .metrics import compute_game_metrics, expand_rows
-from .model import POSTSEASON, REGULAR, is_no_crew_only, validate_game
-from .outliers import build_cells, outlier_tables, panel_rows
+from .model import is_no_crew_only, validate_game
 from .synth import SimConfig, SimConfigError, write_corpus
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
-
-_FIT_CSV_COLUMNS = [
-    Column("outcome", "str", "fitted outcome"),
-    Column("term", "str", "coefficient"),
-    Column("estimate", "num", "point estimate"),
-    Column("se", "num", "cluster-robust standard error"),
-    Column("t_stat", "num", "estimate / se"),
-    Column("ci_lower", "num", "95% interval lower bound"),
-    Column("ci_upper", "num", "95% interval upper bound"),
-    Column("rho", "num", "equal-strength confounder association that zeros t"),
-    Column("n_rows", "int", "observations in the fit"),
-    Column("n_clusters", "int", "games (clusters)"),
-    Column("dof", "int", "degrees of freedom for intervals"),
-]
 
 
 # ---------------------------------------------------------------------------
@@ -75,35 +50,12 @@ _FIT_CSV_COLUMNS = [
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    keys = (
-        "dataset",
-        "out_dir",
-        "cache_dir",
-        "seasons",
-        "season_type",
-        "min_games_regular",
-        "min_games_postseason",
-        "min_pair_games",
-        "table_k",
-        "pair_k",
-        "team_side_k",
-        "target_form",
-        "small_sample",
-        "dof_mode",
-        "seed",
-        "start_prior",
-        "network",
-        "rate_limit_per_minute",
-        "summary_url",
-        "wp_url",
-    )
+    """Every RunConfig setting given on the command line."""
     out = {}
-    for key in keys:
-        value = getattr(args, key, None)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            if key == "seasons":
-                value = tuple(value)
-            out[key] = value
+            out[f.name] = tuple(value) if f.name == "seasons" else value
     return out
 
 
@@ -118,8 +70,7 @@ def _require_out(cfg: RunConfig) -> Path:
 def _load_games(cfg: RunConfig):
     if not cfg.dataset:
         raise ConfigError("a dataset root is required (--dataset or dataset)")
-    root = Path(cfg.dataset)
-    games, _manifest = load_dataset(root)
+    games, _manifest = load_dataset(Path(cfg.dataset))
     if cfg.seasons:
         wanted = set(cfg.seasons)
         games = [g for g in games if g.season in wanted]
@@ -127,56 +78,7 @@ def _load_games(cfg: RunConfig):
         games = [g for g in games if g.season_type == cfg.season_type]
     if not games:
         raise DatasetError("no games left after season filters")
-    return games, root
-
-
-def _figure_options(cfg: RunConfig) -> FigureOptions:
-    return FigureOptions(
-        min_games_regular=cfg.min_games_regular,
-        min_games_postseason=cfg.min_games_postseason,
-        min_pair_games=cfg.min_pair_games,
-        table_k=cfg.table_k,
-        pair_k=cfg.pair_k,
-        team_side_k=cfg.team_side_k,
-        target_form=cfg.target_form,
-        small_sample=cfg.small_sample,
-        dof_mode=cfg.dof_mode,
-    )
-
-
-def _fit_rows(fits, keep=lambda term: True):
-    rows = []
-    for outcome in sorted(fits):
-        fit = fits[outcome]
-        for c in fit.coef_rows():
-            if keep(c.term):
-                rows.append(
-                    (
-                        outcome,
-                        c.term,
-                        c.estimate,
-                        c.se,
-                        c.t_stat,
-                        c.ci_lower,
-                        c.ci_upper,
-                        c.rho,
-                        fit.n_rows,
-                        fit.n_clusters,
-                        fit.dof,
-                    )
-                )
-    return rows
-
-
-def _fit_notes(fits) -> list[str]:
-    """Each fit's notes and the collinear columns it dropped, by outcome."""
-    notes = []
-    for outcome in sorted(fits):
-        fit = fits[outcome]
-        notes += [f"{outcome}: {note}" for note in fit.notes]
-        if fit.dropped:
-            notes.append(f"{outcome}: dropped collinear columns: " + ", ".join(fit.dropped))
-    return notes
+    return games
 
 
 def _parse_colon_pair(text: str, what: str) -> tuple[str, str]:
@@ -186,16 +88,34 @@ def _parse_colon_pair(text: str, what: str) -> tuple[str, str]:
     return head, tail
 
 
-def _default_targets(games, cfg: RunConfig):
-    rows = expand_rows([g for g in games if g.season_type == REGULAR])
-    summary = home_away_summary(rows, REGULAR)
-    return select_team_side_targets(summary.teams, cfg.team_side_k)
+def _write(
+    cfg: RunConfig, args: argparse.Namespace, names: list[str]
+) -> tuple[AnalysisContext, Path, TableReport]:
+    """Load the dataset and write the named tables, honouring the command's
+    own flags (``--min-games``, ``--target``, ``--pair``)."""
+    games = _load_games(cfg)
+    out = _require_out(cfg)
+    min_games = getattr(args, "min_games", None)
+    if min_games is not None:
+        cfg = replace(cfg, min_games_regular=min_games, min_games_postseason=min_games)
+    ctx = AnalysisContext(games, cfg)
+    if getattr(args, "target", None):
+        ctx.targets = [
+            TeamSideTarget(*_parse_colon_pair(text, "--target")) for text in args.target
+        ]
+    if getattr(args, "pair", None):
+        ctx.pairs = [_parse_colon_pair(text, "--pair") for text in args.pair]
+    return ctx, out, write_tables(ctx, names, out)
 
 
-def _default_pairs(games, cfg: RunConfig):
-    rows, _ = panel_rows([g for g in games if g.season_type == REGULAR])
-    tables = outlier_tables(build_cells(rows), cfg.min_pair_games, cfg.table_k)
-    return select_outlier_pairs(tables, cfg.pair_k)
+def _print_skipped(report: TableReport) -> None:
+    for name, reason in sorted(report.skipped.items()):
+        print(f"skipped: {name} ({reason})")
+
+
+def _echo(out: Path, command: str, cfg: RunConfig) -> int:
+    write_run_echo(out, command, cfg, Path(cfg.dataset))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +163,8 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
                 for v in violations:
                     print(f"{g.game_id}: {v}")
         print(
-            f"dataset ok: {manifest.total_games} games, "
+            f"{'dataset has violations' if bad else 'dataset ok'}: "
+            f"{manifest.total_games} games, "
             f"{len(manifest.partitions)} partitions, {bad} with violations, "
             f"{no_crew} kept without a crew"
         )
@@ -258,317 +179,46 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(cfg: RunConfig, args: argparse.Namespace) -> int:
-    games, root = _load_games(cfg)
-    out = _require_out(cfg)
-    rows = []
-    for g in sorted(games, key=lambda g: g.game_id):
-        m = compute_game_metrics(g)
-        per = m.per_period
-        rows.append(
-            (
-                g.game_id,
-                g.season,
-                g.season_type,
-                g.home_team,
-                g.away_team,
-                m.n_calls,
-                m.rim,
-                m.swing,
-                m.home_row.disparity,
-                m.home_row.team_rim,
-                per["Q1"].rim,
-                per["Q2"].rim,
-                per["Q3"].rim,
-                per["Q4"].rim,
-                per["OT"].rim,
-            )
-        )
-    write_table(
-        out / "game_metrics.csv",
-        [
-            Column("game_id", "str", "game identifier"),
-            Column("season", "str", "season label"),
-            Column("season_type", "str", "regular or postseason"),
-            Column("home_team", "str", "home team id"),
-            Column("away_team", "str", "away team id"),
-            Column("n_calls", "int", "fouls with aligned win-probability samples"),
-            Column("rim", "num", "total call leverage for the game"),
-            Column("swing_per_call", "num", "rim / n_calls (blank when no calls)"),
-            Column("home_disparity", "num", "away fouls minus home fouls"),
-            Column("home_team_rim", "num", "signed call leverage toward the home team"),
-            Column("rim_q1", "num", "Q1 call leverage"),
-            Column("rim_q2", "num", "Q2 call leverage"),
-            Column("rim_q3", "num", "Q3 call leverage"),
-            Column("rim_q4", "num", "Q4 call leverage"),
-            Column("rim_ot", "num", "overtime call leverage"),
-        ],
-        rows,
-    )
-    print(f"game metrics written for {len(rows)} games -> {out / 'game_metrics.csv'}")
-    write_run_echo(out, "metrics", cfg, root)
-    return EXIT_OK
+    ctx, out, _ = _write(cfg, args, ["game_metrics"])
+    print(f"game metrics written for {len(ctx.games)} games -> {out / 'game_metrics.csv'}")
+    return _echo(out, "metrics", cfg)
 
 
 def cmd_refs(cfg: RunConfig, args: argparse.Namespace) -> int:
-    games, root = _load_games(cfg)
-    out = _require_out(cfg)
-    season_type = cfg.season_type or REGULAR
-    if args.min_games is not None:
-        min_games = args.min_games
-    elif season_type == POSTSEASON:
-        min_games = cfg.min_games_postseason
-    else:
-        min_games = cfg.min_games_regular
-    slice_games = [g for g in games if g.season_type == season_type]
-    summaries, band = referee_distribution(slice_games, season_type, min_games)
-    rows = []
-    for s in summaries:
-        rows.append(
-            (
-                s.referee,
-                s.games,
-                s.mean_rim,
-                s.mean_calls_per_game,
-                s.mean_swing_per_call,
-                s.mean_abs_disparity,
-                band.mean if band else None,
-                band.sd if band else None,
-            )
-        )
-    write_table(
-        out / "referee_summary.csv",
-        [
-            Column("referee", "str", "crew member, canonical name"),
-            Column("games", "int", "games worked"),
-            Column("mean_rim", "num", "mean per-game total call leverage"),
-            Column("mean_calls_per_game", "num", "mean calls per game"),
-            Column("mean_swing_per_call", "num", "mean per-call leverage"),
-            Column("mean_abs_disparity", "num", "mean absolute foul disparity"),
-            Column("band_mean", "num", "mean across qualified referees"),
-            Column("band_sd", "num", "sample sd across qualified referees"),
-        ],
-        rows,
-        notes=[f"season type: {season_type}; minimum games: {min_games}"],
-    )
-    table = top_bottom_table(summaries, cfg.table_k)
-    write_table(
-        out / "referee_top_bottom.csv",
-        [
-            Column("section", "str", "bottom / mean / top"),
-            Column("rank", "int", "1 = most extreme within section"),
-            Column("referee", "str", "crew member (or pooled label)"),
-            Column("games", "int", "games worked (blank on the mean row)"),
-            Column("mean_rim", "num", "mean per-game total call leverage"),
-        ],
-        [(e.section, e.rank, e.label, e.games, e.value) for e in table.entries],
-    )
+    ctx, out, _ = _write(cfg, args, ["referee_summary", "referee_top_bottom"])
+    summaries, _band = ctx.focus.referees
     print(f"{len(summaries)} qualified referees -> {out / 'referee_summary.csv'}")
-    write_run_echo(out, "refs", cfg, root)
-    return EXIT_OK
+    return _echo(out, "refs", cfg)
 
 
 def cmd_outliers(cfg: RunConfig, args: argparse.Namespace) -> int:
-    games, root = _load_games(cfg)
-    out = _require_out(cfg)
-    season_type = cfg.season_type or REGULAR
-    rows, skipped = panel_rows([g for g in games if g.season_type == season_type])
-    cells = build_cells(rows)
-    tables = outlier_tables(cells, cfg.min_pair_games, cfg.table_k)
-    notes = [f"season type: {season_type}; pair minimum: {cfg.min_pair_games} games"]
-    if skipped:
-        notes.append(f"games skipped for missing crew: {skipped}")
-    notes.extend(tables.flags)
-    cell_columns = [
-        Column("referee", "str", "crew member, canonical name"),
-        Column("team", "str", "team id"),
-        Column("games", "int", "shared games"),
-        Column("excess_rim", "num", "leverage excess vs additive baseline"),
-        Column("excess_disparity", "num", "disparity excess vs additive baseline"),
-        Column("z_rim", "num", "z-score over qualified cells"),
-        Column("z_disparity", "num", "z-score over qualified cells"),
-        Column("z_combined", "num", "z_rim + z_disparity"),
-    ]
-    write_table(
-        out / "outlier_cells.csv",
-        cell_columns,
-        [
-            (
-                c.referee,
-                c.team,
-                c.games,
-                c.rim.excess,
-                c.disparity.excess,
-                c.rim.z,
-                c.disparity.z,
-                c.z_combined,
-            )
-            for c in tables.qualified
-        ],
-        notes=notes,
-    )
-    top_columns = [
-        Column("referee", "str", "crew member, canonical name"),
-        Column("team", "str", "team id"),
-        Column("games", "int", "shared games"),
-        Column("observed", "num", "pair mean"),
-        Column("excess", "num", "observed minus additive baseline"),
-        Column("z", "num", "z-score over qualified cells"),
-    ]
-    write_table(
-        out / "outlier_top_rim.csv",
-        top_columns,
-        [
-            (c.referee, c.team, c.games, c.rim.observed, c.rim.excess, c.rim.z)
-            for c in tables.top_rim
-        ],
-        notes=notes,
-    )
-    write_table(
-        out / "outlier_top_disparity.csv",
-        top_columns,
-        [
-            (
-                c.referee,
-                c.team,
-                c.games,
-                c.disparity.observed,
-                c.disparity.excess,
-                c.disparity.z,
-            )
-            for c in tables.top_disparity
-        ],
-        notes=notes,
+    ctx, out, _ = _write(
+        cfg, args, ["outlier_cells", "outlier_top_rim", "outlier_top_disparity"]
     )
     print(
-        f"{len(tables.qualified)} qualified referee-team cells "
+        f"{len(ctx.focus.screen.qualified)} qualified referee-team cells "
         f"-> {out / 'outlier_cells.csv'}"
     )
-    write_run_echo(out, "outliers", cfg, root)
-    return EXIT_OK
-
-
-def _run_team_side(games, cfg: RunConfig, targets):
-    rows = expand_rows([g for g in games if g.season_type == REGULAR])
-    return team_side_effects(
-        rows,
-        targets,
-        target_form=cfg.target_form,
-        small_sample=cfg.small_sample,
-        dof_mode=cfg.dof_mode,
-    )
+    return _echo(out, "outliers", cfg)
 
 
 def cmd_regress(cfg: RunConfig, args: argparse.Namespace) -> int:
-    games, root = _load_games(cfg)
-    out = _require_out(cfg)
-    if args.target:
-        targets = []
-        for text in args.target:
-            team, side = _parse_colon_pair(text, "--target")
-            targets.append(TeamSideTarget(team, side))
-    else:
-        targets = _default_targets(games, cfg)
-    if args.pair:
-        pairs = [_parse_colon_pair(text, "--pair") for text in args.pair]
-    else:
-        pairs = _default_pairs(games, cfg)
-
-    written = []
-    if targets:
-        fits = _run_team_side(games, cfg, targets)
-        write_table(
-            out / "regression_team_side.csv",
-            _FIT_CSV_COLUMNS,
-            _fit_rows(fits),
-            notes=[f"target form: {cfg.target_form}", *_fit_notes(fits)],
-        )
-        written.append("regression_team_side.csv")
-
-    post_rows = expand_rows([g for g in games if g.season_type == POSTSEASON])
-    if post_rows:
-        try:
-            series_fits = series_state_effects(
-                post_rows, small_sample=cfg.small_sample, dof_mode=cfg.dof_mode
-            )
-        except (DesignError, FitError) as e:
-            print(f"series fit skipped: {e}")
-        else:
-            write_table(
-                out / "regression_series.csv",
-                _FIT_CSV_COLUMNS,
-                _fit_rows(series_fits),
-                notes=["reference level 0--0", *_fit_notes(series_fits)],
-            )
-            written.append("regression_series.csv")
-
-    if pairs:
-        panel, _ = panel_rows([g for g in games if g.season_type == REGULAR])
-        try:
-            pair_fits = ref_team_residual_effects(
-                panel,
-                pairs,
-                min_pair_games=cfg.min_pair_games,
-                small_sample=cfg.small_sample,
-                dof_mode=cfg.dof_mode,
-            )
-        except (DesignError, FitError) as e:
-            print(f"referee-team fit skipped: {e}")
-        else:
-            write_table(
-                out / "regression_ref_team.csv",
-                _FIT_CSV_COLUMNS,
-                _fit_rows(pair_fits),
-                notes=[f"pair minimum: {cfg.min_pair_games} games", *_fit_notes(pair_fits)],
-            )
-            written.append("regression_ref_team.csv")
-
-    if not written:
+    _, out, report = _write(
+        cfg, args, ["regression_team_side", "regression_series", "regression_ref_team"]
+    )
+    _print_skipped(report)
+    if not report.written:
         raise DesignError("no regression had usable targets or rows")
-    print("written: " + ", ".join(written))
-    write_run_echo(out, "regress", cfg, root)
-    return EXIT_OK
+    print("written: " + ", ".join(f"{name}.csv" for name in report.written))
+    return _echo(out, "regress", cfg)
 
 
 def cmd_robustness(cfg: RunConfig, args: argparse.Namespace) -> int:
-    games, root = _load_games(cfg)
-    out = _require_out(cfg)
-    if args.target:
-        targets = [
-            TeamSideTarget(*_parse_colon_pair(text, "--target"))
-            for text in args.target
-        ]
-    else:
-        targets = _default_targets(games, cfg)
-    if not targets:
-        raise DesignError("no team-side targets available")
-    fits = _run_team_side(games, cfg, targets)
-    write_table(
-        out / "robustness.csv",
-        [
-            Column("outcome", "str", "fitted outcome"),
-            Column("term", "str", "target coefficient"),
-            Column("estimate", "num", "point estimate"),
-            Column("se", "num", "cluster-robust standard error"),
-            Column("t_stat", "num", "estimate / se"),
-            Column("dof", "int", "degrees of freedom"),
-            Column(
-                "rho",
-                "num",
-                "equal-strength confounder association with treatment and "
-                "outcome needed to drive the estimate to zero",
-            ),
-        ],
-        [
-            (outcome, c.term, c.estimate, c.se, c.t_stat, fits[outcome].dof, c.rho)
-            for outcome in sorted(fits)
-            for c in fits[outcome].coef_rows()
-            if "[" in c.term
-        ],
-        notes=[f"target form: {cfg.target_form}"],
-    )
+    _, out, report = _write(cfg, args, ["robustness"])
+    if report.skipped:
+        raise DesignError(report.skipped["robustness"])
     print(f"robustness diagnostics -> {out / 'robustness.csv'}")
-    write_run_echo(out, "robustness", cfg, root)
-    return EXIT_OK
+    return _echo(out, "robustness", cfg)
 
 
 def _parse_effects_file(path: str) -> dict:
@@ -637,15 +287,13 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_emit_figures(cfg: RunConfig, args: argparse.Namespace) -> int:
-    games, root = _load_games(cfg)
+    games = _load_games(cfg)
     out = _require_out(cfg)
-    report = emit_figures(games, out, _figure_options(cfg))
+    report = emit_figures(games, out, cfg)
     for name in report.written:
         print(f"written: {name}.csv")
-    for name, reason in sorted(report.skipped.items()):
-        print(f"skipped: {name} ({reason})")
-    write_run_echo(out, "emit-figures", cfg, root)
-    return EXIT_OK
+    _print_skipped(report)
+    return _echo(out, "emit-figures", cfg)
 
 
 # ---------------------------------------------------------------------------

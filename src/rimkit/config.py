@@ -35,7 +35,6 @@ class ConfigError(ValueError):
 class RunConfig:
     dataset: str | None = None
     out_dir: str | None = None
-    cache_dir: str | None = None
     seasons: tuple[str, ...] = ()  # empty = all seasons
     season_type: str | None = None  # None = all season types
     min_games_regular: int = 50
@@ -49,10 +48,6 @@ class RunConfig:
     dof_mode: str = "residual"
     seed: int = 0
     start_prior: float = 0.5
-    network: bool = False
-    rate_limit_per_minute: int = 30
-    summary_url: str | None = None
-    wp_url: str | None = None
 
     def validate(self) -> None:
         if self.season_type is not None and self.season_type not in _SEASON_TYPES:
@@ -70,7 +65,6 @@ class RunConfig:
             "table_k",
             "pair_k",
             "team_side_k",
-            "rate_limit_per_minute",
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
@@ -83,13 +77,10 @@ _FIELDS = {f.name: f for f in fields(RunConfig)}
 _STR_FIELDS = {
     "dataset",
     "out_dir",
-    "cache_dir",
     "season_type",
     "target_form",
     "small_sample",
     "dof_mode",
-    "summary_url",
-    "wp_url",
 }
 _INT_FIELDS = {
     "min_games_regular",
@@ -99,7 +90,6 @@ _INT_FIELDS = {
     "pair_k",
     "team_side_k",
     "seed",
-    "rate_limit_per_minute",
 }
 
 
@@ -112,10 +102,6 @@ def _coerce(name: str, value):
         ):
             raise ConfigError("seasons must be a list of strings")
         return tuple(value)
-    if name == "network":
-        if not isinstance(value, bool):
-            raise ConfigError("network must be true or false")
-        return value
     if name == "start_prior":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError("start_prior must be a number")

@@ -1,9 +1,9 @@
 """Raw feed parsing, foul/win-probability alignment, and the dataset on disk.
 
-Raw documents are cached verbatim and parsed defensively: a malformed
-document fails atomically with a byte offset and no partial game, while
-recoverable data problems (missing crew, unalignable fouls) become
-quarantine entries instead of exceptions.
+Raw documents are parsed defensively: a malformed document fails
+atomically with a byte offset and no partial game, while recoverable data
+problems (missing crew, unalignable fouls) become quarantine entries
+instead of exceptions.
 
 The canonical dataset is JSONL, one game per line, partitioned by
 ``<root>/<season>/<season_type>/games.jsonl`` with a manifest recording a
@@ -17,22 +17,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import shutil
-import time
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .model import (
+    SAFE_LABEL,
     FoulEvent,
     GameRecord,
     canonicalize_name,
     is_no_crew_only,
     validate_game,
 )
-
-logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -51,10 +48,6 @@ class ParseError(IngestError):
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message if offset is None else f"{message} (byte {offset})")
         self.offset = offset
-
-
-class FetchError(IngestError):
-    """Raw document unavailable: cache miss with network off, or HTTP failure."""
 
 
 class DatasetError(IngestError):
@@ -525,6 +518,9 @@ def write_dataset(
         if g.game_id in ids_seen:
             raise DatasetError(f"duplicate game_id {g.game_id!r}")
         ids_seen[g.game_id] = g.game_id
+        for label in (g.season, g.season_type):
+            if not SAFE_LABEL.fullmatch(label):
+                raise DatasetError(f"game {g.game_id!r}: {label!r} cannot name a partition")
         by_partition.setdefault((g.season, g.season_type), []).append(g)
 
     root.mkdir(parents=True, exist_ok=True)
@@ -595,8 +591,11 @@ def load_dataset(root: Path, *, verify: bool = True) -> tuple[list[GameRecord], 
             f"(expected {SCHEMA_VERSION})"
         )
     games: list[GameRecord] = []
+    inside = root.resolve()
     for part in manifest.partitions:
         path = root / part.path
+        if not path.resolve().is_relative_to(inside):
+            raise DatasetError(f"partition path leaves the dataset root: {part.path}")
         if not path.exists():
             raise DatasetError(f"partition missing: {part.path}")
         data = path.read_bytes()
@@ -621,94 +620,3 @@ def load_dataset(root: Path, *, verify: bool = True) -> tuple[list[GameRecord], 
                 f"found {count}"
             )
     return games, manifest
-
-
-# ---------------------------------------------------------------------------
-# Raw feed cache / fetcher
-# ---------------------------------------------------------------------------
-
-
-class RateLimiter:
-    """Sliding-window limiter: at most ``per_minute`` acquisitions per 60s."""
-
-    def __init__(self, per_minute: int, *, now=time.monotonic, sleep=time.sleep):
-        if per_minute < 1:
-            raise ValueError("per_minute must be >= 1")
-        self.per_minute = per_minute
-        self._now = now
-        self._sleep = sleep
-        self._stamps: list[float] = []
-
-    def acquire(self) -> None:
-        now = self._now()
-        self._stamps = [t for t in self._stamps if now - t < 60.0]
-        if len(self._stamps) >= self.per_minute:
-            wait = 60.0 - (now - self._stamps[0])
-            if wait > 0:
-                self._sleep(wait)
-                now = self._now()
-                self._stamps = [t for t in self._stamps if now - t < 60.0]
-        self._stamps.append(now)
-
-
-def _default_http_get(url: str) -> bytes:
-    import requests
-
-    resp = requests.get(url, timeout=30)
-    if resp.status_code != 200:
-        raise FetchError(f"HTTP {resp.status_code} for {url}")
-    return resp.content
-
-
-class FeedCache:
-    """Verbatim raw-document cache with an optional rate-limited fetcher.
-
-    Documents live at ``<cache>/<season>/<game_id>.<kind>.json`` with kind
-    one of ``summary`` / ``wp``. With ``network=False`` (the default) a
-    cache miss is an explicit :class:`FetchError`, never a silent retry.
-    """
-
-    KINDS = ("summary", "wp")
-
-    def __init__(
-        self,
-        cache_dir: Path,
-        *,
-        summary_url: str | None = None,
-        wp_url: str | None = None,
-        network: bool = False,
-        rate_limit_per_minute: int = 30,
-        http_get: Callable[[str], bytes] | None = None,
-    ):
-        self.cache_dir = Path(cache_dir)
-        self.templates = {"summary": summary_url, "wp": wp_url}
-        self.network = network
-        self.http_get = http_get or _default_http_get
-        self.limiter = RateLimiter(rate_limit_per_minute)
-
-    def path_for(self, game_id: str, season: str, kind: str) -> Path:
-        if kind not in self.KINDS:
-            raise ValueError(f"kind must be one of {self.KINDS}")
-        return self.cache_dir / season / f"{game_id}.{kind}.json"
-
-    def fetch(self, game_id: str, season: str, kind: str) -> bytes:
-        """Return the raw document, from cache or (if enabled) the network."""
-        path = self.path_for(game_id, season, kind)
-        if path.exists():
-            return path.read_bytes()
-        if not self.network:
-            raise FetchError(
-                f"{kind} for game {game_id} not cached and network access is off"
-            )
-        template = self.templates.get(kind)
-        if not template:
-            raise FetchError(f"no endpoint template configured for {kind!r}")
-        url = template.format(game_id=game_id, season=season)
-        self.limiter.acquire()
-        logger.info("fetching %s", url)
-        data = self.http_get(url)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_bytes(data)
-        tmp.replace(path)
-        return data

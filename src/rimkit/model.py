@@ -9,6 +9,7 @@ ingest layer to quarantine or flag.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -21,6 +22,10 @@ PERIOD_SECONDS = 12 * 60.0
 OVERTIME_SECONDS = 5 * 60.0
 
 MAX_SERIES_WINS = 3
+
+# Season labels name dataset directories, so one must be a single plain
+# path component ("2021-22", "S1"), never "..", "a/b" or an absolute path.
+SAFE_LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*")
 
 # Generational suffixes keep conventional casing under name normalization.
 _SUFFIXES = {"jr": "Jr.", "sr": "Sr.", "ii": "II", "iii": "III", "iv": "IV", "v": "V"}
@@ -140,6 +145,8 @@ def validate_game(record: GameRecord) -> list[str]:
         problems.append(
             f"season_type: {record.season_type!r} not one of {SEASON_TYPES}"
         )
+    if not SAFE_LABEL.fullmatch(record.season):
+        problems.append(f"season: {record.season!r} is not a plain directory name")
     if not record.game_id:
         problems.append("game_id: empty")
     if not record.home_team or not record.away_team:

@@ -306,6 +306,22 @@ def test_validate_accepts_kept_no_crew_games(tmp_path, capsys):
     assert "crew:" not in out
 
 
+def test_validate_reports_a_dataset_with_violations_as_such(tmp_path, capsys):
+    from dataclasses import replace
+
+    from rimkit.ingest import write_dataset
+    from rimkit.synth import SimConfig, generate
+
+    games, _ = generate(SimConfig(seed=3, n_teams=6, n_referees=9, games_per_season=20,
+                                  postseason_games_per_season=0, seasons=("2021-22",)))
+    games = [replace(g, away_team=g.home_team) if i == 4 else g for i, g in enumerate(games)]
+    write_dataset(games, tmp_path / "ds")
+    code, out = run(capsys, "validate", "--dataset", str(tmp_path / "ds"))
+    assert code == 2, out
+    assert "dataset ok" not in out
+    assert "dataset has violations: 20 games, 1 partitions, 1 with violations" in out
+
+
 def test_regress_writes_fit_notes_and_dropped_columns(tmp_path, capsys):
     ds = tmp_path / "ds"
     simulate_small(capsys, ds)
@@ -469,3 +485,53 @@ def test_season_filters_select_slices(tmp_path, capsys):
     assert len(rows) == 10
     assert all(r[season_idx] == "2022-23" for r in rows)
     assert all(r[type_idx] == "postseason" for r in rows)
+
+
+def _data_rows(path) -> list[list[str]]:
+    return read_table(path)[1]
+
+
+def test_shared_tables_agree_across_commands(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    simulate_small(capsys, ds)
+    opts = ("--min-games-regular", "2", "--min-pair-games", "2", "--team-side-k", "2")
+    for command in ("refs", "outliers", "regress", "emit-figures"):
+        code, out = run(capsys, command, "--dataset", str(ds), "--out", str(tmp_path / command), *opts)
+        assert code == 0, out
+    figs = tmp_path / "emit-figures"
+    assert _data_rows(tmp_path / "refs" / "referee_top_bottom.csv") == _data_rows(
+        figs / "fig3_top_bottom.csv"
+    )
+    assert _data_rows(tmp_path / "outliers" / "outlier_cells.csv") == _data_rows(
+        figs / "figA3_ref_team_z_map.csv"
+    )
+    for table, figure, keep in (
+        ("regression_team_side", "fig13_team_side_effects", lambda t: "[" in t),
+        ("regression_series", "fig12_series_effects", lambda t: t.startswith("series_")),
+        ("regression_ref_team", "fig14_ref_team_effects", lambda t: t.startswith("pair_")),
+    ):
+        rows = _data_rows(tmp_path / "regress" / f"{table}.csv")
+        assert rows, table
+        assert [r for r in rows if keep(r[1])] == _data_rows(figs / f"{figure}.csv"), table
+
+
+def test_regress_builds_the_crew_panel_and_team_rows_once(tmp_path, capsys, monkeypatch):
+    import rimkit.figures as figures
+
+    ds = tmp_path / "ds"
+    simulate_small(capsys, ds)
+    calls = {"panel_rows": 0, "expand_rows": 0}
+    for name in calls:
+        original = getattr(figures, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(figures, name, counted)
+    code, out = run(
+        capsys, "regress", "--dataset", str(ds), "--out", str(tmp_path / "rg"), "--min-pair-games", "2"
+    )
+    assert code == 0, out
+    assert "regression_ref_team.csv" in out
+    assert calls == {"panel_rows": 1, "expand_rows": 1}

@@ -9,8 +9,8 @@ import pytest
 from rimkit.figures import (
     DISCLAIMER,
     FIGURE_FILES,
+    AnalysisContext,
     Column,
-    FigureOptions,
     emit_figures,
     format_value,
     read_table,
@@ -18,11 +18,14 @@ from rimkit.figures import (
     select_team_side_targets,
     validate_output_dir,
     write_table,
+    write_tables,
 )
+from rimkit.config import RunConfig
+from rimkit.inference import TeamSideTarget
 from rimkit.synth import SimConfig, generate
 
 
-def small_opts(**overrides) -> FigureOptions:
+def small_opts(**overrides) -> RunConfig:
     base = dict(
         min_games_regular=2,
         min_games_postseason=2,
@@ -32,7 +35,7 @@ def small_opts(**overrides) -> FigureOptions:
         team_side_k=2,
     )
     base.update(overrides)
-    return FigureOptions(**base)
+    return RunConfig(**base)
 
 
 def corpus(post: int = 60):
@@ -212,3 +215,27 @@ def test_emit_figures_is_deterministic(tmp_path):
         digests.append(tree)
     assert digests[0] == digests[1]
     assert len(digests[0]) == len(FIGURE_FILES)
+
+
+def test_fit_figures_carry_their_fit_notes(tmp_path):
+    out = tmp_path / "figs"
+    emit_figures(corpus(), out, small_opts())
+    series = (out / "fig12_series_effects.csv").read_text(encoding="utf-8")
+    assert "# note: game_rim: series reference 0--0\n" in series
+    ref_team = (out / "fig14_ref_team_effects.csv").read_text(encoding="utf-8")
+    assert "# note: disparity: pair minimum 2 games\n" in ref_team
+
+
+def test_collinear_repeated_target_shows_dropped_columns_in_fig13(tmp_path):
+    ctx = AnalysisContext(corpus(post=0), small_opts())
+    ctx.targets = [TeamSideTarget("T03", "home"), TeamSideTarget("T03", "home")]
+    report = write_tables(ctx, ["fig13_team_side_effects"], tmp_path)
+    assert report.written == ["fig13_team_side_effects"]
+    text = (tmp_path / "fig13_team_side_effects.csv").read_text(encoding="utf-8")
+    lines = text.splitlines()
+    assert "# note: target form: indicator" in lines
+    assert "# note: disparity: dropped collinear columns: T03:home[indicator]" in lines
+    # The fit notes follow the figure's own note.
+    assert lines.index("# note: target form: indicator") < lines.index(
+        "# note: disparity: dropped collinear columns: T03:home[indicator]"
+    )

@@ -1,4 +1,4 @@
-"""Raw-document parsing, foul/sample alignment, dataset persistence, cache."""
+"""Raw-document parsing, foul/sample alignment, dataset persistence."""
 
 from __future__ import annotations
 
@@ -9,10 +9,7 @@ import pytest
 from conftest import make_event, make_game, play, random_games, summary_doc, wp_doc
 from rimkit.ingest import (
     DatasetError,
-    FeedCache,
-    FetchError,
     ParseError,
-    RateLimiter,
     RawPlay,
     RawWpSample,
     align_foul_wp,
@@ -294,6 +291,20 @@ def test_ingest_directory_missing_wp_feed_is_tolerated(tmp_path):
     assert set(report.quarantined_fouls) == {"g-nowp"}
 
 
+def test_ingest_quarantines_a_season_that_would_escape_the_dataset(tmp_path):
+    raw = tmp_path / "raw"
+    _write_raw_game(raw, summary_doc(game_id="g-ok"), wp_doc([("p1", 0.5)]))
+    _write_raw_game(
+        raw, summary_doc(game_id="g-escape", season="../../escaped"), wp_doc([("p1", 0.5)])
+    )
+    games, report = ingest_directory(raw)
+    assert [g.game_id for g in games] == ["g-ok"]
+    assert [gid for gid, _ in report.quarantined_games] == ["g-escape"]
+    root = tmp_path / "a" / "b" / "ds"
+    write_dataset(games, root)
+    assert not (tmp_path / "a" / "escaped").exists()
+
+
 # ---------------------------------------------------------------------------
 # Canonical dataset
 # ---------------------------------------------------------------------------
@@ -378,87 +389,22 @@ def test_load_dataset_missing_manifest(tmp_path):
         load_dataset(tmp_path / "nope")
 
 
-# ---------------------------------------------------------------------------
-# Rate limiter and feed cache
-# ---------------------------------------------------------------------------
+def test_write_dataset_refuses_a_label_that_is_not_a_directory_name(tmp_path):
+    game = make_game(season="../../escaped")
+    with pytest.raises(DatasetError, match="cannot name a partition"):
+        write_dataset([game], tmp_path / "a" / "b" / "ds")
+    assert not (tmp_path / "a" / "escaped").exists()
 
 
-class FakeClock:
-    def __init__(self):
-        self.t = 0.0
-        self.sleeps: list[float] = []
-
-    def now(self) -> float:
-        return self.t
-
-    def sleep(self, seconds: float) -> None:
-        self.sleeps.append(seconds)
-        self.t += seconds
-
-
-def test_rate_limiter_sleeps_only_when_window_full():
-    clock = FakeClock()
-    limiter = RateLimiter(3, now=clock.now, sleep=clock.sleep)
-    for _ in range(3):
-        limiter.acquire()
-        clock.t += 1.0
-    assert clock.sleeps == []
-    limiter.acquire()  # fourth inside the window must wait
-    assert len(clock.sleeps) == 1
-    assert clock.sleeps[0] == pytest.approx(57.0)
-
-
-def test_rate_limiter_window_slides():
-    clock = FakeClock()
-    limiter = RateLimiter(2, now=clock.now, sleep=clock.sleep)
-    limiter.acquire()
-    clock.t += 61.0
-    limiter.acquire()
-    limiter.acquire()
-    assert clock.sleeps == []  # first stamp expired before the third call
-
-
-def test_feed_cache_hit_no_network(tmp_path):
-    cache = FeedCache(tmp_path)
-    path = cache.path_for("g1", "2021-22", "summary")
-    path.parent.mkdir(parents=True)
-    path.write_bytes(b"{}")
-    assert cache.fetch("g1", "2021-22", "summary") == b"{}"
-
-
-def test_feed_cache_miss_network_off(tmp_path):
-    cache = FeedCache(tmp_path)
-    with pytest.raises(FetchError, match="network access is off"):
-        cache.fetch("g1", "2021-22", "summary")
-
-
-def test_feed_cache_miss_fetches_and_stores(tmp_path):
-    calls: list[str] = []
-
-    def fake_get(url: str) -> bytes:
-        calls.append(url)
-        return b'{"ok": true}'
-
-    cache = FeedCache(
-        tmp_path,
-        summary_url="https://feeds.example/{season}/{game_id}/summary",
-        network=True,
-        http_get=fake_get,
-    )
-    data = cache.fetch("g9", "2021-22", "summary")
-    assert data == b'{"ok": true}'
-    assert calls == ["https://feeds.example/2021-22/g9/summary"]
-    # Second fetch comes from disk, no new call.
-    assert cache.fetch("g9", "2021-22", "summary") == b'{"ok": true}'
-    assert len(calls) == 1
-
-
-def test_feed_cache_network_on_but_no_template(tmp_path):
-    cache = FeedCache(tmp_path, network=True)
-    with pytest.raises(FetchError, match="template"):
-        cache.fetch("g1", "2021-22", "wp")
-
-
-def test_feed_cache_rejects_unknown_kind(tmp_path):
-    with pytest.raises(ValueError, match="kind"):
-        FeedCache(tmp_path).path_for("g1", "2021-22", "boxscore")
+def test_load_dataset_refuses_a_partition_outside_the_root(tmp_path, rng):
+    root = tmp_path / "ds"
+    write_dataset(random_games(rng, 3), root)
+    manifest_path = root / "manifest.json"
+    doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+    part = doc["partitions"][0]
+    outside = tmp_path / "outside.jsonl"
+    outside.write_bytes((root / part["path"]).read_bytes())  # same bytes, same hash
+    part["path"] = "../outside.jsonl"
+    manifest_path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DatasetError, match="leaves the dataset root"):
+        load_dataset(root)

@@ -89,6 +89,17 @@ def test_empty_crew_is_isolated_soft_flag():
     assert not is_no_crew_only(validate_game(game2))
 
 
+@pytest.mark.parametrize("season", ["../../escaped", "a/b", "/abs", "..", "", "2021 22"])
+def test_season_that_is_not_a_plain_directory_name_is_flagged(season):
+    problems = validate_game(make_game(season=season))
+    assert len(problems) == 1 and problems[0].startswith("season:")
+
+
+@pytest.mark.parametrize("season", ["2021-22", "S1", "2019_20"])
+def test_ordinary_season_labels_pass(season):
+    assert validate_game(make_game(season=season)) == []
+
+
 def test_series_key_collapses_mirrored_states():
     assert canonical_series_key(1, 0) == SeriesStateKey(0, 1)
     assert canonical_series_key(0, 1) == SeriesStateKey(0, 1)
