@@ -22,7 +22,6 @@ from .aggregate import (
 )
 from .inference import (
     DesignError,
-    DesignSpec,
     FitError,
     FitResult,
     TeamSideTarget,
@@ -68,7 +67,6 @@ from .model import (
 from .outliers import (
     PanelRow,
     build_cells,
-    build_ref_team_panel,
     excess,
     outlier_tables,
     panel_rows,
@@ -87,7 +85,6 @@ __all__ = [
     "series_state_summary",
     "top_bottom_table",
     "DesignError",
-    "DesignSpec",
     "FitError",
     "FitResult",
     "TeamSideTarget",
@@ -125,7 +122,6 @@ __all__ = [
     "validate_game",
     "PanelRow",
     "build_cells",
-    "build_ref_team_panel",
     "excess",
     "outlier_tables",
     "panel_rows",

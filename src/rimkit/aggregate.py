@@ -75,22 +75,19 @@ class DistributionBand:
 
 
 def referee_distribution(
-    games: Iterable[GameRecord],
-    season_type: str | None,
-    min_games: int,
+    games: Iterable[GameRecord], min_games: int
 ) -> tuple[list[RefSeasonSummary], DistributionBand | None]:
     """Qualified referees' summaries plus the distribution band.
 
-    Games with an empty crew contribute to no referee. Summaries are
-    ordered by mean RIM descending (name ascending on ties); an empty
-    qualified set returns ``([], None)`` rather than failing.
+    Callers pass the slice to summarize (one season type). Games with an
+    empty crew contribute to no referee. Summaries are ordered by mean RIM
+    descending (name ascending on ties); an empty qualified set returns
+    ``([], None)`` rather than failing.
     """
     if min_games < 1:
         raise ValueError("min_games must be >= 1")
     per_ref: dict[str, list] = {}
     for g in games:
-        if season_type is not None and g.season_type != season_type:
-            continue
         if not g.crew:
             continue
         m = compute_game_metrics(g)
@@ -146,35 +143,28 @@ class RankedTable:
     truncated: bool
 
 
-def top_bottom_table(
-    summaries: Sequence[RefSeasonSummary], k: int, metric: str = "mean_rim"
-) -> RankedTable:
-    """Bottom-k (ascending), the overall mean, then top-k (descending).
+def top_bottom_table(summaries: Sequence[RefSeasonSummary], k: int) -> RankedTable:
+    """Bottom-k (ascending), the overall mean, then top-k (descending) by mean RIM.
 
     With fewer than 2k summaries every referee appears in both halves and
-    the table is flagged truncated. ``metric`` names any numeric summary
-    field; ties break by name ascending.
+    the table is flagged truncated. Ties break by name ascending.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    vals = [(getattr(s, metric), s) for s in summaries]
-    if any(v is None for v, _ in vals):
-        vals = [(v, s) for v, s in vals if v is not None]
-    if not vals:
+    if not summaries:
         return RankedTable(entries=[], truncated=True)
-    asc = sorted(vals, key=lambda t: (t[0], t[1].referee))
-    truncated = len(asc) < 2 * k
+    asc = sorted(summaries, key=lambda s: (s.mean_rim, s.referee))
     take = min(k, len(asc))
     entries: list[RankedEntry] = []
-    for i, (v, s) in enumerate(asc[:take]):
-        entries.append(RankedEntry("bottom", i + 1, s.referee, v, s.games))
+    for i, s in enumerate(asc[:take]):
+        entries.append(RankedEntry("bottom", i + 1, s.referee, s.mean_rim, s.games))
     entries.append(
-        RankedEntry("mean", 0, "all qualified", _mean([v for v, _ in asc]), None)
+        RankedEntry("mean", 0, "all qualified", _mean([s.mean_rim for s in asc]), None)
     )
-    desc = sorted(vals, key=lambda t: (-t[0], t[1].referee))
-    for i, (v, s) in enumerate(desc[:take]):
-        entries.append(RankedEntry("top", i + 1, s.referee, v, s.games))
-    return RankedTable(entries=entries, truncated=truncated)
+    desc = sorted(summaries, key=lambda s: (-s.mean_rim, s.referee))
+    for i, s in enumerate(desc[:take]):
+        entries.append(RankedEntry("top", i + 1, s.referee, s.mean_rim, s.games))
+    return RankedTable(entries=entries, truncated=len(asc) < 2 * k)
 
 
 @dataclass(frozen=True)
@@ -203,21 +193,19 @@ class HomeAwaySummary:
     teams: list[TeamHomeAway]
 
 
-def home_away_summary(
-    rows: Iterable[TeamGameRow], season_type: str | None = None
-) -> HomeAwaySummary:
+def home_away_summary(rows: Iterable[TeamGameRow]) -> HomeAwaySummary:
     """League-level and per-team home/away means of disparity and team RIM.
 
-    Because the two rows of a game mirror each other, the league home and
-    away means are exact negations; per-team splits are where real
-    asymmetry shows up.
+    League means are split by season type. Because the two rows of a game
+    mirror each other, the league home and away means are exact negations;
+    per-team splits are where real asymmetry shows up.
     """
-    kept = [r for r in rows if season_type is None or r.season_type == season_type]
+    rows = list(rows)
     league: list[SideSummary] = []
-    by_type = sorted({r.season_type for r in kept})
+    by_type = sorted({r.season_type for r in rows})
     for st in by_type:
         for side, flag in (("home", True), ("away", False)):
-            sel = [r for r in kept if r.season_type == st and r.is_home == flag]
+            sel = [r for r in rows if r.season_type == st and r.is_home == flag]
             if not sel:
                 continue
             league.append(
@@ -230,9 +218,9 @@ def home_away_summary(
                 )
             )
     teams: list[TeamHomeAway] = []
-    for team in sorted({r.team for r in kept}):
-        home = [r for r in kept if r.team == team and r.is_home]
-        away = [r for r in kept if r.team == team and not r.is_home]
+    for team in sorted({r.team for r in rows}):
+        home = [r for r in rows if r.team == team and r.is_home]
+        away = [r for r in rows if r.team == team and not r.is_home]
         teams.append(
             TeamHomeAway(
                 team=team,

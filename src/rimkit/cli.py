@@ -93,11 +93,12 @@ def _write(
 ) -> tuple[AnalysisContext, Path, TableReport]:
     """Load the dataset and write the named tables, honouring the command's
     own flags (``--min-games``, ``--target``, ``--pair``)."""
-    games = _load_games(cfg)
-    out = _require_out(cfg)
     min_games = getattr(args, "min_games", None)
     if min_games is not None:
         cfg = replace(cfg, min_games_regular=min_games, min_games_postseason=min_games)
+        cfg.validate()
+    games = _load_games(cfg)
+    out = _require_out(cfg)
     ctx = AnalysisContext(games, cfg)
     if getattr(args, "target", None):
         ctx.targets = [

@@ -209,7 +209,7 @@ class _Slice:
     @cached_property
     def referees(self):
         """Qualified referees' summaries and their band (None when none qualify)."""
-        return referee_distribution(self.games, self.season_type, self.min_games)
+        return referee_distribution(self.games, self.min_games)
 
     @cached_property
     def panel(self):
@@ -260,7 +260,7 @@ class AnalysisContext:
 
     @cached_property
     def team_home_away(self):
-        return home_away_summary(self.regular.rows, REGULAR)
+        return home_away_summary(self.regular.rows)
 
     @cached_property
     def targets(self) -> list[TeamSideTarget]:
@@ -848,7 +848,7 @@ TABLES: dict[str, tuple[list[Column], Callable[[AnalysisContext], tuple[list, li
     "figA1_component_no_min": (
         _SCATTER_COLUMNS,
         lambda ctx: _calls_vs_swing(
-            referee_distribution(ctx.regular.games, REGULAR, 1)[0],
+            referee_distribution(ctx.regular.games, 1)[0],
             ["no minimum-games threshold"],
         ),
     ),

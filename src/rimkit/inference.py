@@ -24,13 +24,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import SeriesStateKey, TeamGameRow
+from .model import TeamGameRow
 from .outliers import PanelRow
 from .special import student_t_quantile
 
-OUTCOME_DISPARITY = "disparity"
-OUTCOME_TEAM_RIM = "team_rim"
-TEAM_OUTCOMES = (OUTCOME_DISPARITY, OUTCOME_TEAM_RIM)
+TEAM_OUTCOMES = ("disparity", "team_rim")
 
 HOME = "home"
 AWAY = "away"
@@ -211,22 +209,6 @@ class TeamSideTarget:
         return f"{self.team}:{self.side}"
 
 
-@dataclass(frozen=True)
-class DesignSpec:
-    """Declarative description of one team-row regression design."""
-
-    outcome: str = OUTCOME_DISPARITY
-    intercept: bool = True
-    home_indicator: bool = True
-    team_effects: bool = True
-    opponent_effects: bool = True
-    season_effects: bool = True
-    series_effects: bool = False
-    targets: tuple[TeamSideTarget, ...] = ()
-    target_form: str = "indicator"  # "indicator" | "paired"
-    references: Mapping[str, str] = field(default_factory=dict)
-
-
 @dataclass(frozen=True, eq=False)
 class Design:
     """A rank-filtered design: sparse rows, one outcome, clusters, column names.
@@ -242,6 +224,7 @@ class Design:
     dropped: tuple[str, ...]
     notes: tuple[str, ...]
     outcome_name: str
+    source: Sequence = ()  # the records behind the rows, in row order, when known
     groups: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -275,22 +258,25 @@ def _column(values: np.ndarray, name: str) -> _Block:
     return np.where(values != 0.0, 0, -1), values, [name]
 
 
-def _factor(values: Sequence[str], prefix: str, reference: str | None = None) -> tuple[_Block, str]:
-    """One-hot block for a categorical family, minus its reference level."""
+def _factor(values: Sequence[str], prefix: str) -> tuple[_Block, str]:
+    """One-hot block for a categorical family minus its first level, the reference.
+
+    Canonical series labels sort 0--0 first, so it is the series reference
+    whenever it occurs.
+    """
     levels = sorted(set(values))
-    ref = reference if reference in levels else levels[0]
-    code = {lv: i for i, lv in enumerate(lv for lv in levels if lv != ref)}
+    code = {lv: i for i, lv in enumerate(levels[1:])}
     codes = np.array([code.get(v, -1) for v in values], dtype=np.intp)
-    return (codes, np.ones(len(values)), [f"{prefix}{lv}" for lv in code]), ref
+    return (codes, np.ones(len(values)), [f"{prefix}{lv}" for lv in code]), levels[0]
 
 
 def _blocks(n: int, *families: tuple[Sequence[str], str]) -> list[_Block]:
-    """Intercept plus one factor block per (values, prefix), first level as reference."""
+    """Intercept plus one factor block per (values, prefix)."""
     return [_column(np.ones(n), "intercept")] + [_factor(v, p)[0] for v, p in families]
 
 
 def _design(blocks: Sequence[_Block], clusters: Sequence[str], notes: Sequence[str],
-            outcome_name: str, y: np.ndarray) -> Design:
+            outcome_name: str, y: np.ndarray, source: Sequence = ()) -> Design:
     """Assemble blocks into row slots, form X'X, drop dependent columns."""
     n = len(clusters)
     index = np.zeros((n, len(blocks)), dtype=np.intp)
@@ -315,70 +301,66 @@ def _design(blocks: Sequence[_Block], clusters: Sequence[str], notes: Sequence[s
     rows = SparseRows(np.maximum(index, 0), value, gram[np.ix_(kept, kept)])
     columns = tuple(names[j] for j in kept)
     dropped = tuple(name for name, c in zip(names, col) if c < 0)
-    design = Design(rows, y, np.asarray(clusters), columns, dropped, tuple(notes), outcome_name)
+    design = Design(rows, y, np.asarray(clusters), columns, dropped, tuple(notes), outcome_name,
+                    source)
     return design.with_outcome(outcome_name, y)
 
 
 def _team_outcome(rows: Sequence[TeamGameRow], outcome: str) -> np.ndarray:
-    if outcome == OUTCOME_DISPARITY:
-        return np.array([float(r.disparity) for r in rows])
-    if outcome == OUTCOME_TEAM_RIM:
-        return np.array([r.team_rim for r in rows])
-    raise DesignError(f"unknown outcome {outcome!r}")
+    if outcome not in TEAM_OUTCOMES:
+        raise DesignError(f"unknown outcome {outcome!r}")
+    return np.array([getattr(r, outcome) for r in rows], dtype=float)
 
 
-def _fitted_rows(rows: Sequence[TeamGameRow], series_effects: bool) -> tuple[list, list[str]]:
-    """The rows a team-side design fits, and a note counting any excluded."""
-    rows = list(rows)
-    kept = [r for r in rows if r.series_key is not None or not series_effects]
-    excluded = len(rows) - len(kept)
-    return kept, [f"excluded {excluded} rows without series state"] if excluded else []
+def build_design(
+    rows: Sequence[TeamGameRow],
+    targets: Sequence[TeamSideTarget],
+    *,
+    outcome: str,
+    target_form: str,
+    include_series: bool,
+) -> Design:
+    """Team-row design with the full controls, rank-filtered, deterministic.
 
-
-def build_design(rows: Sequence[TeamGameRow], spec: DesignSpec) -> Design:
-    """Team-row design per ``spec``, rank-filtered, deterministic.
-
-    Column order: intercept, home indicator, team effects, opponent
-    effects, season effects, series-state effects (canonical label order,
-    0--0 reference), then targets in the order given. When series effects
-    are requested, rows without a series state are excluded and counted.
+    Column order: intercept, home indicator, team, opponent and season
+    effects, series-state effects when ``include_series`` (canonical label
+    order, 0--0 reference), then targets in the order given. Each factor's
+    first level is its reference. With series effects, rows without a
+    series state are excluded and counted; ``Design.source`` holds the rows
+    fitted.
     """
-    if spec.outcome not in TEAM_OUTCOMES:
-        raise DesignError(f"unknown outcome {spec.outcome!r}")
-    if spec.target_form not in ("indicator", "paired"):
-        raise DesignError(f"unknown target_form {spec.target_form!r}")
-    rows, notes = _fitted_rows(rows, spec.series_effects)
-    if not rows:
+    if target_form not in ("indicator", "paired"):
+        raise DesignError(f"unknown target_form {target_form!r}")
+    rows = list(rows)
+    fitted = [r for r in rows if r.series_key is not None] if include_series else rows
+    excluded = len(rows) - len(fitted)
+    notes = [f"excluded {excluded} rows without series state"] if excluded else []
+    if not fitted:
         raise DesignError("no rows to fit")
 
-    teams = [r.team for r in rows]
-    opponents = [r.opponent for r in rows]
-    is_home = np.array([r.is_home for r in rows], dtype=bool)
-    blocks = [_column(np.ones(len(rows)), "intercept")] if spec.intercept else []
-    if spec.home_indicator:
-        blocks.append(_column(is_home, "home"))
-    labels = [r.series_key.label for r in rows if r.series_key is not None]  # all rows, if used
-    for wanted, family, prefix, values, default in (
-        (spec.team_effects, "team", "team_", teams, None),
-        (spec.opponent_effects, "opponent", "opp_", opponents, None),
-        (spec.season_effects, "season", "season_", [r.season for r in rows], None),
-        (spec.series_effects, "series", "series_", labels, SeriesStateKey(0, 0).label),
-    ):
-        if wanted:
-            block, ref = _factor(values, prefix, spec.references.get(family, default))
-            blocks.append(block)
-            notes.append(f"{family} reference {ref}")
+    teams = [r.team for r in fitted]
+    opponents = [r.opponent for r in fitted]
+    is_home = np.array([r.is_home for r in fitted], dtype=bool)
+    blocks = [_column(np.ones(len(fitted)), "intercept"), _column(is_home, "home")]
+    families = [("team", "team_", teams), ("opponent", "opp_", opponents),
+                ("season", "season_", [r.season for r in fitted])]
+    if include_series:
+        families.append(("series", "series_", [r.series_key.label for r in fitted]))
+    for family, prefix, values in families:
+        block, ref = _factor(values, prefix)
+        blocks.append(block)
+        notes.append(f"{family} reference {ref}")
     team, opponent = np.array(teams), np.array(opponents)
-    for tgt in spec.targets:
+    for tgt in targets:
         own = (team == tgt.team) & (is_home == (tgt.side == HOME))
         if not own.any():
             raise DesignError(f"target {tgt.name} matches no rows")
         column = own.astype(float)
-        if spec.target_form == "paired":
+        if target_form == "paired":
             column[(opponent == tgt.team) & (is_home != (tgt.side == HOME))] = -1.0
-        blocks.append(_column(column, f"{tgt.name}[{spec.target_form}]"))
-    y = _team_outcome(rows, spec.outcome)
-    return _design(blocks, [r.game_id for r in rows], notes, spec.outcome, y)
+        blocks.append(_column(column, f"{tgt.name}[{target_form}]"))
+    y = _team_outcome(fitted, outcome)
+    return _design(blocks, [r.game_id for r in fitted], notes, outcome, y, fitted)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +396,6 @@ class FitResult:
     n_clusters: int
     rank: int
     dof: int
-    ci_level: float
     small_sample: str
     dof_mode: str
     dropped: tuple[str, ...]
@@ -444,18 +425,15 @@ def fit_clustered(
     *,
     small_sample: str = "cr1",
     dof_mode: str = "residual",
-    ci_level: float = 0.95,
 ) -> FitResult:
     """Fit a design and wrap estimates with clustered inference.
 
     ``dof_mode="residual"`` uses n − rank for the t reference; ``"cluster"``
-    uses G − 1. Robustness values are computed per coefficient at the same
-    degrees of freedom.
+    uses G − 1. Intervals are 95%. Robustness values are computed per
+    coefficient at the same degrees of freedom.
     """
     if dof_mode not in ("residual", "cluster"):
         raise ValueError(f"unknown dof_mode {dof_mode!r}")
-    if not 0.0 < ci_level < 1.0:
-        raise ValueError("ci_level must be in (0, 1)")
     beta, resid, rank, resid_dof = fit_ols(design.rows, design.outcome)
     V = cluster_covariance(design.rows, resid, design.groups, small_sample=small_sample)
     G = int(design.groups.max()) + 1
@@ -471,7 +449,7 @@ def fit_clustered(
         else:
             t_stats[i] = 0.0 if beta[i] == 0.0 else math.inf
             rho[i] = 0.0 if beta[i] == 0.0 else math.nan
-    tcrit = student_t_quantile(0.5 + ci_level / 2.0, float(dof))
+    tcrit = student_t_quantile(0.975, float(dof))
     return FitResult(
         outcome=design.outcome_name,
         terms=design.columns,
@@ -486,7 +464,6 @@ def fit_clustered(
         n_clusters=G,
         rank=rank,
         dof=dof,
-        ci_level=ci_level,
         small_sample=small_sample,
         dof_mode=dof_mode,
         dropped=design.dropped,
@@ -514,7 +491,6 @@ def team_side_effects(
     outcomes: Sequence[str] = TEAM_OUTCOMES,
     target_form: str = "indicator",
     include_series: bool = False,
-    references: Mapping[str, str] | None = None,
     small_sample: str = "cr1",
     dof_mode: str = "residual",
 ) -> dict[str, FitResult]:
@@ -527,12 +503,10 @@ def team_side_effects(
     """
     if not outcomes:
         return {}
-    rows = list(rows)
-    spec = DesignSpec(outcome=outcomes[0], series_effects=include_series, targets=tuple(targets),
-                      target_form=target_form, references=dict(references or {}))
-    design = build_design(rows, spec)
-    fitted, _ = _fitted_rows(rows, include_series)
-    ys = {o: design.outcome if o == outcomes[0] else _team_outcome(fitted, o) for o in outcomes}
+    design = build_design(rows, targets, outcome=outcomes[0], target_form=target_form,
+                          include_series=include_series)
+    ys = {o: design.outcome if o == outcomes[0] else _team_outcome(design.source, o)
+          for o in outcomes}
     return _fit_outcomes(design, ys, small_sample=small_sample, dof_mode=dof_mode)
 
 
@@ -564,7 +538,7 @@ def series_state_effects(
         ([r.season for r in game_rows], "season_"),
     )
     labels = [r.series_key.label for r in game_rows]  # type: ignore[union-attr]
-    block, ref = _factor(labels, "series_", SeriesStateKey(0, 0).label)
+    block, ref = _factor(labels, "series_")
     blocks.append(block)
     ys = {
         "abs_disparity": np.array([float(abs(r.disparity)) for r in game_rows]),
@@ -580,7 +554,6 @@ def ref_team_residual_effects(
     target_pairs: Sequence[tuple[str, str]],
     *,
     min_pair_games: int = 5,
-    outcomes: Sequence[str] = ("team_rim", "disparity"),
     small_sample: str = "cr1",
     dof_mode: str = "residual",
 ) -> dict[str, FitResult]:
@@ -588,17 +561,15 @@ def ref_team_residual_effects(
 
     The panel has one row per crew member and team side, so each pair
     indicator marks that referee with that team; controls are referee,
-    team, opponent, and season effects, clustered by game. Pairs under the
-    games minimum are excluded and reported in the fit notes.
+    team, opponent, and season effects, clustered by game. Both outcomes,
+    team RIM and disparity, are fitted. Pairs under the games minimum are
+    excluded and reported in the fit notes.
     """
     rows = list(rows)
     if not rows:
         raise DesignError("no panel rows to fit")
     ys = {"team_rim": np.array([r.team_rim for r in rows]),
           "disparity": np.array([r.disparity for r in rows])}
-    unknown = [o for o in outcomes if o not in ys]
-    if unknown:
-        raise DesignError(f"unknown outcome {unknown[0]!r}")
     referees, teams = [r.referee for r in rows], [r.team for r in rows]
     pair_games = Counter(zip(referees, teams))
     kept_targets = [tuple(p) for p in target_pairs if pair_games[tuple(p)] >= min_pair_games]
@@ -618,5 +589,4 @@ def ref_team_residual_effects(
     for ref, tm in kept_targets:
         blocks.append(_column((referee == ref) & (team == tm), f"pair_{ref}|{tm}"))
     design = _design(blocks, [r.game_id for r in rows], notes, "team_rim", ys["team_rim"])
-    ys = {o: ys[o] for o in outcomes}
     return _fit_outcomes(design, ys, small_sample=small_sample, dof_mode=dof_mode)

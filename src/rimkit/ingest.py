@@ -105,14 +105,23 @@ def _require(doc: Mapping, key: str, what: str):
     return doc[key]
 
 
+def _number(doc: Mapping, key: str, what: str, kind: type[int] | type[float]):
+    """A required field read as ``kind``; a value that is not a number is a ParseError."""
+    value = _require(doc, key, what)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ParseError(f"{what}.{key}: not a number: {value!r:.40}") from e
+
+
 def parse_game_summary(
     data: bytes, aliases: Mapping[str, str] | None = None
 ) -> tuple[GameHeader, tuple[str, ...], list[RawPlay]]:
     """Parse one game summary document into (header, crew, plays).
 
     The crew may come back empty (callers flag such games); any structural
-    problem — bad JSON, missing fields, non-increasing play sequence —
-    raises :class:`ParseError` and yields no partial game.
+    problem — bad JSON, missing or non-numeric fields, non-increasing play
+    sequence — raises :class:`ParseError` and yields no partial game.
     """
     doc = _load_json(data, "summary")
     series = doc.get("series")
@@ -121,8 +130,8 @@ def parse_game_summary(
         if not isinstance(series, Mapping):
             raise ParseError("summary: 'series' must be an object")
         series_state = (
-            int(_require(series, "home_wins", "summary.series")),
-            int(_require(series, "away_wins", "summary.series")),
+            _number(series, "home_wins", "summary.series", int),
+            _number(series, "away_wins", "summary.series", int),
         )
     header = GameHeader(
         game_id=str(_require(doc, "game_id", "summary")),
@@ -147,7 +156,7 @@ def parse_game_summary(
         if not isinstance(p, Mapping):
             raise ParseError(f"summary: plays[{i}] must be an object")
         what = f"summary.plays[{i}]"
-        seq = int(_require(p, "sequence", what))
+        seq = _number(p, "sequence", what, int)
         if last_seq is not None and seq <= last_seq:
             raise ParseError(f"{what}: sequence {seq} not increasing")
         last_seq = seq
@@ -156,8 +165,8 @@ def parse_game_summary(
             RawPlay(
                 play_id=str(_require(p, "id", what)),
                 sequence=seq,
-                period=int(_require(p, "period", what)),
-                clock_seconds_remaining=float(_require(p, "clock_seconds", what)),
+                period=_number(p, "period", what, int),
+                clock_seconds_remaining=_number(p, "clock_seconds", what, float),
                 description=str(p.get("text", "")),
                 is_foul=bool(p.get("foul", False)),
                 charged_team=str(team) if team is not None else None,

@@ -153,12 +153,6 @@ def build_cells(rows: Sequence[PanelRow]) -> list[RefTeamCell]:
     return cells
 
 
-def build_ref_team_panel(games: Iterable[GameRecord]) -> list[RefTeamCell]:
-    """Games straight to cells (see :func:`panel_rows` / :func:`build_cells`)."""
-    rows, _ = panel_rows(games)
-    return build_cells(rows)
-
-
 def _zscores(values: Sequence[float]) -> list[float] | None:
     n = len(values)
     if n < 2:

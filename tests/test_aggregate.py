@@ -57,7 +57,7 @@ def test_single_referee_mean_matches_corpus_mean():
         _game_with_rim("g2", 0.20, crew=("Solo Ref",)),
         _game_with_rim("g3", 0.04, crew=("Solo Ref",)),
     ]
-    summaries, band = referee_distribution(games, "regular", 1)
+    summaries, band = referee_distribution(games, 1)
     assert len(summaries) == 1
     expected = sum(compute_game_metrics(g).rim for g in games) / 3
     assert summaries[0].mean_rim == pytest.approx(expected, abs=1e-12)
@@ -70,15 +70,15 @@ def test_qualification_threshold_is_strict():
         for i in range(5)
     ]
     # Ref Busy works 5 games, Ref Rare only 2.
-    summaries, _ = referee_distribution(games, "regular", 3)
+    summaries, _ = referee_distribution(games, 3)
     assert [s.referee for s in summaries] == ["Ref Busy"]
-    summaries, _ = referee_distribution(games, "regular", 2)
+    summaries, _ = referee_distribution(games, 2)
     assert sorted(s.referee for s in summaries) == ["Ref Busy", "Ref Rare"]
 
 
 def test_crew_games_sum_to_three_per_game(rng):
     games = random_games(rng, 50)
-    summaries, _ = referee_distribution(games, None, 1)
+    summaries, _ = referee_distribution(games, 1)
     assert sum(s.games for s in summaries) == 3 * len(games)
 
 
@@ -88,7 +88,7 @@ def test_ordering_mean_desc_name_asc():
         _game_with_rim("g2", 0.30, crew=("A Ref",)),
         _game_with_rim("g3", 0.10, crew=("C Ref",)),
     ]
-    summaries, _ = referee_distribution(games, "regular", 1)
+    summaries, _ = referee_distribution(games, 1)
     assert [s.referee for s in summaries] == ["A Ref", "B Ref", "C Ref"]
 
 
@@ -98,7 +98,7 @@ def test_band_hand_computation():
         _game_with_rim("g2", 0.20, crew=("R2",)),
         _game_with_rim("g3", 0.30, crew=("R3",)),
     ]
-    summaries, band = referee_distribution(games, "regular", 1)
+    summaries, band = referee_distribution(games, 1)
     means = sorted(s.mean_rim for s in summaries)
     grand = sum(means) / 3
     sd = math.sqrt(sum((m - grand) ** 2 for m in means) / 2)
@@ -109,14 +109,14 @@ def test_band_hand_computation():
 
 
 def test_empty_qualified_set():
-    summaries, band = referee_distribution([], "regular", 1)
+    summaries, band = referee_distribution([], 1)
     assert summaries == [] and band is None
 
 
 def test_zero_call_games_do_not_drag_swing():
     busy = _game_with_rim("g1", 0.2, crew=("R1",), n_calls=4)
     quiet = make_game([], game_id="g2", crew=("R1",))
-    summaries, _ = referee_distribution([busy, quiet], "regular", 1)
+    summaries, _ = referee_distribution([busy, quiet], 1)
     s = summaries[0]
     assert s.games == 2
     # Swing averages only the game that had calls: 0.2/4.
@@ -128,7 +128,7 @@ def test_no_crew_games_are_skipped():
         _game_with_rim("g1", 0.2, crew=("R1",)),
         make_game([], game_id="g2", crew=()),
     ]
-    summaries, _ = referee_distribution(games, "regular", 1)
+    summaries, _ = referee_distribution(games, 1)
     assert summaries[0].games == 1
 
 
@@ -138,7 +138,7 @@ def test_top_bottom_table_small_set_flagged():
         _game_with_rim("g2", 0.2, crew=("R2",)),
         _game_with_rim("g3", 0.3, crew=("R3",)),
     ]
-    summaries, _ = referee_distribution(games, "regular", 1)
+    summaries, _ = referee_distribution(games, 1)
     table = top_bottom_table(summaries, 10)
     assert table.truncated
     sections = [e.section for e in table.entries]
@@ -158,7 +158,7 @@ def test_top_bottom_table_k1():
         _game_with_rim("g2", 0.9, crew=("High",)),
         _game_with_rim("g3", 0.5, crew=("Mid",)),
     ]
-    summaries, _ = referee_distribution(games, "regular", 1)
+    summaries, _ = referee_distribution(games, 1)
     table = top_bottom_table(summaries, 1)
     assert not table.truncated
     assert table.entries[0].label == "Low"
@@ -218,7 +218,7 @@ def test_home_away_per_team_splits():
     assert hou.away_mean_team_rim == pytest.approx(0.05, abs=1e-12)
 
 
-def test_home_away_season_type_filter():
+def test_home_away_league_splits_season_types():
     games = [
         make_game([make_event(0.5, 0.6)], game_id="g1"),
         make_game(
@@ -228,11 +228,13 @@ def test_home_away_season_type_filter():
             series_state=(0, 0),
         ),
     ]
-    rows = expand_rows(games)
-    only_reg = home_away_summary(rows, "regular")
-    assert {s.season_type for s in only_reg.league} == {"regular"}
-    both = home_away_summary(rows)
-    assert {s.season_type for s in both.league} == {"regular", "postseason"}
+    league = home_away_summary(expand_rows(games)).league
+    assert [(s.season_type, s.side, s.n_rows) for s in league] == [
+        ("postseason", "home", 1),
+        ("postseason", "away", 1),
+        ("regular", "home", 1),
+        ("regular", "away", 1),
+    ]
 
 
 def test_series_state_summary_pools_mirrored_states():
@@ -272,7 +274,7 @@ def test_series_state_summary_ignores_regular_season_rows():
 
 def test_component_check_tables_track_summary_fields(rng):
     games = random_games(rng, 60)
-    summaries, _ = referee_distribution(games, None, 1)
+    summaries, _ = referee_distribution(games, 1)
     checks = component_check_tables(summaries)
     assert checks.calls_vs_swing.x_name == "mean_calls_per_game"
     assert len(checks.calls_vs_swing.points) == len(

@@ -270,6 +270,17 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     assert code == 2 and "nothing to validate" in out
 
 
+def test_refs_rejects_a_min_games_below_one(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    simulate_small(capsys, ds)
+    out = tmp_path / "refs"
+    code, text = run(capsys, "refs", "--dataset", str(ds), "--out", str(out), "--min-games", "0")
+    assert code == 2
+    assert "error: min_games_regular must be at least 1" in text
+    assert "Traceback" not in text
+    assert not out.exists()
+
+
 def test_validate_flags_corruption_and_bad_outputs(tmp_path, capsys):
     ds = tmp_path / "ds"
     simulate_small(capsys, ds)

@@ -11,7 +11,6 @@ import pytest
 from rimkit.inference import (
     Design,
     DesignError,
-    DesignSpec,
     FitError,
     TeamSideTarget,
     _as_rows,
@@ -85,6 +84,12 @@ def mirrored_game(game_id, home, away, **kwargs):
         series_key=h.series_key,
     )
     return [h, a]
+
+
+def team_design(rows, targets=(), *, outcome="disparity", target_form="indicator",
+                include_series=False):
+    return build_design(rows, targets, outcome=outcome, target_form=target_form,
+                        include_series=include_series)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +292,7 @@ def four_team_rows():
 
 def test_build_design_column_order_and_values():
     rows = four_team_rows()
-    spec = DesignSpec(targets=(TeamSideTarget("A", "home"),))
-    design = build_design(rows, spec)
+    design = team_design(rows, [TeamSideTarget("A", "home")])
     # Single season contributes no columns; references are first levels.
     assert design.columns == (
         "intercept",
@@ -313,22 +317,17 @@ def test_build_design_column_order_and_values():
     assert design.outcome == pytest.approx([float(r.disparity) for r in rows])
 
 
-def test_build_design_reference_override_and_team_rim_outcome():
+def test_build_design_team_rim_outcome():
     rows = four_team_rows()
-    spec = DesignSpec(outcome="team_rim", references={"team": "B", "opponent": "D"})
-    design = build_design(rows, spec)
-    assert "team_A" in design.columns and "team_B" not in design.columns
-    assert "opp_A" in design.columns and "opp_D" not in design.columns
+    design = team_design(rows, outcome="team_rim")
     assert design.outcome == pytest.approx([r.team_rim for r in rows])
     assert design.outcome_name == "team_rim"
+    assert design.source == rows
 
 
 def test_build_design_paired_target_marks_both_rows():
     rows = four_team_rows()
-    spec = DesignSpec(
-        targets=(TeamSideTarget("A", "home"),), target_form="paired"
-    )
-    design = build_design(rows, spec)
+    design = team_design(rows, [TeamSideTarget("A", "home")], target_form="paired")
     assert design.columns[-1] == "A:home[paired]"
     target = design.matrix[:, -1]
     expected = []
@@ -346,13 +345,15 @@ def test_build_design_paired_target_marks_both_rows():
 def test_build_design_rejects_impossible_requests():
     rows = four_team_rows()
     with pytest.raises(DesignError):
-        build_design(rows, DesignSpec(outcome="wins"))
+        team_design(rows, outcome="wins")
     with pytest.raises(DesignError):
-        build_design(rows, DesignSpec(target_form="difference"))
+        team_design(rows, target_form="difference")
     with pytest.raises(DesignError):
-        build_design(rows, DesignSpec(targets=(TeamSideTarget("Z", "home"),)))
+        team_design(rows, [TeamSideTarget("Z", "home")])
     with pytest.raises(DesignError):
-        build_design([], DesignSpec())
+        team_design([])
+    with pytest.raises(DesignError):
+        team_side_effects(rows, [], outcomes=("disparity", "wins"))
     with pytest.raises(DesignError):
         TeamSideTarget("A", "neutral")
 
@@ -376,15 +377,13 @@ def test_build_design_series_effects_exclude_unknown_states():
             )
         else:
             with_state.append(r)
-    design = build_design(
-        with_state, DesignSpec(series_effects=True, team_effects=False,
-                               opponent_effects=False)
-    )
+    design = team_design(with_state, include_series=True)
     assert design.matrix.shape[0] == 4  # only g1 and g3 rows survive
+    assert [r.game_id for r in design.source] == ["g1", "g1", "g3", "g3"]
     assert "excluded 8 rows without series state" in design.notes
     assert "series reference 1--2" in design.notes  # 0--0 absent, falls back
     with pytest.raises(DesignError):
-        build_design(rows, DesignSpec(series_effects=True))
+        team_design(rows, include_series=True)
 
 
 def test_build_design_notes_constant_outcome():
@@ -392,21 +391,17 @@ def test_build_design_notes_constant_outcome():
         team_row("g1", "A", "B", True, disparity=4),
         team_row("g2", "B", "A", True, disparity=4),
     ]
-    design = build_design(
-        rows,
-        DesignSpec(team_effects=False, opponent_effects=False,
-                   season_effects=False, home_indicator=False),
-    )
+    design = team_design(rows)
     assert "outcome is constant; fit is degenerate" in design.notes
 
 
 def test_build_design_estimates_invariant_to_row_order(rng):
     rows = simulate_team_side_rows(rng, n_games=80, n_teams=6)
-    spec = DesignSpec(targets=(TeamSideTarget("T03", "home"),))
+    targets = [TeamSideTarget("T03", "home")]
     shuffled = list(rows)
     rng.shuffle(shuffled)
-    fit_a = fit_clustered(build_design(rows, spec))
-    fit_b = fit_clustered(build_design(shuffled, spec))
+    fit_a = fit_clustered(team_design(rows, targets))
+    fit_b = fit_clustered(team_design(shuffled, targets))
     assert fit_a.terms == fit_b.terms
     assert fit_a.estimates == pytest.approx(fit_b.estimates, abs=1e-10)
     assert fit_a.se == pytest.approx(fit_b.se, abs=1e-10)
@@ -419,7 +414,7 @@ def test_build_design_estimates_invariant_to_row_order(rng):
 
 def test_fit_clustered_dof_modes_and_interval_math(rng):
     rows = simulate_team_side_rows(rng, n_games=200, n_teams=8)
-    design = build_design(rows, DesignSpec(targets=(TeamSideTarget("T02", "home"),)))
+    design = team_design(rows, [TeamSideTarget("T02", "home")])
     res = fit_clustered(design, dof_mode="residual")
     clu = fit_clustered(design, dof_mode="cluster")
     n, k = design.matrix.shape
@@ -483,11 +478,9 @@ def test_fit_clustered_handles_zero_se():
 
 def test_fit_clustered_validates_options(rng):
     rows = simulate_team_side_rows(rng, n_games=30, n_teams=4)
-    design = build_design(rows, DesignSpec())
+    design = team_design(rows)
     with pytest.raises(ValueError):
         fit_clustered(design, dof_mode="jackknife")
-    with pytest.raises(ValueError):
-        fit_clustered(design, ci_level=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -503,40 +496,36 @@ def _dummies(values, prefix, reference=None):
     return X.reshape(len(values), len(keep)), [f"{prefix}{lv}" for lv in keep]
 
 
-def dense_team_design(rows, spec):
+def dense_team_design(rows, targets=(), *, target_form="indicator", include_series=False,
+                      **_):
     """The team-row design as dense dummy columns, before rank filtering."""
-    if spec.series_effects:
+    if include_series:
         rows = [r for r in rows if r.series_key is not None]
-    cols, names = [], []
-    if spec.intercept:
-        cols.append(np.ones((len(rows), 1)))
-        names.append("intercept")
-    if spec.home_indicator:
-        cols.append(np.array([[float(r.is_home)] for r in rows]))
-        names.append("home")
-    for wanted, family, prefix, value, default in (
-        (spec.team_effects, "team", "team_", lambda r: r.team, None),
-        (spec.opponent_effects, "opponent", "opp_", lambda r: r.opponent, None),
-        (spec.season_effects, "season", "season_", lambda r: r.season, None),
-        (spec.series_effects, "series", "series_", lambda r: r.series_key.label,
-         SeriesStateKey(0, 0).label),
+    cols = [np.ones((len(rows), 1)), np.array([[float(r.is_home)] for r in rows])]
+    names = ["intercept", "home"]
+    for prefix, value, reference in (
+        ("team_", lambda r: r.team, None),
+        ("opp_", lambda r: r.opponent, None),
+        ("season_", lambda r: r.season, None),
+        ("series_", lambda r: r.series_key.label, SeriesStateKey(0, 0).label),
     ):
-        if wanted:
-            X, nm = _dummies([value(r) for r in rows], prefix, spec.references.get(family, default))
-            cols.append(X)
-            names += nm
-    for tgt in spec.targets:
+        if prefix == "series_" and not include_series:
+            continue
+        X, nm = _dummies([value(r) for r in rows], prefix, reference)
+        cols.append(X)
+        names += nm
+    for tgt in targets:
         home = tgt.side == "home"
         col = []
         for r in rows:
             if r.team == tgt.team and r.is_home == home:
                 col.append(1.0)
-            elif spec.target_form == "paired" and r.opponent == tgt.team and r.is_home != home:
+            elif target_form == "paired" and r.opponent == tgt.team and r.is_home != home:
                 col.append(-1.0)
             else:
                 col.append(0.0)
         cols.append(np.array(col)[:, None])
-        names.append(f"{tgt.name}[{spec.target_form}]")
+        names.append(f"{tgt.name}[{target_form}]")
     return np.hstack(cols), names
 
 
@@ -605,12 +594,11 @@ def test_sparse_team_fit_matches_dense_qr_oracle(rng, form):
     rows = fe_rows(rng)
     targets = (TeamSideTarget("Z", "home"), TeamSideTarget("B", "away"))
     for outcome in ("disparity", "team_rim"):
-        spec = DesignSpec(outcome=outcome, series_effects=True, targets=targets,
-                          target_form=form)
-        X, names = dense_team_design(rows, spec)
+        X, names = dense_team_design(rows, targets, target_form=form, include_series=True)
         y = np.array([float(getattr(r, outcome)) for r in rows])
         kept, beta, V = oracle_fit(X, names, y, [r.game_id for r in rows])
-        fit = fit_clustered(build_design(rows, spec))
+        fit = fit_clustered(team_design(rows, targets, outcome=outcome, target_form=form,
+                                        include_series=True))
         assert list(fit.terms) == kept
         assert fit.dropped == (f"Z:home[{form}]",)
         assert np.abs(fit.estimates - beta).max() < 1e-8
@@ -642,21 +630,13 @@ def test_one_factorization_serves_every_outcome(rng):
     targets = (TeamSideTarget("B", "away"),)
     shared = team_side_effects(rows, targets, target_form="paired", include_series=True)
     for outcome, fit in shared.items():
-        spec = DesignSpec(outcome=outcome, series_effects=True, targets=targets,
-                          target_form="paired")
-        alone = fit_clustered(build_design(rows, spec))
+        alone = fit_clustered(team_design(rows, targets, outcome=outcome, target_form="paired",
+                                          include_series=True))
         assert fit.terms == alone.terms and fit.notes == alone.notes
         assert np.array_equal(fit.estimates, alone.estimates)
         assert np.array_equal(fit.covariance, alone.covariance)
 
-    panel = simulate_ref_team_panel(rng, n_games=200, n_teams=6, n_referees=8)
-    both = ref_team_residual_effects(panel, [("Ref01", "T01")])
-    for outcome, fit in both.items():
-        alone = ref_team_residual_effects(panel, [("Ref01", "T01")], outcomes=(outcome,))
-        assert np.array_equal(fit.estimates, alone[outcome].estimates)
-        assert np.array_equal(fit.covariance, alone[outcome].covariance)
-
-    design = build_design(rows, DesignSpec(targets=targets))
+    design = team_design(rows, targets)
     other = design.with_outcome("team_rim", np.array([r.team_rim for r in rows]))
     assert other.rows is design.rows and other.groups is design.groups
     # Cluster codes always follow the clusters; they cannot be passed in.
@@ -678,17 +658,17 @@ def _state_rows():
 @pytest.mark.parametrize(
     "spec, series",
     [
-        (DesignSpec(targets=(TeamSideTarget("A", "home"),)), False),
-        (DesignSpec(outcome="team_rim", references={"team": "B", "opponent": "D"}), False),
-        (DesignSpec(targets=(TeamSideTarget("A", "home"),), target_form="paired"), False),
-        (DesignSpec(series_effects=True, team_effects=False, opponent_effects=False), True),
-        (DesignSpec(targets=(TeamSideTarget("A", "home"), TeamSideTarget("A", "home"))), False),
+        (dict(targets=[TeamSideTarget("A", "home")]), False),
+        (dict(outcome="team_rim"), False),
+        (dict(targets=[TeamSideTarget("A", "home")], target_form="paired"), False),
+        (dict(include_series=True), True),
+        (dict(targets=[TeamSideTarget("A", "home"), TeamSideTarget("A", "home")]), False),
     ],
 )
 def test_design_matrix_matches_dense_build(spec, series):
     rows = _state_rows() if series else four_team_rows()
-    X, names = dense_team_design(rows, spec)
-    design = build_design(rows, spec)
+    X, names = dense_team_design(rows, **spec)
+    design = team_design(rows, **spec)
     fit_clustered(design)
     assert "matrix" not in design.__dict__  # fitting never builds the dense view
     kept = [names.index(c) for c in design.columns]
@@ -810,5 +790,3 @@ def test_ref_team_residual_effects_exclude_thin_pairs():
     assert "Ref01|T01" in note and "Ref02|T02" in note
     with pytest.raises(DesignError):
         ref_team_residual_effects([], [("Ref01", "T01")])
-    with pytest.raises(DesignError):
-        ref_team_residual_effects(rows, [], outcomes=("wins",))

@@ -78,6 +78,41 @@ def test_parse_summary_non_increasing_sequence():
         parse_game_summary(dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("sequence", "abc"), ("sequence", None), ("period", "first"), ("clock_seconds", [1]),
+     ("sequence", 1e400)],
+)
+def test_parse_summary_non_numeric_play_field(field, value):
+    bad = dict(play("p2", 2), **{field: value})
+    doc = summary_doc(plays=[play("p1", 1), bad])
+    with pytest.raises(ParseError, match=rf"summary\.plays\[1\]\.{field}: not a number"):
+        parse_game_summary(dumps(doc))
+
+
+@pytest.mark.parametrize("home, away", [(1, None), ("two", 1), (1, {"wins": 2})])
+def test_parse_summary_non_numeric_series_wins(home, away):
+    doc = summary_doc(season_type="postseason", series=(0, 0))
+    doc["series"] = {"home_wins": home, "away_wins": away}
+    with pytest.raises(ParseError, match=r"summary\.series\.(home|away)_wins: not a number"):
+        parse_game_summary(dumps(doc))
+
+
+def test_ingest_directory_ledgers_non_numeric_fields(tmp_path):
+    good = summary_doc(game_id="g-good", plays=[play("p1", 1)])
+    bad_seq = summary_doc(game_id="g-seq", plays=[dict(play("p1", 1), sequence="abc")])
+    bad_series = summary_doc(game_id="g-series", season_type="postseason", series=(1, 0))
+    bad_series["series"]["away_wins"] = None
+    for name, doc in (("good", good), ("seq", bad_seq), ("series", bad_series)):
+        (tmp_path / f"{name}.summary.json").write_bytes(dumps(doc))
+    games, report = ingest_directory(tmp_path)
+    assert [g.game_id for g in games] == ["g-good"]
+    assert report.document_errors == [
+        ("seq.summary.json", "summary.plays[0].sequence: not a number: 'abc'"),
+        ("series.summary.json", "summary.series.away_wins: not a number: None"),
+    ]
+
+
 def test_parse_summary_series_block():
     header, _, _ = parse_game_summary(
         dumps(summary_doc(season_type="postseason", series=(2, 1)))

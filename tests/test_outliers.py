@@ -9,7 +9,6 @@ from conftest import make_event, make_game, random_games
 from rimkit.outliers import (
     PanelRow,
     build_cells,
-    build_ref_team_panel,
     excess,
     outlier_tables,
     panel_rows,
@@ -170,14 +169,6 @@ def test_row_weighted_means_unbalanced_hand_case():
     assert c.rim.excess == pytest.approx(1.0 - (2.0 + 1.0 - 2.0), abs=1e-15)
     c2 = cells[("R2", "T2")]
     assert c2.rim.team_mean == pytest.approx(3.0)  # (4+2)/2 over rows
-
-
-def test_build_ref_team_panel_matches_two_step(rng):
-    games = random_games(rng, 30)
-    direct = build_ref_team_panel(games)
-    rows, _ = panel_rows(games)
-    two_step = build_cells(rows)
-    assert direct == two_step
 
 
 def test_outlier_tables_threshold_and_zscores():
