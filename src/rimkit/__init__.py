@@ -50,9 +50,7 @@ from .metrics import (
     compute_game_metrics,
     event_leverage,
     expand_rows,
-    game_rim,
     signed_disparity,
-    signed_team_rim,
     swing_per_call,
 )
 from .model import (
@@ -109,9 +107,7 @@ __all__ = [
     "compute_game_metrics",
     "event_leverage",
     "expand_rows",
-    "game_rim",
     "signed_disparity",
-    "signed_team_rim",
     "swing_per_call",
     "FoulEvent",
     "GameRecord",

@@ -17,10 +17,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import orjson
 
 from .model import (
     SAFE_LABEL,
@@ -36,6 +40,9 @@ MANIFEST_NAME = "manifest.json"
 DEFAULT_START_PRIOR = 0.5
 
 REASON_NO_POST_SAMPLE = "no-post-sample"
+
+# The dataset decoder reads integers of 64 bits or fewer exactly.
+_INT64_LIMIT = 2**63
 
 
 class IngestError(Exception):
@@ -106,12 +113,29 @@ def _require(doc: Mapping, key: str, what: str):
 
 
 def _number(doc: Mapping, key: str, what: str, kind: type[int] | type[float]):
-    """A required field read as ``kind``; a value that is not a number is a ParseError."""
+    """A required field read exactly as ``kind``, or a ParseError naming the field.
+
+    A conversion that would change the value is refused, not coerced: a
+    boolean, a fractional value read as ``int``, a non-finite value, and an
+    integer beyond 64 bits (which the dataset decoder reads back as a float).
+    Integral numeric strings such as "2" are accepted.
+    """
     value = _require(doc, key, what)
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ParseError(f"{what}.{key}: not a number: {value!r:.40}") from e
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, bool):
+        problem = ""
+    elif kind is float and not math.isfinite(number):
+        problem = " (not finite)"
+    elif kind is int and not -_INT64_LIMIT <= number < _INT64_LIMIT:
+        problem = " (beyond 64 bits)"
+    elif number != value and not isinstance(value, str):
+        problem = f" (would change to {number!r})"
+    else:
+        return number
+    raise ParseError(f"{what}.{key}: not a number: {value!r:.40}{problem}")
 
 
 def parse_game_summary(
@@ -124,6 +148,13 @@ def parse_game_summary(
     sequence — raises :class:`ParseError` and yields no partial game.
     """
     doc = _load_json(data, "summary")
+    # Only a \u escape can spell a lone surrogate. Such a string is not
+    # Unicode, and the dataset decoder would refuse the game line it reached.
+    if b"\\u" in data:
+        try:
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise ParseError("summary: a \\u escape spells a lone surrogate") from e
     series = doc.get("series")
     series_state: tuple[int, int] | None = None
     if series is not None:
@@ -366,10 +397,13 @@ def ingest_directory(
 
     Nothing here raises for data problems: malformed documents, invalid
     games, unalignable fouls, and missing crews all land in the report.
+    Documents are read in sorted path order; a later document that repeats
+    an earlier one's ``game_id`` is quarantined as its duplicate.
     """
     raw_dir = Path(raw_dir)
     report = IngestReport()
     games: list[GameRecord] = []
+    first_document: dict[str, str] = {}  # game_id -> the document that claimed it
     for summary_path in sorted(raw_dir.rglob("*.summary.json")):
         report.documents_seen += 1
         rel = str(summary_path.relative_to(raw_dir))
@@ -387,6 +421,12 @@ def ingest_directory(
                 samples, pregame = [], None
         except ParseError as e:
             report.document_errors.append((rel, str(e)))
+            continue
+        first = first_document.setdefault(header.game_id, rel)
+        if first != rel:
+            report.quarantined_games.append(
+                (header.game_id, (f"game_id: duplicate of {first}",))
+            )
             continue
         record, aligned = build_game(
             header, crew, plays, samples, start_prior=start_prior, pregame=pregame
@@ -436,7 +476,14 @@ def game_to_dict(g: GameRecord) -> dict:
 
 
 def game_from_dict(d: Mapping) -> GameRecord:
+    """Rebuild a game from its stored dict (the inverse of :func:`game_to_dict`).
+
+    Events are built positionally in ``FoulEvent`` field order. Team and
+    description strings repeat across a corpus, so they are interned and
+    every event shares one copy.
+    """
     state = d.get("series_state")
+    intern = sys.intern
     return GameRecord(
         game_id=d["game_id"],
         season=d["season"],
@@ -447,13 +494,13 @@ def game_from_dict(d: Mapping) -> GameRecord:
         series_state=(int(state[0]), int(state[1])) if state else None,
         events=tuple(
             FoulEvent(
-                event_id=e["event_id"],
-                period=e["period"],
-                clock_seconds_remaining=e["clock"],
-                charged_team=e["team"],
-                pre_wp=e["pre_wp"],
-                post_wp=e["post_wp"],
-                description=e.get("description", ""),
+                e["event_id"],
+                e["period"],
+                e["clock"],
+                None if (team := e["team"]) is None else intern(team),
+                e["pre_wp"],
+                e["post_wp"],
+                intern(e.get("description", "")),
             )
             for e in d["events"]
         ),
@@ -501,9 +548,15 @@ class DatasetManifest:
 
 
 def _serialize_game_line(g: GameRecord) -> bytes:
-    return (
-        json.dumps(game_to_dict(g), sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    # The dataset decoder reads standard JSON only, so a NaN or an infinity
+    # is refused here rather than written as a line no load could read.
+    try:
+        text = json.dumps(
+            game_to_dict(g), sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+    except ValueError as e:
+        raise DatasetError(f"game {g.game_id!r}: {e}") from e
+    return (text + "\n").encode("utf-8")
 
 
 def write_dataset(
@@ -617,8 +670,10 @@ def load_dataset(root: Path, *, verify: bool = True) -> tuple[list[GameRecord], 
             if not line.strip():
                 continue
             try:
-                games.append(game_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
+                games.append(game_from_dict(orjson.loads(line)))
+            except (ValueError, KeyError, IndexError, TypeError, AttributeError) as e:
+                # ValueError covers orjson.JSONDecodeError; the rest are a
+                # well-formed line of the wrong shape.
                 raise DatasetError(
                     f"{part.path}:{line_no}: bad game line: {e}"
                 ) from e

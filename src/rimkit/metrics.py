@@ -9,31 +9,24 @@ negations of each other.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .model import FoulEvent, GameRecord, TeamGameRow, canonical_series_key
-
-HOME = "home"
-AWAY = "away"
+from .model import REGULATION_PERIODS, GameRecord, TeamGameRow, canonical_series_key
 
 OT_BUCKET = "OT"
 PERIOD_BUCKETS = ("Q1", "Q2", "Q3", "Q4", OT_BUCKET)
+_OT_INDEX = PERIOD_BUCKETS.index(OT_BUCKET)
 
 
 def period_bucket(period: int) -> str:
     """Quarters stay separate; every overtime period pools into "OT"."""
-    return f"Q{period}" if 1 <= period <= 4 else OT_BUCKET
+    return f"Q{period}" if 1 <= period <= REGULATION_PERIODS else OT_BUCKET
 
 
 def event_leverage(pre_wp: float, post_wp: float) -> float:
     """Absolute win-probability movement attached to one call."""
     return abs(post_wp - pre_wp)
-
-
-def game_rim(events: Iterable[FoulEvent]) -> float:
-    """Total foul-attached win-probability movement: sum of event leverage."""
-    return sum(event_leverage(e.pre_wp, e.post_wp) for e in events)
 
 
 def swing_per_call(rim: float, n_calls: int) -> float | None:
@@ -54,21 +47,6 @@ def signed_disparity(own_fouls: int, opp_fouls: int) -> int:
     return opp_fouls - own_fouls
 
 
-def signed_team_rim(events: Iterable[FoulEvent], perspective: str) -> float:
-    """Net win-probability movement toward one side over all calls.
-
-    Samples are stored home-side, so the away value is the exact negation
-    of the home value (IEEE negation is sign-symmetric, making the mirror
-    identity hold to the bit).
-    """
-    if perspective not in (HOME, AWAY):
-        raise ValueError(f"perspective must be {HOME!r} or {AWAY!r}")
-    total = 0.0
-    for e in events:
-        total += e.post_wp - e.pre_wp
-    return total if perspective == HOME else -total
-
-
 @dataclass(frozen=True, slots=True)
 class PeriodMetrics:
     """One period bucket's slice: leverage total, calls, home-side imbalance."""
@@ -76,32 +54,6 @@ class PeriodMetrics:
     rim: float
     calls: int
     home_disparity: int
-
-
-def period_breakdown(
-    events: Sequence[FoulEvent], home_team: str, away_team: str
-) -> dict[str, PeriodMetrics]:
-    """Split a game's totals by period bucket (Q1..Q4, OT).
-
-    Every event lands in exactly one bucket, so bucket sums reconcile with
-    the whole-game totals. Unattributed calls count toward rim and calls
-    but not disparity.
-    """
-    rim = {b: 0.0 for b in PERIOD_BUCKETS}
-    calls = {b: 0 for b in PERIOD_BUCKETS}
-    disp = {b: 0 for b in PERIOD_BUCKETS}
-    for e in events:
-        b = period_bucket(e.period)
-        rim[b] += event_leverage(e.pre_wp, e.post_wp)
-        calls[b] += 1
-        if e.charged_team == home_team:
-            disp[b] -= 1
-        elif e.charged_team == away_team:
-            disp[b] += 1
-    return {
-        b: PeriodMetrics(rim=rim[b], calls=calls[b], home_disparity=disp[b])
-        for b in PERIOD_BUCKETS
-    }
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -122,18 +74,41 @@ class GameMetrics:
 
 
 def compute_game_metrics(game: GameRecord) -> GameMetrics:
-    """Compute all per-game quantities and both team rows in one pass."""
-    rim = game_rim(game.events)
-    n = len(game.events)
+    """Compute all per-game quantities and both team rows in one pass.
+
+    One loop over the events accumulates, in event order: rim (the sum of
+    event leverage), the signed home-side total of raw moves, fouls per side
+    and the five period buckets (Q1..Q4, OT). Every event lands in exactly
+    one bucket, so bucket sums reconcile with the whole-game totals.
+    Unattributed calls count toward rim and calls but not disparity. The
+    away value of the signed total is the exact negation of the home value
+    (IEEE negation is sign-symmetric, so the mirror identity holds to the
+    bit).
+    """
+    home, away = game.home_team, game.away_team
+    rim = 0.0
+    q_home = 0.0
     home_fouls = 0
     away_fouls = 0
-    for e in game.events:
-        if e.charged_team == game.home_team:
+    bucket_rim = [0.0] * len(PERIOD_BUCKETS)
+    bucket_calls = [0] * len(PERIOD_BUCKETS)
+    bucket_disp = [0] * len(PERIOD_BUCKETS)
+    # Positional unpacking follows FoulEvent's field order.
+    for _, period, _, charged, pre_wp, post_wp, _ in game.events:
+        move = post_wp - pre_wp
+        leverage = abs(move)  # event_leverage(pre_wp, post_wp)
+        b = period - 1 if 1 <= period <= REGULATION_PERIODS else _OT_INDEX  # period_bucket
+        rim += leverage
+        q_home += move
+        bucket_rim[b] += leverage
+        bucket_calls[b] += 1
+        if charged == home:
             home_fouls += 1
-        elif e.charged_team == game.away_team:
+            bucket_disp[b] -= 1
+        elif charged == away:
             away_fouls += 1
-    q_home = signed_team_rim(game.events, HOME)
-    q_away = signed_team_rim(game.events, AWAY)
+            bucket_disp[b] += 1
+    n = len(game.events)
     series_key = (
         canonical_series_key(*game.series_state)
         if game.series_state is not None
@@ -148,8 +123,8 @@ def compute_game_metrics(game: GameRecord) -> GameMetrics:
         series_key=series_key,
     )
     home_row = TeamGameRow(
-        team=game.home_team,
-        opponent=game.away_team,
+        team=home,
+        opponent=away,
         is_home=True,
         own_fouls=home_fouls,
         opp_fouls=away_fouls,
@@ -158,13 +133,13 @@ def compute_game_metrics(game: GameRecord) -> GameMetrics:
         **shared,
     )
     away_row = TeamGameRow(
-        team=game.away_team,
-        opponent=game.home_team,
+        team=away,
+        opponent=home,
         is_home=False,
         own_fouls=away_fouls,
         opp_fouls=home_fouls,
         disparity=signed_disparity(away_fouls, home_fouls),
-        team_rim=q_away,
+        team_rim=-q_home,
         **shared,
     )
     return GameMetrics(
@@ -172,7 +147,12 @@ def compute_game_metrics(game: GameRecord) -> GameMetrics:
         rim=rim,
         n_calls=n,
         swing=swing_per_call(rim, n),
-        per_period=period_breakdown(game.events, game.home_team, game.away_team),
+        per_period={
+            bucket: PeriodMetrics(
+                rim=bucket_rim[i], calls=bucket_calls[i], home_disparity=bucket_disp[i]
+            )
+            for i, bucket in enumerate(PERIOD_BUCKETS)
+        },
         home_row=home_row,
         away_row=away_row,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
 REGULAR = "regular"
 POSTSEASON = "postseason"
@@ -31,14 +32,17 @@ SAFE_LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*")
 _SUFFIXES = {"jr": "Jr.", "sr": "Sr.", "ii": "II", "iii": "III", "iv": "IV", "v": "V"}
 
 
-@dataclass(frozen=True, slots=True)
-class FoulEvent:
+class FoulEvent(NamedTuple):
     """One whistle bracketed by win-probability samples.
 
     ``pre_wp`` is the last sample strictly before the call, ``post_wp`` the
     sample attached to the call itself (or the nearest one after it); both
     are home-side probabilities. ``charged_team`` is None when the feed
     cannot attribute the call to either team.
+
+    A NamedTuple rather than a dataclass: a corpus holds one per call, and a
+    tuple of atoms is cheaper to build and is left alone by the cyclic
+    garbage collector. Use ``_replace`` to derive a modified event.
     """
 
     event_id: int

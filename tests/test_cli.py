@@ -403,6 +403,27 @@ def test_ingest_cli_builds_dataset(tmp_path, capsys):
     assert code == 2
 
 
+def test_ingest_cli_quarantines_a_duplicate_game_id(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    plays = (play("p1", 1, foul=True, team="HOU"), play("p2", 2))
+    for name in ("a", "b", "c"):
+        gid = "0022100009" if name != "c" else "0022100010"
+        doc = summary_doc(game_id=gid, plays=plays)
+        (raw / f"{name}.summary.json").write_text(json.dumps(doc), encoding="utf-8")
+        wp = wp_doc([("p1", 0.55), ("p2", 0.52)])
+        (raw / f"{name}.wp.json").write_text(json.dumps(wp), encoding="utf-8")
+
+    ds = tmp_path / "ds"
+    code, out = run(capsys, "ingest", "--raw-dir", str(raw), "--out", str(ds))
+    assert code == 0, out
+    assert "quarantined_games: 1" in out
+    assert "games written: 2" in out
+    games, manifest = load_dataset(ds)
+    assert sorted(g.game_id for g in games) == ["0022100009", "0022100010"]
+    assert manifest.quarantine["quarantined_games"] == 1
+
+
 def test_simulate_effects_file_lands_in_ledger(tmp_path, capsys):
     effects = tmp_path / "effects.json"
     effects.write_text(

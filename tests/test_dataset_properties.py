@@ -1,0 +1,149 @@
+"""The canonical dataset round-trips any record it accepts, to the bit.
+
+``write_dataset`` serializes with the standard library and ``load_dataset``
+decodes with orjson, so these properties pin the two together: every finite
+float comes back with the same ``float.hex`` (signed zero, the smallest
+subnormal and the largest double included), and every string comes back
+unchanged however many escapes it needs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from conftest import make_event, make_game
+from rimkit.ingest import DatasetError, load_dataset, read_manifest, write_dataset
+from rimkit.model import FoulEvent, GameRecord
+
+EDGE_FLOATS = (
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.2250738585072014e-308,  # smallest normal
+    2.225073858507201e-308,  # largest subnormal
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    0.1,
+    1 / 3,
+)
+ESCAPES = '"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\u2029\ufeff\U0001f600\u00e9\u5b57'
+
+floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+ints = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+texts = st.one_of(st.text(), st.text(alphabet=ESCAPES))
+labels = st.from_regex(r"[A-Za-z0-9][A-Za-z0-9_-]{0,8}", fullmatch=True)
+
+events = st.builds(
+    FoulEvent,
+    event_id=ints,
+    period=ints,
+    clock_seconds_remaining=floats,
+    charged_team=st.one_of(st.none(), texts),
+    pre_wp=floats,
+    post_wp=floats,
+    description=texts,
+)
+games = st.builds(
+    GameRecord,
+    game_id=texts,
+    season=labels,
+    season_type=labels,
+    home_team=texts,
+    away_team=texts,
+    crew=st.lists(texts, max_size=4).map(tuple),
+    events=st.lists(events, max_size=6).map(tuple),
+    series_state=st.one_of(st.none(), st.tuples(ints, ints)),
+)
+
+
+def _bits(game: GameRecord) -> list:
+    """The type of every event field, and every event float as ``float.hex``."""
+    out = []
+    for e in game.events:
+        out.append([type(v).__name__ for v in e])
+        out.append(
+            [v.hex() for v in (e.clock_seconds_remaining, e.pre_wp, e.post_wp)]
+        )
+    return out
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.lists(games, max_size=5, unique_by=lambda g: g.game_id))
+@example(
+    [
+        make_game(
+            [
+                make_event(-0.0, 5e-324, charged=None, description=ESCAPES),
+                make_event(1.7976931348623157e308, 2.225073858507201e-308, charged=ESCAPES),
+            ],
+            game_id=ESCAPES,
+            home="\U0001f600",
+            series_state=(2, 3),
+        )
+    ]
+)
+def test_write_then_load_returns_every_record_field_for_field(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "ds"
+        write_dataset(records, root)
+        loaded, manifest = load_dataset(root)
+    assert manifest.total_games == len(records)
+    by_id = {g.game_id: g for g in loaded}
+    assert sorted(by_id) == sorted(g.game_id for g in records)
+    for want in records:
+        got = by_id[want.game_id]
+        assert got == want
+        assert _bits(got) == _bits(want)
+
+
+def _rewrite_line(root: Path, line_no: int, new: bytes) -> str:
+    """Replace one game line and recompute its manifest hash, so only the
+    line itself is wrong; returns the partition's path."""
+    manifest_path = root / "manifest.json"
+    doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+    part = doc["partitions"][0]
+    target = root / part["path"]
+    lines = target.read_bytes().splitlines(keepends=True)
+    lines[line_no - 1] = new + b"\n"
+    data = b"".join(lines)
+    target.write_bytes(data)
+    part["sha256"] = hashlib.sha256(data).hexdigest()
+    manifest_path.write_text(json.dumps(doc), encoding="utf-8")
+    return part["path"]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda line: line[: len(line) // 2],  # truncated
+        lambda line: line.replace(b'"pre_wp":', b'"pre_wp":NaN,"x":', 1),
+        lambda line: line.replace(b'"events":', b'"evnts":', 1),
+        lambda line: line.replace(b'"team":', b'"team":7,"x":', 1),
+        lambda line: b"[1, 2]",
+        lambda line: b'"a string"',
+        lambda line: b'{"a": "\\ud800"}',
+    ],
+    ids=["truncated", "nan", "missing-key", "wrong-type", "array", "string", "surrogate"],
+)
+def test_a_corrupted_game_line_names_its_partition_and_line(tmp_path, corrupt):
+    root = tmp_path / "ds"
+    write_dataset([make_game([make_event(0.5, 0.6)], game_id=f"g{i}") for i in range(4)], root)
+    part = read_manifest(root).partitions[0]
+    path = _rewrite_line(root, 2, corrupt((root / part.path).read_bytes().splitlines()[1]))
+    with pytest.raises(DatasetError, match=rf"^{path}:2: bad game line"):
+        load_dataset(root)

@@ -81,7 +81,9 @@ def test_parse_summary_non_increasing_sequence():
 @pytest.mark.parametrize(
     "field, value",
     [("sequence", "abc"), ("sequence", None), ("period", "first"), ("clock_seconds", [1]),
-     ("sequence", 1e400)],
+     ("sequence", 1e400), ("sequence", 1.9), ("period", 1.5), ("sequence", True),
+     ("period", False), ("period", 2**63), ("clock_seconds", "nan"), ("clock_seconds", "inf"),
+     ("clock_seconds", "-Infinity"), ("clock_seconds", 2**53 + 1)],
 )
 def test_parse_summary_non_numeric_play_field(field, value):
     bad = dict(play("p2", 2), **{field: value})
@@ -90,12 +92,49 @@ def test_parse_summary_non_numeric_play_field(field, value):
         parse_game_summary(dumps(doc))
 
 
-@pytest.mark.parametrize("home, away", [(1, None), ("two", 1), (1, {"wins": 2})])
+@pytest.mark.parametrize(
+    "home, away", [(1, None), ("two", 1), (1, {"wins": 2}), (2.9, 1), (1, 0.5), (True, 0)]
+)
 def test_parse_summary_non_numeric_series_wins(home, away):
     doc = summary_doc(season_type="postseason", series=(0, 0))
     doc["series"] = {"home_wins": home, "away_wins": away}
     with pytest.raises(ParseError, match=r"summary\.series\.(home|away)_wins: not a number"):
         parse_game_summary(dumps(doc))
+
+
+def test_parse_summary_accepts_numbers_that_convert_exactly():
+    plays = [
+        dict(play("p1", 1), sequence="2", period="3", clock_seconds="600"),
+        dict(play("p2", 2), sequence=3.0, period=4.0, clock_seconds=12),
+    ]
+    doc = summary_doc(season_type="postseason", series=(0, 0), plays=plays)
+    doc["series"] = {"home_wins": "2", "away_wins": 1.0}
+    header, _, parsed = parse_game_summary(dumps(doc))
+    assert header.series_state == (2, 1)
+    assert [(p.sequence, p.period, p.clock_seconds_remaining) for p in parsed] == [
+        (2, 3, 600.0),
+        (3, 4, 12.0),
+    ]
+    for p in parsed:
+        assert type(p.sequence) is int and type(p.period) is int
+        assert type(p.clock_seconds_remaining) is float
+
+
+def test_parse_summary_lossy_number_names_the_value_it_would_become():
+    doc = summary_doc(plays=[dict(play("p1", 1), period=1.5)])
+    with pytest.raises(ParseError) as exc:
+        parse_game_summary(dumps(doc))
+    assert str(exc.value) == "summary.plays[0].period: not a number: 1.5 (would change to 1)"
+
+
+def test_parse_summary_refuses_a_lone_surrogate_escape():
+    doc = summary_doc(plays=[play("p1", 1, foul=True, team="HOU", text="\ud800 foul")])
+    with pytest.raises(ParseError, match="lone surrogate"):
+        parse_game_summary(dumps(doc))
+    # A surrogate pair spells one character and is kept.
+    doc = summary_doc(plays=[play("p1", 1, foul=True, team="HOU", text="\U0001F600 foul")])
+    _, _, plays = parse_game_summary(dumps(doc))
+    assert plays[0].description == "\U0001F600 foul"
 
 
 def test_ingest_directory_ledgers_non_numeric_fields(tmp_path):
@@ -315,6 +354,34 @@ def test_ingest_directory_mixed_corpus(tmp_path):
     }
 
 
+def test_ingest_directory_quarantines_a_later_duplicate_game_id(tmp_path):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    first = summary_doc(game_id="g-1", plays=[play("p1", 1, foul=True, team="HOU")])
+    later = summary_doc(game_id="g-1", home="LAL", away="MIA", plays=[play("p1", 1)])
+    (raw / "a.summary.json").write_bytes(dumps(first))
+    (raw / "a.wp.json").write_bytes(dumps(wp_doc([("p1", 0.6)])))
+    (raw / "b.summary.json").write_bytes(dumps(later))
+    (raw / "b.wp.json").write_bytes(dumps(wp_doc([])))
+    games, report = ingest_directory(raw)
+    assert [(g.game_id, g.home_team) for g in games] == [("g-1", "HOU")]
+    assert report.quarantined_games == [("g-1", ("game_id: duplicate of a.summary.json",))]
+    assert report.kept_games == 1
+    assert report.quarantine_counts()["quarantined_games"] == 1
+    write_dataset(games, tmp_path / "ds")  # the kept games are writable
+
+
+def test_ingest_directory_ledgers_a_lone_surrogate_document(tmp_path):
+    raw = tmp_path / "raw"
+    _write_raw_game(raw, summary_doc(game_id="g-ok"), wp_doc([("p1", 0.5)]))
+    _write_raw_game(raw, summary_doc(game_id="g-bad", officials=["Ref \udc80"]))
+    games, report = ingest_directory(raw)
+    assert [g.game_id for g in games] == ["g-ok"]
+    assert report.document_errors == [
+        ("g-bad.summary.json", "summary: a \\u escape spells a lone surrogate")
+    ]
+
+
 def test_ingest_directory_missing_wp_feed_is_tolerated(tmp_path):
     raw = tmp_path / "raw"
     _write_raw_game(
@@ -378,6 +445,27 @@ def test_write_dataset_layout_and_manifest(tmp_path, rng):
     assert [json.loads(l)["game_id"] for l in lines] == ["a", "b"]
     # No staging residue.
     assert not (root / ".staging").exists()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_write_dataset_refuses_a_non_finite_number(tmp_path, bad):
+    root = tmp_path / "ds"
+    write_dataset([make_game([make_event(0.5, 0.6)], game_id="ok")], root)
+    before = {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    games = [
+        make_game([make_event(0.5, 0.6)], game_id="ok"),
+        make_game([make_event(0.5, bad)], game_id="g-bad"),
+    ]
+    with pytest.raises(DatasetError, match="game 'g-bad'"):
+        write_dataset(games, root)
+    assert (root / ".staging").is_dir()  # left behind for inspection
+    after = {
+        p.relative_to(root): p.read_bytes()
+        for p in root.rglob("*")
+        if p.is_file() and ".staging" not in p.parts
+    }
+    assert after == before
+    assert [g.game_id for g in load_dataset(root)[0]] == ["ok"]
 
 
 def test_write_dataset_rejects_duplicate_ids(tmp_path):

@@ -7,14 +7,12 @@ import pytest
 
 from conftest import make_event, make_game, random_games
 from rimkit.metrics import (
+    PERIOD_BUCKETS,
     compute_game_metrics,
     event_leverage,
     expand_rows,
-    game_rim,
-    period_breakdown,
     period_bucket,
     signed_disparity,
-    signed_team_rim,
     swing_per_call,
 )
 
@@ -35,13 +33,13 @@ def test_event_leverage_perspective_symmetry(rng):
 
 
 def test_game_rim_empty_and_sum():
-    assert game_rim([]) == 0.0
+    assert compute_game_metrics(make_game([])).rim == 0.0
     events = [
         make_event(0.50, 0.52, event_id=1),
         make_event(0.52, 0.57, event_id=2),
         make_event(0.57, 0.47, event_id=3),
     ]
-    assert game_rim(events) == pytest.approx(0.17, abs=1e-12)
+    assert compute_game_metrics(make_game(events)).rim == pytest.approx(0.17, abs=1e-12)
 
 
 def test_swing_per_call_hand_values():
@@ -59,11 +57,9 @@ def test_signed_disparity_hand_values():
 
 
 def test_signed_team_rim_single_event():
-    events = [make_event(0.50, 0.57)]
-    assert signed_team_rim(events, "home") == pytest.approx(0.07, abs=1e-15)
-    assert signed_team_rim(events, "away") == pytest.approx(-0.07, abs=1e-15)
-    with pytest.raises(ValueError):
-        signed_team_rim(events, "neutral")
+    m = compute_game_metrics(make_game([make_event(0.50, 0.57)]))
+    assert m.home_row.team_rim == pytest.approx(0.07, abs=1e-15)
+    assert m.away_row.team_rim == pytest.approx(-0.07, abs=1e-15)
 
 
 def test_micro_game_frozen_values():
@@ -115,7 +111,7 @@ def test_period_breakdown_single_quarter():
         make_event(0.5, 0.6, period=2, event_id=1),
         make_event(0.6, 0.55, period=2, event_id=2, charged="BOS"),
     ]
-    per = period_breakdown(events, "HOU", "BOS")
+    per = compute_game_metrics(make_game(events, home="HOU", away="BOS")).per_period
     assert set(per) == {"Q1", "Q2", "Q3", "Q4", "OT"}
     assert per["Q2"].calls == 2
     assert per["Q2"].rim == pytest.approx(0.15, abs=1e-12)
@@ -130,7 +126,7 @@ def test_ot_bucket_pools_all_extra_periods():
         make_event(0.5, 0.6, period=5, event_id=1, clock=200.0),
         make_event(0.6, 0.7, period=7, event_id=2, clock=100.0),
     ]
-    per = period_breakdown(events, "HOU", "BOS")
+    per = compute_game_metrics(make_game(events, home="HOU", away="BOS")).per_period
     assert per["OT"].calls == 2
     assert per["OT"].rim == pytest.approx(0.2, abs=1e-12)
 
@@ -161,9 +157,51 @@ def test_mirror_identities_random_games(rng):
 
 def test_rim_zero_iff_all_events_flat():
     flat = [make_event(0.4, 0.4, event_id=i) for i in range(1, 4)]
-    assert game_rim(flat) == 0.0
+    assert compute_game_metrics(make_game(flat)).rim == 0.0
     moved = flat + [make_event(0.4, 0.41, event_id=9)]
-    assert game_rim(moved) > 0.0
+    assert compute_game_metrics(make_game(moved)).rim > 0.0
+
+
+def _reference_metrics(game):
+    """Each quantity in its own plain loop, adding in event order from 0.0."""
+    rim = 0.0
+    for e in game.events:
+        rim += event_leverage(e.pre_wp, e.post_wp)
+    signed = 0.0
+    for e in game.events:
+        signed += e.post_wp - e.pre_wp
+    home_fouls = sum(1 for e in game.events if e.charged_team == game.home_team)
+    away_fouls = sum(1 for e in game.events if e.charged_team == game.away_team)
+    per = {}
+    for bucket in PERIOD_BUCKETS:
+        events = [e for e in game.events if period_bucket(e.period) == bucket]
+        bucket_rim = 0.0
+        for e in events:
+            bucket_rim += event_leverage(e.pre_wp, e.post_wp)
+        disparity = sum(1 for e in events if e.charged_team == game.away_team) - sum(
+            1 for e in events if e.charged_team == game.home_team
+        )
+        per[bucket] = (bucket_rim.hex(), len(events), disparity)
+    return rim.hex(), signed.hex(), (-signed).hex(), home_fouls, away_fouls, per
+
+
+def test_one_pass_kernel_matches_separate_loops_to_the_bit(rng):
+    games = random_games(rng, 300)
+    games.append(make_game([make_event(0.5, 0.6, period=0), make_event(0.6, 0.6, period=-1)]))
+    for game in games:
+        m = compute_game_metrics(game)
+        per = {
+            b: (p.rim.hex(), p.calls, p.home_disparity) for b, p in m.per_period.items()
+        }
+        got = (
+            m.rim.hex(),
+            m.home_row.team_rim.hex(),
+            m.away_row.team_rim.hex(),
+            m.home_row.own_fouls,
+            m.away_row.own_fouls,
+            per,
+        )
+        assert got == _reference_metrics(game)
 
 
 def test_permutation_invariance(rng):
