@@ -59,19 +59,18 @@ class RefSeasonSummary:
 
 @dataclass(frozen=True)
 class DistributionBand:
-    """Mean ± k·sd band over qualified referees' mean RIM (sample sd)."""
+    """Mean ± one sd band over qualified referees' mean RIM (sample sd)."""
 
     mean: float
     sd: float
-    k: float = 1.0
 
     @property
     def lower(self) -> float:
-        return self.mean - self.k * self.sd
+        return self.mean - self.sd
 
     @property
     def upper(self) -> float:
-        return self.mean + self.k * self.sd
+        return self.mean + self.sd
 
 
 def referee_distribution(
@@ -255,7 +254,6 @@ class SeriesStateBucket:
 @dataclass(frozen=True)
 class SeriesStateSummary:
     buckets: list[SeriesStateBucket]
-    games_with_state: int
     games_missing_state: int
 
 
@@ -291,17 +289,14 @@ def series_state_summary(rows: Iterable[TeamGameRow]) -> SeriesStateSummary:
     ]
     return SeriesStateSummary(
         buckets=buckets,
-        games_with_state=sum(b.games for b in buckets),
         games_missing_state=missing,
     )
 
 
 @dataclass(frozen=True)
 class ScatterSeries:
-    """Named (x, y) points per referee plus their correlation (None if undefined)."""
+    """(referee, x, y) points plus their correlation (None if undefined)."""
 
-    x_name: str
-    y_name: str
     points: list[tuple[str, float, float]]
     correlation: float | None
 
@@ -327,14 +322,10 @@ def component_check_tables(summaries: Sequence[RefSeasonSummary]) -> ComponentCh
     rvd = [(s.referee, s.mean_rim, s.mean_abs_disparity) for s in summaries]
     return ComponentChecks(
         calls_vs_swing=ScatterSeries(
-            x_name="mean_calls_per_game",
-            y_name="mean_swing_per_call",
             points=cvs,
             correlation=pearson([p[1] for p in cvs], [p[2] for p in cvs]),
         ),
         rim_vs_disparity=ScatterSeries(
-            x_name="mean_rim",
-            y_name="mean_abs_disparity",
             points=rvd,
             correlation=pearson([p[1] for p in rvd], [p[2] for p in rvd]),
         ),

@@ -339,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--target-form", dest="target_form", choices=("indicator", "paired")
     )
-    stats.add_argument("--small-sample", dest="small_sample", choices=("cr0", "cr1"))
-    stats.add_argument("--dof-mode", dest="dof_mode", choices=("residual", "cluster"))
     stats.add_argument("--min-games-regular", dest="min_games_regular", type=int)
     stats.add_argument(
         "--min-games-postseason", dest="min_games_postseason", type=int

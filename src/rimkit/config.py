@@ -23,8 +23,6 @@ RUN_ECHO_NAME = "run.json"
 
 _SEASON_TYPES = ("regular", "postseason")
 _TARGET_FORMS = ("indicator", "paired")
-_SMALL_SAMPLE = ("cr0", "cr1")
-_DOF_MODES = ("residual", "cluster")
 
 
 class ConfigError(ValueError):
@@ -44,8 +42,6 @@ class RunConfig:
     pair_k: int = 5
     team_side_k: int = 3
     target_form: str = "indicator"
-    small_sample: str = "cr1"
-    dof_mode: str = "residual"
     seed: int = 0
     start_prior: float = 0.5
 
@@ -54,10 +50,6 @@ class RunConfig:
             raise ConfigError(f"season_type must be one of {_SEASON_TYPES}")
         if self.target_form not in _TARGET_FORMS:
             raise ConfigError(f"target_form must be one of {_TARGET_FORMS}")
-        if self.small_sample not in _SMALL_SAMPLE:
-            raise ConfigError(f"small_sample must be one of {_SMALL_SAMPLE}")
-        if self.dof_mode not in _DOF_MODES:
-            raise ConfigError(f"dof_mode must be one of {_DOF_MODES}")
         for name in (
             "min_games_regular",
             "min_games_postseason",
@@ -79,8 +71,6 @@ _STR_FIELDS = {
     "out_dir",
     "season_type",
     "target_form",
-    "small_sample",
-    "dof_mode",
 }
 _INT_FIELDS = {
     "min_games_regular",

@@ -274,34 +274,22 @@ class AnalysisContext:
     def team_side_fits(self) -> dict[str, FitResult]:
         if not self.targets:
             raise SkipTable("no team-side targets available")
-        cfg = self.cfg
         return team_side_effects(
-            self.regular.rows,
-            self.targets,
-            target_form=cfg.target_form,
-            small_sample=cfg.small_sample,
-            dof_mode=cfg.dof_mode,
+            self.regular.rows, self.targets, target_form=self.cfg.target_form
         )
 
     @cached_property
     def series_fits(self) -> dict[str, FitResult]:
         if not self.post.games:
             raise SkipTable("no postseason games in the corpus")
-        return series_state_effects(
-            self.post.rows, small_sample=self.cfg.small_sample, dof_mode=self.cfg.dof_mode
-        )
+        return series_state_effects(self.post.rows)
 
     @cached_property
     def pair_fits(self) -> dict[str, FitResult]:
         if not self.pairs:
             raise SkipTable("no qualified referee-team pairs")
-        cfg = self.cfg
         return ref_team_residual_effects(
-            self.regular.panel[0],
-            self.pairs,
-            min_pair_games=cfg.min_pair_games,
-            small_sample=cfg.small_sample,
-            dof_mode=cfg.dof_mode,
+            self.regular.panel[0], self.pairs, min_pair_games=self.cfg.min_pair_games
         )
 
 

@@ -7,10 +7,10 @@ sequential Cholesky on it drops dependent columns, earliest column wins:
 column j goes when its Schur pivot, the squared norm of its residual
 against the kept columns, is at most ``max(n, K) * eps`` times its squared
 norm. The kept Gram is inverted once per design and solves every outcome.
-Covariance is the cluster sandwich (CR1 by default), intervals use Student-t
-critical values, and each coefficient carries an omitted-variable
-robustness value: the equal-strength confounder association that would
-zero out its t-statistic.
+Covariance is the CR1 cluster sandwich, intervals use Student-t critical
+values at n − rank degrees of freedom, and each coefficient carries an
+omitted-variable robustness value: the equal-strength confounder
+association that would zero out its t-statistic.
 """
 
 from __future__ import annotations
@@ -135,23 +135,14 @@ def fit_ols(X, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
     return beta, y - (rows.value * beta[rows.index]).sum(axis=1), k, n - k
 
 
-def cluster_covariance(
-    X,
-    residuals: np.ndarray,
-    clusters: Sequence,
-    *,
-    small_sample: str = "cr1",
-) -> np.ndarray:
-    """Cluster-robust sandwich covariance of OLS coefficients.
+def cluster_covariance(X, residuals: np.ndarray, clusters: Sequence) -> np.ndarray:
+    """CR1 cluster-robust sandwich covariance of OLS coefficients.
 
-    bread = (X'X)^-1, meat = sum over clusters g of (X_g'e_g)(X_g'e_g)'.
-    ``small_sample="cr1"`` applies [G/(G-1)]*[(n-1)/(n-k)]; ``"cr0"`` leaves
-    the plain sandwich. With every row its own cluster the CR1 result is
-    exactly the HC0 estimator times the CR1 factor. ``X`` is dense or
+    bread = (X'X)^-1, meat = sum over clusters g of (X_g'e_g)(X_g'e_g)',
+    times [G/(G-1)]*[(n-1)/(n-k)]. With every row its own cluster the result
+    is exactly the HC0 estimator times that factor. ``X`` is dense or
     :class:`SparseRows`, as for :func:`fit_ols`.
     """
-    if small_sample not in ("cr0", "cr1"):
-        raise ValueError(f"unknown small_sample {small_sample!r}")
     rows = _as_rows(X)
     e = np.asarray(residuals, dtype=float)
     n, k = rows.shape
@@ -165,9 +156,7 @@ def cluster_covariance(
         raise FitError("clustered covariance needs at least two clusters")
     cells = (groups[:, None] * k + rows.index).ravel()
     S = np.bincount(cells, (rows.value * e[:, None]).ravel(), minlength=G * k).reshape(G, k)
-    V = rows.bread @ (S.T @ S) @ rows.bread
-    if small_sample == "cr1":
-        V = V * (G / (G - 1.0)) * ((n - 1.0) / (n - k))
+    V = rows.bread @ (S.T @ S) @ rows.bread * (G / (G - 1.0)) * ((n - 1.0) / (n - k))
     return (V + V.T) / 2.0
 
 
@@ -394,10 +383,7 @@ class FitResult:
     covariance: np.ndarray
     n_rows: int
     n_clusters: int
-    rank: int
     dof: int
-    small_sample: str
-    dof_mode: str
     dropped: tuple[str, ...]
     notes: tuple[str, ...]
 
@@ -420,26 +406,15 @@ class FitResult:
         return [self.coef(t) for t in self.terms]
 
 
-def fit_clustered(
-    design: Design,
-    *,
-    small_sample: str = "cr1",
-    dof_mode: str = "residual",
-) -> FitResult:
+def fit_clustered(design: Design) -> FitResult:
     """Fit a design and wrap estimates with clustered inference.
 
-    ``dof_mode="residual"`` uses n − rank for the t reference; ``"cluster"``
-    uses G − 1. Intervals are 95%. Robustness values are computed per
-    coefficient at the same degrees of freedom.
+    The t reference has n − rank degrees of freedom. Intervals are 95%.
+    Robustness values are computed per coefficient at the same degrees of
+    freedom.
     """
-    if dof_mode not in ("residual", "cluster"):
-        raise ValueError(f"unknown dof_mode {dof_mode!r}")
-    beta, resid, rank, resid_dof = fit_ols(design.rows, design.outcome)
-    V = cluster_covariance(design.rows, resid, design.groups, small_sample=small_sample)
-    G = int(design.groups.max()) + 1
-    dof = resid_dof if dof_mode == "residual" else G - 1
-    if dof < 1:
-        raise FitError("no degrees of freedom for interval construction")
+    beta, resid, _, dof = fit_ols(design.rows, design.outcome)
+    V = cluster_covariance(design.rows, resid, design.groups)
     se = np.sqrt(np.maximum(np.diag(V), 0.0))
     t_stats, rho = np.zeros_like(beta), np.zeros_like(beta)
     for i in range(beta.size):
@@ -461,22 +436,16 @@ def fit_clustered(
         rho=rho,
         covariance=V,
         n_rows=design.rows.shape[0],
-        n_clusters=G,
-        rank=rank,
+        n_clusters=int(design.groups.max()) + 1,
         dof=dof,
-        small_sample=small_sample,
-        dof_mode=dof_mode,
         dropped=design.dropped,
         notes=design.notes,
     )
 
 
-def _fit_outcomes(
-    design: Design, outcomes: Mapping[str, np.ndarray], **options
-) -> dict[str, FitResult]:
+def _fit_outcomes(design: Design, outcomes: Mapping[str, np.ndarray]) -> dict[str, FitResult]:
     """One fit per outcome, all on the design's rows and factorization."""
-    return {name: fit_clustered(design.with_outcome(name, y), **options)
-            for name, y in outcomes.items()}
+    return {name: fit_clustered(design.with_outcome(name, y)) for name, y in outcomes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +460,6 @@ def team_side_effects(
     outcomes: Sequence[str] = TEAM_OUTCOMES,
     target_form: str = "indicator",
     include_series: bool = False,
-    small_sample: str = "cr1",
-    dof_mode: str = "residual",
 ) -> dict[str, FitResult]:
     """Estimate (team, side) effects on each outcome with full controls.
 
@@ -507,15 +474,10 @@ def team_side_effects(
                           include_series=include_series)
     ys = {o: design.outcome if o == outcomes[0] else _team_outcome(design.source, o)
           for o in outcomes}
-    return _fit_outcomes(design, ys, small_sample=small_sample, dof_mode=dof_mode)
+    return _fit_outcomes(design, ys)
 
 
-def series_state_effects(
-    rows: Sequence[TeamGameRow],
-    *,
-    small_sample: str = "cr1",
-    dof_mode: str = "residual",
-) -> dict[str, FitResult]:
+def series_state_effects(rows: Sequence[TeamGameRow]) -> dict[str, FitResult]:
     """Game-level pregame series-state effects relative to 0--0.
 
     One observation per postseason game with a known state; outcomes are
@@ -546,7 +508,7 @@ def series_state_effects(
     }
     notes = (f"series reference {ref}", f"games {n}")
     design = _design(blocks, [r.game_id for r in game_rows], notes, "game_rim", ys["game_rim"])
-    return _fit_outcomes(design, ys, small_sample=small_sample, dof_mode=dof_mode)
+    return _fit_outcomes(design, ys)
 
 
 def ref_team_residual_effects(
@@ -554,8 +516,6 @@ def ref_team_residual_effects(
     target_pairs: Sequence[tuple[str, str]],
     *,
     min_pair_games: int = 5,
-    small_sample: str = "cr1",
-    dof_mode: str = "residual",
 ) -> dict[str, FitResult]:
     """Directly estimated (referee, team) effects with additive controls.
 
@@ -589,4 +549,4 @@ def ref_team_residual_effects(
     for ref, tm in kept_targets:
         blocks.append(_column((referee == ref) & (team == tm), f"pair_{ref}|{tm}"))
     design = _design(blocks, [r.game_id for r in rows], notes, "team_rim", ys["team_rim"])
-    return _fit_outcomes(design, ys, small_sample=small_sample, dof_mode=dof_mode)
+    return _fit_outcomes(design, ys)

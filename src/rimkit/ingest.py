@@ -90,7 +90,6 @@ class GameHeader:
     season_type: str
     home_team: str
     away_team: str
-    date: str | None = None
     series_state: tuple[int, int] | None = None
 
 
@@ -101,9 +100,22 @@ def _load_json(data: bytes, what: str) -> dict:
         raise ParseError(f"{what}: not valid UTF-8", offset=e.start) from e
     except json.JSONDecodeError as e:
         raise ParseError(f"{what}: {e.msg}", offset=e.pos) from e
+    except RecursionError as e:
+        raise ParseError(f"{what}: nested too deeply") from e
+    except ValueError as e:  # the only other: the digit limit on integer literals
+        raise ParseError(f"{what}: integer over {sys.get_int_max_str_digits()} digits") from e
     if not isinstance(doc, dict):
         raise ParseError(f"{what}: top-level value must be an object", offset=0)
     return doc
+
+
+def _lone_surrogate(doc) -> bool:
+    """Whether a string in ``doc`` holds a lone surrogate, which the dataset decoder refuses."""
+    try:
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
 def _require(doc: Mapping, key: str, what: str):
@@ -148,13 +160,9 @@ def parse_game_summary(
     sequence — raises :class:`ParseError` and yields no partial game.
     """
     doc = _load_json(data, "summary")
-    # Only a \u escape can spell a lone surrogate. Such a string is not
-    # Unicode, and the dataset decoder would refuse the game line it reached.
-    if b"\\u" in data:
-        try:
-            json.dumps(doc, ensure_ascii=False).encode("utf-8")
-        except UnicodeEncodeError as e:
-            raise ParseError("summary: a \\u escape spells a lone surrogate") from e
+    # Only a \u escape can spell a lone surrogate.
+    if b"\\u" in data and _lone_surrogate(doc):
+        raise ParseError("summary: a \\u escape spells a lone surrogate")
     series = doc.get("series")
     series_state: tuple[int, int] | None = None
     if series is not None:
@@ -170,7 +178,6 @@ def parse_game_summary(
         season_type=str(_require(doc, "season_type", "summary")),
         home_team=str(_require(doc, "home_team", "summary")),
         away_team=str(_require(doc, "away_team", "summary")),
-        date=str(doc["date"]) if doc.get("date") is not None else None,
         series_state=series_state,
     )
     officials = doc.get("officials") or []
@@ -222,7 +229,7 @@ def parse_wp_feed(data: bytes) -> tuple[list[RawWpSample], float | None, int]:
     if pregame_raw is not None:
         try:
             pregame = float(pregame_raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pregame = None
         if pregame is not None and not 0.0 <= pregame <= 1.0:
             pregame = None
@@ -234,7 +241,7 @@ def parse_wp_feed(data: bytes) -> tuple[list[RawWpSample], float | None, int]:
         play_id = str(_require(item, "play_id", f"wp.items[{i}]"))
         try:
             wp = float(item["home_wp"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             dropped += 1
             continue
         if not 0.0 <= wp <= 1.0 or wp != wp:  # NaN guard
@@ -507,6 +514,12 @@ def game_from_dict(d: Mapping) -> GameRecord:
     )
 
 
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r:.40}")
+    return value
+
+
 @dataclass(frozen=True)
 class PartitionInfo:
     path: str
@@ -540,7 +553,7 @@ class DatasetManifest:
         return cls(
             schema_version=int(d["schema_version"]),
             partitions=tuple(
-                PartitionInfo(path=p["path"], games=int(p["games"]), sha256=p["sha256"])
+                PartitionInfo(_string(p["path"]), int(p["games"]), _string(p["sha256"]))
                 for p in d["partitions"]
             ),
             quarantine={k: int(v) for k, v in d.get("quarantine", {}).items()},
@@ -548,14 +561,20 @@ class DatasetManifest:
 
 
 def _serialize_game_line(g: GameRecord) -> bytes:
-    # The dataset decoder reads standard JSON only, so a NaN or an infinity
-    # is refused here rather than written as a line no load could read.
+    # A line the dataset decoder would refuse or read back changed is refused
+    # here: a NaN or an infinity (not standard JSON), a lone surrogate, and an
+    # integer beyond 64 bits (read back as a float).
+    d = game_to_dict(g)
     try:
-        text = json.dumps(
-            game_to_dict(g), sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
+        text = json.dumps(d, sort_keys=True, separators=(",", ":"), allow_nan=False)
     except ValueError as e:
         raise DatasetError(f"game {g.game_id!r}: {e}") from e
+    # json escapes every surrogate, paired or lone, as \udXXX.
+    if "\\ud" in text and _lone_surrogate(d):
+        raise DatasetError(f"game {g.game_id!r}: a string holds a lone surrogate")
+    ints = [v for e in (*g.events, g.series_state or ()) for v in e if type(v) is int]
+    if ints and not (-_INT64_LIMIT <= min(ints) and max(ints) < _INT64_LIMIT):
+        raise DatasetError(f"game {g.game_id!r}: an integer beyond 64 bits")
     return (text + "\n").encode("utf-8")
 
 
@@ -639,7 +658,7 @@ def read_manifest(root: Path) -> DatasetManifest:
         raise DatasetError(f"no manifest at {path}")
     try:
         return DatasetManifest.from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, RecursionError) as e:
         raise DatasetError(f"manifest unreadable: {e}") from e
 
 

@@ -173,7 +173,6 @@ class OutlierTables:
     top_rim: list[RefTeamCell]
     top_disparity: list[RefTeamCell]
     excess_correlation: float | None
-    min_pair_games: int
     flags: tuple[str, ...]
 
 
@@ -224,6 +223,5 @@ def outlier_tables(
         top_rim=top(lambda c: c.rim.excess),
         top_disparity=top(lambda c: c.disparity.excess),
         excess_correlation=corr,
-        min_pair_games=min_pair_games,
         flags=tuple(flags),
     )

@@ -354,7 +354,7 @@ def test_c4b_injected_pair_ranks_first():
 # ---------------------------------------------------------------------------
 
 
-def _brute_force_sandwich(X, e, clusters, small_sample):
+def _brute_force_sandwich(X, e, clusters):
     n, k = X.shape
     bread = np.linalg.inv(X.T @ X)
     meat = np.zeros((k, k))
@@ -364,10 +364,8 @@ def _brute_force_sandwich(X, e, clusters, small_sample):
             if clusters[i] == g:
                 s = s + X[i] * e[i]
         meat = meat + np.outer(s, s)
-    V = bread @ meat @ bread
-    if small_sample == "cr1":
-        G = len(set(clusters))
-        V = V * (G / (G - 1.0)) * ((n - 1.0) / (n - k))
+    G = len(set(clusters))
+    V = bread @ meat @ bread * (G / (G - 1.0)) * ((n - 1.0) / (n - k))
     return (V + V.T) / 2.0
 
 
@@ -393,10 +391,9 @@ def test_c5_estimation_matches_extended_precision_and_brute_force():
         y = X @ rng.normal(size=k) + rng.normal(size=n)
         beta, resid, _, _ = fit_ols(X, y)
         clusters = [f"g{int(v):03d}" for v in rng.integers(0, max(3, n // 6), size=n)]
-        for mode in ("cr0", "cr1"):
-            V = cluster_covariance(X, resid, clusters, small_sample=mode)
-            R = _brute_force_sandwich(X, resid, clusters, mode)
-            worst_v = max(worst_v, float(np.max(np.abs(V - R))))
+        V = cluster_covariance(X, resid, clusters)
+        R = _brute_force_sandwich(X, resid, clusters)
+        worst_v = max(worst_v, float(np.max(np.abs(V - R))))
     assert worst_v < 1e-12
 
     # With every row its own cluster the result must equal the plain
@@ -405,7 +402,7 @@ def test_c5_estimation_matches_extended_precision_and_brute_force():
     X = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
     y = X @ np.array([0.5, -1.0, 2.0]) + rng.normal(size=n)
     beta, resid, _, _ = fit_ols(X, y)
-    V = cluster_covariance(X, resid, np.arange(n), small_sample="cr1")
+    V = cluster_covariance(X, resid, np.arange(n))
     scores = X * resid[:, None]
     bread = np.linalg.inv(X.T @ X)
     hc0 = bread @ (scores.T @ scores) @ bread

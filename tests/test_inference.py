@@ -173,7 +173,7 @@ def test_fit_ols_rejects_bad_inputs(rng):
 # ---------------------------------------------------------------------------
 
 
-def brute_force_sandwich(X, e, clusters, small_sample):
+def brute_force_sandwich(X, e, clusters):
     bread = np.linalg.inv(X.T @ X)
     labels = sorted(set(clusters))
     k = X.shape[1]
@@ -182,10 +182,8 @@ def brute_force_sandwich(X, e, clusters, small_sample):
         idx = [i for i, c in enumerate(clusters) if c == g]
         s = X[idx].T @ e[idx]
         meat += np.outer(s, s)
-    V = bread @ meat @ bread
-    if small_sample == "cr1":
-        G, n = len(labels), X.shape[0]
-        V = V * (G / (G - 1.0)) * ((n - 1.0) / (n - k))
+    G, n = len(labels), X.shape[0]
+    V = bread @ meat @ bread * (G / (G - 1.0)) * ((n - 1.0) / (n - k))
     return (V + V.T) / 2.0
 
 
@@ -194,11 +192,10 @@ def test_cluster_covariance_matches_bruteforce(rng):
     X = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
     e = rng.normal(size=n)
     clusters = list(rng.choice([f"g{i}" for i in range(8)], size=n))
-    for ss in ("cr0", "cr1"):
-        V = cluster_covariance(X, e, clusters, small_sample=ss)
-        ref = brute_force_sandwich(X, e, np.array(clusters), ss)
-        assert np.abs(V - ref).max() < 1e-12
-        assert np.array_equal(V, V.T)
+    V = cluster_covariance(X, e, clusters)
+    ref = brute_force_sandwich(X, e, np.array(clusters))
+    assert np.abs(V - ref).max() < 1e-12
+    assert np.array_equal(V, V.T)
 
 
 def test_cluster_covariance_hand_value():
@@ -207,10 +204,7 @@ def test_cluster_covariance_hand_value():
     # with G=2, n=4, k=1 is (2/1)*(3/3) = 2.
     X = np.ones((4, 1))
     e = np.array([1.0, 2.0, -1.0, 3.0])
-    clusters = ["a", "a", "b", "b"]
-    V0 = cluster_covariance(X, e, clusters, small_sample="cr0")
-    V1 = cluster_covariance(X, e, clusters, small_sample="cr1")
-    assert V0[0, 0] == 13.0 / 16.0
+    V1 = cluster_covariance(X, e, ["a", "a", "b", "b"])
     assert V1[0, 0] == 13.0 / 8.0
 
 
@@ -218,7 +212,7 @@ def test_singleton_clusters_equal_hc0_times_cr1_exactly(rng):
     n, k = 37, 3
     X = rng.normal(size=(n, k))
     e = rng.normal(size=n)
-    V = cluster_covariance(X, e, np.arange(n), small_sample="cr1")
+    V = cluster_covariance(X, e, np.arange(n))
     scores = X * e[:, None]
     bread = np.linalg.inv(X.T @ X)
     hc0 = bread @ (scores.T @ scores) @ bread
@@ -236,8 +230,6 @@ def test_cluster_covariance_rejects_degenerate_inputs(rng):
         cluster_covariance(X[:3], e[:3], ["a", "b", "c"])  # n <= k
     with pytest.raises(FitError):
         cluster_covariance(X, e[:-1], list(range(10)))
-    with pytest.raises(ValueError):
-        cluster_covariance(X, e, list(range(10)), small_sample="hc2")
 
 
 # ---------------------------------------------------------------------------
@@ -412,28 +404,23 @@ def test_build_design_estimates_invariant_to_row_order(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_fit_clustered_dof_modes_and_interval_math(rng):
+def test_fit_clustered_residual_dof_and_interval_math(rng):
     rows = simulate_team_side_rows(rng, n_games=200, n_teams=8)
     design = team_design(rows, [TeamSideTarget("T02", "home")])
-    res = fit_clustered(design, dof_mode="residual")
-    clu = fit_clustered(design, dof_mode="cluster")
+    res = fit_clustered(design)
     n, k = design.matrix.shape
     assert res.n_rows == n == 400
     assert res.n_clusters == 200
     assert res.dof == n - k
-    assert clu.dof == 199
-    for fit in (res, clu):
-        tcrit = student_t_quantile(0.975, float(fit.dof))
-        assert fit.ci_lower == pytest.approx(fit.estimates - tcrit * fit.se)
-        assert fit.ci_upper == pytest.approx(fit.estimates + tcrit * fit.se)
-        for i, term in enumerate(fit.terms):
-            if fit.se[i] > 0:
-                assert fit.t_stats[i] == pytest.approx(
-                    fit.estimates[i] / fit.se[i]
-                )
-                assert fit.rho[i] == pytest.approx(
-                    robustness_rho(float(fit.t_stats[i]), float(fit.dof))
-                )
+    tcrit = student_t_quantile(0.975, float(res.dof))
+    assert res.ci_lower == pytest.approx(res.estimates - tcrit * res.se)
+    assert res.ci_upper == pytest.approx(res.estimates + tcrit * res.se)
+    for i, term in enumerate(res.terms):
+        if res.se[i] > 0:
+            assert res.t_stats[i] == pytest.approx(res.estimates[i] / res.se[i])
+            assert res.rho[i] == pytest.approx(
+                robustness_rho(float(res.t_stats[i]), float(res.dof))
+            )
     summary = res.coef("T02:home[indicator]")
     assert summary.term == "T02:home[indicator]"
     assert summary.estimate == pytest.approx(float(res.estimates[-1]))
@@ -474,13 +461,6 @@ def test_fit_clustered_handles_zero_se():
     zfit = fit_clustered(zero)
     assert zfit.t_stats[0] == 0.0
     assert zfit.rho[0] == 0.0
-
-
-def test_fit_clustered_validates_options(rng):
-    rows = simulate_team_side_rows(rng, n_games=30, n_teams=4)
-    design = team_design(rows)
-    with pytest.raises(ValueError):
-        fit_clustered(design, dof_mode="jackknife")
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +539,7 @@ def oracle_fit(X, names, y, clusters):
     Xk = X[:, kept]
     q, r = np.linalg.qr(Xk)
     beta = np.linalg.solve(r, q.T @ y)
-    V = brute_force_sandwich(Xk, y - Xk @ beta, np.asarray(clusters), "cr1")
+    V = brute_force_sandwich(Xk, y - Xk @ beta, np.asarray(clusters))
     return [names[j] for j in kept], beta, V
 
 

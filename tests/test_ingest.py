@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_event, make_game, play, random_games, summary_doc, wp_doc
 from rimkit.ingest import (
@@ -170,6 +174,18 @@ def test_parse_summary_not_utf8():
         parse_game_summary(b"\xff\xfe{}")
 
 
+@pytest.mark.parametrize("parse", [parse_game_summary, parse_wp_feed])
+def test_parse_too_deeply_nested_document_is_a_parse_error(parse):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse(b"[" * 200_000)
+
+
+@pytest.mark.parametrize("parse", [parse_game_summary, parse_wp_feed])
+def test_parse_integer_past_the_digit_limit_is_a_parse_error(parse):
+    with pytest.raises(ParseError, match="integer over [0-9]+ digits"):
+        parse(b'{"game_id": ' + b"1" * 5000 + b"}")
+
+
 # ---------------------------------------------------------------------------
 # parse_wp_feed
 # ---------------------------------------------------------------------------
@@ -199,6 +215,14 @@ def test_parse_wp_feed_invalid_pregame_becomes_none():
     )
     assert pregame is None
     assert len(samples) == 1 and dropped == 0
+
+
+def test_parse_wp_feed_integer_beyond_float_range_is_dropped():
+    huge = 10**400
+    items = [{"play_id": "p1", "home_wp": huge}, {"play_id": "p2", "home_wp": 0.5}]
+    samples, pregame, dropped = parse_wp_feed(dumps({"pregame": huge, "items": items}))
+    assert pregame is None
+    assert [s.play_id for s in samples] == ["p2"] and dropped == 1
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +492,24 @@ def test_write_dataset_refuses_a_non_finite_number(tmp_path, bad):
     assert [g.game_id for g in load_dataset(root)[0]] == ["ok"]
 
 
+@pytest.mark.parametrize(
+    "game",
+    [
+        make_game([make_event(0.5, 0.6, description="\ud800")], game_id="g-bad"),
+        make_game(crew=("\udfff Chen",), game_id="g-bad"),
+        make_game([make_event(0.5, 0.6, period=2**63)], game_id="g-bad"),
+        make_game([make_event(0.5, 0.6, clock=10**20)], game_id="g-bad"),
+        make_game(series_state=(0, -(2**63) - 1), game_id="g-bad"),
+    ],
+    ids=["surrogate-description", "surrogate-crew", "int-64-bits", "int-clock", "int-negative"],
+)
+def test_write_dataset_refuses_a_value_the_loader_would_not_read_back(tmp_path, game):
+    root = tmp_path / "ds"
+    with pytest.raises(DatasetError, match="game 'g-bad'"):
+        write_dataset([make_game([make_event(0.5, 0.6)], game_id="ok"), game], root)
+    assert not (root / "manifest.json").exists()
+
+
 def test_write_dataset_rejects_duplicate_ids(tmp_path):
     games = [make_game([], game_id="x"), make_game([], game_id="x")]
     with pytest.raises(DatasetError, match="duplicate"):
@@ -507,6 +549,17 @@ def test_load_dataset_detects_corruption(tmp_path, rng):
         load_dataset(root, verify=True)
 
 
+def test_load_dataset_refuses_a_partition_path_that_is_not_a_string(tmp_path, rng):
+    root = tmp_path / "ds"
+    write_dataset(random_games(rng, 3), root)
+    manifest_path = root / "manifest.json"
+    doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+    doc["partitions"][0]["path"] = 7
+    manifest_path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DatasetError, match="manifest unreadable"):
+        load_dataset(root)
+
+
 def test_load_dataset_missing_manifest(tmp_path):
     with pytest.raises(DatasetError, match="manifest"):
         load_dataset(tmp_path / "nope")
@@ -531,3 +584,120 @@ def test_load_dataset_refuses_a_partition_outside_the_root(tmp_path, rng):
     manifest_path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DatasetError, match="leaves the dataset root"):
         load_dataset(root)
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: raw input raises only the ingest errors
+# ---------------------------------------------------------------------------
+
+# Lone surrogates included: json.dumps escapes them, as a feed may.
+_texts = st.text(st.characters(exclude_categories=()), max_size=8)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**63, -(2**63) - 1, 10**400]),
+    st.floats(),
+    _texts,
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_texts, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _either(valid):
+    return st.one_of(valid, _values)
+
+
+_plays = st.lists(
+    _either(
+        st.fixed_dictionaries(
+            {
+                "id": _either(st.just("p")),
+                "sequence": _either(st.integers(0, 3)),
+                "period": _either(st.integers(1, 5)),
+                "clock_seconds": _either(st.floats(0, 720)),
+            },
+            optional={"foul": _values, "team": _values, "text": _values},
+        )
+    ),
+    max_size=3,
+)
+_summaries = st.fixed_dictionaries(
+    {k: _either(st.just(v)) for k, v in summary_doc().items() if k != "plays"}
+    | {"plays": _either(_plays)},
+    optional={
+        "series": _either(
+            st.fixed_dictionaries({"home_wins": _values, "away_wins": _values})
+        )
+    },
+)
+_wp_feeds = st.fixed_dictionaries(
+    {
+        "items": _either(
+            st.lists(
+                _either(st.fixed_dictionaries({"play_id": _values, "home_wp": _values})),
+                max_size=3,
+            )
+        )
+    },
+    optional={"pregame": _values},
+)
+_partitions = st.fixed_dictionaries(
+    {"path": _values, "games": _values, "sha256": _values}
+)
+_manifests = st.fixed_dictionaries(
+    {
+        "schema_version": _either(st.just(1)),
+        "partitions": _either(st.lists(_either(_partitions), max_size=2)),
+    },
+    optional={"quarantine": _either(st.dictionaries(_texts, _values, max_size=2))},
+)
+
+
+def _documents(structured):
+    """JSON text of a structured or arbitrary value, or arbitrary bytes."""
+    return st.one_of(
+        st.one_of(structured, _values).map(lambda d: json.dumps(d).encode("utf-8")),
+        st.binary(max_size=40),
+    )
+
+
+_FUZZ = settings(
+    max_examples=150, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@_FUZZ
+@given(_documents(_summaries))
+def test_fuzz_parse_game_summary_raises_only_parse_errors(data):
+    try:
+        parse_game_summary(data)
+    except ParseError:
+        pass
+
+
+@_FUZZ
+@given(_documents(_wp_feeds))
+def test_fuzz_parse_wp_feed_raises_only_parse_errors(data):
+    try:
+        parse_wp_feed(data)
+    except ParseError:
+        pass
+
+
+@_FUZZ
+@given(_documents(_manifests))
+@example(b'{"schema_version": 1, "partitions": [], "quarantine": null}')
+@example(b'{"schema_version": Infinity, "partitions": []}')
+@example(b"[" * 200_000)
+def test_fuzz_read_manifest_raises_only_dataset_errors(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "manifest.json").write_bytes(data)
+        try:
+            read_manifest(Path(tmp))
+        except DatasetError:
+            pass
