@@ -39,7 +39,6 @@ from .ingest import (
     IngestError,
     ParseError,
     align_foul_wp,
-    build_game,
     ingest_directory,
     load_dataset,
     parse_game_summary,
@@ -98,7 +97,6 @@ __all__ = [
     "IngestError",
     "ParseError",
     "align_foul_wp",
-    "build_game",
     "ingest_directory",
     "load_dataset",
     "parse_game_summary",

@@ -301,17 +301,10 @@ class ScatterSeries:
     correlation: float | None
 
 
-@dataclass(frozen=True)
-class ComponentChecks:
-    calls_vs_swing: ScatterSeries
-    rim_vs_disparity: ScatterSeries
+def component_check_tables(summaries: Sequence[RefSeasonSummary]) -> ScatterSeries:
+    """Cross-referee association of calls per game with swing per call.
 
-
-def component_check_tables(summaries: Sequence[RefSeasonSummary]) -> ComponentChecks:
-    """Cross-referee association between the metric's components.
-
-    Calls per game vs swing per call (referees whose every game had zero
-    calls are skipped), and mean RIM vs mean absolute disparity. Run it on
+    Referees whose every game had zero calls are skipped. Run it on
     filtered and unfiltered summary sets to see the threshold's effect.
     """
     cvs = [
@@ -319,14 +312,7 @@ def component_check_tables(summaries: Sequence[RefSeasonSummary]) -> ComponentCh
         for s in summaries
         if s.mean_swing_per_call is not None
     ]
-    rvd = [(s.referee, s.mean_rim, s.mean_abs_disparity) for s in summaries]
-    return ComponentChecks(
-        calls_vs_swing=ScatterSeries(
-            points=cvs,
-            correlation=pearson([p[1] for p in cvs], [p[2] for p in cvs]),
-        ),
-        rim_vs_disparity=ScatterSeries(
-            points=rvd,
-            correlation=pearson([p[1] for p in rvd], [p[2] for p in rvd]),
-        ),
+    return ScatterSeries(
+        points=cvs,
+        correlation=pearson([p[1] for p in cvs], [p[2] for p in cvs]),
     )

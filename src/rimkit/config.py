@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .ingest import MANIFEST_NAME, read_manifest
+from .ingest import DEFAULT_START_PRIOR, MANIFEST_NAME, read_manifest
 
 ENV_CONFIG = "RIMKIT_CONFIG"
 RUN_ECHO_NAME = "run.json"
@@ -43,7 +43,7 @@ class RunConfig:
     team_side_k: int = 3
     target_form: str = "indicator"
     seed: int = 0
-    start_prior: float = 0.5
+    start_prior: float = DEFAULT_START_PRIOR
 
     def validate(self) -> None:
         if self.season_type is not None and self.season_type not in _SEASON_TYPES:

@@ -392,7 +392,7 @@ def _postseason(s: _Slice) -> _Slice:
 
 
 def _calls_vs_swing(summaries, notes):
-    series = component_check_tables(summaries).calls_vs_swing
+    series = component_check_tables(summaries)
     rows = [(name, x, _pct(y), series.correlation) for name, x, y in series.points]
     return rows, notes
 

@@ -21,7 +21,7 @@ import math
 import shutil
 import sys
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import orjson
@@ -69,28 +69,11 @@ class DatasetError(IngestError):
 @dataclass(frozen=True, slots=True)
 class RawPlay:
     play_id: str
-    sequence: int
     period: int
     clock_seconds_remaining: float
     description: str
     is_foul: bool
     charged_team: str | None
-
-
-@dataclass(frozen=True, slots=True)
-class RawWpSample:
-    play_id: str
-    home_wp: float
-
-
-@dataclass(frozen=True, slots=True)
-class GameHeader:
-    game_id: str
-    season: str
-    season_type: str
-    home_team: str
-    away_team: str
-    series_state: tuple[int, int] | None = None
 
 
 def _load_json(data: bytes, what: str) -> dict:
@@ -152,12 +135,14 @@ def _number(doc: Mapping, key: str, what: str, kind: type[int] | type[float]):
 
 def parse_game_summary(
     data: bytes, aliases: Mapping[str, str] | None = None
-) -> tuple[GameHeader, tuple[str, ...], list[RawPlay]]:
-    """Parse one game summary document into (header, crew, plays).
+) -> tuple[GameRecord, list[RawPlay]]:
+    """Parse one game summary document into (game, plays).
 
-    The crew may come back empty (callers flag such games); any structural
-    problem — bad JSON, missing or non-numeric fields, non-increasing play
-    sequence — raises :class:`ParseError` and yields no partial game.
+    ``game`` holds the summary's identity, crew and series state, with no
+    events yet; alignment supplies them. The crew may come back empty
+    (callers flag such games); any structural problem — bad JSON, missing
+    or non-numeric fields, non-increasing play sequence — raises
+    :class:`ParseError` and yields no partial game.
     """
     doc = _load_json(data, "summary")
     # Only a \u escape can spell a lone surrogate.
@@ -172,14 +157,11 @@ def parse_game_summary(
             _number(series, "home_wins", "summary.series", int),
             _number(series, "away_wins", "summary.series", int),
         )
-    header = GameHeader(
-        game_id=str(_require(doc, "game_id", "summary")),
-        season=str(_require(doc, "season", "summary")),
-        season_type=str(_require(doc, "season_type", "summary")),
-        home_team=str(_require(doc, "home_team", "summary")),
-        away_team=str(_require(doc, "away_team", "summary")),
-        series_state=series_state,
-    )
+    game_id = str(_require(doc, "game_id", "summary"))
+    season = str(_require(doc, "season", "summary"))
+    season_type = str(_require(doc, "season_type", "summary"))
+    home_team = str(_require(doc, "home_team", "summary"))
+    away_team = str(_require(doc, "away_team", "summary"))
     officials = doc.get("officials") or []
     if not isinstance(officials, list):
         raise ParseError("summary: 'officials' must be a list")
@@ -202,7 +184,6 @@ def parse_game_summary(
         plays.append(
             RawPlay(
                 play_id=str(_require(p, "id", what)),
-                sequence=seq,
                 period=_number(p, "period", what, int),
                 clock_seconds_remaining=_number(p, "clock_seconds", what, float),
                 description=str(p.get("text", "")),
@@ -210,15 +191,26 @@ def parse_game_summary(
                 charged_team=str(team) if team is not None else None,
             )
         )
-    return header, crew, plays
+    game = GameRecord(
+        game_id=game_id,
+        season=season,
+        season_type=season_type,
+        home_team=home_team,
+        away_team=away_team,
+        crew=crew,
+        events=(),
+        series_state=series_state,
+    )
+    return game, plays
 
 
-def parse_wp_feed(data: bytes) -> tuple[list[RawWpSample], float | None, int]:
-    """Parse a win-probability feed into (samples, pregame prior, dropped).
+def parse_wp_feed(data: bytes) -> tuple[dict[str, float], float | None, int]:
+    """Parse a win-probability feed into (home wp by play id, pregame prior, dropped).
 
     Samples with a missing/absent probability or one outside [0, 1] are
     dropped and counted rather than propagated; the alignment step treats
-    a foul whose samples were dropped the same as one never sampled.
+    a foul whose samples were dropped the same as one never sampled. A play
+    id sampled more than once keeps its last usable value.
     """
     doc = _load_json(data, "wp")
     items = doc.get("items", [])
@@ -233,7 +225,7 @@ def parse_wp_feed(data: bytes) -> tuple[list[RawWpSample], float | None, int]:
             pregame = None
         if pregame is not None and not 0.0 <= pregame <= 1.0:
             pregame = None
-    samples: list[RawWpSample] = []
+    wp_by_play: dict[str, float] = {}
     dropped = 0
     for i, item in enumerate(items):
         if not isinstance(item, Mapping):
@@ -247,8 +239,8 @@ def parse_wp_feed(data: bytes) -> tuple[list[RawWpSample], float | None, int]:
         if not 0.0 <= wp <= 1.0 or wp != wp:  # NaN guard
             dropped += 1
             continue
-        samples.append(RawWpSample(play_id=play_id, home_wp=wp))
-    return samples, pregame, dropped
+        wp_by_play[play_id] = wp
+    return wp_by_play, pregame, dropped
 
 
 # ---------------------------------------------------------------------------
@@ -262,29 +254,20 @@ class QuarantinedFoul:
     reason: str
 
 
-@dataclass(frozen=True)
-class AlignResult:
-    events: tuple[FoulEvent, ...]
-    quarantined: tuple[QuarantinedFoul, ...]
-    used_start_prior: bool
-
-
 def align_foul_wp(
     plays: Sequence[RawPlay],
-    samples: Sequence[RawWpSample],
+    wp_by_play: Mapping[str, float],
     *,
-    start_prior: float = DEFAULT_START_PRIOR,
-) -> AlignResult:
+    start_prior: float,
+) -> tuple[tuple[FoulEvent, ...], tuple[QuarantinedFoul, ...]]:
     """Attach pre/post win-probability samples to each foul play.
 
-    The pre value is the last sampled play strictly before the foul (the
-    start prior when none exists); the post value is the foul's own sample,
-    falling back to the nearest later sampled play. A foul with no usable
-    post sample is quarantined with a reason code — alignment never guesses
-    forward and never reorders plays.
+    Returns (events, quarantined fouls). The pre value is the last sampled
+    play strictly before the foul (the start prior when none exists); the
+    post value is the foul's own sample, falling back to the nearest later
+    sampled play. A foul with no usable post sample is quarantined with a
+    reason code — alignment never guesses forward and never reorders plays.
     """
-    wp_by_play: dict[str, float] = {s.play_id: s.home_wp for s in samples}
-
     # Nearest later sampled value for each position, one reverse sweep.
     n = len(plays)
     next_value: list[float | None] = [None] * n
@@ -297,7 +280,6 @@ def align_foul_wp(
 
     events: list[FoulEvent] = []
     quarantined: list[QuarantinedFoul] = []
-    used_prior = False
     last_before: float | None = None
     for i, play in enumerate(plays):
         own = wp_by_play.get(play.play_id)
@@ -306,7 +288,6 @@ def align_foul_wp(
                 pre = last_before
             else:
                 pre = start_prior
-                used_prior = True
             post = own if own is not None else next_value[i]
             if post is None:
                 quarantined.append(
@@ -326,11 +307,7 @@ def align_foul_wp(
                 )
         if own is not None:
             last_before = own
-    return AlignResult(
-        events=tuple(events),
-        quarantined=tuple(quarantined),
-        used_start_prior=used_prior,
-    )
+    return tuple(events), tuple(quarantined)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +327,6 @@ class IngestReport:
         default_factory=dict
     )
     dropped_samples: int = 0
-    start_prior_games: list[str] = field(default_factory=list)
     kept_games: int = 0
 
     def quarantine_counts(self) -> dict[str, int]:
@@ -365,35 +341,6 @@ class IngestReport:
         }
 
 
-def build_game(
-    header: GameHeader,
-    crew: tuple[str, ...],
-    plays: Sequence[RawPlay],
-    samples: Sequence[RawWpSample],
-    *,
-    start_prior: float = DEFAULT_START_PRIOR,
-    pregame: float | None = None,
-) -> tuple[GameRecord, AlignResult]:
-    """Assemble one GameRecord from parsed raw parts.
-
-    A feed-supplied pregame probability overrides the configured start
-    prior for fouls that precede every sample.
-    """
-    prior = pregame if pregame is not None else start_prior
-    aligned = align_foul_wp(plays, samples, start_prior=prior)
-    record = GameRecord(
-        game_id=header.game_id,
-        season=header.season,
-        season_type=header.season_type,
-        home_team=header.home_team,
-        away_team=header.away_team,
-        crew=crew,
-        events=aligned.events,
-        series_state=header.series_state,
-    )
-    return record, aligned
-
-
 def ingest_directory(
     raw_dir: Path,
     *,
@@ -405,7 +352,9 @@ def ingest_directory(
     Nothing here raises for data problems: malformed documents, invalid
     games, unalignable fouls, and missing crews all land in the report.
     Documents are read in sorted path order; a later document that repeats
-    an earlier one's ``game_id`` is quarantined as its duplicate.
+    an earlier one's ``game_id`` is quarantined as its duplicate. A
+    feed-supplied pregame probability overrides ``start_prior`` for fouls
+    that precede every sample.
     """
     raw_dir = Path(raw_dir)
     report = IngestReport()
@@ -415,40 +364,36 @@ def ingest_directory(
         report.documents_seen += 1
         rel = str(summary_path.relative_to(raw_dir))
         try:
-            header, crew, plays = parse_game_summary(
-                summary_path.read_bytes(), aliases
-            )
+            game, plays = parse_game_summary(summary_path.read_bytes(), aliases)
             wp_path = summary_path.with_name(
                 summary_path.name.replace(".summary.json", ".wp.json")
             )
             if wp_path.exists():
-                samples, pregame, dropped = parse_wp_feed(wp_path.read_bytes())
+                wp_by_play, pregame, dropped = parse_wp_feed(wp_path.read_bytes())
                 report.dropped_samples += dropped
             else:
-                samples, pregame = [], None
+                wp_by_play, pregame = {}, None
         except ParseError as e:
             report.document_errors.append((rel, str(e)))
             continue
-        first = first_document.setdefault(header.game_id, rel)
+        first = first_document.setdefault(game.game_id, rel)
         if first != rel:
             report.quarantined_games.append(
-                (header.game_id, (f"game_id: duplicate of {first}",))
+                (game.game_id, (f"game_id: duplicate of {first}",))
             )
             continue
-        record, aligned = build_game(
-            header, crew, plays, samples, start_prior=start_prior, pregame=pregame
-        )
-        if aligned.quarantined:
-            report.quarantined_fouls[record.game_id] = aligned.quarantined
-        if aligned.used_start_prior:
-            report.start_prior_games.append(record.game_id)
-        violations = validate_game(record)
+        prior = pregame if pregame is not None else start_prior
+        events, quarantined = align_foul_wp(plays, wp_by_play, start_prior=prior)
+        if quarantined:
+            report.quarantined_fouls[game.game_id] = quarantined
+        game = replace(game, events=events)
+        violations = validate_game(game)
         if violations and not is_no_crew_only(violations):
-            report.quarantined_games.append((record.game_id, tuple(violations)))
+            report.quarantined_games.append((game.game_id, tuple(violations)))
             continue
-        if not record.crew:
-            report.no_crew_games.append(record.game_id)
-        games.append(record)
+        if not game.crew:
+            report.no_crew_games.append(game.game_id)
+        games.append(game)
         report.kept_games += 1
     return games, report
 
@@ -562,12 +507,13 @@ class DatasetManifest:
 
 def _serialize_game_line(g: GameRecord) -> bytes:
     # A line the dataset decoder would refuse or read back changed is refused
-    # here: a NaN or an infinity (not standard JSON), a lone surrogate, and an
-    # integer beyond 64 bits (read back as a float).
+    # here: a NaN or an infinity (not standard JSON), a value json cannot
+    # encode (such as a numpy integer), a lone surrogate, and an integer
+    # beyond 64 bits (read back as a float).
     d = game_to_dict(g)
     try:
         text = json.dumps(d, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise DatasetError(f"game {g.game_id!r}: {e}") from e
     # json escapes every surrogate, paired or lone, as \udXXX.
     if "\\ud" in text and _lone_surrogate(d):
@@ -662,8 +608,8 @@ def read_manifest(root: Path) -> DatasetManifest:
         raise DatasetError(f"manifest unreadable: {e}") from e
 
 
-def load_dataset(root: Path, *, verify: bool = True) -> tuple[list[GameRecord], DatasetManifest]:
-    """Read every partition listed by the manifest, optionally verifying hashes."""
+def load_dataset(root: Path) -> tuple[list[GameRecord], DatasetManifest]:
+    """Read every partition listed by the manifest, verifying its hash first."""
     root = Path(root)
     manifest = read_manifest(root)
     if manifest.schema_version != SCHEMA_VERSION:
@@ -680,10 +626,8 @@ def load_dataset(root: Path, *, verify: bool = True) -> tuple[list[GameRecord], 
         if not path.exists():
             raise DatasetError(f"partition missing: {part.path}")
         data = path.read_bytes()
-        if verify:
-            actual = hashlib.sha256(data).hexdigest()
-            if actual != part.sha256:
-                raise DatasetError(f"partition hash mismatch: {part.path}")
+        if hashlib.sha256(data).hexdigest() != part.sha256:
+            raise DatasetError(f"partition hash mismatch: {part.path}")
         count = 0
         for line_no, line in enumerate(data.splitlines(), start=1):
             if not line.strip():

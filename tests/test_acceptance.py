@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import sys
 import time
 from decimal import Decimal, getcontext
 
@@ -651,11 +652,28 @@ def test_c9_gap_corpus_quarantine_ledger_exact(tmp_path):
         ),
         wp_doc([("p1", 0.5), ("p2", 1.7), ("p3", "oops"), ("p4", 0.6)]),
     )
+    # A summary nested too deeply to decode: unreadable.
+    (raw / "h-nested.summary.json").write_bytes(b"[" * 100_000 + b"]" * 100_000)
+    # A clean summary whose feed holds an integer past the digit limit: the
+    # whole document is unreadable, not just its feed.
+    put(
+        "i-longint",
+        summary_doc(game_id="2021-22-reg-90009", plays=[play("p1", 1, foul=True, team="HOU")]),
+    )
+    (raw / "i-longint.wp.json").write_bytes(b'{"items": [], "pregame": ' + b"7" * 5000 + b"}")
 
     games, report = ingest_directory(raw)
+    assert report.document_errors == [
+        ("b-truncated.summary.json", "summary: Unterminated string starting at (byte 12)"),
+        ("h-nested.summary.json", "summary: nested too deeply"),
+        (
+            "i-longint.summary.json",
+            f"wp: integer over {sys.get_int_max_str_digits()} digits",
+        ),
+    ]
     counts = report.quarantine_counts()
     assert counts == {
-        "document_errors": 1,
+        "document_errors": 3,
         "quarantined_games": 1,
         "no_crew_games": 1,
         "quarantined_fouls": 3,
@@ -676,7 +694,7 @@ def test_c9_gap_corpus_quarantine_ledger_exact(tmp_path):
     assert sorted(g.game_id for g in reloaded) == sorted(g.game_id for g in games)
     assert dict(manifest2.quarantine) == counts
     _ok(
-        "C9 gap corpus: PASS (ledger exact: 1 document error, 1 quarantined "
+        "C9 gap corpus: PASS (ledger exact: 3 document errors, 1 quarantined "
         "game, 1 crewless game, 3 quarantined fouls, 2 dropped samples; "
         "5 games kept and reloadable)"
     )

@@ -274,10 +274,9 @@ def test_series_state_summary_ignores_regular_season_rows():
 def test_component_check_tables_track_summary_fields(rng):
     games = random_games(rng, 60)
     summaries, _ = referee_distribution(games, 1)
-    checks = component_check_tables(summaries)
-    assert len(checks.calls_vs_swing.points) == len(
+    series = component_check_tables(summaries)
+    assert len(series.points) == len(
         [s for s in summaries if s.mean_swing_per_call is not None]
     )
-    assert len(checks.rim_vs_disparity.points) == len(summaries)
-    if len(summaries) >= 3:
-        assert checks.rim_vs_disparity.correlation is not None
+    if len(series.points) >= 3:
+        assert series.correlation is not None

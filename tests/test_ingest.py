@@ -6,6 +6,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -14,10 +15,9 @@ from conftest import make_event, make_game, play, random_games, summary_doc, wp_
 from rimkit.ingest import (
     DatasetError,
     ParseError,
+    QuarantinedFoul,
     RawPlay,
-    RawWpSample,
     align_foul_wp,
-    build_game,
     game_from_dict,
     game_to_dict,
     ingest_directory,
@@ -46,20 +46,21 @@ def test_parse_summary_roundtrip():
         ],
         series=None,
     )
-    header, crew, plays = parse_game_summary(dumps(doc))
-    assert header.game_id == "0022100001"
-    assert header.season == "2021-22"
-    assert header.home_team == "HOU"
-    assert crew == ("Tony Brothers", "Raisa Chen", "Pat Fraher")
+    game, plays = parse_game_summary(dumps(doc))
+    assert game.game_id == "0022100001"
+    assert game.season == "2021-22"
+    assert game.home_team == "HOU"
+    assert game.crew == ("Tony Brothers", "Raisa Chen", "Pat Fraher")
+    assert game.events == () and game.series_state is None
     assert len(plays) == 2
     assert plays[1].is_foul and plays[1].charged_team == "HOU"
     assert plays[0].charged_team is None
 
 
 def test_parse_summary_zero_plays_is_fine():
-    header, crew, plays = parse_game_summary(dumps(summary_doc(plays=[])))
+    game, plays = parse_game_summary(dumps(summary_doc(plays=[])))
     assert plays == []
-    assert header.game_id
+    assert game.game_id
 
 
 def test_parse_summary_truncated_document():
@@ -113,14 +114,11 @@ def test_parse_summary_accepts_numbers_that_convert_exactly():
     ]
     doc = summary_doc(season_type="postseason", series=(0, 0), plays=plays)
     doc["series"] = {"home_wins": "2", "away_wins": 1.0}
-    header, _, parsed = parse_game_summary(dumps(doc))
-    assert header.series_state == (2, 1)
-    assert [(p.sequence, p.period, p.clock_seconds_remaining) for p in parsed] == [
-        (2, 3, 600.0),
-        (3, 4, 12.0),
-    ]
+    game, parsed = parse_game_summary(dumps(doc))
+    assert game.series_state == (2, 1)
+    assert [(p.period, p.clock_seconds_remaining) for p in parsed] == [(3, 600.0), (4, 12.0)]
     for p in parsed:
-        assert type(p.sequence) is int and type(p.period) is int
+        assert type(p.period) is int
         assert type(p.clock_seconds_remaining) is float
 
 
@@ -137,7 +135,7 @@ def test_parse_summary_refuses_a_lone_surrogate_escape():
         parse_game_summary(dumps(doc))
     # A surrogate pair spells one character and is kept.
     doc = summary_doc(plays=[play("p1", 1, foul=True, team="HOU", text="\U0001F600 foul")])
-    _, _, plays = parse_game_summary(dumps(doc))
+    _, plays = parse_game_summary(dumps(doc))
     assert plays[0].description == "\U0001F600 foul"
 
 
@@ -157,16 +155,14 @@ def test_ingest_directory_ledgers_non_numeric_fields(tmp_path):
 
 
 def test_parse_summary_series_block():
-    header, _, _ = parse_game_summary(
-        dumps(summary_doc(season_type="postseason", series=(2, 1)))
-    )
-    assert header.series_state == (2, 1)
+    game, _ = parse_game_summary(dumps(summary_doc(season_type="postseason", series=(2, 1))))
+    assert game.series_state == (2, 1)
 
 
 def test_parse_summary_canonicalizes_officials():
     doc = summary_doc(officials=["TONY BROTHERS", "  raisa   chen "])
-    _, crew, _ = parse_game_summary(dumps(doc))
-    assert crew == ("Tony Brothers", "Raisa Chen")
+    game, _ = parse_game_summary(dumps(doc))
+    assert game.crew == ("Tony Brothers", "Raisa Chen")
 
 
 def test_parse_summary_not_utf8():
@@ -201,28 +197,31 @@ def test_parse_wp_feed_drops_bad_samples():
             {"play_id": "p4", "home_wp": "not-a-number"},
             {"play_id": "p5", "home_wp": float("nan")},
             {"play_id": "p6", "home_wp": 0.0},
+            {"play_id": "p1", "home_wp": 0.64},
+            {"play_id": "p6", "home_wp": "late-garbage"},
         ],
     }
-    samples, pregame, dropped = parse_wp_feed(dumps(doc))
-    assert [s.play_id for s in samples] == ["p1", "p6"]
+    wp_by_play, pregame, dropped = parse_wp_feed(dumps(doc))
+    # A repeated play id keeps its last usable value.
+    assert wp_by_play == {"p1": 0.64, "p6": 0.0}
     assert pregame == 0.58
-    assert dropped == 4
+    assert dropped == 5
 
 
 def test_parse_wp_feed_invalid_pregame_becomes_none():
-    samples, pregame, dropped = parse_wp_feed(
+    wp_by_play, pregame, dropped = parse_wp_feed(
         dumps({"pregame": 3.0, "items": [{"play_id": "p1", "home_wp": 0.5}]})
     )
     assert pregame is None
-    assert len(samples) == 1 and dropped == 0
+    assert wp_by_play == {"p1": 0.5} and dropped == 0
 
 
 def test_parse_wp_feed_integer_beyond_float_range_is_dropped():
     huge = 10**400
     items = [{"play_id": "p1", "home_wp": huge}, {"play_id": "p2", "home_wp": 0.5}]
-    samples, pregame, dropped = parse_wp_feed(dumps({"pregame": huge, "items": items}))
+    wp_by_play, pregame, dropped = parse_wp_feed(dumps({"pregame": huge, "items": items}))
     assert pregame is None
-    assert [s.play_id for s in samples] == ["p2"] and dropped == 1
+    assert wp_by_play == {"p2": 0.5} and dropped == 1
 
 
 # ---------------------------------------------------------------------------
@@ -232,89 +231,69 @@ def test_parse_wp_feed_integer_beyond_float_range_is_dropped():
 
 def _plays_fixture():
     return [
-        RawPlay("p1", 1, 1, 700.0, "", False, None),
-        RawPlay("p2", 2, 1, 650.0, "", True, "HOU"),
-        RawPlay("p3", 3, 1, 600.0, "", False, None),
-        RawPlay("p4", 4, 1, 550.0, "", True, "BOS"),
+        RawPlay("p1", 1, 700.0, "", False, None),
+        RawPlay("p2", 1, 650.0, "", True, "HOU"),
+        RawPlay("p3", 1, 600.0, "", False, None),
+        RawPlay("p4", 1, 550.0, "", True, "BOS"),
     ]
 
 
 def test_align_uses_own_sample_and_prior_sampled_play():
-    samples = [
-        RawWpSample("p1", 0.62),
-        RawWpSample("p2", 0.55),
-        RawWpSample("p3", 0.57),
-        RawWpSample("p4", 0.51),
-    ]
-    result = align_foul_wp(_plays_fixture(), samples)
-    assert not result.used_start_prior
-    assert len(result.events) == 2
-    first, second = result.events
+    wp_by_play = {"p1": 0.62, "p2": 0.55, "p3": 0.57, "p4": 0.51}
+    events, quarantined = align_foul_wp(_plays_fixture(), wp_by_play, start_prior=0.5)
+    assert quarantined == ()
+    assert len(events) == 2
+    first, second = events
     assert (first.pre_wp, first.post_wp) == (0.62, 0.55)
     assert (second.pre_wp, second.post_wp) == (0.57, 0.51)
-    assert [e.event_id for e in result.events] == [1, 2]
+    assert [e.event_id for e in events] == [1, 2]
 
 
 def test_align_first_foul_before_any_sample_uses_start_prior():
-    plays = [RawPlay("p1", 1, 1, 700.0, "", True, "HOU")]
-    samples = [RawWpSample("p1", 0.54)]
-    result = align_foul_wp(plays, samples, start_prior=0.5)
-    assert result.used_start_prior
-    assert result.events[0].pre_wp == 0.5
-    assert result.events[0].post_wp == 0.54
+    plays = [RawPlay("p1", 1, 700.0, "", True, "HOU")]
+    events, _ = align_foul_wp(plays, {"p1": 0.54}, start_prior=0.47)
+    assert events[0].pre_wp == 0.47
+    assert events[0].post_wp == 0.54
 
 
 def test_align_foul_without_own_sample_takes_next():
-    samples = [RawWpSample("p1", 0.62), RawWpSample("p3", 0.59)]
-    result = align_foul_wp(_plays_fixture(), samples)
+    events, quarantined = align_foul_wp(
+        _plays_fixture(), {"p1": 0.62, "p3": 0.59}, start_prior=0.5
+    )
     # First foul p2 has no sample; nearest later sampled play is p3.
-    assert result.events[0].pre_wp == 0.62
-    assert result.events[0].post_wp == 0.59
+    assert events[0].pre_wp == 0.62
+    assert events[0].post_wp == 0.59
     # Second foul p4 has nothing after it -> quarantined.
-    assert len(result.events) == 1
-    assert [q.play_id for q in result.quarantined] == ["p4"]
-    assert result.quarantined[0].reason == "no-post-sample"
+    assert len(events) == 1
+    assert [q.play_id for q in quarantined] == ["p4"]
+    assert quarantined[0].reason == "no-post-sample"
 
 
 def test_align_last_play_foul_without_sample_quarantined():
     plays = [
-        RawPlay("p1", 1, 1, 700.0, "", False, None),
-        RawPlay("p2", 2, 1, 650.0, "", True, "HOU"),
+        RawPlay("p1", 1, 700.0, "", False, None),
+        RawPlay("p2", 1, 650.0, "", True, "HOU"),
     ]
-    result = align_foul_wp(plays, [RawWpSample("p1", 0.6)])
-    assert result.events == ()
-    assert [q.play_id for q in result.quarantined] == ["p2"]
+    events, quarantined = align_foul_wp(plays, {"p1": 0.6}, start_prior=0.5)
+    assert events == ()
+    assert [q.play_id for q in quarantined] == ["p2"]
 
 
 def test_align_no_samples_at_all_quarantines_every_foul():
-    result = align_foul_wp(_plays_fixture(), [])
-    assert result.events == ()
-    assert [q.play_id for q in result.quarantined] == ["p2", "p4"]
+    events, quarantined = align_foul_wp(_plays_fixture(), {}, start_prior=0.5)
+    assert events == ()
+    assert [q.play_id for q in quarantined] == ["p2", "p4"]
 
 
 def test_align_never_reorders():
     plays = [
-        RawPlay("p1", 1, 1, 700.0, "", True, "HOU"),
-        RawPlay("p2", 2, 1, 650.0, "", True, "BOS"),
-        RawPlay("p3", 3, 1, 600.0, "", True, "HOU"),
+        RawPlay("p1", 1, 700.0, "", True, "HOU"),
+        RawPlay("p2", 1, 650.0, "", True, "BOS"),
+        RawPlay("p3", 1, 600.0, "", True, "HOU"),
     ]
-    samples = [RawWpSample(p, w) for p, w in [("p1", 0.5), ("p2", 0.6), ("p3", 0.4)]]
-    result = align_foul_wp(plays, samples)
-    assert [e.charged_team for e in result.events] == ["HOU", "BOS", "HOU"]
-    assert [e.event_id for e in result.events] == [1, 2, 3]
-
-
-def test_build_game_pregame_overrides_start_prior():
-    header, crew, plays = parse_game_summary(
-        dumps(summary_doc(plays=[play("p1", 1, foul=True, team="HOU")]))
-    )
-    samples, pregame, _ = parse_wp_feed(
-        dumps(wp_doc([("p1", 0.5)], pregame=0.61))
-    )
-    record, aligned = build_game(
-        header, crew, plays, samples, start_prior=0.5, pregame=pregame
-    )
-    assert record.events[0].pre_wp == 0.61
+    events, _ = align_foul_wp(plays, {"p1": 0.5, "p2": 0.6, "p3": 0.4}, start_prior=0.5)
+    assert [e.charged_team for e in events] == ["HOU", "BOS", "HOU"]
+    assert [e.event_id for e in events] == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +383,16 @@ def test_ingest_directory_ledgers_a_lone_surrogate_document(tmp_path):
     assert report.document_errors == [
         ("g-bad.summary.json", "summary: a \\u escape spells a lone surrogate")
     ]
+
+
+def test_ingest_directory_pregame_overrides_start_prior(tmp_path):
+    raw = tmp_path / "raw"
+    foul_first = [play("p1", 1, foul=True, team="HOU")]
+    pregame = wp_doc([("p1", 0.5)], pregame=0.61)
+    _write_raw_game(raw, summary_doc(game_id="g-pregame", plays=foul_first), pregame)
+    _write_raw_game(raw, summary_doc(game_id="g-prior", plays=foul_first), wp_doc([("p1", 0.5)]))
+    games, _ = ingest_directory(raw, start_prior=0.47)
+    assert {g.game_id: g.events[0].pre_wp for g in games} == {"g-pregame": 0.61, "g-prior": 0.47}
 
 
 def test_ingest_directory_missing_wp_feed_is_tolerated(tmp_path):
@@ -500,8 +489,12 @@ def test_write_dataset_refuses_a_non_finite_number(tmp_path, bad):
         make_game([make_event(0.5, 0.6, period=2**63)], game_id="g-bad"),
         make_game([make_event(0.5, 0.6, clock=10**20)], game_id="g-bad"),
         make_game(series_state=(0, -(2**63) - 1), game_id="g-bad"),
+        make_game([make_event(0.5, 0.6, period=np.int64(2))], game_id="g-bad"),
     ],
-    ids=["surrogate-description", "surrogate-crew", "int-64-bits", "int-clock", "int-negative"],
+    ids=[
+        "surrogate-description", "surrogate-crew", "int-64-bits", "int-clock", "int-negative",
+        "numpy-int",
+    ],
 )
 def test_write_dataset_refuses_a_value_the_loader_would_not_read_back(tmp_path, game):
     root = tmp_path / "ds"
@@ -544,9 +537,6 @@ def test_load_dataset_detects_corruption(tmp_path, rng):
     target.write_bytes(target.read_bytes().replace(b"regular", b"regulra", 1))
     with pytest.raises(DatasetError, match="hash mismatch"):
         load_dataset(root)
-    # Unverified load still parses whatever is there or errors on content.
-    with pytest.raises(DatasetError):
-        load_dataset(root, verify=True)
 
 
 def test_load_dataset_refuses_a_partition_path_that_is_not_a_string(tmp_path, rng):
@@ -638,7 +628,9 @@ _wp_feeds = st.fixed_dictionaries(
     {
         "items": _either(
             st.lists(
-                _either(st.fixed_dictionaries({"play_id": _values, "home_wp": _values})),
+                _either(
+                    st.fixed_dictionaries({"play_id": _either(st.just("p")), "home_wp": _values})
+                ),
                 max_size=3,
             )
         )
@@ -701,3 +693,77 @@ def test_fuzz_read_manifest_raises_only_dataset_errors(data):
             read_manifest(Path(tmp))
         except DatasetError:
             pass
+
+
+_play_ids = st.sampled_from(["p1", "p2", "p3"])
+_raw_plays = st.builds(
+    RawPlay,
+    play_id=_play_ids,
+    period=st.integers(1, 5),
+    clock_seconds_remaining=st.floats(0, 720),
+    description=st.sampled_from(["", "foul"]),
+    is_foul=st.booleans(),
+    charged_team=st.sampled_from([None, "HOU", "BOS"]),
+)
+
+
+@_FUZZ
+@given(
+    st.lists(_raw_plays, max_size=8),
+    st.dictionaries(st.sampled_from(["p1", "p2", "p3", "p9"]), st.floats(0, 1), max_size=4),
+    st.floats(0, 1),
+)
+def test_fuzz_align_foul_wp_accounts_for_every_foul(plays, wp_by_play, start_prior):
+    events, quarantined = align_foul_wp(plays, wp_by_play, start_prior=start_prior)
+    assert [e.event_id for e in events] == list(range(1, len(events) + 1))
+    samples = set(wp_by_play.values())
+    events_left, quarantined_left = iter(events), iter(quarantined)
+    for i, p in enumerate(plays):
+        if not p.is_foul:
+            continue
+        if any(later.play_id in wp_by_play for later in plays[i:]):
+            e = next(events_left)
+            assert (e.period, e.clock_seconds_remaining, e.charged_team, e.description) == (
+                p.period, p.clock_seconds_remaining, p.charged_team, p.description
+            )
+            assert e.pre_wp in samples | {start_prior} and e.post_wp in samples
+        else:
+            assert next(quarantined_left) == QuarantinedFoul(p.play_id, "no-post-sample")
+    assert next(events_left, None) is None and next(quarantined_left, None) is None
+
+
+# Well-formed feeds whose play ids meet, so that most examples reach alignment.
+_aligned_summaries = st.lists(
+    st.tuples(_play_ids, st.booleans(), st.sampled_from([None, "HOU", "BOS", "LAL"])), max_size=5
+).map(
+    lambda ps: dumps(
+        summary_doc(plays=[play(p, i + 1, foul=f, team=t) for i, (p, f, t) in enumerate(ps)])
+    )
+)
+_aligned_wp_feeds = st.lists(
+    st.tuples(_play_ids, st.floats(0, 1) | st.sampled_from([None, 1.5])), max_size=4
+).map(lambda items: dumps(wp_doc(items)))
+
+
+@_FUZZ
+@given(
+    st.tuples(_documents(_summaries), st.none() | _documents(_wp_feeds))
+    | st.tuples(_aligned_summaries, _aligned_wp_feeds)
+)
+def test_fuzz_ingest_directory_ledgers_one_document_and_stays_in_its_tree(documents):
+    summary, wp = documents
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        raw = tree / "raw"
+        raw.mkdir(parents=True)
+        (raw / "g.summary.json").write_bytes(summary)
+        if wp is not None:
+            (raw / "g.wp.json").write_bytes(wp)
+        games, report = ingest_directory(raw)
+        assert report.documents_seen == 1
+        assert len(report.document_errors) + len(report.quarantined_games) + len(games) == 1
+        assert report.kept_games == len(games)
+        root = tree / "ds"
+        write_dataset(games, root, quarantine=report.quarantine_counts())
+        assert load_dataset(root)[0] == games
+        assert list(Path(tmp).iterdir()) == [tree]
