@@ -3,7 +3,11 @@
 Raw documents are parsed defensively: a malformed document fails
 atomically with a byte offset and no partial game, while recoverable data
 problems (missing crew, unalignable fouls) become quarantine entries
-instead of exceptions.
+instead of exceptions. Both raw feeds are decoded with orjson behind a
+guard: a document orjson refuses, one with enough brackets to nest near
+json's recursion limit, and one holding a value orjson may have read
+differently (see :func:`_fast_decode`) are decoded again with json, whose
+result and error text are the reference.
 
 The canonical dataset is JSONL, one game per line, partitioned by
 ``<root>/<season>/<season_type>/games.jsonl`` with a manifest recording a
@@ -15,14 +19,17 @@ dataset behind.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
 import shutil
 import sys
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import orjson
 
@@ -44,6 +51,15 @@ REASON_NO_POST_SAMPLE = "no-post-sample"
 # The dataset decoder reads integers of 64 bits or fewer exactly.
 _INT64_LIMIT = 2**63
 
+# Bytes holding this many "[" and "{" could nest as deep as json's recursion
+# limit (1000 by default, less the caller's frames), so only json decodes
+# them. orjson 3.8.3 also crashes the process (its C stack overflows) on a
+# document nested about 150,000 deep; it decodes 100,000.
+_NEST_GUARD = 800
+# A dataset line shorter than this cannot nest deep enough to harm orjson,
+# so only a longer line is counted against _NEST_GUARD.
+_LONG_LINE = 16_384
+
 
 class IngestError(Exception):
     """Base class for ingest failures."""
@@ -61,19 +77,63 @@ class DatasetError(IngestError):
     """Dataset on disk is missing, inconsistent, or fails its manifest."""
 
 
+@contextmanager
+def _cyclic_gc_paused() -> Iterator[None]:
+    """Pause the cyclic collector, restoring its prior state on exit.
+
+    A decode loop allocates many objects and frees few, so each collection
+    would rescan the whole growing corpus for cycles it cannot hold.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # Raw feed parsing
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class RawPlay:
+class RawPlay(NamedTuple):
+    """One summary play as alignment reads it, in feed order."""
+
     play_id: str
     period: int
     clock_seconds_remaining: float
     description: str
     is_foul: bool
     charged_team: str | None
+
+
+def _deep(data: bytes) -> bool:
+    return data.count(b"[") + data.count(b"{") >= _NEST_GUARD
+
+
+class _Fallback(Exception):
+    """The orjson-decoded document holds a value json might have read differently."""
+
+
+def _fast_decode(data: bytes):
+    """``data`` decoded by orjson, or None when only the json path may decode it.
+
+    None for bytes that could nest too deep (see ``_NEST_GUARD``) and for a
+    document orjson refuses: NaN and the infinities, lone surrogates,
+    invalid UTF-8, doubles that overflow, over-long integers and malformed
+    JSON, which json accepts or reports in its own words. On any other
+    document orjson agrees with json, except that it reads an integer
+    outside [-2**63, 2**64) as a float; the parsers leave the fast path
+    wherever that could show.
+    """
+    if _deep(data):
+        return None
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        return None
 
 
 def _load_json(data: bytes, what: str) -> dict:
@@ -107,15 +167,30 @@ def _require(doc: Mapping, key: str, what: str):
     return doc[key]
 
 
-def _number(doc: Mapping, key: str, what: str, kind: type[int] | type[float]):
+def _text(doc: dict, key: str, what: str, exact: bool) -> str:
+    value = _require(doc, key, what)
+    if type(value) is str:
+        return value
+    if exact:
+        raise _Fallback
+    return str(value)
+
+
+def _number(doc: Mapping, key: str, what: str, kind: type[int] | type[float], exact: bool = False):
     """A required field read exactly as ``kind``, or a ParseError naming the field.
 
     A conversion that would change the value is refused, not coerced: a
     boolean, a fractional value read as ``int``, a non-finite value, and an
     integer beyond 64 bits (which the dataset decoder reads back as a float).
-    Integral numeric strings such as "2" are accepted.
+    Integral numeric strings such as "2" are accepted. With ``exact``, only a
+    value already of type ``kind`` and inside 64 bits is read; any other
+    raises ``_Fallback``.
     """
     value = _require(doc, key, what)
+    if type(value) is kind and -_INT64_LIMIT < value < _INT64_LIMIT:
+        return value
+    if exact:
+        raise _Fallback
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -144,44 +219,87 @@ def parse_game_summary(
     or non-numeric fields, non-increasing play sequence — raises
     :class:`ParseError` and yields no partial game.
     """
+    doc = _fast_decode(data)
+    if type(doc) is dict:
+        try:
+            return _summary_from_doc(doc, aliases, exact=True)
+        except (_Fallback, ParseError):
+            pass  # the json path gives the result, or the error text, of record
     doc = _load_json(data, "summary")
-    # Only a \u escape can spell a lone surrogate.
+    # Only a \u escape can spell a lone surrogate; orjson refuses one itself.
     if b"\\u" in data and _lone_surrogate(doc):
         raise ParseError("summary: a \\u escape spells a lone surrogate")
+    return _summary_from_doc(doc, aliases, exact=False)
+
+
+def _summary_from_doc(
+    doc: dict, aliases: Mapping[str, str] | None, exact: bool
+) -> tuple[GameRecord, list[RawPlay]]:
+    """The body of :func:`parse_game_summary` over a decoded document.
+
+    With ``exact`` (an orjson-decoded document), any value outside the fast
+    path raises ``_Fallback``: only a ``str``, an ``int`` inside 64 bits and a
+    ``float`` of magnitude below 2**63 are certain to be what json decodes.
+    """
     series = doc.get("series")
     series_state: tuple[int, int] | None = None
     if series is not None:
-        if not isinstance(series, Mapping):
+        if type(series) is not dict:
             raise ParseError("summary: 'series' must be an object")
         series_state = (
-            _number(series, "home_wins", "summary.series", int),
-            _number(series, "away_wins", "summary.series", int),
+            _number(series, "home_wins", "summary.series", int, exact),
+            _number(series, "away_wins", "summary.series", int, exact),
         )
-    game_id = str(_require(doc, "game_id", "summary"))
-    season = str(_require(doc, "season", "summary"))
-    season_type = str(_require(doc, "season_type", "summary"))
-    home_team = str(_require(doc, "home_team", "summary"))
-    away_team = str(_require(doc, "away_team", "summary"))
+    game_id = _text(doc, "game_id", "summary", exact)
+    season = _text(doc, "season", "summary", exact)
+    season_type = _text(doc, "season_type", "summary", exact)
+    home_team = _text(doc, "home_team", "summary", exact)
+    away_team = _text(doc, "away_team", "summary", exact)
     officials = doc.get("officials") or []
-    if not isinstance(officials, list):
+    if type(officials) is not list:
         raise ParseError("summary: 'officials' must be a list")
+    if exact and any(type(o) is not str for o in officials):
+        raise _Fallback
     crew = tuple(canonicalize_name(str(o), aliases) for o in officials if str(o).strip())
 
     raw_plays = doc.get("plays", [])
-    if not isinstance(raw_plays, list):
+    if type(raw_plays) is not list:
         raise ParseError("summary: 'plays' must be a list")
     plays: list[RawPlay] = []
-    last_seq: int | None = None
+    append = plays.append
+    new = tuple.__new__  # RawPlay(...) less its Python-level __new__
+    last_seq = -_INT64_LIMIT - 1  # below every sequence _number accepts
     for i, p in enumerate(raw_plays):
-        if not isinstance(p, Mapping):
+        if type(p) is dict:
+            # Fast path: exact types, read unchanged, as _number would return them.
+            play_id, seq, period = p.get("id"), p.get("sequence"), p.get("period")
+            clock, text, team = p.get("clock_seconds"), p.get("text", ""), p.get("team")
+            if (
+                type(play_id) is str
+                and type(seq) is int
+                and type(period) is int
+                and type(clock) is float
+                and type(text) is str
+                and (team is None or type(team) is str)
+                and last_seq < seq < _INT64_LIMIT
+                and -_INT64_LIMIT < period < _INT64_LIMIT
+                and -_INT64_LIMIT < clock < _INT64_LIMIT
+            ):
+                last_seq = seq
+                foul = bool(p.get("foul", False))
+                append(new(RawPlay, (play_id, period, clock, text, foul, team)))
+                continue
+        if exact:
+            raise _Fallback
+        if type(p) is not dict:
             raise ParseError(f"summary: plays[{i}] must be an object")
         what = f"summary.plays[{i}]"
         seq = _number(p, "sequence", what, int)
-        if last_seq is not None and seq <= last_seq:
+        if seq <= last_seq:
             raise ParseError(f"{what}: sequence {seq} not increasing")
         last_seq = seq
         team = p.get("team")
-        plays.append(
+        append(
             RawPlay(
                 play_id=str(_require(p, "id", what)),
                 period=_number(p, "period", what, int),
@@ -207,39 +325,57 @@ def parse_game_summary(
 def parse_wp_feed(data: bytes) -> tuple[dict[str, float], float | None, int]:
     """Parse a win-probability feed into (home wp by play id, pregame prior, dropped).
 
-    Samples with a missing/absent probability or one outside [0, 1] are
-    dropped and counted rather than propagated; the alignment step treats
-    a foul whose samples were dropped the same as one never sampled. A play
+    Samples with a missing, boolean or non-numeric probability, or one
+    outside [0, 1], are dropped and counted rather than propagated; the
+    alignment step treats a foul whose samples were dropped the same as one
+    never sampled. A pregame value that would be dropped is absent. A play
     id sampled more than once keeps its last usable value.
     """
-    doc = _load_json(data, "wp")
-    items = doc.get("items", [])
-    if not isinstance(items, list):
-        raise ParseError("wp: 'items' must be a list")
-    pregame_raw = doc.get("pregame")
-    pregame: float | None = None
-    if pregame_raw is not None:
+    doc = _fast_decode(data)
+    if type(doc) is dict:
         try:
-            pregame = float(pregame_raw)
+            return _wp_from_doc(doc, exact=True)
+        except (_Fallback, ParseError):
+            pass  # the json path gives the result, or the error text, of record
+    return _wp_from_doc(_load_json(data, "wp"), exact=False)
+
+
+def _probability(value) -> float | None:
+    if type(value) is not float:
+        if value is None or type(value) is bool:
+            return None
+        try:
+            value = float(value)
         except (TypeError, ValueError, OverflowError):
-            pregame = None
-        if pregame is not None and not 0.0 <= pregame <= 1.0:
-            pregame = None
+            return None
+    return value if 0.0 <= value <= 1.0 else None  # NaN fails both comparisons
+
+
+def _wp_from_doc(doc: dict, exact: bool) -> tuple[dict[str, float], float | None, int]:
+    """The body of :func:`parse_wp_feed`; ``exact`` as in :func:`_summary_from_doc`.
+
+    A probability is safe to read from either decoder: an integer that
+    orjson reads as a float is out of range either way.
+    """
+    items = doc.get("items", [])
+    if type(items) is not list:
+        raise ParseError("wp: 'items' must be a list")
+    pregame = _probability(doc.get("pregame"))
     wp_by_play: dict[str, float] = {}
     dropped = 0
     for i, item in enumerate(items):
-        if not isinstance(item, Mapping):
+        if type(item) is not dict:
             raise ParseError(f"wp: items[{i}] must be an object")
-        play_id = str(_require(item, "play_id", f"wp.items[{i}]"))
-        try:
-            wp = float(item["home_wp"])
-        except (KeyError, TypeError, ValueError, OverflowError):
+        play_id = item.get("play_id")
+        if type(play_id) is not str:
+            if exact:
+                raise _Fallback
+            play_id = str(_require(item, "play_id", f"wp.items[{i}]"))
+        wp = _probability(item.get("home_wp"))
+        if wp is None:
             dropped += 1
-            continue
-        if not 0.0 <= wp <= 1.0 or wp != wp:  # NaN guard
-            dropped += 1
-            continue
-        wp_by_play[play_id] = wp
+        else:
+            wp_by_play[play_id] = wp
     return wp_by_play, pregame, dropped
 
 
@@ -268,46 +404,33 @@ def align_foul_wp(
     sampled play. A foul with no usable post sample is quarantined with a
     reason code — alignment never guesses forward and never reorders plays.
     """
-    # Nearest later sampled value for each position, one reverse sweep.
-    n = len(plays)
-    next_value: list[float | None] = [None] * n
-    later: float | None = None
-    for i in range(n - 1, -1, -1):
-        next_value[i] = later
-        wp = wp_by_play.get(plays[i].play_id)
-        if wp is not None:
-            later = wp
-
     events: list[FoulEvent] = []
-    quarantined: list[QuarantinedFoul] = []
-    last_before: float | None = None
-    for i, play in enumerate(plays):
-        own = wp_by_play.get(play.play_id)
+    pending: list[tuple[RawPlay, float]] = []  # fouls and their pre value, awaiting a sample
+    before = start_prior
+    for play in plays:
         if play.is_foul:
-            if last_before is not None:
-                pre = last_before
-            else:
-                pre = start_prior
-            post = own if own is not None else next_value[i]
-            if post is None:
-                quarantined.append(
-                    QuarantinedFoul(play_id=play.play_id, reason=REASON_NO_POST_SAMPLE)
-                )
-            else:
-                events.append(
-                    FoulEvent(
-                        event_id=len(events) + 1,
-                        period=play.period,
-                        clock_seconds_remaining=play.clock_seconds_remaining,
-                        charged_team=play.charged_team,
-                        pre_wp=pre,
-                        post_wp=post,
-                        description=play.description,
-                    )
-                )
+            pending.append((play, before))
+        own = wp_by_play.get(play.play_id)
         if own is not None:
-            last_before = own
-    return tuple(events), tuple(quarantined)
+            if pending:
+                for foul, pre in pending:
+                    events.append(
+                        FoulEvent(
+                            len(events) + 1,
+                            foul.period,
+                            foul.clock_seconds_remaining,
+                            foul.charged_team,
+                            pre,
+                            own,
+                            foul.description,
+                        )
+                    )
+                pending.clear()
+            before = own
+    quarantined = tuple(
+        QuarantinedFoul(foul.play_id, REASON_NO_POST_SAMPLE) for foul, _ in pending
+    )
+    return tuple(events), quarantined
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +464,13 @@ class IngestReport:
         }
 
 
+def _read(path: Path, what: str) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as e:  # a directory, or a file this process may not read
+        raise ParseError(f"{what}: cannot read: {e.strerror or e}") from e
+
+
 def ingest_directory(
     raw_dir: Path,
     *,
@@ -360,41 +490,42 @@ def ingest_directory(
     report = IngestReport()
     games: list[GameRecord] = []
     first_document: dict[str, str] = {}  # game_id -> the document that claimed it
-    for summary_path in sorted(raw_dir.rglob("*.summary.json")):
-        report.documents_seen += 1
-        rel = str(summary_path.relative_to(raw_dir))
-        try:
-            game, plays = parse_game_summary(summary_path.read_bytes(), aliases)
-            wp_path = summary_path.with_name(
-                summary_path.name.replace(".summary.json", ".wp.json")
-            )
-            if wp_path.exists():
-                wp_by_play, pregame, dropped = parse_wp_feed(wp_path.read_bytes())
-                report.dropped_samples += dropped
-            else:
-                wp_by_play, pregame = {}, None
-        except ParseError as e:
-            report.document_errors.append((rel, str(e)))
-            continue
-        first = first_document.setdefault(game.game_id, rel)
-        if first != rel:
-            report.quarantined_games.append(
-                (game.game_id, (f"game_id: duplicate of {first}",))
-            )
-            continue
-        prior = pregame if pregame is not None else start_prior
-        events, quarantined = align_foul_wp(plays, wp_by_play, start_prior=prior)
-        if quarantined:
-            report.quarantined_fouls[game.game_id] = quarantined
-        game = replace(game, events=events)
-        violations = validate_game(game)
-        if violations and not is_no_crew_only(violations):
-            report.quarantined_games.append((game.game_id, tuple(violations)))
-            continue
-        if not game.crew:
-            report.no_crew_games.append(game.game_id)
-        games.append(game)
-        report.kept_games += 1
+    with _cyclic_gc_paused():
+        for summary_path in sorted(raw_dir.rglob("*.summary.json")):
+            report.documents_seen += 1
+            rel = str(summary_path.relative_to(raw_dir))
+            try:
+                game, plays = parse_game_summary(_read(summary_path, "summary"), aliases)
+                wp_path = summary_path.with_name(
+                    summary_path.name.replace(".summary.json", ".wp.json")
+                )
+                if wp_path.exists():
+                    wp_by_play, pregame, dropped = parse_wp_feed(_read(wp_path, "wp"))
+                    report.dropped_samples += dropped
+                else:
+                    wp_by_play, pregame = {}, None
+            except ParseError as e:
+                report.document_errors.append((rel, str(e)))
+                continue
+            first = first_document.setdefault(game.game_id, rel)
+            if first != rel:
+                report.quarantined_games.append(
+                    (game.game_id, (f"game_id: duplicate of {first}",))
+                )
+                continue
+            prior = pregame if pregame is not None else start_prior
+            events, quarantined = align_foul_wp(plays, wp_by_play, start_prior=prior)
+            if quarantined:
+                report.quarantined_fouls[game.game_id] = quarantined
+            game = replace(game, events=events)
+            violations = validate_game(game)
+            if violations and not is_no_crew_only(violations):
+                report.quarantined_games.append((game.game_id, tuple(violations)))
+                continue
+            if not game.crew:
+                report.no_crew_games.append(game.game_id)
+            games.append(game)
+            report.kept_games += 1
     return games, report
 
 
@@ -619,31 +750,37 @@ def load_dataset(root: Path) -> tuple[list[GameRecord], DatasetManifest]:
         )
     games: list[GameRecord] = []
     inside = root.resolve()
-    for part in manifest.partitions:
-        path = root / part.path
-        if not path.resolve().is_relative_to(inside):
-            raise DatasetError(f"partition path leaves the dataset root: {part.path}")
-        if not path.exists():
-            raise DatasetError(f"partition missing: {part.path}")
-        data = path.read_bytes()
-        if hashlib.sha256(data).hexdigest() != part.sha256:
-            raise DatasetError(f"partition hash mismatch: {part.path}")
-        count = 0
-        for line_no, line in enumerate(data.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                games.append(game_from_dict(orjson.loads(line)))
-            except (ValueError, KeyError, IndexError, TypeError, AttributeError) as e:
-                # ValueError covers orjson.JSONDecodeError; the rest are a
-                # well-formed line of the wrong shape.
+    with _cyclic_gc_paused():
+        for part in manifest.partitions:
+            path = root / part.path
+            if not path.resolve().is_relative_to(inside):
+                raise DatasetError(f"partition path leaves the dataset root: {part.path}")
+            if not path.exists():
+                raise DatasetError(f"partition missing: {part.path}")
+            data = path.read_bytes()
+            if hashlib.sha256(data).hexdigest() != part.sha256:
+                raise DatasetError(f"partition hash mismatch: {part.path}")
+            count = 0
+            for line_no, line in enumerate(data.splitlines(), start=1):
+                if not line.strip():
+                    continue
+                try:
+                    if len(line) >= _LONG_LINE and _deep(line):
+                        json.loads(line)  # raises RecursionError where orjson could crash
+                    games.append(game_from_dict(orjson.loads(line)))
+                except (
+                    ValueError, KeyError, IndexError, TypeError, AttributeError, RecursionError
+                ) as e:
+                    # ValueError covers orjson.JSONDecodeError and RecursionError
+                    # a line nested too deeply; the rest are a well-formed line
+                    # of the wrong shape.
+                    raise DatasetError(
+                        f"{part.path}:{line_no}: bad game line: {e}"
+                    ) from e
+                count += 1
+            if count != part.games:
                 raise DatasetError(
-                    f"{part.path}:{line_no}: bad game line: {e}"
-                ) from e
-            count += 1
-        if count != part.games:
-            raise DatasetError(
-                f"partition {part.path}: manifest says {part.games} games, "
-                f"found {count}"
-            )
+                    f"partition {part.path}: manifest says {part.games} games, "
+                    f"found {count}"
+                )
     return games, manifest

@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import rimkit
 from conftest import make_event, make_game, play, random_games, summary_doc, wp_doc
+from rimkit import ingest
 from rimkit.ingest import (
     DatasetError,
     ParseError,
@@ -31,6 +41,35 @@ from rimkit.ingest import (
 
 def dumps(doc) -> bytes:
     return json.dumps(doc).encode("utf-8")
+
+
+def _typed(value):
+    """``value`` with every scalar tagged by its type, floats by repr (the sign of zero)."""
+    if isinstance(value, float):
+        return ("float", repr(value))
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [_typed(v) for v in value])
+    if isinstance(value, dict):
+        return ("dict", [(_typed(k), _typed(v)) for k, v in value.items()])
+    return (type(value).__name__, value)
+
+
+def _outcome(parse, data: bytes):
+    """What ``parse`` makes of ``data``: its typed result, or its ParseError text."""
+    try:
+        result = parse(data)
+    except ParseError as e:
+        return ("error", str(e))
+    if parse is parse_game_summary:
+        game, plays = result
+        result = (dataclasses.astuple(game), plays)
+    return ("ok", _typed(result))
+
+
+def _json_path_outcome(parse, data: bytes):
+    """:func:`_outcome` with orjson switched off: the json decode is the reference."""
+    with mock.patch.object(ingest, "_fast_decode", return_value=None):
+        return _outcome(parse, data)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +221,122 @@ def test_parse_integer_past_the_digit_limit_is_a_parse_error(parse):
         parse(b'{"game_id": ' + b"1" * 5000 + b"}")
 
 
+_SUMMARY = dumps(summary_doc(plays=[play("p1", 1, foul=True, team="HOU", text="Foul")]))
+_WP = dumps(wp_doc([("p1", 0.5)], pregame=0.5))
+_BIG = b"100000000000000000000"  # 10**20, which orjson would read as a float
+
+
+def _nest(depth: int, closed: bool) -> bytes:
+    return b"[" * depth + (b"]" * depth if closed else b"")
+
+
+def _splice(doc: bytes, old: bytes, new: bytes) -> bytes:
+    assert old in doc
+    return doc.replace(old, new, 1)
+
+
+def _decode_cases(doc: bytes, number: bytes, text: bytes, play_id: bytes) -> dict[str, bytes]:
+    """Documents that orjson refuses, guards against, or reads differently from json."""
+
+    def number_as(value: bytes) -> bytes:
+        return _splice(doc, number, number.split(b":")[0] + b": " + value)
+
+    return {
+        "nan": number_as(b"NaN"),
+        "digits-5000": number_as(b"1" * 5000),
+        "number-10**20+1": number_as(_BIG[:-1] + b"1"),
+        "number-below-64-bits": number_as(b"-9223372036854775809"),
+        "id-10**20": _splice(doc, play_id, play_id.split(b":")[0] + b": " + _BIG),
+        "lone-surrogate": _splice(doc, text, b'"\\ud800"'),
+        "invalid-utf8": b"\xff",
+        "invalid-utf8-in-a-string": _splice(doc, text, b'"\xff"'),
+        **{
+            f"nest-{depth}-{'closed' if closed else 'open'}": _nest(depth, closed)
+            for depth in (980, 1000, 5000, 200_000)
+            for closed in (True, False)
+        },
+        **{
+            f"nest-{depth}-in-a-field": _splice(doc, b"{", b'{"x": ' + _nest(depth, True) + b", ")
+            for depth in (390, 980, 1000, 5000, 200_000)
+        },
+    }
+
+
+_PARSE_CASES = [
+    pytest.param(parse_game_summary, data, id=f"summary-{name}")
+    for name, data in _decode_cases(
+        _SUMMARY, b'"clock_seconds": 600.0', b'"Foul"', b'"id": "p1"'
+    ).items()
+] + [
+    pytest.param(parse_wp_feed, data, id=f"wp-{name}")
+    for name, data in _decode_cases(_WP, b'"home_wp": 0.5', b'"p1"', b'"play_id": "p1"').items()
+]
+_SERIES = dumps(summary_doc(season_type="postseason", series=(1, 0)))
+_PARSE_CASES += [
+    pytest.param(
+        parse_game_summary,
+        _splice(_SUMMARY, b'"game_id": "0022100001"', b'"game_id": ' + _BIG),
+        id="summary-game-id-10**20",
+    ),
+    pytest.param(
+        parse_game_summary,
+        _splice(_SERIES, b'"home_wins": 1', b'"home_wins": ' + _BIG),
+        id="summary-series-10**20",
+    ),
+    pytest.param(
+        parse_game_summary,
+        _splice(_SERIES, b'"home_wins": 1', b'"home_wins": -9223372036854775809'),
+        id="summary-series-below-64-bits",
+    ),
+]
+
+
+@pytest.mark.parametrize("parse, data", _PARSE_CASES)
+def test_parse_gives_the_json_path_result_or_error_text(parse, data):
+    assert _outcome(parse, data) == _json_path_outcome(parse, data)
+
+
+def test_parse_reads_an_integer_beyond_64_bits_as_json_does():
+    game, plays = parse_game_summary(_splice(_SUMMARY, b'"id": "p1"', b'"id": ' + _BIG))
+    assert plays[0].play_id == "100000000000000000000"
+    game, _ = parse_game_summary(
+        _splice(_SUMMARY, b'"game_id": "0022100001"', b'"game_id": ' + _BIG)
+    )
+    assert game.game_id == "100000000000000000000"
+    wp_by_play, _, _ = parse_wp_feed(_splice(_WP, b'"play_id": "p1"', b'"play_id": ' + _BIG))
+    assert list(wp_by_play) == ["100000000000000000000"]
+    with pytest.raises(ParseError, match=r"would change to 1e\+20"):
+        parse_game_summary(_splice(_SUMMARY, b"600.0", _BIG[:-1] + b"1"))
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("sequence", True, "summary.plays[0].sequence: not a number: True"),
+        ("sequence", 1.0, None),
+        ("sequence", "2", None),
+        (
+            "sequence",
+            2**63,
+            "summary.plays[0].sequence: not a number: 9223372036854775808 (beyond 64 bits)",
+        ),
+        ("clock_seconds", 720, None),
+    ],
+)
+def test_parse_summary_off_the_fast_path_reads_as_before(field, value, error):
+    data = dumps(summary_doc(plays=[dict(play("p1", 1), **{field: value}), play("p2", 3)]))
+    assert _outcome(parse_game_summary, data) == _json_path_outcome(parse_game_summary, data)
+    if error is not None:
+        with pytest.raises(ParseError) as exc:
+            parse_game_summary(data)
+        assert str(exc.value) == error
+    else:
+        _, plays = parse_game_summary(data)
+        assert [p.play_id for p in plays] == ["p1", "p2"]
+        clock = plays[0].clock_seconds_remaining
+        assert type(clock) is float and clock == (720.0 if field == "clock_seconds" else 600.0)
+
+
 # ---------------------------------------------------------------------------
 # parse_wp_feed
 # ---------------------------------------------------------------------------
@@ -206,6 +361,17 @@ def test_parse_wp_feed_drops_bad_samples():
     assert wp_by_play == {"p1": 0.64, "p6": 0.0}
     assert pregame == 0.58
     assert dropped == 5
+
+
+def test_parse_wp_feed_refuses_booleans():
+    items = [
+        {"play_id": "p1", "home_wp": True},
+        {"play_id": "p2", "home_wp": False},
+        {"play_id": "p3", "home_wp": 0.5},
+    ]
+    wp_by_play, pregame, dropped = parse_wp_feed(dumps({"pregame": True, "items": items}))
+    assert wp_by_play == {"p3": 0.5}
+    assert pregame is None and dropped == 2
 
 
 def test_parse_wp_feed_invalid_pregame_becomes_none():
@@ -395,6 +561,44 @@ def test_ingest_directory_pregame_overrides_start_prior(tmp_path):
     assert {g.game_id: g.events[0].pre_wp for g in games} == {"g-pregame": 0.61, "g-prior": 0.47}
 
 
+def test_ingest_directory_ledgers_a_path_it_cannot_read(tmp_path):
+    # A file this process may not read takes the same path (OSError), but
+    # root reads any file, so only directories are exercised here.
+    raw = tmp_path / "raw"
+    _write_raw_game(raw, summary_doc(game_id="g-ok"), wp_doc([("p1", 0.5)]))
+    (raw / "a-dir.summary.json").mkdir()
+    _write_raw_game(raw, summary_doc(game_id="g-wp-dir"))
+    (raw / "g-wp-dir.wp.json").mkdir()
+    games, report = ingest_directory(raw)
+    assert [g.game_id for g in games] == ["g-ok"]
+    assert report.documents_seen == 3
+    assert report.document_errors == [
+        ("a-dir.summary.json", "summary: cannot read: Is a directory"),
+        ("g-wp-dir.summary.json", "wp: cannot read: Is a directory"),
+    ]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_decode_loops_restore_the_cyclic_collector(tmp_path, enabled):
+    raw, root = tmp_path / "raw", tmp_path / "ds"
+    _write_raw_game(raw, summary_doc(game_id="g-1"), wp_doc([("p1", 0.5)]))
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        games, _ = ingest_directory(raw)
+        assert gc.isenabled() is enabled
+        write_dataset(games, root)
+        assert load_dataset(root)[0] == games
+        assert gc.isenabled() is enabled
+        part = root / read_manifest(root).partitions[0].path
+        part.write_bytes(part.read_bytes() + b"\n{}\n")
+        with pytest.raises(DatasetError, match="hash mismatch"):
+            load_dataset(root)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
 def test_ingest_directory_missing_wp_feed_is_tolerated(tmp_path):
     raw = tmp_path / "raw"
     _write_raw_game(
@@ -550,6 +754,30 @@ def test_load_dataset_refuses_a_partition_path_that_is_not_a_string(tmp_path, rn
         load_dataset(root)
 
 
+def test_validate_refuses_an_over_deep_dataset_line_without_crashing(tmp_path):
+    # orjson overflows the C stack on a line nested this deep and takes the
+    # process with it, so the command runs in a child process.
+    root = tmp_path / "ds"
+    write_dataset([make_game(game_id="g")], root)
+    manifest_path = root / "manifest.json"
+    doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+    part = doc["partitions"][0]
+    path = root / part["path"]
+    line = path.read_bytes().rstrip(b"\n")
+    path.write_bytes(line[:-1] + b', "extra": ' + _nest(200_000, True) + b"}\n")
+    part["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(rimkit.__file__).resolve().parents[1])
+    path_entries = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    p = subprocess.run(
+        [sys.executable, "-m", "rimkit.cli", "validate", "--dataset", str(root)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert p.returncode == 2, p.stderr[-400:]
+    assert f"error: {part['path']}:1: bad game line: maximum recursion depth" in p.stderr
+
+
 def test_load_dataset_missing_manifest(tmp_path):
     with pytest.raises(DatasetError, match="manifest"):
         load_dataset(tmp_path / "nope")
@@ -586,7 +814,9 @@ _scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
-    st.sampled_from([2**63, -(2**63) - 1, 10**400]),
+    st.sampled_from(
+        [2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1, 10**20, 10**400]
+    ),
     st.floats(),
     _texts,
 )
@@ -663,22 +893,61 @@ _FUZZ = settings(
 )
 
 
+# Only ParseError escapes, and the orjson path gives the json path's outcome.
+
+
 @_FUZZ
 @given(_documents(_summaries))
 def test_fuzz_parse_game_summary_raises_only_parse_errors(data):
-    try:
-        parse_game_summary(data)
-    except ParseError:
-        pass
+    assert _outcome(parse_game_summary, data) == _json_path_outcome(parse_game_summary, data)
 
 
 @_FUZZ
 @given(_documents(_wp_feeds))
 def test_fuzz_parse_wp_feed_raises_only_parse_errors(data):
-    try:
-        parse_wp_feed(data)
-    except ParseError:
-        pass
+    assert _outcome(parse_wp_feed, data) == _json_path_outcome(parse_wp_feed, data)
+
+
+def _same_json(fast, ref) -> bool:
+    """Whether an orjson decode matches json's, type for type.
+
+    The one difference allowed is the one the parsers guard against: an
+    integer outside [-2**63, 2**64), which orjson reads as the nearest float.
+    """
+    if type(ref) is int and not -(2**63) <= ref < 2**64:
+        return type(fast) is float and fast == float(ref)
+    if type(fast) is not type(ref):
+        return False
+    if type(ref) is list:
+        return len(fast) == len(ref) and all(map(_same_json, fast, ref))
+    if type(ref) is dict:
+        return list(fast) == list(ref) and all(_same_json(fast[k], ref[k]) for k in ref)
+    return repr(fast) == repr(ref)  # repr keeps the sign of a zero
+
+
+_near_limits = st.one_of(
+    st.integers(),
+    *(st.integers(edge - 2, edge + 1) for edge in (-(2**63), 2**63, 2**64)),
+)
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), _near_limits, st.floats(), st.text(max_size=8), _texts),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_texts, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@_FUZZ
+@given(_json_values, st.booleans())
+def test_fuzz_fast_decode_agrees_with_json(value, ascii_only):
+    # In a list, since a bare null decodes to None. ensure_ascii spells every
+    # character past U+FFFF as an escaped surrogate pair.
+    data = json.dumps([value], ensure_ascii=ascii_only).encode("utf-8", "surrogatepass")
+    fast = ingest._fast_decode(data)
+    if fast is None:  # only where orjson itself refuses: NaN, lone surrogates, ...
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(data)
+    else:
+        assert _same_json(fast, json.loads(data))
 
 
 @_FUZZ
