@@ -11,7 +11,7 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .metrics import PERIOD_BUCKETS, compute_game_metrics
+from .metrics import PERIOD_BUCKETS, compute_game_metrics, swing_per_call
 from .model import GameRecord, SeriesStateKey, TeamGameRow
 
 
@@ -97,24 +97,23 @@ def referee_distribution(
     for ref, ms in per_ref.items():
         if len(ms) < min_games:
             continue
-        swings = [m.swing for m in ms if m.swing is not None]
+        homes = [m.home_row for m in ms]
+        swings = [swing_per_call(h.game_rim, h.n_calls) for h in homes if h.n_calls]
         q_rim = {
-            b: _mean([m.per_period[b].rim for m in ms]) for b in PERIOD_BUCKETS
+            b: _mean([m.period_rim[i] for m in ms]) for i, b in enumerate(PERIOD_BUCKETS)
         }
         q_disp = {
-            b: _mean([abs(m.per_period[b].home_disparity) for m in ms])
-            for b in PERIOD_BUCKETS
+            b: _mean([abs(m.period_home_disparity[i]) for m in ms])
+            for i, b in enumerate(PERIOD_BUCKETS)
         }
         summaries.append(
             RefSeasonSummary(
                 referee=ref,
                 games=len(ms),
-                mean_rim=_mean([m.rim for m in ms]),
-                mean_calls_per_game=_mean([float(m.n_calls) for m in ms]),
+                mean_rim=_mean([h.game_rim for h in homes]),
+                mean_calls_per_game=_mean([float(h.n_calls) for h in homes]),
                 mean_swing_per_call=_mean(swings) if swings else None,
-                mean_abs_disparity=_mean(
-                    [float(abs(m.home_row.disparity)) for m in ms]
-                ),
+                mean_abs_disparity=_mean([float(abs(h.disparity)) for h in homes]),
                 per_quarter_rim=q_rim,
                 per_quarter_abs_disparity=q_disp,
             )

@@ -9,7 +9,6 @@ the resolved configuration and input-dataset hashes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 from dataclasses import fields, replace
@@ -18,6 +17,7 @@ from pathlib import Path
 from .config import (
     ConfigError,
     RunConfig,
+    read_json_file,
     resolve_config,
     write_run_echo,
 )
@@ -133,9 +133,11 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError("a dataset destination is required (--out or dataset)")
     aliases = None
     if args.aliases:
-        aliases = json.loads(Path(args.aliases).read_text(encoding="utf-8"))
-        if not isinstance(aliases, dict):
-            raise ConfigError("aliases file must hold a JSON object")
+        aliases = read_json_file(args.aliases, "aliases file")
+        if not isinstance(aliases, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) and v.strip() for k, v in aliases.items()
+        ):
+            raise ConfigError("aliases file must map names to non-empty name strings")
     games, report = ingest_directory(
         raw_dir, start_prior=cfg.start_prior, aliases=aliases
     )
@@ -223,19 +225,25 @@ def cmd_robustness(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _parse_effects_file(path: str) -> dict:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_json_file(path, "effects file")
     if not isinstance(data, dict):
         raise SimConfigError("effects file must hold a JSON object")
     out: dict = {}
     team_home = data.pop("team_home_shift", {})
     if not isinstance(team_home, dict):
         raise SimConfigError("team_home_shift must map team -> shift")
-    out["team_home_shift"] = {str(k): float(v) for k, v in team_home.items()}
+    shifts = {}
+    for team, shift in team_home.items():
+        try:
+            shifts[str(team)] = float(shift)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise SimConfigError(f"bad team_home_shift entry: {team!r}: {shift!r}") from e
+    out["team_home_shift"] = shifts
     pair = {}
     for entry in data.pop("pair_shift", []):
         try:
             pair[(str(entry["referee"]), str(entry["team"]))] = float(entry["shift"])
-        except (TypeError, KeyError) as e:
+        except (TypeError, KeyError, ValueError, OverflowError) as e:
             raise SimConfigError(f"bad pair_shift entry: {entry!r}") from e
     out["pair_shift"] = pair
     series = {}
@@ -243,7 +251,7 @@ def _parse_effects_file(path: str) -> dict:
         try:
             lo, hi = str(entry["state"]).split("--")
             series[(int(lo), int(hi))] = float(entry["shift"])
-        except (TypeError, KeyError, ValueError) as e:
+        except (TypeError, KeyError, ValueError, OverflowError) as e:
             raise SimConfigError(f"bad series_shift entry: {entry!r}") from e
     out["series_shift"] = series
     if data:
@@ -467,7 +475,6 @@ def main(argv: list[str] | None = None) -> int:
         DesignError,
         FileNotFoundError,
         NotADirectoryError,
-        json.JSONDecodeError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

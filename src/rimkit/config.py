@@ -107,17 +107,24 @@ def _coerce(name: str, value):
     raise ConfigError(f"unknown setting: {name}")
 
 
+def read_json_file(path: Path, what: str):
+    """Decode one JSON input file (a config, effects or aliases file).
+
+    A file that cannot be read, is not UTF-8, is not JSON or nests deeper
+    than json's recursion limit is a ``ConfigError`` naming it, so the CLI
+    reports it as an input error.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as e:
+        raise ConfigError(f"cannot read {what} {path}: {e}") from e
+    except (ValueError, RecursionError) as e:  # ValueError: bad UTF-8 or bad JSON
+        raise ConfigError(f"{path}: invalid {what}: {e}") from e
+
+
 def load_config_file(path: Path) -> dict:
     """Read a flat JSON object of settings; unknown keys are errors."""
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise ConfigError(f"cannot read config file {path}: {e}") from e
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON: {e}") from e
+    data = read_json_file(path, "config file")
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     out = {}

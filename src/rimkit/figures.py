@@ -34,7 +34,7 @@ from .inference import (
     series_state_effects,
     team_side_effects,
 )
-from .metrics import PERIOD_BUCKETS, compute_game_metrics, expand_rows
+from .metrics import PERIOD_BUCKETS, compute_game_metrics, expand_rows, swing_per_call
 from .model import POSTSEASON, REGULAR, GameRecord
 from .outliers import build_cells, outlier_tables, panel_rows
 
@@ -305,8 +305,7 @@ def _pct(value: float | None) -> float | None:
 def _game_metrics(ctx):
     rows = []
     for g in sorted(ctx.games, key=lambda g: g.game_id):
-        m = compute_game_metrics(g)
-        per = m.per_period
+        home, _, period_rim, _ = compute_game_metrics(g)
         rows.append(
             (
                 g.game_id,
@@ -314,12 +313,12 @@ def _game_metrics(ctx):
                 g.season_type,
                 g.home_team,
                 g.away_team,
-                m.n_calls,
-                m.rim,
-                m.swing,
-                m.home_row.disparity,
-                m.home_row.team_rim,
-                *(per[b].rim for b in PERIOD_BUCKETS),
+                home.n_calls,
+                home.game_rim,
+                swing_per_call(home.game_rim, home.n_calls),
+                home.disparity,
+                home.team_rim,
+                *period_rim,
             )
         )
     return rows, []

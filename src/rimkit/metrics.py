@@ -10,7 +10,7 @@ negations of each other.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import REGULATION_PERIODS, GameRecord, TeamGameRow, canonical_series_key
 
@@ -47,51 +47,36 @@ def signed_disparity(own_fouls: int, opp_fouls: int) -> int:
     return opp_fouls - own_fouls
 
 
-@dataclass(frozen=True, slots=True)
-class PeriodMetrics:
-    """One period bucket's slice: leverage total, calls, home-side imbalance."""
+class GameMetrics(NamedTuple):
+    """One game's two team rows plus its period slices.
 
-    rim: float
-    calls: int
-    home_disparity: int
+    The rows carry the whole-game facts (``game_rim``, ``n_calls``, the
+    signed ``disparity`` and ``team_rim``); ``period_rim`` and
+    ``period_home_disparity`` follow ``PERIOD_BUCKETS``.
+    """
 
-
-@dataclass(frozen=True, slots=True, eq=False)
-class GameMetrics:
-    """Everything the aggregation layers need from one game."""
-
-    game_id: str
-    rim: float
-    n_calls: int
-    swing: float | None
-    per_period: dict[str, PeriodMetrics]
     home_row: TeamGameRow
     away_row: TeamGameRow
-
-    @property
-    def rows(self) -> tuple[TeamGameRow, TeamGameRow]:
-        return (self.home_row, self.away_row)
+    period_rim: tuple[float, ...]
+    period_home_disparity: tuple[int, ...]
 
 
 def compute_game_metrics(game: GameRecord) -> GameMetrics:
-    """Compute all per-game quantities and both team rows in one pass.
+    """Compute both team rows and the period slices in one pass.
 
     One loop over the events accumulates, in event order: rim (the sum of
-    event leverage), the signed home-side total of raw moves, fouls per side
-    and the five period buckets (Q1..Q4, OT). Every event lands in exactly
-    one bucket, so bucket sums reconcile with the whole-game totals.
-    Unattributed calls count toward rim and calls but not disparity. The
-    away value of the signed total is the exact negation of the home value
-    (IEEE negation is sign-symmetric, so the mirror identity holds to the
-    bit).
+    event leverage), the signed home-side total of raw moves and the five
+    period buckets (Q1..Q4, OT) of leverage and home-side foul imbalance.
+    Every event lands in exactly one bucket, so bucket sums reconcile with
+    the whole-game totals. Unattributed calls count toward rim and calls
+    but not disparity. The away value of the signed total is the exact
+    negation of the home value (IEEE negation is sign-symmetric, so the
+    mirror identity holds to the bit).
     """
     home, away = game.home_team, game.away_team
     rim = 0.0
     q_home = 0.0
-    home_fouls = 0
-    away_fouls = 0
     bucket_rim = [0.0] * len(PERIOD_BUCKETS)
-    bucket_calls = [0] * len(PERIOD_BUCKETS)
     bucket_disp = [0] * len(PERIOD_BUCKETS)
     # Positional unpacking follows FoulEvent's field order.
     for _, period, _, charged, pre_wp, post_wp, _ in game.events:
@@ -101,14 +86,11 @@ def compute_game_metrics(game: GameRecord) -> GameMetrics:
         rim += leverage
         q_home += move
         bucket_rim[b] += leverage
-        bucket_calls[b] += 1
         if charged == home:
-            home_fouls += 1
             bucket_disp[b] -= 1
         elif charged == away:
-            away_fouls += 1
             bucket_disp[b] += 1
-    n = len(game.events)
+    disparity = sum(bucket_disp)  # signed_disparity(home fouls, away fouls)
     series_key = (
         canonical_series_key(*game.series_state)
         if game.series_state is not None
@@ -119,43 +101,16 @@ def compute_game_metrics(game: GameRecord) -> GameMetrics:
         season=game.season,
         season_type=game.season_type,
         game_rim=rim,
-        n_calls=n,
+        n_calls=len(game.events),
         series_key=series_key,
     )
     home_row = TeamGameRow(
-        team=home,
-        opponent=away,
-        is_home=True,
-        own_fouls=home_fouls,
-        opp_fouls=away_fouls,
-        disparity=signed_disparity(home_fouls, away_fouls),
-        team_rim=q_home,
-        **shared,
+        team=home, opponent=away, is_home=True, disparity=disparity, team_rim=q_home, **shared
     )
     away_row = TeamGameRow(
-        team=away,
-        opponent=home,
-        is_home=False,
-        own_fouls=away_fouls,
-        opp_fouls=home_fouls,
-        disparity=signed_disparity(away_fouls, home_fouls),
-        team_rim=-q_home,
-        **shared,
+        team=away, opponent=home, is_home=False, disparity=-disparity, team_rim=-q_home, **shared
     )
-    return GameMetrics(
-        game_id=game.game_id,
-        rim=rim,
-        n_calls=n,
-        swing=swing_per_call(rim, n),
-        per_period={
-            bucket: PeriodMetrics(
-                rim=bucket_rim[i], calls=bucket_calls[i], home_disparity=bucket_disp[i]
-            )
-            for i, bucket in enumerate(PERIOD_BUCKETS)
-        },
-        home_row=home_row,
-        away_row=away_row,
-    )
+    return GameMetrics(home_row, away_row, tuple(bucket_rim), tuple(bucket_disp))
 
 
 def expand_rows(games: Iterable[GameRecord]) -> list[TeamGameRow]:

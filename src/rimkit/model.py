@@ -78,15 +78,6 @@ def canonical_series_key(home_wins: int, away_wins: int) -> SeriesStateKey:
     return SeriesStateKey(min(home_wins, away_wins), max(home_wins, away_wins))
 
 
-def all_series_keys() -> list[SeriesStateKey]:
-    """Every reachable canonical pregame state, ascending."""
-    return [
-        SeriesStateKey(lo, hi)
-        for lo in range(MAX_SERIES_WINS + 1)
-        for hi in range(lo, MAX_SERIES_WINS + 1)
-    ]
-
-
 @dataclass(frozen=True, slots=True)
 class GameRecord:
     """One game: identity, crew, aligned foul events, optional series state.
@@ -122,8 +113,6 @@ class TeamGameRow:
     is_home: bool
     season: str
     season_type: str
-    own_fouls: int
-    opp_fouls: int
     disparity: int
     team_rim: float
     game_rim: float
@@ -159,6 +148,9 @@ def validate_game(record: GameRecord) -> list[str]:
         problems.append(f"teams: home and away are both {record.home_team!r}")
     if not record.crew:
         problems.append("crew: empty; game cannot join referee analyses")
+    for i, ref in enumerate(record.crew):
+        if not isinstance(ref, str) or not ref.strip():
+            problems.append(f"crew[{i}]: {ref!r} is not a non-empty name")
 
     prev: FoulEvent | None = None
     for i, ev in enumerate(record.events):

@@ -16,8 +16,9 @@ two independent code paths.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,14 @@ class SimConfig:
     series_shift: Mapping[tuple[int, int], float] = field(default_factory=dict)
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SimConfigError(f"{f.name} must be finite, got {value}")
+        for name in ("team_home_shift", "pair_shift", "series_shift"):
+            for key, shift in getattr(self, name).items():
+                if not math.isfinite(shift):
+                    raise SimConfigError(f"{name} {key!r}: shift must be finite, got {shift}")
         if self.seed < 0:
             raise SimConfigError("seed must be non-negative")
         if self.n_teams < 2:
@@ -426,8 +435,6 @@ def simulate_team_side_rows(
                 team=home,
                 opponent=away,
                 is_home=True,
-                own_fouls=f_home,
-                opp_fouls=f_away,
                 disparity=f_away - f_home,
                 team_rim=q_home,
                 **shared,
@@ -438,8 +445,6 @@ def simulate_team_side_rows(
                 team=away,
                 opponent=home,
                 is_home=False,
-                own_fouls=f_away,
-                opp_fouls=f_home,
                 disparity=f_home - f_away,
                 team_rim=-q_home,
                 **shared,

@@ -30,7 +30,7 @@ from rimkit.inference import (
     team_side_effects,
 )
 from rimkit.ingest import ingest_directory, load_dataset, write_dataset
-from rimkit.metrics import compute_game_metrics, expand_rows
+from rimkit.metrics import PERIOD_BUCKETS, compute_game_metrics, expand_rows, swing_per_call
 from rimkit.model import FoulEvent
 from rimkit.outliers import PanelRow, build_cells, outlier_tables, panel_rows
 from rimkit.synth import (
@@ -68,19 +68,21 @@ def test_c1_game_kernel_matches_independent_recompute():
     worst = 0.0
     for g in games:
         m = compute_game_metrics(g)
+        h = m.home_row
         o = oracle[g.game_id]
-        assert m.n_calls == o.n_calls
-        assert m.home_row.disparity == o.home_disparity
-        worst = max(worst, abs(m.rim - o.rim))
-        worst = max(worst, abs(m.home_row.team_rim - o.home_team_rim))
+        assert h.n_calls == o.n_calls
+        assert h.disparity == o.home_disparity
+        worst = max(worst, abs(h.game_rim - o.rim))
+        worst = max(worst, abs(h.team_rim - o.home_team_rim))
         worst = max(worst, abs(m.away_row.team_rim + o.home_team_rim))
+        swing = swing_per_call(h.game_rim, h.n_calls)
         if o.swing is None:
-            assert m.swing is None
+            assert swing is None
         else:
-            worst = max(worst, abs(m.swing - o.swing))
-        assert set(m.per_period) == set(o.period_rim)
-        for bucket, val in o.period_rim.items():
-            worst = max(worst, abs(m.per_period[bucket].rim - val))
+            worst = max(worst, abs(swing - o.swing))
+        assert len(m.period_rim) == len(o.period_rim)
+        for bucket, val in zip(PERIOD_BUCKETS, m.period_rim):
+            worst = max(worst, abs(val - o.period_rim[bucket]))
     elapsed = time.perf_counter() - start
 
     assert worst < 1e-12
@@ -135,13 +137,14 @@ def test_c2_signed_identities_on_randomized_games():
     worst_perm = 0.0
     for g in games:
         m = compute_game_metrics(g)
+        h = m.home_row
 
         # The two team rows are exact mirrors and the signed total can
         # never exceed the unsigned one.
-        assert m.home_row.team_rim + m.away_row.team_rim == 0.0
-        assert abs(m.home_row.team_rim) <= m.rim
-        assert m.home_row.disparity + m.away_row.disparity == 0
-        assert abs(m.home_row.disparity) <= m.n_calls
+        assert h.team_rim + m.away_row.team_rim == 0.0
+        assert abs(h.team_rim) <= h.game_rim
+        assert h.disparity + m.away_row.disparity == 0
+        assert abs(h.disparity) <= h.n_calls
 
         # Viewing every probability from the other side leaves the
         # unsigned total bitwise unchanged and negates the signed one.
@@ -162,7 +165,7 @@ def test_c2_signed_identities_on_randomized_games():
             away=g.away_team,
         )
         fm = compute_game_metrics(flipped)
-        assert fm.rim == m.rim
+        assert fm.home_row.game_rim == h.game_rim
         assert fm.home_row.team_rim == m.away_row.team_rim
 
         # Reordering events changes no count and moves no sum by more
@@ -174,16 +177,17 @@ def test_c2_signed_identities_on_randomized_games():
             home=g.home_team,
             away=g.away_team,
         )
-        pm = compute_game_metrics(shuffled)
-        assert pm.n_calls == m.n_calls
-        assert pm.home_row.own_fouls == m.home_row.own_fouls
-        assert pm.home_row.disparity == m.home_row.disparity
-        worst_perm = max(worst_perm, abs(pm.rim - m.rim))
-        worst_perm = max(worst_perm, abs(pm.home_row.team_rim - m.home_row.team_rim))
-        if m.swing is None:
-            assert pm.swing is None
+        ph = compute_game_metrics(shuffled).home_row
+        assert ph.n_calls == h.n_calls
+        assert ph.disparity == h.disparity
+        worst_perm = max(worst_perm, abs(ph.game_rim - h.game_rim))
+        worst_perm = max(worst_perm, abs(ph.team_rim - h.team_rim))
+        swing = swing_per_call(h.game_rim, h.n_calls)
+        p_swing = swing_per_call(ph.game_rim, ph.n_calls)
+        if swing is None:
+            assert p_swing is None
         else:
-            worst_perm = max(worst_perm, abs(pm.swing - m.swing))
+            worst_perm = max(worst_perm, abs(p_swing - swing))
     assert worst_perm < 1e-12
     _ok(
         "C2 signed identities: PASS (10000 games, mirrors/bounds/flips exact, "

@@ -59,7 +59,7 @@ def test_single_referee_mean_matches_corpus_mean():
     ]
     summaries, band = referee_distribution(games, 1)
     assert len(summaries) == 1
-    expected = sum(compute_game_metrics(g).rim for g in games) / 3
+    expected = sum(compute_game_metrics(g).home_row.game_rim for g in games) / 3
     assert summaries[0].mean_rim == pytest.approx(expected, abs=1e-12)
     assert band.mean == pytest.approx(expected, abs=1e-12)
 

@@ -254,6 +254,43 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     )
     assert code == 2 and "infeasible" in out
 
+    for value in ("nan", "inf"):
+        code, out = run(
+            capsys, "simulate", "--out", str(tmp_path / "sim-nf"), "--fouls-mean", value
+        )
+        assert code == 2 and "error: fouls_mean must be finite" in out, out
+
+    bad_effects = [
+        ('{"pair_shift": [{"referee": "Ref01", "team": "T01", "shift": "abc"}]}',
+         "bad pair_shift entry"),
+        ('{"team_home_shift": {"T01": "x"}}', "bad team_home_shift entry: 'T01': 'x'"),
+        ('{"pair_shift": [{"referee": "Ref01", "team": "T01", "shift": 1e400}]}',
+         "pair_shift ('Ref01', 'T01'): shift must be finite"),
+        ('{"team_home_shift": {"T01": 1e400}}', "team_home_shift 'T01': shift must be finite"),
+    ]
+    for i, (text, message) in enumerate(bad_effects):
+        effects = tmp_path / f"effects{i}.json"
+        effects.write_text(text, encoding="utf-8")
+        sim = tmp_path / f"sim-effects{i}"
+        code, out = run(capsys, "simulate", "--out", str(sim), "--effects", str(effects))
+        assert code == 2 and f"error: {message}" in out, out
+        assert not (sim / "ledger.json").exists()
+
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe")
+    too_deep = tmp_path / "too-deep.json"
+    too_deep.write_text("[" * 100_000, encoding="utf-8")
+    for bad in (not_utf8, too_deep):
+        for argv in (
+            ["--config", str(bad), "metrics"],
+            ["simulate", "--out", str(tmp_path / "sim-u"), "--effects", str(bad)],
+            ["ingest", "--raw-dir", str(tmp_path), "--out", str(tmp_path / "ds-u"),
+             "--aliases", str(bad)],
+        ):
+            code, out = run(capsys, *argv)
+            assert code == 2 and f"error: {bad}: invalid" in out, out
+            assert "Traceback" not in out
+
     code, out = run(
         capsys,
         "regress",
@@ -333,6 +370,22 @@ def test_validate_reports_a_dataset_with_violations_as_such(tmp_path, capsys):
     assert "dataset has violations: 20 games, 1 partitions, 1 with violations" in out
 
 
+def test_validate_flags_a_crew_member_that_is_not_a_name(tmp_path, capsys):
+    from dataclasses import replace
+
+    from rimkit.ingest import write_dataset
+    from rimkit.synth import SimConfig, generate
+
+    games, _ = generate(SimConfig(seed=3, n_teams=6, n_referees=9, games_per_season=20,
+                                  postseason_games_per_season=0, seasons=("2021-22",)))
+    games = [replace(g, crew=(g.crew[0], 5)) if i == 7 else g for i, g in enumerate(games)]
+    write_dataset(games, tmp_path / "ds")
+    code, out = run(capsys, "validate", "--dataset", str(tmp_path / "ds"))
+    assert code == 2, out
+    assert f"{games[7].game_id}: crew[1]: 5 is not a non-empty name" in out
+    assert "dataset has violations: 20 games, 1 partitions, 1 with violations" in out
+
+
 def test_regress_writes_fit_notes_and_dropped_columns(tmp_path, capsys):
     ds = tmp_path / "ds"
     simulate_small(capsys, ds)
@@ -401,6 +454,26 @@ def test_ingest_cli_builds_dataset(tmp_path, capsys):
         capsys, "ingest", "--raw-dir", str(tmp_path / "missing"), "--out", str(ds)
     )
     assert code == 2
+
+
+def test_ingest_cli_refuses_aliases_that_are_not_name_strings(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    doc = summary_doc(plays=(play("p1", 1, foul=True, team="HOU"), play("p2", 2)))
+    (raw / "g.summary.json").write_text(json.dumps(doc), encoding="utf-8")
+    (raw / "g.wp.json").write_text(
+        json.dumps(wp_doc([("p1", 0.55), ("p2", 0.52)])), encoding="utf-8"
+    )
+    aliases = tmp_path / "aliases.json"
+    ds = tmp_path / "ds"
+    for bad in ({"Tony Brothers": 5}, {"Tony Brothers": ""}, ["Tony Brothers"]):
+        aliases.write_text(json.dumps(bad), encoding="utf-8")
+        code, out = run(
+            capsys, "ingest", "--raw-dir", str(raw), "--out", str(ds), "--aliases", str(aliases)
+        )
+        assert code == 2, out
+        assert "error: aliases file must map names to non-empty name strings" in out
+        assert not ds.exists()
 
 
 def test_ingest_cli_quarantines_a_duplicate_game_id(tmp_path, capsys):

@@ -51,7 +51,6 @@ def team_row(
     game_rim=0.1,
     series_key=None,
 ):
-    own = 20 - disparity
     return TeamGameRow(
         game_id=game_id,
         team=team,
@@ -59,12 +58,10 @@ def team_row(
         is_home=is_home,
         season=season,
         season_type=season_type,
-        own_fouls=own,
-        opp_fouls=own + disparity,
         disparity=disparity,
         team_rim=team_rim,
         game_rim=game_rim,
-        n_calls=2 * own + disparity,
+        n_calls=40 - disparity,
         series_key=series_key,
     )
 

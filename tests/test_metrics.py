@@ -33,13 +33,15 @@ def test_event_leverage_perspective_symmetry(rng):
 
 
 def test_game_rim_empty_and_sum():
-    assert compute_game_metrics(make_game([])).rim == 0.0
+    assert compute_game_metrics(make_game([])).home_row.game_rim == 0.0
     events = [
         make_event(0.50, 0.52, event_id=1),
         make_event(0.52, 0.57, event_id=2),
         make_event(0.57, 0.47, event_id=3),
     ]
-    assert compute_game_metrics(make_game(events)).rim == pytest.approx(0.17, abs=1e-12)
+    assert compute_game_metrics(make_game(events)).home_row.game_rim == pytest.approx(
+        0.17, abs=1e-12
+    )
 
 
 def test_swing_per_call_hand_values():
@@ -71,11 +73,10 @@ def test_micro_game_frozen_values():
         make_event(0.53, 0.53, charged="HOU", event_id=3, clock=100.0),
     ]
     m = compute_game_metrics(make_game(events))
-    assert m.n_calls == 3
-    assert m.rim == pytest.approx(0.11, abs=1e-12)
-    assert m.swing == pytest.approx(0.11 / 3, abs=1e-12)
-    assert m.home_row.own_fouls == 2
-    assert m.home_row.opp_fouls == 1
+    h = m.home_row
+    assert h.n_calls == 3
+    assert h.game_rim == pytest.approx(0.11, abs=1e-12)
+    assert swing_per_call(h.game_rim, h.n_calls) == pytest.approx(0.11 / 3, abs=1e-12)
     assert m.home_row.disparity == -1
     assert m.away_row.disparity == 1
     assert m.home_row.team_rim == pytest.approx(0.03, abs=1e-12)
@@ -88,11 +89,10 @@ def test_unattributed_fouls_count_toward_rim_not_disparity():
         make_event(0.60, 0.55, charged="HOU", event_id=2),
     ]
     m = compute_game_metrics(make_game(events))
-    assert m.n_calls == 2
-    assert m.rim == pytest.approx(0.15, abs=1e-12)
-    assert m.home_row.own_fouls == 1
-    assert m.home_row.opp_fouls == 0
+    assert m.home_row.n_calls == 2
+    assert m.home_row.game_rim == pytest.approx(0.15, abs=1e-12)
     assert m.home_row.disparity == -1
+    assert m.away_row.disparity == 1
 
 
 def test_period_bucket_rule():
@@ -111,14 +111,13 @@ def test_period_breakdown_single_quarter():
         make_event(0.5, 0.6, period=2, event_id=1),
         make_event(0.6, 0.55, period=2, event_id=2, charged="BOS"),
     ]
-    per = compute_game_metrics(make_game(events, home="HOU", away="BOS")).per_period
-    assert set(per) == {"Q1", "Q2", "Q3", "Q4", "OT"}
-    assert per["Q2"].calls == 2
-    assert per["Q2"].rim == pytest.approx(0.15, abs=1e-12)
-    assert per["Q2"].home_disparity == 0  # one each way
-    for bucket in ("Q1", "Q3", "Q4", "OT"):
-        assert per[bucket].calls == 0
-        assert per[bucket].rim == 0.0
+    m = compute_game_metrics(make_game(events, home="HOU", away="BOS"))
+    assert PERIOD_BUCKETS == ("Q1", "Q2", "Q3", "Q4", "OT")
+    assert len(m.period_rim) == len(m.period_home_disparity) == len(PERIOD_BUCKETS)
+    assert m.period_rim[1] == pytest.approx(0.15, abs=1e-12)
+    assert m.period_home_disparity == (0, 0, 0, 0, 0)  # Q2: one each way
+    for i in (0, 2, 3, 4):
+        assert m.period_rim[i] == 0.0
 
 
 def test_ot_bucket_pools_all_extra_periods():
@@ -126,20 +125,16 @@ def test_ot_bucket_pools_all_extra_periods():
         make_event(0.5, 0.6, period=5, event_id=1, clock=200.0),
         make_event(0.6, 0.7, period=7, event_id=2, clock=100.0),
     ]
-    per = compute_game_metrics(make_game(events, home="HOU", away="BOS")).per_period
-    assert per["OT"].calls == 2
-    assert per["OT"].rim == pytest.approx(0.2, abs=1e-12)
+    m = compute_game_metrics(make_game(events, home="HOU", away="BOS"))
+    assert m.period_rim[PERIOD_BUCKETS.index("OT")] == pytest.approx(0.2, abs=1e-12)
+    assert m.period_rim[:4] == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_period_breakdown_reconciles_with_game_totals(rng):
     for game in random_games(rng, 200):
         m = compute_game_metrics(game)
-        per = m.per_period
-        assert sum(p.calls for p in per.values()) == m.n_calls
-        assert sum(p.rim for p in per.values()) == pytest.approx(m.rim, abs=1e-12)
-        assert (
-            sum(p.home_disparity for p in per.values()) == m.home_row.disparity
-        )
+        assert sum(m.period_rim) == pytest.approx(m.home_row.game_rim, abs=1e-12)
+        assert sum(m.period_home_disparity) == m.home_row.disparity
 
 
 def test_mirror_identities_random_games(rng):
@@ -149,17 +144,17 @@ def test_mirror_identities_random_games(rng):
         q_home = m.home_row.team_rim
         q_away = m.away_row.team_rim
         assert q_home + q_away == 0.0  # exact negation, not approximate
-        assert abs(q_home) <= m.rim + 1e-12
-        assert m.rim >= 0.0
+        assert abs(q_home) <= m.home_row.game_rim + 1e-12
+        assert m.home_row.game_rim >= 0.0
         assert m.home_row.disparity == -m.away_row.disparity
         assert m.home_row.game_rim == m.away_row.game_rim
 
 
 def test_rim_zero_iff_all_events_flat():
     flat = [make_event(0.4, 0.4, event_id=i) for i in range(1, 4)]
-    assert compute_game_metrics(make_game(flat)).rim == 0.0
+    assert compute_game_metrics(make_game(flat)).home_row.game_rim == 0.0
     moved = flat + [make_event(0.4, 0.41, event_id=9)]
-    assert compute_game_metrics(make_game(moved)).rim > 0.0
+    assert compute_game_metrics(make_game(moved)).home_row.game_rim > 0.0
 
 
 def _reference_metrics(game):
@@ -172,7 +167,7 @@ def _reference_metrics(game):
         signed += e.post_wp - e.pre_wp
     home_fouls = sum(1 for e in game.events if e.charged_team == game.home_team)
     away_fouls = sum(1 for e in game.events if e.charged_team == game.away_team)
-    per = {}
+    per = []
     for bucket in PERIOD_BUCKETS:
         events = [e for e in game.events if period_bucket(e.period) == bucket]
         bucket_rim = 0.0
@@ -181,8 +176,8 @@ def _reference_metrics(game):
         disparity = sum(1 for e in events if e.charged_team == game.away_team) - sum(
             1 for e in events if e.charged_team == game.home_team
         )
-        per[bucket] = (bucket_rim.hex(), len(events), disparity)
-    return rim.hex(), signed.hex(), (-signed).hex(), home_fouls, away_fouls, per
+        per.append((bucket_rim.hex(), disparity))
+    return rim.hex(), signed.hex(), (-signed).hex(), away_fouls - home_fouls, per
 
 
 def test_one_pass_kernel_matches_separate_loops_to_the_bit(rng):
@@ -190,15 +185,12 @@ def test_one_pass_kernel_matches_separate_loops_to_the_bit(rng):
     games.append(make_game([make_event(0.5, 0.6, period=0), make_event(0.6, 0.6, period=-1)]))
     for game in games:
         m = compute_game_metrics(game)
-        per = {
-            b: (p.rim.hex(), p.calls, p.home_disparity) for b, p in m.per_period.items()
-        }
+        per = [(r.hex(), d) for r, d in zip(m.period_rim, m.period_home_disparity)]
         got = (
-            m.rim.hex(),
+            m.home_row.game_rim.hex(),
             m.home_row.team_rim.hex(),
             m.away_row.team_rim.hex(),
-            m.home_row.own_fouls,
-            m.away_row.own_fouls,
+            m.home_row.disparity,
             per,
         )
         assert got == _reference_metrics(game)
@@ -217,8 +209,8 @@ def test_permutation_invariance(rng):
         )
         a = compute_game_metrics(game)
         b = compute_game_metrics(shuffled)
-        assert a.n_calls == b.n_calls
-        assert a.rim == pytest.approx(b.rim, abs=1e-12)
+        assert a.home_row.n_calls == b.home_row.n_calls
+        assert a.home_row.game_rim == pytest.approx(b.home_row.game_rim, abs=1e-12)
         assert a.home_row.team_rim == pytest.approx(b.home_row.team_rim, abs=1e-12)
         assert a.home_row.disparity == b.home_row.disparity
 

@@ -7,7 +7,6 @@ import pytest
 from conftest import make_event, make_game
 from rimkit.model import (
     SeriesStateKey,
-    all_series_keys,
     canonical_series_key,
     canonicalize_name,
     is_no_crew_only,
@@ -89,6 +88,14 @@ def test_empty_crew_is_isolated_soft_flag():
     assert not is_no_crew_only(validate_game(game2))
 
 
+def test_crew_members_must_be_non_empty_names():
+    game = make_game([make_event(0.5, 0.55, clock=700.0)], crew=("Tony Brothers", 5, " "))
+    assert validate_game(game) == [
+        "crew[1]: 5 is not a non-empty name",
+        "crew[2]: ' ' is not a non-empty name",
+    ]
+
+
 @pytest.mark.parametrize("season", ["../../escaped", "a/b", "/abs", "..", "", "2021 22"])
 def test_season_that_is_not_a_plain_directory_name_is_flagged(season):
     problems = validate_game(make_game(season=season))
@@ -112,15 +119,6 @@ def test_series_key_rejects_out_of_range():
         canonical_series_key(4, 0)
     with pytest.raises(ValueError):
         canonical_series_key(0, -1)
-
-
-def test_all_series_keys_count_and_order():
-    keys = all_series_keys()
-    # lo <= hi pairs drawn from 0..3: 4 + 3 + 2 + 1.
-    assert len(keys) == 10
-    assert keys[0].label == "0--0"
-    assert keys == sorted(keys)
-    assert all(k.lo <= k.hi for k in keys)
 
 
 @pytest.mark.parametrize(

@@ -313,7 +313,8 @@ def test_team_side_rows_mirror_and_recover_shift():
         assert (h.team, h.opponent) == (a.opponent, a.team)
         assert h.disparity == -a.disparity
         assert h.team_rim + a.team_rim == 0.0
-        assert h.n_calls == a.n_calls == h.own_fouls + h.opp_fouls
+        assert h.n_calls == a.n_calls >= abs(h.disparity)
+        assert (h.n_calls - h.disparity) % 2 == 0  # n_calls = own + opp, disparity = opp - own
         assert h.game_rim >= abs(h.team_rim)
         assert gid == f"S1-mc-{int(gid.split('-')[-1]):05d}"
         (target_disp if h.team == "T01" else other_disp).append(h.disparity)
