@@ -128,9 +128,10 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
     raw_dir = Path(args.raw_dir)
     if not raw_dir.is_dir():
         raise DatasetError(f"raw directory not found: {raw_dir}")
-    dataset_root = Path(args.out_dir or cfg.dataset or "")
-    if not str(dataset_root):
+    dest = args.out_dir or cfg.dataset
+    if not dest:
         raise ConfigError("a dataset destination is required (--out or dataset)")
+    dataset_root = Path(dest)
     aliases = None
     if args.aliases:
         aliases = read_json_file(args.aliases, "aliases file")
@@ -224,6 +225,13 @@ def cmd_robustness(cfg: RunConfig, args: argparse.Namespace) -> int:
     return _echo(out, "robustness", cfg)
 
 
+def _effect_entries(data: dict, key: str, fields: str) -> list:
+    entries = data.pop(key, [])
+    if not isinstance(entries, list):
+        raise SimConfigError(f"{key} must be a list of {{{fields}}} entries")
+    return entries
+
+
 def _parse_effects_file(path: str) -> dict:
     data = read_json_file(path, "effects file")
     if not isinstance(data, dict):
@@ -240,14 +248,14 @@ def _parse_effects_file(path: str) -> dict:
             raise SimConfigError(f"bad team_home_shift entry: {team!r}: {shift!r}") from e
     out["team_home_shift"] = shifts
     pair = {}
-    for entry in data.pop("pair_shift", []):
+    for entry in _effect_entries(data, "pair_shift", "referee, team, shift"):
         try:
             pair[(str(entry["referee"]), str(entry["team"]))] = float(entry["shift"])
         except (TypeError, KeyError, ValueError, OverflowError) as e:
             raise SimConfigError(f"bad pair_shift entry: {entry!r}") from e
     out["pair_shift"] = pair
     series = {}
-    for entry in data.pop("series_shift", []):
+    for entry in _effect_entries(data, "series_shift", "state, shift"):
         try:
             lo, hi = str(entry["state"]).split("--")
             series[(int(lo), int(hi))] = float(entry["shift"])
@@ -260,9 +268,10 @@ def _parse_effects_file(path: str) -> dict:
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    root = Path(args.out_dir or cfg.out_dir or cfg.dataset or "")
-    if not str(root):
+    dest = args.out_dir or cfg.out_dir or cfg.dataset
+    if not dest:
         raise ConfigError("a destination is required (--out)")
+    root = Path(dest)
     overrides = {"seed": cfg.seed}
     for name in (
         "n_teams",

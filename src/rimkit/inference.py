@@ -6,7 +6,8 @@ X'X is a ``bincount`` over slot pairs, exact for these 0/+-1 designs. A
 sequential Cholesky on it drops dependent columns, earliest column wins:
 column j goes when its Schur pivot, the squared norm of its residual
 against the kept columns, is at most ``max(n, K) * eps`` times its squared
-norm. The kept Gram is inverted once per design and solves every outcome.
+norm. A design holds no outcome: the kept Gram is inverted once per design
+and solves every outcome fitted on it, each named at the fit.
 Covariance is the CR1 cluster sandwich, intervals use Student-t critical
 values at n − rank degrees of freedom, and each coefficient carries an
 omitted-variable robustness value: the equal-strength confounder
@@ -15,11 +16,10 @@ association that would zero out its t-statistic.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -200,24 +200,18 @@ class TeamSideTarget:
 
 @dataclass(frozen=True, eq=False)
 class Design:
-    """A rank-filtered design: sparse rows, one outcome, clusters, column names.
+    """A rank-filtered design: sparse rows, cluster codes, column names, notes.
 
-    ``groups`` codes each row's cluster 0..G-1; :meth:`with_outcome` copies
-    share the rows, factorization and codes.
+    ``groups`` codes each row's cluster 0..G-1. The design holds no outcome;
+    :func:`fit_clustered` takes one, so every outcome fitted on a design
+    shares its rows and factorization.
     """
 
     rows: SparseRows
-    outcome: np.ndarray
-    clusters: np.ndarray
+    groups: np.ndarray
     columns: tuple[str, ...]
     dropped: tuple[str, ...]
     notes: tuple[str, ...]
-    outcome_name: str
-    source: Sequence = ()  # the records behind the rows, in row order, when known
-    groups: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "groups", np.unique(self.clusters, return_inverse=True)[1])
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -226,15 +220,6 @@ class Design:
         i, s = np.nonzero(self.rows.value)  # a row's nonzero slots hold distinct columns
         X[i, self.rows.index[i, s]] = self.rows.value[i, s]
         return X
-
-    def with_outcome(self, name: str, y: np.ndarray) -> Design:
-        notes = tuple(n for n in self.notes if n != _DEGENERATE)
-        if np.all(y == y[0]):
-            notes += (_DEGENERATE,)
-        other = copy.copy(self)
-        for attr, value in (("outcome", y), ("outcome_name", name), ("notes", notes)):
-            object.__setattr__(other, attr, value)
-        return other
 
 
 # A block of design columns: per-row code within the block (-1: no entry),
@@ -264,8 +249,7 @@ def _blocks(n: int, *families: tuple[Sequence[str], str]) -> list[_Block]:
     return [_column(np.ones(n), "intercept")] + [_factor(v, p)[0] for v, p in families]
 
 
-def _design(blocks: Sequence[_Block], clusters: Sequence[str], notes: Sequence[str],
-            outcome_name: str, y: np.ndarray, source: Sequence = ()) -> Design:
+def _design(blocks: Sequence[_Block], clusters: Sequence[str], notes: Sequence[str]) -> Design:
     """Assemble blocks into row slots, form X'X, drop dependent columns."""
     n = len(clusters)
     index = np.zeros((n, len(blocks)), dtype=np.intp)
@@ -290,34 +274,30 @@ def _design(blocks: Sequence[_Block], clusters: Sequence[str], notes: Sequence[s
     rows = SparseRows(np.maximum(index, 0), value, gram[np.ix_(kept, kept)])
     columns = tuple(names[j] for j in kept)
     dropped = tuple(name for name, c in zip(names, col) if c < 0)
-    design = Design(rows, y, np.asarray(clusters), columns, dropped, tuple(notes), outcome_name,
-                    source)
-    return design.with_outcome(outcome_name, y)
-
-
-def _team_outcome(rows: Sequence[TeamGameRow], outcome: str) -> np.ndarray:
-    if outcome not in TEAM_OUTCOMES:
-        raise DesignError(f"unknown outcome {outcome!r}")
-    return np.array([getattr(r, outcome) for r in rows], dtype=float)
+    groups = np.unique(np.asarray(clusters), return_inverse=True)[1]
+    return Design(rows, groups, columns, dropped, tuple(notes))
 
 
 def build_design(
     rows: Sequence[TeamGameRow],
     targets: Sequence[TeamSideTarget],
     *,
-    outcome: str,
+    outcomes: Sequence[str],
     target_form: str,
     include_series: bool,
-) -> Design:
+) -> tuple[Design, dict[str, np.ndarray]]:
     """Team-row design with the full controls, rank-filtered, deterministic.
 
     Column order: intercept, home indicator, team, opponent and season
     effects, series-state effects when ``include_series`` (canonical label
     order, 0--0 reference), then targets in the order given. Each factor's
     first level is its reference. With series effects, rows without a
-    series state are excluded and counted; ``Design.source`` holds the rows
-    fitted.
+    series state are excluded and counted. Returns the design and each
+    named outcome's values over the rows it kept.
     """
+    for outcome in outcomes:
+        if outcome not in TEAM_OUTCOMES:
+            raise DesignError(f"unknown outcome {outcome!r}")
     if target_form not in ("indicator", "paired"):
         raise DesignError(f"unknown target_form {target_form!r}")
     rows = list(rows)
@@ -348,8 +328,8 @@ def build_design(
         if target_form == "paired":
             column[(opponent == tgt.team) & (is_home != (tgt.side == HOME))] = -1.0
         blocks.append(_column(column, f"{tgt.name}[{target_form}]"))
-    y = _team_outcome(fitted, outcome)
-    return _design(blocks, [r.game_id for r in fitted], notes, outcome, y, fitted)
+    ys = {o: np.array([getattr(r, o) for r in fitted], dtype=float) for o in outcomes}
+    return _design(blocks, [r.game_id for r in fitted], notes), ys
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +386,15 @@ class FitResult:
         return [self.coef(t) for t in self.terms]
 
 
-def fit_clustered(design: Design) -> FitResult:
-    """Fit a design and wrap estimates with clustered inference.
+def fit_clustered(design: Design, outcome: str, y: np.ndarray) -> FitResult:
+    """Fit the named outcome ``y`` on a design, with clustered inference.
 
     The t reference has n − rank degrees of freedom. Intervals are 95%.
     Robustness values are computed per coefficient at the same degrees of
-    freedom.
+    freedom. A constant ``y`` adds a degenerate-fit note to the design's.
     """
-    beta, resid, _, dof = fit_ols(design.rows, design.outcome)
+    y = np.asarray(y, dtype=float)
+    beta, resid, _, dof = fit_ols(design.rows, y)
     V = cluster_covariance(design.rows, resid, design.groups)
     se = np.sqrt(np.maximum(np.diag(V), 0.0))
     t_stats, rho = np.zeros_like(beta), np.zeros_like(beta)
@@ -426,7 +407,7 @@ def fit_clustered(design: Design) -> FitResult:
             rho[i] = 0.0 if beta[i] == 0.0 else math.nan
     tcrit = student_t_quantile(0.975, float(dof))
     return FitResult(
-        outcome=design.outcome_name,
+        outcome=outcome,
         terms=design.columns,
         estimates=beta,
         se=se,
@@ -439,13 +420,13 @@ def fit_clustered(design: Design) -> FitResult:
         n_clusters=int(design.groups.max()) + 1,
         dof=dof,
         dropped=design.dropped,
-        notes=design.notes,
+        notes=design.notes + ((_DEGENERATE,) if np.all(y == y[0]) else ()),
     )
 
 
 def _fit_outcomes(design: Design, outcomes: Mapping[str, np.ndarray]) -> dict[str, FitResult]:
     """One fit per outcome, all on the design's rows and factorization."""
-    return {name: fit_clustered(design.with_outcome(name, y)) for name, y in outcomes.items()}
+    return {name: fit_clustered(design, name, y) for name, y in outcomes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +451,8 @@ def team_side_effects(
     """
     if not outcomes:
         return {}
-    design = build_design(rows, targets, outcome=outcomes[0], target_form=target_form,
-                          include_series=include_series)
-    ys = {o: design.outcome if o == outcomes[0] else _team_outcome(design.source, o)
-          for o in outcomes}
+    design, ys = build_design(rows, targets, outcomes=outcomes, target_form=target_form,
+                              include_series=include_series)
     return _fit_outcomes(design, ys)
 
 
@@ -507,8 +486,7 @@ def series_state_effects(rows: Sequence[TeamGameRow]) -> dict[str, FitResult]:
         "game_rim": np.array([r.game_rim for r in game_rows]),
     }
     notes = (f"series reference {ref}", f"games {n}")
-    design = _design(blocks, [r.game_id for r in game_rows], notes, "game_rim", ys["game_rim"])
-    return _fit_outcomes(design, ys)
+    return _fit_outcomes(_design(blocks, [r.game_id for r in game_rows], notes), ys)
 
 
 def ref_team_residual_effects(
@@ -548,5 +526,4 @@ def ref_team_residual_effects(
     referee, team = np.array(referees), np.array(teams)
     for ref, tm in kept_targets:
         blocks.append(_column((referee == ref) & (team == tm), f"pair_{ref}|{tm}"))
-    design = _design(blocks, [r.game_id for r in rows], notes, "team_rim", ys["team_rim"])
-    return _fit_outcomes(design, ys)
+    return _fit_outcomes(_design(blocks, [r.game_id for r in rows], notes), ys)

@@ -24,6 +24,9 @@ OVERTIME_SECONDS = 5 * 60.0
 
 MAX_SERIES_WINS = 3
 
+# Event fields the range and order rules compare as numbers.
+_EVENT_NUMBERS = ("period", "clock_seconds_remaining", "pre_wp", "post_wp")
+
 # Season labels name dataset directories, so one must be a single plain
 # path component ("2021-22", "S1"), never "..", "a/b" or an absolute path.
 SAFE_LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*")
@@ -124,6 +127,10 @@ def _period_length(period: int) -> float:
     return PERIOD_SECONDS if period <= REGULATION_PERIODS else OVERTIME_SECONDS
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_game(record: GameRecord) -> list[str]:
     """Check every record rule, returning one message per violation.
 
@@ -138,7 +145,10 @@ def validate_game(record: GameRecord) -> list[str]:
         problems.append(
             f"season_type: {record.season_type!r} not one of {SEASON_TYPES}"
         )
-    if not SAFE_LABEL.fullmatch(record.season):
+    problems += [f"{name}: {getattr(record, name)!r} is not a string"
+                 for name in ("game_id", "season", "home_team", "away_team")
+                 if not isinstance(getattr(record, name), str)]
+    if isinstance(record.season, str) and not SAFE_LABEL.fullmatch(record.season):
         problems.append(f"season: {record.season!r} is not a plain directory name")
     if not record.game_id:
         problems.append("game_id: empty")
@@ -152,41 +162,33 @@ def validate_game(record: GameRecord) -> list[str]:
         if not isinstance(ref, str) or not ref.strip():
             problems.append(f"crew[{i}]: {ref!r} is not a non-empty name")
 
-    prev: FoulEvent | None = None
-    for i, ev in enumerate(record.events):
+    sides = (record.home_team, record.away_team)
+    prev: tuple | None = None  # (period, clock) of the last event checked
+    for i, (_, period, clock, charged, pre, post, _) in enumerate(record.events):
         tag = f"events[{i}]"
-        if ev.period < 1:
-            problems.append(f"{tag}.period: {ev.period} below 1")
+        if (type(period) is not int or type(clock) is not float
+                or type(pre) is not float or type(post) is not float):
+            typed = [f"{tag}.{name}: {value!r} is not a number"
+                     for name, value in zip(_EVENT_NUMBERS, (period, clock, pre, post))
+                     if not _is_number(value)]
+            if typed:
+                problems += typed  # the range and order checks need numbers
+                continue
+        if period < 1:
+            problems.append(f"{tag}.period: {period} below 1")
         else:
-            limit = _period_length(ev.period)
-            if not 0.0 <= ev.clock_seconds_remaining <= limit:
-                problems.append(
-                    f"{tag}.clock_seconds_remaining: "
-                    f"{ev.clock_seconds_remaining} outside [0, {limit}]"
-                )
-        for field_name, wp in (("pre_wp", ev.pre_wp), ("post_wp", ev.post_wp)):
+            limit = _period_length(period)
+            if not 0.0 <= clock <= limit:
+                problems.append(f"{tag}.clock_seconds_remaining: {clock} outside [0, {limit}]")
+        for field_name, wp in (("pre_wp", pre), ("post_wp", post)):
             if not 0.0 <= wp <= 1.0:
-                problems.append(
-                    f"{tag}.{field_name}: win probability {wp} outside [0, 1]"
-                )
-        if ev.charged_team is not None and ev.charged_team not in (
-            record.home_team,
-            record.away_team,
-        ):
-            problems.append(
-                f"{tag}.charged_team: {ev.charged_team!r} is neither side"
-            )
-        if prev is not None:
-            out_of_order = ev.period < prev.period or (
-                ev.period == prev.period
-                and ev.clock_seconds_remaining > prev.clock_seconds_remaining
-            )
-            # Ties (same period, same clock) keep feed order and are legal.
-            if out_of_order:
-                problems.append(
-                    f"{tag}: out of order (period asc, clock desc violated)"
-                )
-        prev = ev
+                problems.append(f"{tag}.{field_name}: win probability {wp} outside [0, 1]")
+        if charged is not None and charged not in sides:
+            problems.append(f"{tag}.charged_team: {charged!r} is neither side")
+        # Ties (same period, same clock) keep feed order and are legal.
+        if prev is not None and (period < prev[0] or (period == prev[0] and clock > prev[1])):
+            problems.append(f"{tag}: out of order (period asc, clock desc violated)")
+        prev = (period, clock)
 
     state = record.series_state
     if state is not None:

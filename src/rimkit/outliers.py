@@ -23,11 +23,9 @@ class PanelRow:
 
     game_id: str
     season: str
-    season_type: str
     referee: str
     team: str
     opponent: str
-    is_home: bool
     team_rim: float
     disparity: float
 
@@ -81,11 +79,9 @@ def panel_rows(games: Iterable[GameRecord]) -> tuple[list[PanelRow], int]:
                     PanelRow(
                         game_id=g.game_id,
                         season=g.season,
-                        season_type=g.season_type,
                         referee=ref,
                         team=row.team,
                         opponent=row.opponent,
-                        is_home=row.is_home,
                         team_rim=row.team_rim,
                         disparity=float(row.disparity),
                     )

@@ -95,8 +95,9 @@ class SimConfig:
             raise SimConfigError("need at least one season label")
         if self.fouls_mean < 0 or self.fouls_dispersion < 0:
             raise SimConfigError("foul distribution parameters must be >= 0")
-        if not 0.0 <= self.benefit_prob <= 1.0:
-            raise SimConfigError("benefit_prob must be a probability")
+        for name in ("benefit_prob", "overtime_rate", "unattributed_rate", "missing_series_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise SimConfigError(f"{name} must be a probability")
         if self.move_scale < 0 or self.move_alpha <= 0 or self.move_beta <= 0:
             raise SimConfigError("move distribution parameters out of range")
 
@@ -167,8 +168,7 @@ def _generate_game(
         p_home_charge = min(max(0.5 - home_delta / (2.0 * n_attr), 0.01), 0.99)
     charge_home = rng.random(n) < p_home_charge
 
-    ot = min(max(cfg.overtime_rate, 0.0), 1.0)
-    period_probs = [(1.0 - ot) / 4.0] * 4 + [ot]
+    period_probs = [(1.0 - cfg.overtime_rate) / 4.0] * 4 + [cfg.overtime_rate]
     period_draw = rng.choice(5, size=n, p=period_probs)
     periods = np.where(period_draw < 4, period_draw + 1, 5)
     clocks = np.where(
@@ -484,9 +484,9 @@ def simulate_ref_team_panel(
         gid = f"{season}-pnl-{i:05d}"
         disparity = float(rng.normal(0.0, 4.0))
         for ref in crew:
-            for team, opp, is_home, side_sign, disp in (
-                (home, away, True, 1.0, disparity),
-                (away, home, False, -1.0, -disparity),
+            for team, opp, side_sign, disp in (
+                (home, away, 1.0, disparity),
+                (away, home, -1.0, -disparity),
             ):
                 y = (
                     float(ref_eff.get(ref, 0.0))
@@ -499,11 +499,9 @@ def simulate_ref_team_panel(
                     PanelRow(
                         game_id=gid,
                         season=season,
-                        season_type=REGULAR,
                         referee=ref,
                         team=team,
                         opponent=opp,
-                        is_home=is_home,
                         team_rim=y,
                         disparity=disp,
                     )

@@ -245,11 +245,9 @@ def test_c4a_exactly_additive_panel_has_no_excess():
                     PanelRow(
                         game_id=f"g{gid:06d}",
                         season="S1",
-                        season_type="regular",
                         referee=ref,
                         team=team,
                         opponent="TXX",
-                        is_home=True,
                         team_rim=value,
                         disparity=float(i - j),
                     )
@@ -287,9 +285,9 @@ def _pair_detection_panel(
         shock = float(rng.normal(0.0, game_sd))
         disp = float(rng.normal(0.0, 4.0))
         for ref in crew:
-            for team, opp, is_home, sign, d in (
-                (home, away, True, 1.0, disp),
-                (away, home, False, -1.0, -disp),
+            for team, opp, sign, d in (
+                (home, away, 1.0, disp),
+                (away, home, -1.0, -disp),
             ):
                 y = (
                     ref_eff[ref]
@@ -303,11 +301,9 @@ def _pair_detection_panel(
                     PanelRow(
                         game_id=gid,
                         season="S1",
-                        season_type="regular",
                         referee=ref,
                         team=team,
                         opponent=opp,
-                        is_home=is_home,
                         team_rim=y,
                         disparity=d,
                     )

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, config resolution, the run
 echo, and the full simulate-to-figures pipeline in a temp directory."""
 
+import hashlib
 import json
 
 import pytest
@@ -260,6 +261,14 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
         )
         assert code == 2 and "error: fouls_mean must be finite" in out, out
 
+    for flag, value in (("--overtime-rate", "5"), ("--unattributed-rate", "-1"),
+                        ("--missing-series-rate", "3")):
+        sim = tmp_path / "sim-rate"
+        code, out = run(capsys, "simulate", "--out", str(sim), flag, value)
+        name = flag[2:].replace("-", "_")
+        assert code == 2 and f"error: {name} must be a probability" in out, out
+        assert not sim.exists()
+
     bad_effects = [
         ('{"pair_shift": [{"referee": "Ref01", "team": "T01", "shift": "abc"}]}',
          "bad pair_shift entry"),
@@ -267,6 +276,9 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
         ('{"pair_shift": [{"referee": "Ref01", "team": "T01", "shift": 1e400}]}',
          "pair_shift ('Ref01', 'T01'): shift must be finite"),
         ('{"team_home_shift": {"T01": 1e400}}', "team_home_shift 'T01': shift must be finite"),
+        ('{"pair_shift": 5}', "pair_shift must be a list of {referee, team, shift} entries"),
+        ('{"series_shift": null}', "series_shift must be a list of {state, shift} entries"),
+        ('{"series_shift": 3}', "series_shift must be a list of {state, shift} entries"),
     ]
     for i, (text, message) in enumerate(bad_effects):
         effects = tmp_path / f"effects{i}.json"
@@ -305,6 +317,22 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
 
     code, out = run(capsys, "validate")
     assert code == 2 and "nothing to validate" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--games-per-season", "4", "--teams", "4", "--referees", "4"],
+     ["ingest", "--raw-dir", "raw"]],
+    ids=["simulate", "ingest"],
+)
+def test_a_command_without_a_destination_writes_nothing(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.delenv("RIMKIT_CONFIG", raising=False)
+    (tmp_path / "raw").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, *argv)
+    assert code == 2 and "destination is required" in out, out
+    assert [p.name for p in tmp_path.iterdir()] == ["raw"]
+    assert not any((tmp_path / "raw").iterdir())
 
 
 def test_refs_rejects_a_min_games_below_one(tmp_path, capsys):
@@ -383,6 +411,39 @@ def test_validate_flags_a_crew_member_that_is_not_a_name(tmp_path, capsys):
     code, out = run(capsys, "validate", "--dataset", str(tmp_path / "ds"))
     assert code == 2, out
     assert f"{games[7].game_id}: crew[1]: 5 is not a non-empty name" in out
+    assert "dataset has violations: 20 games, 1 partitions, 1 with violations" in out
+
+
+def test_validate_reports_non_string_and_non_numeric_fields(tmp_path, capsys):
+    # A hand-edited dataset whose manifest hashes still match: validate must
+    # report the wrongly typed fields, not fail on them.
+    from rimkit.ingest import write_dataset
+    from rimkit.synth import SimConfig, generate
+
+    games, _ = generate(SimConfig(seed=3, n_teams=6, n_referees=9, games_per_season=20,
+                                  postseason_games_per_season=0, seasons=("2021-22",)))
+    ds = tmp_path / "ds"
+    write_dataset(games, ds)
+    manifest = json.loads((ds / "manifest.json").read_text(encoding="utf-8"))
+    part = manifest["partitions"][0]
+    path = ds / part["path"]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])
+    first["season"] = 2021
+    first["events"][0]["period"] = "1"
+    first["events"][1]["pre_wp"] = "0.5"
+    lines[0] = json.dumps(first)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    part["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (ds / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+    code, out = run(capsys, "validate", "--dataset", str(ds))
+    assert code == 2, out
+    assert "Traceback" not in out
+    gid = first["game_id"]
+    assert f"{gid}: season: 2021 is not a string" in out
+    assert f"{gid}: events[0].period: '1' is not a number" in out
+    assert f"{gid}: events[1].pre_wp: '0.5' is not a number" in out
     assert "dataset has violations: 20 games, 1 partitions, 1 with violations" in out
 
 

@@ -85,8 +85,15 @@ def mirrored_game(game_id, home, away, **kwargs):
 
 def team_design(rows, targets=(), *, outcome="disparity", target_form="indicator",
                 include_series=False):
-    return build_design(rows, targets, outcome=outcome, target_form=target_form,
-                        include_series=include_series)
+    """The team-row design and the one outcome's values over its rows."""
+    design, ys = build_design(rows, targets, outcomes=(outcome,), target_form=target_form,
+                              include_series=include_series)
+    return design, ys[outcome]
+
+
+def team_fit(rows, targets=(), *, outcome="disparity", **kwargs):
+    design, y = team_design(rows, targets, outcome=outcome, **kwargs)
+    return fit_clustered(design, outcome, y)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +288,7 @@ def four_team_rows():
 
 def test_build_design_column_order_and_values():
     rows = four_team_rows()
-    design = team_design(rows, [TeamSideTarget("A", "home")])
+    design, y = team_design(rows, [TeamSideTarget("A", "home")])
     # Single season contributes no columns; references are first levels.
     assert design.columns == (
         "intercept",
@@ -298,25 +305,27 @@ def test_build_design_column_order_and_values():
     assert "opponent reference A" in design.notes
     assert "season reference 2021-22" in design.notes
     assert design.matrix.shape == (12, 9)
-    assert list(design.clusters[:2]) == ["g1", "g1"]
+    assert list(design.groups) == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]  # g1..g6, by game
     # The target column marks exactly A's home rows (games g1 and g5).
     target = design.matrix[:, -1]
     expected = [1.0 if (r.team == "A" and r.is_home) else 0.0 for r in rows]
     assert np.array_equal(target, expected)
-    assert design.outcome == pytest.approx([float(r.disparity) for r in rows])
+    assert y == pytest.approx([float(r.disparity) for r in rows])
 
 
 def test_build_design_team_rim_outcome():
     rows = four_team_rows()
-    design = team_design(rows, outcome="team_rim")
-    assert design.outcome == pytest.approx([r.team_rim for r in rows])
-    assert design.outcome_name == "team_rim"
-    assert design.source == rows
+    design, ys = build_design(rows, (), outcomes=("team_rim", "disparity"),
+                              target_form="indicator", include_series=False)
+    assert list(ys) == ["team_rim", "disparity"]
+    assert ys["team_rim"] == pytest.approx([r.team_rim for r in rows])
+    assert ys["disparity"] == pytest.approx([float(r.disparity) for r in rows])
+    assert design.rows.shape[0] == len(rows)
 
 
 def test_build_design_paired_target_marks_both_rows():
     rows = four_team_rows()
-    design = team_design(rows, [TeamSideTarget("A", "home")], target_form="paired")
+    design, _ = team_design(rows, [TeamSideTarget("A", "home")], target_form="paired")
     assert design.columns[-1] == "A:home[paired]"
     target = design.matrix[:, -1]
     expected = []
@@ -366,9 +375,10 @@ def test_build_design_series_effects_exclude_unknown_states():
             )
         else:
             with_state.append(r)
-    design = team_design(with_state, include_series=True)
+    design, y = team_design(with_state, include_series=True)
     assert design.matrix.shape[0] == 4  # only g1 and g3 rows survive
-    assert [r.game_id for r in design.source] == ["g1", "g1", "g3", "g3"]
+    assert list(design.groups) == [0, 0, 1, 1]
+    assert list(y) == [float(r.disparity) for r in with_state if r.game_id in ("g1", "g3")]
     assert "excluded 8 rows without series state" in design.notes
     assert "series reference 1--2" in design.notes  # 0--0 absent, falls back
     with pytest.raises(DesignError):
@@ -376,12 +386,25 @@ def test_build_design_series_effects_exclude_unknown_states():
 
 
 def test_build_design_notes_constant_outcome():
+    # The design holds no outcome, so the degenerate note waits for the fit.
     rows = [
         team_row("g1", "A", "B", True, disparity=4),
         team_row("g2", "B", "A", True, disparity=4),
     ]
-    design = team_design(rows)
-    assert "outcome is constant; fit is degenerate" in design.notes
+    design, y = team_design(rows)
+    assert list(y) == [4.0, 4.0]
+    assert "outcome is constant; fit is degenerate" not in design.notes
+
+
+def test_only_the_constant_outcome_fit_notes_degeneracy():
+    rows = [replace(r, disparity=4) for r in four_team_rows()]
+    design, ys = build_design(rows, (), outcomes=("disparity", "team_rim"),
+                              target_form="indicator", include_series=False)
+    constant = fit_clustered(design, "disparity", ys["disparity"])
+    varying = fit_clustered(design, "team_rim", ys["team_rim"])
+    assert constant.notes == design.notes + ("outcome is constant; fit is degenerate",)
+    assert varying.notes == design.notes
+    assert (constant.outcome, varying.outcome) == ("disparity", "team_rim")
 
 
 def test_build_design_estimates_invariant_to_row_order(rng):
@@ -389,8 +412,8 @@ def test_build_design_estimates_invariant_to_row_order(rng):
     targets = [TeamSideTarget("T03", "home")]
     shuffled = list(rows)
     rng.shuffle(shuffled)
-    fit_a = fit_clustered(team_design(rows, targets))
-    fit_b = fit_clustered(team_design(shuffled, targets))
+    fit_a = team_fit(rows, targets)
+    fit_b = team_fit(shuffled, targets)
     assert fit_a.terms == fit_b.terms
     assert fit_a.estimates == pytest.approx(fit_b.estimates, abs=1e-10)
     assert fit_a.se == pytest.approx(fit_b.se, abs=1e-10)
@@ -403,8 +426,8 @@ def test_build_design_estimates_invariant_to_row_order(rng):
 
 def test_fit_clustered_residual_dof_and_interval_math(rng):
     rows = simulate_team_side_rows(rng, n_games=200, n_teams=8)
-    design = team_design(rows, [TeamSideTarget("T02", "home")])
-    res = fit_clustered(design)
+    design, y = team_design(rows, [TeamSideTarget("T02", "home")])
+    res = fit_clustered(design, "disparity", y)
     n, k = design.matrix.shape
     assert res.n_rows == n == 400
     assert res.n_clusters == 200
@@ -432,30 +455,19 @@ def test_fit_clustered_handles_zero_se():
     # undefined robustness value; the interval collapses to the point.
     design = Design(
         rows=_as_rows(np.ones((4, 1))),
-        outcome=np.full(4, 3.0),
-        clusters=np.array(["g1", "g1", "g2", "g2"]),
+        groups=np.array([0, 0, 1, 1]),
         columns=("intercept",),
         dropped=(),
         notes=(),
-        outcome_name="disparity",
     )
-    fit = fit_clustered(design)
+    fit = fit_clustered(design, "disparity", np.full(4, 3.0))
     assert fit.estimates[0] == pytest.approx(3.0)
     assert fit.se[0] == 0.0
     assert math.isinf(fit.t_stats[0])
     assert math.isnan(fit.rho[0])
     assert fit.ci_lower[0] == fit.ci_upper[0] == pytest.approx(3.0)
 
-    zero = Design(
-        rows=_as_rows(np.ones((4, 1))),
-        outcome=np.zeros(4),
-        clusters=np.array(["g1", "g1", "g2", "g2"]),
-        columns=("intercept",),
-        dropped=(),
-        notes=(),
-        outcome_name="disparity",
-    )
-    zfit = fit_clustered(zero)
+    zfit = fit_clustered(design, "disparity", np.zeros(4))
     assert zfit.t_stats[0] == 0.0
     assert zfit.rho[0] == 0.0
 
@@ -574,8 +586,7 @@ def test_sparse_team_fit_matches_dense_qr_oracle(rng, form):
         X, names = dense_team_design(rows, targets, target_form=form, include_series=True)
         y = np.array([float(getattr(r, outcome)) for r in rows])
         kept, beta, V = oracle_fit(X, names, y, [r.game_id for r in rows])
-        fit = fit_clustered(team_design(rows, targets, outcome=outcome, target_form=form,
-                                        include_series=True))
+        fit = team_fit(rows, targets, outcome=outcome, target_form=form, include_series=True)
         assert list(fit.terms) == kept
         assert fit.dropped == (f"Z:home[{form}]",)
         assert np.abs(fit.estimates - beta).max() < 1e-8
@@ -586,7 +597,7 @@ def test_sparse_ref_team_fit_matches_dense_qr_oracle(rng):
     rows = simulate_ref_team_panel(rng, n_games=300, n_teams=6, n_referees=8)
     # RefX appears only on T01 rows, so its pair column is its referee dummy.
     rows += [
-        PanelRow(f"x{g}", "S1", REGULAR, "RefX", "T01", "T02", g % 2 == 0,
+        PanelRow(f"x{g}", "S1", "RefX", "T01", "T02",
                  float(rng.normal(0.0, 0.05)), float(rng.integers(-4, 5)))
         for g in range(12)
     ]
@@ -607,20 +618,19 @@ def test_one_factorization_serves_every_outcome(rng):
     targets = (TeamSideTarget("B", "away"),)
     shared = team_side_effects(rows, targets, target_form="paired", include_series=True)
     for outcome, fit in shared.items():
-        alone = fit_clustered(team_design(rows, targets, outcome=outcome, target_form="paired",
-                                          include_series=True))
+        alone = team_fit(rows, targets, outcome=outcome, target_form="paired",
+                         include_series=True)
         assert fit.terms == alone.terms and fit.notes == alone.notes
         assert np.array_equal(fit.estimates, alone.estimates)
         assert np.array_equal(fit.covariance, alone.covariance)
 
-    design = team_design(rows, targets)
-    other = design.with_outcome("team_rim", np.array([r.team_rim for r in rows]))
-    assert other.rows is design.rows and other.groups is design.groups
-    # Cluster codes always follow the clusters; they cannot be passed in.
-    clusters = np.array([f"c{i % 3}" for i in range(len(design.clusters))])
-    assert replace(design, clusters=clusters).groups.max() == 2
-    with pytest.raises(ValueError):
-        replace(design, groups=design.groups)
+    # Every outcome fitted on one design solves with the same inverted Gram.
+    design, ys = build_design(rows, targets, outcomes=("disparity", "team_rim"),
+                              target_form="indicator", include_series=False)
+    fit_clustered(design, "disparity", ys["disparity"])
+    bread = design.rows.bread
+    fit_clustered(design, "team_rim", ys["team_rim"])
+    assert design.rows.bread is bread
 
 
 def _state_rows():
@@ -645,8 +655,8 @@ def _state_rows():
 def test_design_matrix_matches_dense_build(spec, series):
     rows = _state_rows() if series else four_team_rows()
     X, names = dense_team_design(rows, **spec)
-    design = team_design(rows, **spec)
-    fit_clustered(design)
+    design, y = team_design(rows, **spec)
+    fit_clustered(design, spec.get("outcome", "disparity"), y)
     assert "matrix" not in design.__dict__  # fitting never builds the dense view
     kept = [names.index(c) for c in design.columns]
     assert [names[j] for j in range(len(names)) if j not in kept] == list(design.dropped)

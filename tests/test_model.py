@@ -96,6 +96,29 @@ def test_crew_members_must_be_non_empty_names():
     ]
 
 
+def test_non_string_headers_are_reported_not_raised():
+    game = make_game(season=2021, game_id=7, home=None)
+    assert validate_game(game) == [
+        "game_id: 7 is not a string",
+        "season: 2021 is not a string",
+        "home_team: None is not a string",
+        "teams: home and away ids must be non-empty",
+    ]
+
+
+def test_non_numeric_event_fields_are_reported_not_raised():
+    events = [
+        make_event(0.5, 0.55, event_id=1, period="1", clock=700.0),
+        make_event("0.5", 0.55, event_id=2, clock=True),
+        make_event(0.5, 0.55, event_id=3, period=2, clock=100.0),
+    ]
+    assert validate_game(make_game(events)) == [
+        "events[0].period: '1' is not a number",
+        "events[1].clock_seconds_remaining: True is not a number",
+        "events[1].pre_wp: '0.5' is not a number",
+    ]
+
+
 @pytest.mark.parametrize("season", ["../../escaped", "a/b", "/abs", "..", "", "2021 22"])
 def test_season_that_is_not_a_plain_directory_name_is_flagged(season):
     problems = validate_game(make_game(season=season))

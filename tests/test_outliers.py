@@ -20,15 +20,13 @@ def test_excess_hand_value():
     assert excess(0.0, 0.0, 0.0, 0.0) == 0.0
 
 
-def _panel_row(ref, team, rim, disp, gid="g", is_home=True):
+def _panel_row(ref, team, rim, disp, gid="g"):
     return PanelRow(
         game_id=gid,
         season="2021-22",
-        season_type="regular",
         referee=ref,
         team=team,
         opponent="OPP",
-        is_home=is_home,
         team_rim=rim,
         disparity=disp,
     )
@@ -69,11 +67,9 @@ def test_single_pair_bump_shows_up_only_there():
                 PanelRow(
                     game_id=r.game_id,
                     season=r.season,
-                    season_type=r.season_type,
                     referee=r.referee,
                     team=r.team,
                     opponent=r.opponent,
-                    is_home=r.is_home,
                     team_rim=r.team_rim + 0.5,
                     disparity=r.disparity,
                 )
@@ -104,11 +100,9 @@ def test_constant_shift_leaves_excess_invariant(rng):
         PanelRow(
             game_id=r.game_id,
             season=r.season,
-            season_type=r.season_type,
             referee=r.referee,
             team=r.team,
             opponent=r.opponent,
-            is_home=r.is_home,
             team_rim=r.team_rim + 5.0,
             disparity=r.disparity - 3.0,
         )
@@ -133,8 +127,8 @@ def test_panel_rows_six_per_full_crew_game(rng):
         sub = by_game[g.game_id]
         assert len(sub) == 6
         assert {r.referee for r in sub} == set(g.crew)
-        homes = [r for r in sub if r.is_home]
-        aways = [r for r in sub if not r.is_home]
+        homes = [r for r in sub if r.team == g.home_team]
+        aways = [r for r in sub if r.team != g.home_team]
         assert len(homes) == 3 and len(aways) == 3
         for h, a in zip(homes, aways):
             assert h.team_rim == -a.team_rim

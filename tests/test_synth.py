@@ -340,8 +340,9 @@ def test_ref_team_panel_structure_and_pair_effect():
         assert len({r.referee for r in game_rows}) == 3
         teams = {r.team for r in game_rows}
         assert len(teams) == 2
-        home = [r for r in game_rows if r.is_home]
-        away = [r for r in game_rows if not r.is_home]
+        # The generator writes each crew member's home row before the away row.
+        home = [r for r in game_rows if r.team == game_rows[0].team]
+        away = [r for r in game_rows if r.team != game_rows[0].team]
         assert len(home) == len(away) == 3
         for h, a in zip(home, away):
             assert h.referee == a.referee
