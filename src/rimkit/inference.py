@@ -2,7 +2,10 @@
 
 A design is an intercept, one-hot factors (one reference level dropped per
 family) and +-1 target columns, stored as ~7 (column, value) slots per row.
-X'X is a ``bincount`` over slot pairs, exact for these 0/+-1 designs. A
+Design values are restricted to {-1, 0, 1} (anything else is a
+``DesignError``), so every X'X entry is an integer count, exact in float64
+in any summation order; X'X is built one slot pair at a time, one
+``bincount`` per pair added into a K x K accumulator. A
 sequential Cholesky on it drops dependent columns, earliest column wins:
 column j goes when its Schur pivot, the squared norm of its residual
 against the kept columns, is at most ``max(n, K) * eps`` times its squared
@@ -257,14 +260,23 @@ def _design(blocks: Sequence[_Block], clusters: Sequence[str], notes: Sequence[s
     names: list[str] = []
     for s, (codes, vals, block_names) in enumerate(blocks):
         hit = codes >= 0
+        v = vals[hit]
+        if not ((v == 0.0) | (np.abs(v) == 1.0)).all():
+            raise DesignError(f"block {block_names[0]!r}: design values must be -1, 0 or 1")
         index[hit, s] = codes[hit] + len(names)
-        value[hit, s] = vals[hit]
+        value[hit, s] = v
         names.extend(block_names)
     # Slots hold ascending columns, so slot pairs s <= t fill the upper triangle.
+    # Every product is 0 or +-1, so each entry is an integer count and the
+    # per-pair sums are exact in any order; one pair at a time keeps the
+    # temporaries at n rather than n times the number of pairs.
     K = len(names)
-    s, t = np.triu_indices(len(blocks))
-    pairs = (index[:, s] * K + index[:, t]).ravel()
-    upper = np.bincount(pairs, (value[:, s] * value[:, t]).ravel(), minlength=K * K).reshape(K, K)
+    upper = np.zeros(K * K)
+    for s in range(len(blocks)):
+        for t in range(s, len(blocks)):
+            upper += np.bincount(index[:, s] * K + index[:, t], value[:, s] * value[:, t],
+                                 minlength=K * K)
+    upper = upper.reshape(K, K)
     gram = upper + upper.T - np.diag(np.diag(upper))
     kept = _rank_filter(gram, n)
     col = np.full(K, -1, dtype=np.intp)

@@ -563,9 +563,19 @@ def game_from_dict(d: Mapping) -> GameRecord:
 
     Events are built positionally in ``FoulEvent`` field order. Team and
     description strings repeat across a corpus, so they are interned and
-    every event shares one copy.
+    every event shares one copy. The containers are checked here, where a
+    wrong type would otherwise be iterated into nonsense (a crew string
+    into one-letter referees); the types of the crew members and event
+    fields are left to :func:`validate_game`, which reports them.
     """
-    state = d.get("series_state")
+    crew, state, events = d["crew"], d.get("series_state"), d["events"]
+    if type(crew) is not list:
+        raise TypeError(f"crew: {crew!r:.40} is not a list")
+    if state is not None and (type(state) is not list or len(state) != 2
+                              or type(state[0]) is not int or type(state[1]) is not int):
+        raise TypeError(f"series_state: {state!r:.40} is not null or a list of two integers")
+    if type(events) is not list:
+        raise TypeError(f"events: {events!r:.40} is not a list")
     intern = sys.intern
     return GameRecord(
         game_id=d["game_id"],
@@ -573,8 +583,8 @@ def game_from_dict(d: Mapping) -> GameRecord:
         season_type=d["season_type"],
         home_team=d["home_team"],
         away_team=d["away_team"],
-        crew=tuple(d["crew"]),
-        series_state=(int(state[0]), int(state[1])) if state else None,
+        crew=tuple(crew),
+        series_state=None if state is None else tuple(state),
         events=tuple(
             FoulEvent(
                 e["event_id"],
@@ -585,7 +595,7 @@ def game_from_dict(d: Mapping) -> GameRecord:
                 e["post_wp"],
                 intern(e.get("description", "")),
             )
-            for e in d["events"]
+            for e in events
         ),
     )
 

@@ -4,7 +4,8 @@
 decodes with orjson, so these properties pin the two together: every finite
 float comes back with the same ``float.hex`` (signed zero, the smallest
 subnormal and the largest double included), and every string comes back
-unchanged however many escapes it needs.
+unchanged however many escapes it needs. A line whose crew, series state
+or events container has the wrong shape is refused, not coerced.
 """
 
 from __future__ import annotations
@@ -146,4 +147,35 @@ def test_a_corrupted_game_line_names_its_partition_and_line(tmp_path, corrupt):
     part = read_manifest(root).partitions[0]
     path = _rewrite_line(root, 2, corrupt((root / part.path).read_bytes().splitlines()[1]))
     with pytest.raises(DatasetError, match=rf"^{path}:2: bad game line"):
+        load_dataset(root)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("crew", "Tony Brothers"),
+        ("crew", {}),
+        ("series_state", [2.9, "1"]),
+        ("series_state", [2.0, 1]),
+        ("series_state", [True, 1]),
+        ("series_state", [1, 2, 0]),
+        ("series_state", []),
+        ("events", {}),
+        ("events", ""),
+    ],
+    ids=["crew-string", "crew-object", "series-float-and-string",
+         "series-integral-float", "series-bool", "series-three", "series-empty",
+         "events-object", "events-string"],
+)
+def test_a_game_line_of_the_wrong_shape_is_refused(tmp_path, field, value):
+    # Each value decodes and indexes without error, so only a shape check
+    # stops it: a crew string would load as one referee per letter.
+    root = tmp_path / "ds"
+    write_dataset([make_game([make_event(0.5, 0.6)], game_id=f"g{i}", season_type="postseason",
+                             series_state=(1, 2)) for i in range(4)], root)
+    part = read_manifest(root).partitions[0]
+    doc = json.loads((root / part.path).read_bytes().splitlines()[1])
+    doc[field] = value
+    path = _rewrite_line(root, 2, json.dumps(doc, sort_keys=True).encode())
+    with pytest.raises(DatasetError, match=rf"^{path}:2: bad game line: {field}: "):
         load_dataset(root)

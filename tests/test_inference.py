@@ -3,17 +3,22 @@ robustness values, design construction, the sparse solver against a dense
 oracle, and the three effect studies."""
 
 import math
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rimkit import inference
 from rimkit.inference import (
     Design,
     DesignError,
     FitError,
     TeamSideTarget,
     _as_rows,
+    _column,
+    _design,
     _rank_filter,
     build_design,
     cluster_covariance,
@@ -662,6 +667,78 @@ def test_design_matrix_matches_dense_build(spec, series):
     assert [names[j] for j in range(len(names)) if j not in kept] == list(design.dropped)
     assert np.array_equal(design.matrix, X[:, kept])
     assert np.array_equal(design.rows.gram, X[:, kept].T @ X[:, kept])
+
+
+def dense_series_design(rows):
+    """The series-state design as dense dummy columns, one row per postseason game."""
+    games = {r.game_id: r for r in rows
+             if r.season_type == "postseason" and r.series_key is not None and r.is_home}
+    rows = [games[g] for g in sorted(games)]
+    cols, names = [np.ones((len(rows), 1))], ["intercept"]
+    for prefix, value in (("home_team_", lambda r: r.team), ("away_team_", lambda r: r.opponent),
+                          ("season_", lambda r: r.season),
+                          ("series_", lambda r: r.series_key.label)):
+        X, nm = _dummies([value(r) for r in rows], prefix)
+        cols.append(X)
+        names += nm
+    y = np.array([r.game_rim for r in rows])
+    return np.hstack(cols), names, y, [r.game_id for r in rows]
+
+
+def _fitted_design(monkeypatch, study, *args):
+    """The one design an effect study builds, captured as the study fits it."""
+    designs = []
+    build = inference._design
+    monkeypatch.setattr(inference, "_design", lambda *a: designs.append(build(*a)) or designs[-1])
+    study(*args)
+    (design,) = designs
+    return design
+
+
+@pytest.mark.parametrize("study", ["ref_team", "series"])
+def test_study_gram_matches_dense_build(rng, monkeypatch, study):
+    if study == "ref_team":
+        rows = simulate_ref_team_panel(rng, n_games=300, n_teams=6, n_referees=8)
+        pairs = [("Ref01", "T01"), ("Ref02", "T02"), ("Ref01", "T01")]  # a repeated --pair
+        design = _fitted_design(monkeypatch, ref_team_residual_effects, rows, pairs)
+        X, names = dense_panel_design(rows, pairs)
+        y, clusters = np.array([r.team_rim for r in rows]), [r.game_id for r in rows]
+        assert design.dropped == ("pair_Ref01|T01",)  # the repeat goes, the earliest stays
+    else:
+        rows = fe_rows(rng)
+        design = _fitted_design(monkeypatch, series_state_effects, rows)
+        X, names, y, clusters = dense_series_design(rows)
+    assert list(design.columns) == oracle_fit(X, names, y, clusters)[0]
+    kept = [names.index(c) for c in design.columns]  # a repeated name resolves to its first
+    assert [names[j] for j in range(len(names)) if j not in kept] == list(design.dropped)
+    assert np.array_equal(design.rows.gram, X[:, kept].T @ X[:, kept])
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0])
+def test_design_refuses_values_outside_minus_one_zero_one(bad):
+    # Every Gram entry is an exact integer count only while values are 0 or +-1.
+    n = 6
+    blocks = [_column(np.ones(n), "intercept"), _column(np.array([1.0, 0, -1, 1, 0, bad]), "x")]
+    with pytest.raises(DesignError, match="'x': design values must be -1, 0 or 1"):
+        _design(blocks, [f"g{i}" for i in range(n)], ())
+
+
+def test_ref_team_fit_peak_memory_stays_small():
+    # The Baseline ref-team shape: ~22,000 panel rows, 15 slots per row.
+    # tracemalloc sees numpy's buffers, so the peak is the fit's own.
+    rows = simulate_ref_team_panel(np.random.default_rng(0), n_games=3690, n_teams=30,
+                                   n_referees=70, pair_shift={})
+    counts = Counter((r.referee, r.team) for r in rows)
+    pairs = sorted(counts, key=lambda p: (-counts[p], p))[:10]
+    pairs.append(pairs[0])
+    tracemalloc.start()
+    try:
+        fits = ref_team_residual_effects(rows, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fits["team_rim"].dropped == ("pair_{}|{}".format(*pairs[0]),)
+    assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
