@@ -71,6 +71,15 @@ def _load_games(cfg: RunConfig):
     if not cfg.dataset:
         raise ConfigError("a dataset root is required (--dataset or dataset)")
     games, _manifest = load_dataset(Path(cfg.dataset))
+    for g in games:
+        for name in g.crew:
+            # The analyses key referees by name; anything else would be
+            # ranked as a referee or fail to hash.
+            if not isinstance(name, str):
+                raise DatasetError(
+                    f"game {g.game_id!r}: crew member {name!r:.40} is not a name; "
+                    "`rimkit validate` lists every such violation"
+                )
     if cfg.seasons:
         wanted = set(cfg.seasons)
         games = [g for g in games if g.season in wanted]

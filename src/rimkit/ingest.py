@@ -14,7 +14,9 @@ The canonical dataset is JSONL, one game per line, partitioned by
 schema version, per-partition counts, and content hashes. Writes are
 deterministic (games ordered by id, stable serialization) and staged
 through a temp directory so an interrupted run never leaves a corrupt
-dataset behind.
+dataset behind. Each game line is encoded by orjson where a scan of the
+record and a check of the output show json would write the same bytes
+(see :func:`_orjson_exact`), and by json, the reference, everywhere else.
 """
 
 from __future__ import annotations
@@ -646,12 +648,68 @@ class DatasetManifest:
         )
 
 
+_HEADERS = ("game_id", "season", "season_type", "home_team", "away_team")
+
+
+def _orjson_exact(d: dict) -> bool:
+    """Whether orjson can write ``d``, a :func:`game_to_dict` result, as the json path does.
+
+    True when every header and crew member is an exact ``str``, the series
+    state is None or exact ints, and every event value is None, a ``str``,
+    an exact ``int`` within 64 bits, or an exact ``float`` that is 0 or
+    whose magnitude is in [1e-4, 1e16). Python's float repr uses fixed
+    notation exactly there, as orjson does; NaN and the infinities fail the
+    range test. Strings are checked on the output instead.
+    """
+    for key in _HEADERS:
+        if type(d[key]) is not str:
+            return False
+    for name in d["crew"]:
+        if type(name) is not str:
+            return False
+    for v in d["series_state"] or ():
+        if type(v) is not int or not -_INT64_LIMIT <= v < _INT64_LIMIT:
+            return False
+    for e in d["events"]:
+        for v in e.values():
+            t = type(v)
+            if t is float:
+                if not (1e-4 <= v < 1e16 or v == 0.0 or -1e16 < v <= -1e-4):
+                    return False
+            elif t is int:
+                if not -_INT64_LIMIT <= v < _INT64_LIMIT:
+                    return False
+            elif t is not str and v is not None:
+                return False
+    return True
+
+
 def _serialize_game_line(g: GameRecord) -> bytes:
-    # A line the dataset decoder would refuse or read back changed is refused
-    # here: a NaN or an infinity (not standard JSON), a value json cannot
-    # encode (such as a numpy integer), a lone surrogate, and an integer
-    # beyond 64 bits (read back as a float).
+    """One dataset line: orjson's bytes where :func:`_orjson_exact` and the output
+    show they equal the reference's, else :func:`_json_game_line`'s."""
     d = game_to_dict(g)
+    if _orjson_exact(d):
+        try:
+            line = orjson.dumps(d, option=orjson.OPT_SORT_KEYS)
+        except orjson.JSONEncodeError:  # a lone surrogate
+            pass
+        else:
+            # json escapes '"', "\\" and every character outside " "..."~";
+            # orjson writes DEL and non-ASCII raw and escapes the rest with a
+            # backslash.
+            if line.isascii() and b"\\" not in line and b"\x7f" not in line:
+                return line + b"\n"
+    return _json_game_line(g, d)
+
+
+def _json_game_line(g: GameRecord, d: dict) -> bytes:
+    """The reference serialization of ``g`` (``d`` is its :func:`game_to_dict`).
+
+    A line the dataset decoder would refuse or read back changed is refused
+    here: a NaN or an infinity (not standard JSON), a value json cannot
+    encode (such as a numpy integer), a lone surrogate, and an integer
+    beyond 64 bits (read back as a float).
+    """
     try:
         text = json.dumps(d, sort_keys=True, separators=(",", ":"), allow_nan=False)
     except (TypeError, ValueError) as e:
@@ -683,6 +741,10 @@ def write_dataset(
     by_partition: dict[tuple[str, str], list[GameRecord]] = {}
     ids_seen: dict[str, str] = {}
     for g in games:
+        for key in _HEADERS:
+            # Partition labels and the sort by id need strings.
+            if not isinstance(value := getattr(g, key), str):
+                raise DatasetError(f"game {g.game_id!r}: {key} {value!r:.40} is not a string")
         if g.game_id in ids_seen:
             raise DatasetError(f"duplicate game_id {g.game_id!r}")
         ids_seen[g.game_id] = g.game_id

@@ -192,33 +192,28 @@ def _generate_game(
 
     w = 0.5 + float(rng.uniform(-cfg.start_wp_jitter, cfg.start_wp_jitter))
     w = min(max(w, 0.0), 1.0)
+    # Plain lists, so every event field is a Python float, int or str, never
+    # a numpy scalar; the arithmetic is binary64 either way, so no bit moves.
+    unattributed, charge_home = unattributed.tolist(), charge_home.tolist()
+    periods, clocks, magnitudes = periods.tolist(), clocks.tolist(), magnitudes.tolist()
+    toward_benefit, coin = toward_benefit.tolist(), coin.tolist()
+    mag_shift, wp_drift = rim_shift / n, drift_home / n
+    desc_home, desc_away = f"Foul on {home}", f"Foul on {away}"
     events: list[FoulEvent] = []
-    for k, j in enumerate(order):
+    for k, j in enumerate(order.tolist(), start=1):
         if unattributed[j]:
-            charged: str | None = None
+            charged, desc = None, "Foul (unattributed)"
             benefit_sign = 1.0 if coin[j] else -1.0
         elif charge_home[j]:
-            charged = home
+            charged, desc = home, desc_home
             benefit_sign = -1.0  # a call on the home side favors the away side
         else:
-            charged = away
+            charged, desc = away, desc_away
             benefit_sign = 1.0
         sign = benefit_sign if toward_benefit[j] else -benefit_sign
-        mag = max(magnitudes[j] + rim_shift / n, 0.0)
-        pre = w
-        post = min(max(pre + sign * mag + drift_home / n, 0.0), 1.0)
-        desc = f"Foul on {charged}" if charged else "Foul (unattributed)"
-        events.append(
-            FoulEvent(
-                event_id=k + 1,
-                period=int(periods[j]),
-                clock_seconds_remaining=float(clocks[j]),
-                charged_team=charged,
-                pre_wp=pre,
-                post_wp=post,
-                description=desc,
-            )
-        )
+        mag = max(magnitudes[j] + mag_shift, 0.0)
+        post = min(max(w + sign * mag + wp_drift, 0.0), 1.0)
+        events.append(FoulEvent(k, periods[j], clocks[j], charged, w, post, desc))
         w = post
 
     return GameRecord(

@@ -414,6 +414,28 @@ def test_validate_flags_a_crew_member_that_is_not_a_name(tmp_path, capsys):
     assert "dataset has violations: 20 games, 1 partitions, 1 with violations" in out
 
 
+@pytest.mark.parametrize("command", ["refs", "emit-figures"])
+@pytest.mark.parametrize("member", [5, ["Ref X"]], ids=["number", "list"])
+def test_analyses_refuse_a_crew_member_that_is_not_a_name(tmp_path, capsys, command, member):
+    # A number would be ranked as a referee and a list cannot key one, so
+    # the analyses stop at load and point at `validate`.
+    from dataclasses import replace
+
+    from rimkit.ingest import write_dataset
+    from rimkit.synth import SimConfig, generate
+
+    games, _ = generate(SimConfig(seed=3, n_teams=6, n_referees=9, games_per_season=20,
+                                  postseason_games_per_season=0, seasons=("2021-22",)))
+    games = [replace(g, crew=(g.crew[0], member)) if i == 7 else g for i, g in enumerate(games)]
+    write_dataset(games, tmp_path / "ds")
+    out_dir = tmp_path / "out"
+    code, out = run(capsys, command, "--dataset", str(tmp_path / "ds"), "--out", str(out_dir))
+    assert code == 2, out
+    assert f"error: game '{games[7].game_id}': crew member {member!r} is not a name" in out
+    assert "`rimkit validate`" in out
+    assert not out_dir.exists()
+
+
 def test_validate_reports_non_string_and_non_numeric_fields(tmp_path, capsys):
     # A hand-edited dataset whose manifest hashes still match: validate must
     # report the wrongly typed fields, not fail on them.

@@ -1,27 +1,44 @@
 """The canonical dataset round-trips any record it accepts, to the bit.
 
-``write_dataset`` serializes with the standard library and ``load_dataset``
-decodes with orjson, so these properties pin the two together: every finite
-float comes back with the same ``float.hex`` (signed zero, the smallest
-subnormal and the largest double included), and every string comes back
-unchanged however many escapes it needs. A line whose crew, series state
-or events container has the wrong shape is refused, not coerced.
+``write_dataset`` serializes each game line with orjson where a scan of the
+record shows the bytes cannot differ from the standard library's, and with
+json, the reference, everywhere else; ``load_dataset`` decodes with orjson.
+A differential property pins the two writers together: for any record,
+fitting the fast path or not, the line is the reference's byte for byte,
+or the same ``DatasetError`` text. Simulated events hold plain Python
+values, so a simulated corpus is written without json. The round-trip
+properties pin writer and loader together: every finite float comes back
+with the same ``float.hex`` (signed zero, the smallest subnormal and the
+largest double included), and every string comes back unchanged however
+many escapes it needs. A line whose crew, series state or events container
+has the wrong shape is refused, not coerced.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_event, make_game
-from rimkit.ingest import DatasetError, load_dataset, read_manifest, write_dataset
+from rimkit.ingest import (
+    DatasetError,
+    _json_game_line,
+    _serialize_game_line,
+    game_to_dict,
+    load_dataset,
+    read_manifest,
+    write_dataset,
+)
 from rimkit.model import FoulEvent, GameRecord
+from rimkit.synth import SimConfig, generate
 
 EDGE_FLOATS = (
     0.0,
@@ -110,6 +127,132 @@ def test_write_then_load_returns_every_record_field_for_field(records):
         got = by_id[want.game_id]
         assert got == want
         assert _bits(got) == _bits(want)
+
+
+# Values of every kind a hand-built record may hold, including each one the
+# orjson path must leave to json: floats at and beyond the fixed-notation
+# bounds, non-finite floats, integers beyond 64 bits, booleans, numpy
+# scalars, and strings needing escapes or holding lone surrogates.
+BOUND_FLOATS = (1e-4, math.nextafter(1e-4, 0.0), 1e16, math.nextafter(1e16, 0.0), 1e-05, 1e20)
+any_value = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.floats(),
+    st.sampled_from(BOUND_FLOATS).flatmap(lambda v: st.sampled_from((v, -v))),
+    st.floats(min_value=1e-6, max_value=1e-3),
+    st.floats(min_value=1e15, max_value=1e17),
+    st.floats().map(np.float64),
+    ints.map(np.int64),
+    st.text(),
+    st.text(alphabet=ESCAPES + "\ud800\udbff\udc00\udfff"),
+)
+
+
+def loose(typed):
+    """Mostly ``typed`` values, so the orjson path runs, else anything."""
+    return st.one_of(typed, any_value)
+
+
+loose_events = st.builds(
+    FoulEvent,
+    event_id=loose(ints),
+    period=loose(ints),
+    clock_seconds_remaining=loose(floats),
+    charged_team=loose(st.one_of(st.none(), texts)),
+    pre_wp=loose(floats),
+    post_wp=loose(floats),
+    description=loose(texts),
+)
+loose_games = st.builds(
+    GameRecord,
+    game_id=loose(texts),
+    season=loose(labels),
+    season_type=loose(labels),
+    home_team=loose(texts),
+    away_team=loose(texts),
+    crew=st.lists(loose(texts), max_size=4).map(tuple),
+    events=st.lists(loose_events, max_size=4).map(tuple),
+    series_state=st.one_of(st.none(), st.tuples(loose(ints), loose(ints))),
+)
+
+
+def _line_or_error(write, game: GameRecord):
+    try:
+        return write(game)
+    except DatasetError as e:
+        return f"DatasetError: {e}"
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(loose_games)
+@example(make_game([make_event(1e-05, 0.5)]))
+@example(make_game([make_event(0.5, 1e16)]))
+@example(make_game([make_event(0.5, 0.6, clock=1e20)]))
+@example(make_game([make_event(-0.0, 0.5)]))
+@example(make_game([make_event(5e-324, 0.5)]))
+@example(make_game([make_event(0.5, float("nan"))]))
+@example(make_game([make_event(0.5, 0.6, clock=float("inf"))]))
+@example(make_game([make_event(float("-inf"), 0.6)]))
+@example(make_game([make_event(0.5, 0.6, period=2**63)]))
+@example(make_game([make_event(0.5, 0.6, event_id=2**64 - 1)]))
+@example(make_game([make_event(0.5, 0.6, period=True)]))
+@example(make_game([make_event(np.float64(0.25), 0.6)]))
+@example(make_game([make_event(0.5, 0.6, period=np.int64(2))]))
+@example(make_game([make_event(0.5, 0.6, description="\u00e9")]))
+@example(make_game([make_event(0.5, 0.6, description="\x7f")]))
+@example(make_game([make_event(0.5, 0.6, charged="\u2028")]))
+@example(make_game([make_event(0.5, 0.6, description="\ud800")]))
+@example(make_game(crew=("Ref A", 5)))
+@example(make_game(crew=(1e20,)))
+def test_a_game_line_is_the_json_reference_byte_for_byte(game):
+    reference = _line_or_error(lambda g: _json_game_line(g, game_to_dict(g)), game)
+    assert _line_or_error(_serialize_game_line, game) == reference
+
+
+SIM = SimConfig(
+    seed=17, n_teams=8, n_referees=12, games_per_season=160, postseason_games_per_season=40,
+    fouls_mean=15.0, fouls_dispersion=0.3, overtime_rate=0.1, unattributed_rate=0.05,
+    missing_series_rate=0.2, team_home_shift={"T03": 1.5}, pair_shift={("Ref01", "T01"): 0.02},
+    series_shift={(0, 0): 0.01},
+)
+PLAIN_EVENT_TYPES = {
+    "event_id": {int},
+    "period": {int},
+    "clock_seconds_remaining": {float},
+    "charged_team": {str, type(None)},
+    "pre_wp": {float},
+    "post_wp": {float},
+    "description": {str},
+}
+
+
+def test_simulated_events_hold_plain_python_values():
+    games, _ = generate(SIM)
+    seen = {name: set() for name in FoulEvent._fields}
+    for g in games:
+        for e in g.events:
+            for name, value in zip(FoulEvent._fields, e):
+                seen[name].add(type(value))
+    assert seen == PLAIN_EVENT_TYPES
+
+
+def test_a_simulated_corpus_is_written_without_json(monkeypatch):
+    games, _ = generate(SIM)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simulated game line went through json.dumps")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    lines = [_serialize_game_line(g) for g in games]
+    monkeypatch.undo()
+    assert lines == [_json_game_line(g, game_to_dict(g)) for g in games]
 
 
 def _rewrite_line(root: Path, line_no: int, new: bytes) -> str:

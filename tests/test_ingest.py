@@ -790,6 +790,24 @@ def test_write_dataset_refuses_a_label_that_is_not_a_directory_name(tmp_path):
     assert not (tmp_path / "a" / "escaped").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("season", 2021), ("game_id", 5), ("home_team", None)],
+    ids=["season-int", "game-id-int", "home-team-none"],
+)
+def test_write_dataset_refuses_a_header_that_is_not_a_string(tmp_path, field, value):
+    # A numeric season used to fail in the label check and a numeric id in
+    # the sort by id, both with a bare TypeError, the second after the stage
+    # directory was made.
+    bad = dataclasses.replace(make_game(game_id="g-bad"), **{field: value})
+    root = tmp_path / "ds"
+    with pytest.raises(
+        DatasetError, match=rf"^game {bad.game_id!r}: {field} {value!r} is not a string$"
+    ):
+        write_dataset([make_game(game_id="g-ok"), bad], root)
+    assert not root.exists()
+
+
 def test_load_dataset_refuses_a_partition_outside_the_root(tmp_path, rng):
     root = tmp_path / "ds"
     write_dataset(random_games(rng, 3), root)
