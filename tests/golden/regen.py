@@ -2,8 +2,9 @@
 
 The tour is read from README.md and run in a temporary directory. The
 digests cover each dataset partition, the manifest and ``ledger.json`` of
-``rimkit simulate``, and every CSV the analysis commands write, ``#`` lines
-included. ``run.json`` echoes hold paths and are left out.
+``rimkit simulate``, every CSV the analysis commands write, ``#`` lines
+included, and every ``run.json`` echo. The tour names its paths relative to
+the directory it runs in, so the echoes need no normalizing.
 
 Run from the repository root after a change that is meant to alter an
 output, and name each changed file and the reason in CHANGES.md::
@@ -54,7 +55,7 @@ def tour_digests(workdir: Path) -> dict[str, str]:
                 raise RuntimeError(f"rimkit {shlex.join(argv)} exited {code}")
     finally:
         os.chdir(cwd)
-    files = [p for p in workdir.rglob("*") if p.is_file() and p.name != "run.json"]
+    files = [p for p in workdir.rglob("*") if p.is_file()]
     return {
         p.relative_to(workdir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(files)

@@ -1,9 +1,9 @@
 """The README quick tour writes the same bytes as the committed digests.
 
-``tests/golden/quick_tour.json`` holds the sha256 of every dataset file and
-CSV the tour writes; ``tests/golden/regen.py`` rewrites it. A change that is
-meant to alter an output regenerates the file and names each changed file
-in CHANGES.md.
+``tests/golden/quick_tour.json`` holds the sha256 of every dataset file,
+CSV and ``run.json`` echo the tour writes; ``tests/golden/regen.py``
+rewrites it. A change that is meant to alter an output regenerates the file
+and names each changed file in CHANGES.md.
 """
 
 from __future__ import annotations
