@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from .config import (
@@ -50,12 +50,15 @@ EXIT_INPUT = 2
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    """Every RunConfig setting given on the command line."""
-    out = {}
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            out[f.name] = tuple(value) if f.name == "seasons" else value
+    """Every RunConfig setting given on the command line.
+
+    ``refs --min-games N`` sets both qualification thresholds, over
+    ``--min-games-regular`` and ``--min-games-postseason``, so ``run.json``
+    echoes the thresholds the tables used.
+    """
+    out = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    if getattr(args, "min_games", None) is not None:
+        out["min_games_regular"] = out["min_games_postseason"] = args.min_games
     return out
 
 
@@ -101,11 +104,7 @@ def _write(
     cfg: RunConfig, args: argparse.Namespace, names: list[str]
 ) -> tuple[AnalysisContext, Path, TableReport]:
     """Load the dataset and write the named tables, honouring the command's
-    own flags (``--min-games``, ``--target``, ``--pair``)."""
-    min_games = getattr(args, "min_games", None)
-    if min_games is not None:
-        cfg = replace(cfg, min_games_regular=min_games, min_games_postseason=min_games)
-        cfg.validate()
+    own flags (``--target``, ``--pair``)."""
     games = _load_games(cfg)
     out = _require_out(cfg)
     ctx = AnalysisContext(games, cfg)
@@ -281,24 +280,13 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not dest:
         raise ConfigError("a destination is required (--out)")
     root = Path(dest)
+    # ``seed`` comes from the resolved config; on the command line ``seasons``
+    # is the analysis filter, and ``--sim-seasons`` names the simulated ones.
     overrides = {"seed": cfg.seed}
-    for name in (
-        "n_teams",
-        "n_referees",
-        "crew_size",
-        "games_per_season",
-        "postseason_games_per_season",
-        "fouls_mean",
-        "fouls_dispersion",
-        "move_scale",
-        "benefit_prob",
-        "overtime_rate",
-        "unattributed_rate",
-        "missing_series_rate",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    for f in fields(SimConfig):
+        value = getattr(args, f.name, None)
+        if value is not None and f.name not in ("seed", "seasons"):
+            overrides[f.name] = value
     if args.sim_seasons:
         overrides["seasons"] = tuple(args.sim_seasons)
     if args.effects:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .ingest import DEFAULT_START_PRIOR, MANIFEST_NAME, read_manifest
@@ -66,45 +66,35 @@ class RunConfig:
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
 
-_STR_FIELDS = {
-    "dataset",
-    "out_dir",
-    "season_type",
-    "target_form",
-}
-_INT_FIELDS = {
-    "min_games_regular",
-    "min_games_postseason",
-    "min_pair_games",
-    "table_k",
-    "pair_k",
-    "team_side_k",
-    "seed",
-}
-
 
 def _coerce(name: str, value):
-    if value is None:
+    """Check one setting against the type of its ``RunConfig`` default.
+
+    A default of None means "a string, or null"; every other setting
+    refuses null.
+    """
+    if name not in _FIELDS:
+        raise ConfigError(f"unknown setting: {name}")
+    default = _FIELDS[name].default
+    if value is None and default is None:
         return None
-    if name == "seasons":
+    if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)) or not all(
             isinstance(v, str) for v in value
         ):
-            raise ConfigError("seasons must be a list of strings")
+            raise ConfigError(f"{name} must be a list of strings")
         return tuple(value)
-    if name == "start_prior":
+    if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError("start_prior must be a number")
+            raise ConfigError(f"{name} must be a number")
         return float(value)
-    if name in _INT_FIELDS:
+    if isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{name} must be an integer")
         return value
-    if name in _STR_FIELDS:
-        if not isinstance(value, str):
-            raise ConfigError(f"{name} must be a string")
-        return value
-    raise ConfigError(f"unknown setting: {name}")
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string")
+    return value
 
 
 def read_json_file(path: Path, what: str):
@@ -146,24 +136,11 @@ def resolve_config(
     path = config_path or os.environ.get(ENV_CONFIG) or None
     merged: dict = dict(load_config_file(path)) if path else {}
     for key, value in (cli_overrides or {}).items():
-        if value is None:
-            continue
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown setting: {key}")
-        merged[key] = _coerce(key, value)
+        if value is not None:
+            merged[key] = _coerce(key, value)
     cfg = RunConfig(**merged)
     cfg.validate()
     return cfg
-
-
-def config_dict(cfg: RunConfig) -> dict:
-    out = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[f.name] = value
-    return out
 
 
 def dataset_fingerprint(root: Path) -> dict:
@@ -187,7 +164,7 @@ def write_run_echo(
 ) -> Path:
     doc = {
         "command": command,
-        "config": config_dict(cfg),
+        "config": asdict(cfg),
         "inputs": dataset_fingerprint(dataset_root) if dataset_root else {},
     }
     out_dir = Path(out_dir)

@@ -43,27 +43,6 @@ DISCLAIMER = (
     "not evidence of referee bias or intent."
 )
 
-FIGURE_FILES = (
-    "fig1_rim_distribution",
-    "fig2_component_calls_swing",
-    "fig3_top_bottom",
-    "fig4_volume_swing",
-    "fig5_quarter_rim",
-    "fig6_series_summary",
-    "fig7_postseason_distribution",
-    "fig8_home_away",
-    "fig9_team_home_away",
-    "fig10_ref_team_rim_outliers",
-    "fig11_ref_team_disp_outliers",
-    "fig12_series_effects",
-    "fig13_team_side_effects",
-    "fig14_ref_team_effects",
-    "figA1_component_no_min",
-    "figA2_quarter_disparity",
-    "figA3_ref_team_z_map",
-    "figA4_excess_scatter",
-)
-
 
 @dataclass(frozen=True)
 class Column:
@@ -870,6 +849,8 @@ TABLES: dict[str, tuple[list[Column], Callable[[AnalysisContext], tuple[list, li
         _figA4,
     ),
 }
+
+FIGURE_FILES = tuple(name for name in TABLES if name.startswith("fig"))
 
 
 # ---------------------------------------------------------------------------

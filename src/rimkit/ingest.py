@@ -739,7 +739,7 @@ def write_dataset(
     """
     root = Path(root)
     by_partition: dict[tuple[str, str], list[GameRecord]] = {}
-    ids_seen: dict[str, str] = {}
+    ids_seen: set[str] = set()
     for g in games:
         for key in _HEADERS:
             # Partition labels and the sort by id need strings.
@@ -747,7 +747,7 @@ def write_dataset(
                 raise DatasetError(f"game {g.game_id!r}: {key} {value!r:.40} is not a string")
         if g.game_id in ids_seen:
             raise DatasetError(f"duplicate game_id {g.game_id!r}")
-        ids_seen[g.game_id] = g.game_id
+        ids_seen.add(g.game_id)
         for label in (g.season, g.season_type):
             if not SAFE_LABEL.fullmatch(label):
                 raise DatasetError(f"game {g.game_id!r}: {label!r} cannot name a partition")
@@ -812,7 +812,11 @@ def read_manifest(root: Path) -> DatasetManifest:
 
 
 def load_dataset(root: Path) -> tuple[list[GameRecord], DatasetManifest]:
-    """Read every partition listed by the manifest, verifying its hash first."""
+    """Read every partition listed by the manifest, verifying its hash first.
+
+    A game id seen before, in this partition or an earlier one (a partition
+    the manifest lists twice included), is a ``DatasetError``.
+    """
     root = Path(root)
     manifest = read_manifest(root)
     if manifest.schema_version != SCHEMA_VERSION:
@@ -821,6 +825,7 @@ def load_dataset(root: Path) -> tuple[list[GameRecord], DatasetManifest]:
             f"(expected {SCHEMA_VERSION})"
         )
     games: list[GameRecord] = []
+    seen: set[str] = set()
     inside = root.resolve()
     with _cyclic_gc_paused():
         for part in manifest.partitions:
@@ -839,7 +844,8 @@ def load_dataset(root: Path) -> tuple[list[GameRecord], DatasetManifest]:
                 try:
                     if len(line) >= _LONG_LINE and _deep(line):
                         json.loads(line)  # raises RecursionError where orjson could crash
-                    games.append(game_from_dict(orjson.loads(line)))
+                    game = game_from_dict(orjson.loads(line))
+                    fresh = game.game_id not in seen  # TypeError: an unhashable id
                 except (
                     ValueError, KeyError, IndexError, TypeError, AttributeError, RecursionError
                 ) as e:
@@ -849,6 +855,12 @@ def load_dataset(root: Path) -> tuple[list[GameRecord], DatasetManifest]:
                     raise DatasetError(
                         f"{part.path}:{line_no}: bad game line: {e}"
                     ) from e
+                if not fresh:
+                    raise DatasetError(
+                        f"{part.path}:{line_no}: duplicate game_id {game.game_id!r}"
+                    )
+                seen.add(game.game_id)
+                games.append(game)
                 count += 1
             if count != part.games:
                 raise DatasetError(

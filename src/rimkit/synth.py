@@ -33,6 +33,14 @@ from .model import (
 from .outliers import PanelRow
 
 
+# The shape of a foul's win-probability move, Beta(MOVE_ALPHA, MOVE_BETA)
+# scaled by ``SimConfig.move_scale``, and the half-width of the uniform
+# jitter around 0.5 that each game's starting probability draws from.
+MOVE_ALPHA = 1.3
+MOVE_BETA = 5.0
+START_WP_JITTER = 0.06
+
+
 class SimConfigError(ValueError):
     """Raised for infeasible simulation configs."""
 
@@ -40,6 +48,11 @@ class SimConfigError(ValueError):
 @dataclass(frozen=True)
 class SimConfig:
     """Knobs for one synthetic corpus; every field has a reproducible default.
+
+    Each field can be set through ``rimkit simulate``: as a flag, as
+    ``--sim-seasons`` for ``seasons``, or as a key of the ``--effects`` file.
+    The move shape and the starting-probability jitter are the module
+    constants ``MOVE_ALPHA``, ``MOVE_BETA`` and ``START_WP_JITTER``.
 
     Injected effects:
 
@@ -62,10 +75,7 @@ class SimConfig:
     fouls_mean: float = 40.0
     fouls_dispersion: float = 0.0
     move_scale: float = 0.04
-    move_alpha: float = 1.3
-    move_beta: float = 5.0
     benefit_prob: float = 0.65
-    start_wp_jitter: float = 0.06
     overtime_rate: float = 0.04
     unattributed_rate: float = 0.0
     missing_series_rate: float = 0.0
@@ -98,8 +108,8 @@ class SimConfig:
         for name in ("benefit_prob", "overtime_rate", "unattributed_rate", "missing_series_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise SimConfigError(f"{name} must be a probability")
-        if self.move_scale < 0 or self.move_alpha <= 0 or self.move_beta <= 0:
-            raise SimConfigError("move distribution parameters out of range")
+        if self.move_scale < 0:
+            raise SimConfigError("move_scale must be >= 0")
 
 
 def team_name(i: int) -> str:
@@ -176,7 +186,7 @@ def _generate_game(
     )
     order = np.lexsort((-clocks, periods))
 
-    magnitudes = rng.beta(cfg.move_alpha, cfg.move_beta, size=n) * cfg.move_scale
+    magnitudes = rng.beta(MOVE_ALPHA, MOVE_BETA, size=n) * cfg.move_scale
     toward_benefit = rng.random(n) < cfg.benefit_prob
     coin = rng.random(n) < 0.5
 
@@ -190,7 +200,7 @@ def _generate_game(
         lo, hi = sorted(series_state)
         rim_shift = float(cfg.series_shift.get((lo, hi), 0.0))
 
-    w = 0.5 + float(rng.uniform(-cfg.start_wp_jitter, cfg.start_wp_jitter))
+    w = 0.5 + float(rng.uniform(-START_WP_JITTER, START_WP_JITTER))
     w = min(max(w, 0.0), 1.0)
     # Plain lists, so every event field is a Python float, int or str, never
     # a numpy scalar; the arithmetic is binary64 either way, so no bit moves.
@@ -394,33 +404,31 @@ def simulate_team_side_rows(
     *,
     n_games: int,
     n_teams: int = 30,
-    season: str = "S1",
-    season_type: str = REGULAR,
     home_disparity_shift: Mapping[str, float] | None = None,
-    fouls_mean: float = 40.0,
-    rim_sd: float = 0.08,
 ) -> list[TeamGameRow]:
     """Team-game rows from a known disparity model, mirrors included.
 
-    Foul counts are Poisson on each side with the home side's rate tilted
-    so the expected home disparity equals the configured shift exactly.
+    Regular-season games of season ``S1``. Foul counts are Poisson on each
+    side, 20 a side on average, with the home side's rate tilted so the
+    expected home disparity equals the configured shift exactly. The home
+    team RIM is normal with SD 0.08.
     """
     shifts = home_disparity_shift or {}
     rows: list[TeamGameRow] = []
-    half = fouls_mean / 2.0
+    season, half = "S1", 20.0
     for i in range(n_games):
         hi, ai = rng.choice(n_teams, size=2, replace=False)
         home, away = team_name(int(hi)), team_name(int(ai))
         delta = float(shifts.get(home, 0.0))
         f_home = int(rng.poisson(max(half - delta / 2.0, 0.1)))
         f_away = int(rng.poisson(max(half + delta / 2.0, 0.1)))
-        q_home = float(rng.normal(0.0, rim_sd))
+        q_home = float(rng.normal(0.0, 0.08))
         rim = abs(q_home) + float(rng.gamma(2.0, 0.05))
         gid = f"{season}-mc-{i:05d}"
         shared = dict(
             game_id=gid,
             season=season,
-            season_type=season_type,
+            season_type=REGULAR,
             game_rim=rim,
             n_calls=f_home + f_away,
             series_key=None,
@@ -454,28 +462,23 @@ def simulate_ref_team_panel(
     n_games: int,
     n_teams: int = 20,
     n_referees: int = 20,
-    crew_size: int = 3,
-    season: str = "S1",
     pair_shift: Mapping[tuple[str, str], float] | None = None,
-    referee_effects: Mapping[str, float] | None = None,
-    team_effects: Mapping[str, float] | None = None,
-    game_sd: float = 0.05,
-    row_sd: float = 0.02,
 ) -> list[PanelRow]:
-    """Referee-team-game rows from a known additive model plus pair effects.
+    """Referee-team-game rows of season ``S1`` with known pair effects.
 
-    A shared per-game shock (sign-flipped across sides) gives clusters real
-    within-game correlation; row noise sits on top.
+    Each game has a crew of three. A shared per-game shock (SD 0.05,
+    sign-flipped across sides) gives clusters real within-game correlation;
+    row noise (SD 0.02) sits on top. Referees and teams have no effect of
+    their own.
     """
     pairs = pair_shift or {}
-    ref_eff = referee_effects or {}
-    team_eff = team_effects or {}
+    season = "S1"
     rows: list[PanelRow] = []
     for i in range(n_games):
         hi, ai = rng.choice(n_teams, size=2, replace=False)
         home, away = team_name(int(hi)), team_name(int(ai))
-        crew = [referee_name(int(r)) for r in rng.choice(n_referees, size=crew_size, replace=False)]
-        g_shock = float(rng.normal(0.0, game_sd))
+        crew = [referee_name(int(r)) for r in rng.choice(n_referees, size=3, replace=False)]
+        g_shock = float(rng.normal(0.0, 0.05))
         gid = f"{season}-pnl-{i:05d}"
         disparity = float(rng.normal(0.0, 4.0))
         for ref in crew:
@@ -484,11 +487,9 @@ def simulate_ref_team_panel(
                 (away, home, -1.0, -disparity),
             ):
                 y = (
-                    float(ref_eff.get(ref, 0.0))
-                    + float(team_eff.get(team, 0.0))
-                    + float(pairs.get((ref, team), 0.0))
+                    float(pairs.get((ref, team), 0.0))
                     + side_sign * g_shock
-                    + float(rng.normal(0.0, row_sd))
+                    + float(rng.normal(0.0, 0.02))
                 )
                 rows.append(
                     PanelRow(

@@ -346,6 +346,83 @@ def test_refs_rejects_a_min_games_below_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_refs_min_games_sets_both_thresholds_and_echoes_them(tmp_path, capsys):
+    # The echo used to keep the default thresholds while the tables used N.
+    ds = tmp_path / "ds"
+    simulate_small(capsys, ds)
+    out = tmp_path / "refs"
+    code, text = run(capsys, "refs", "--dataset", str(ds), "--out", str(out),
+                     "--min-games-regular", "40", "--min-games", "5")
+    assert code == 0, text
+    config = json.loads((out / "run.json").read_text(encoding="utf-8"))["config"]
+    assert (config["min_games_regular"], config["min_games_postseason"]) == (5, 5)
+    notes = (out / "referee_summary.csv").read_text(encoding="utf-8")
+    assert "minimum games: 5" in notes
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("table_k", "table_k must be an integer"),
+        ("min_games_regular", "min_games_regular must be an integer"),
+        ("start_prior", "start_prior must be a number"),
+        ("target_form", "target_form must be a string"),
+        ("seasons", "seasons must be a list of strings"),
+    ],
+    ids=["table_k", "min_games_regular", "start_prior", "target_form", "seasons"],
+)
+def test_a_null_setting_in_a_config_file_is_an_input_error(tmp_path, capsys, setting, message):
+    # A null used to reach the settings' checks as None: exit 1 with a
+    # TypeError, or, for seasons, an echo of null.
+    cfg = tmp_path / "settings.json"
+    cfg.write_text(json.dumps({setting: None}), encoding="utf-8")
+    out = tmp_path / "refs"
+    code, text = run(capsys, "--config", str(cfg), "refs", "--dataset", str(tmp_path / "ds"),
+                     "--out", str(out))
+    assert code == 2, text
+    assert f"error: {message}" in text
+    assert not out.exists()
+
+
+def test_a_null_seed_is_refused_and_null_paths_are_unset(tmp_path, capsys):
+    cfg = tmp_path / "settings.json"
+    cfg.write_text('{"seed": null}', encoding="utf-8")
+    sim = tmp_path / "sim"
+    small = ["--out", str(sim), "--games-per-season", "4", "--teams", "4", "--referees", "4"]
+    code, text = run(capsys, "--config", str(cfg), "simulate", *small)
+    assert code == 2 and "error: seed must be an integer" in text, text
+    assert not sim.exists()
+
+    cfg.write_text('{"dataset": null, "out_dir": null, "season_type": null}', encoding="utf-8")
+    code, text = run(capsys, "--config", str(cfg), "simulate", *small)
+    assert code == 0, text
+    config = json.loads((sim / "run.json").read_text(encoding="utf-8"))["config"]
+    assert (config["dataset"], config["season_type"], config["seed"]) == (None, None, 0)
+
+
+def test_every_setting_can_be_given_on_the_command_line(tmp_path):
+    # A setting with no way in is a knob nobody can turn: make it a constant.
+    import argparse
+    from dataclasses import fields
+
+    from rimkit.cli import _parse_effects_file, build_parser
+    from rimkit.config import RunConfig
+    from rimkit.synth import SimConfig
+
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {name: {a.dest for a in sub._actions} for name, sub in subparsers.choices.items()}
+    effects = tmp_path / "effects.json"
+    effects.write_text('{"team_home_shift": {}, "pair_shift": [], "series_shift": []}',
+                       encoding="utf-8")
+    # On the command line --seasons filters the analysis; --sim-seasons simulates.
+    simulate = {"seasons" if d == "sim_seasons" else d for d in dests["simulate"] - {"seasons"}}
+    simulate |= set(_parse_effects_file(str(effects)))
+    assert [f.name for f in fields(SimConfig) if f.name not in simulate] == []
+    every_dest = set().union(*dests.values())
+    assert [f.name for f in fields(RunConfig) if f.name not in every_dest] == []
+
+
 def test_validate_flags_corruption_and_bad_outputs(tmp_path, capsys):
     ds = tmp_path / "ds"
     simulate_small(capsys, ds)

@@ -778,6 +778,40 @@ def test_validate_refuses_an_over_deep_dataset_line_without_crashing(tmp_path):
     assert f"error: {part['path']}:1: bad game line: maximum recursion depth" in p.stderr
 
 
+def test_load_dataset_refuses_a_partition_the_manifest_lists_twice(tmp_path, rng):
+    # It used to load every game twice: `validate` reported twice the games
+    # and `refs` counted each referee's games twice.
+    root = tmp_path / "ds"
+    write_dataset(random_games(rng, 4), root)
+    manifest_path = root / "manifest.json"
+    doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+    doc["partitions"] = doc["partitions"][:1] * 2
+    manifest_path.write_text(json.dumps(doc), encoding="utf-8")
+    path = doc["partitions"][0]["path"]
+    first = json.loads((root / path).read_bytes().splitlines()[0])["game_id"]
+    with pytest.raises(DatasetError, match=rf"^{path}:1: duplicate game_id {first!r}$"):
+        load_dataset(root)
+
+
+def test_load_dataset_refuses_a_repeated_game_line(tmp_path, rng):
+    root = tmp_path / "ds"
+    write_dataset(random_games(rng, 4), root)
+    manifest_path = root / "manifest.json"
+    doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+    part = doc["partitions"][0]
+    path = root / part["path"]
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines) + lines[0])  # hash and count made to match
+    part["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    part["games"] += 1
+    manifest_path.write_text(json.dumps(doc), encoding="utf-8")
+    first = json.loads(lines[0])["game_id"]
+    with pytest.raises(
+        DatasetError, match=rf"^{part['path']}:{len(lines) + 1}: duplicate game_id {first!r}$"
+    ):
+        load_dataset(root)
+
+
 def test_load_dataset_missing_manifest(tmp_path):
     with pytest.raises(DatasetError, match="manifest"):
         load_dataset(tmp_path / "nope")

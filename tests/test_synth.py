@@ -196,8 +196,6 @@ def test_write_corpus_roundtrip(tmp_path):
         {"fouls_dispersion": -0.5},
         {"benefit_prob": 1.5},
         {"move_scale": -0.01},
-        {"move_alpha": 0.0},
-        {"move_beta": 0.0},
     ],
 )
 def test_infeasible_configs_are_rejected(overrides):
