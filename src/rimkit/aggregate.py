@@ -12,7 +12,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .metrics import PERIOD_BUCKETS, compute_game_metrics, swing_per_call
-from .model import GameRecord, SeriesStateKey, TeamGameRow
+from .model import POSTSEASON, GameRecord, SeriesStateKey, TeamGameRow
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
@@ -266,7 +266,7 @@ def series_state_summary(rows: Iterable[TeamGameRow]) -> SeriesStateSummary:
     games_seen: dict[str, TeamGameRow] = {}
     row_counts: dict[str, int] = {}
     for r in rows:
-        if r.season_type != "postseason":
+        if r.season_type != POSTSEASON:
             continue
         row_counts[r.game_id] = row_counts.get(r.game_id, 0) + 1
         if r.game_id not in games_seen or r.is_home:

@@ -122,6 +122,15 @@ def _print_skipped(report: TableReport) -> None:
         print(f"skipped: {name} ({reason})")
 
 
+def _destination(cfg: RunConfig, args: argparse.Namespace) -> Path:
+    """Where ``ingest`` and ``simulate`` write a dataset: ``--out``, else the
+    ``dataset`` setting, which the analysis commands then read."""
+    dest = args.out_dir or cfg.dataset
+    if not dest:
+        raise ConfigError("a dataset destination is required (--out or dataset)")
+    return Path(dest)
+
+
 def _echo(out: Path, command: str, cfg: RunConfig) -> int:
     write_run_echo(out, command, cfg, Path(cfg.dataset))
     return EXIT_OK
@@ -136,10 +145,7 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
     raw_dir = Path(args.raw_dir)
     if not raw_dir.is_dir():
         raise DatasetError(f"raw directory not found: {raw_dir}")
-    dest = args.out_dir or cfg.dataset
-    if not dest:
-        raise ConfigError("a dataset destination is required (--out or dataset)")
-    dataset_root = Path(dest)
+    dataset_root = _destination(cfg, args)
     aliases = None
     if args.aliases:
         aliases = read_json_file(args.aliases, "aliases file")
@@ -276,17 +282,9 @@ def _parse_effects_file(path: str) -> dict:
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    dest = args.out_dir or cfg.out_dir or cfg.dataset
-    if not dest:
-        raise ConfigError("a destination is required (--out)")
-    root = Path(dest)
-    # ``seed`` comes from the resolved config; on the command line ``seasons``
-    # is the analysis filter, and ``--sim-seasons`` names the simulated ones.
-    overrides = {"seed": cfg.seed}
-    for f in fields(SimConfig):
-        value = getattr(args, f.name, None)
-        if value is not None and f.name not in ("seed", "seasons"):
-            overrides[f.name] = value
+    root = _destination(cfg, args)
+    overrides = {n: getattr(args, n) for n in _SIM_SETTINGS if getattr(args, n) is not None}
+    overrides["seed"] = cfg.seed  # the resolved seed, so a config file can set it
     if args.sim_seasons:
         overrides["seasons"] = tuple(args.sim_seasons)
     if args.effects:
@@ -315,6 +313,44 @@ def cmd_emit_figures(cfg: RunConfig, args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+# A command's setting flags are built from the fields they set: the dest is
+# the field name, the type that of its default (a tuple takes any number of
+# strings, a None default one string) and the choices its metadata's. A flag
+# is spelled ``--`` plus the name with dashes, except these.
+_FLAG_NAMES = {
+    "out_dir": "--out",
+    "n_teams": "--teams",
+    "n_referees": "--referees",
+    "postseason_games_per_season": "--postseason-games",
+}
+_HELP = {
+    "dataset": "canonical dataset root",
+    "out_dir": "output directory",
+    "seasons": "restrict to these season labels",
+    "season_type": "restrict to one season type",
+}
+
+_FILTERS = ("dataset", "out_dir", "seasons", "season_type")
+_STATS = ("min_pair_games", "table_k", "pair_k", "team_side_k", "target_form",
+          "min_games_regular", "min_games_postseason")
+# SimConfig's scalar settings: ``seasons`` comes from ``--sim-seasons``, the
+# injected effects from the ``--effects`` file.
+_SIM_SETTINGS = tuple(f.name for f in fields(SimConfig) if isinstance(f.default, (int, float)))
+
+
+def _add_settings(p: argparse.ArgumentParser, declared: type, names: tuple[str, ...]) -> None:
+    by_name = {f.name: f for f in fields(declared)}
+    for name in names:
+        default = by_name[name].default
+        p.add_argument(
+            _FLAG_NAMES.get(name, "--" + name.replace("_", "-")),
+            dest=name,
+            type=type(default) if isinstance(default, (int, float)) else str,
+            nargs="*" if isinstance(default, tuple) else None,
+            choices=by_name[name].metadata.get("choices"),
+            help=_HELP.get(name),
+        )
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -332,139 +368,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--dataset", help="canonical dataset root")
-    common.add_argument("--out", dest="out_dir", help="output directory")
-    common.add_argument(
-        "--seasons", nargs="*", help="restrict to these season labels"
-    )
-    common.add_argument(
-        "--season-type",
-        dest="season_type",
-        choices=("regular", "postseason"),
-        help="restrict to one season type",
-    )
+    def command(name, func, summary, settings=_FILTERS + _STATS, sim_settings=()):
+        # No abbreviations: ``validate --out`` must not pass for ``--outputs``.
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        _add_settings(p, RunConfig, settings)
+        _add_settings(p, SimConfig, sim_settings)
+        p.set_defaults(func=func)
+        return p
 
-    stats = argparse.ArgumentParser(add_help=False)
-    stats.add_argument("--min-pair-games", dest="min_pair_games", type=int)
-    stats.add_argument("--table-k", dest="table_k", type=int)
-    stats.add_argument("--pair-k", dest="pair_k", type=int)
-    stats.add_argument("--team-side-k", dest="team_side_k", type=int)
-    stats.add_argument(
-        "--target-form", dest="target_form", choices=("indicator", "paired")
-    )
-    stats.add_argument("--min-games-regular", dest="min_games_regular", type=int)
-    stats.add_argument(
-        "--min-games-postseason", dest="min_games_postseason", type=int
-    )
-
-    p = sub.add_parser(
-        "ingest",
-        parents=[common],
-        help="parse raw feed documents into the canonical dataset",
-    )
+    p = command("ingest", cmd_ingest, "parse raw feed documents into the canonical dataset",
+                ("dataset", "out_dir", "start_prior"))
     p.add_argument("--raw-dir", required=True, help="directory of raw feed documents")
     p.add_argument("--aliases", help="JSON object of referee name aliases")
-    p.add_argument("--start-prior", dest="start_prior", type=float)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser(
-        "validate",
-        parents=[common],
-        help="verify dataset integrity and/or re-parse emitted outputs",
-    )
+    p = command("validate", cmd_validate,
+                "verify dataset integrity and/or re-parse emitted outputs", ("dataset",))
     p.add_argument("--outputs", help="directory of emitted CSV outputs to re-parse")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser(
-        "metrics", parents=[common], help="write per-game leverage metrics"
-    )
-    p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser(
-        "refs",
-        parents=[common, stats],
-        help="write per-referee distribution and ranking tables",
-    )
-    p.add_argument(
-        "--min-games",
-        dest="min_games",
-        type=int,
-        help="qualification threshold (default: per season type)",
-    )
-    p.set_defaults(func=cmd_refs)
-
-    p = sub.add_parser(
-        "outliers",
-        parents=[common, stats],
-        help="write referee-team excess screens",
-    )
-    p.set_defaults(func=cmd_outliers)
-
-    p = sub.add_parser(
-        "regress",
-        parents=[common, stats],
-        help="fit clustered fixed-effects regressions",
-    )
-    p.add_argument(
-        "--target",
-        action="append",
-        help="team-side target TEAM:home or TEAM:away (repeatable)",
-    )
-    p.add_argument(
-        "--pair",
-        action="append",
-        help="referee-team target REFEREE:TEAM (repeatable)",
-    )
-    p.set_defaults(func=cmd_regress)
-
-    p = sub.add_parser(
-        "robustness",
-        parents=[common, stats],
-        help="write omitted-variable robustness diagnostics for targets",
-    )
+    command("metrics", cmd_metrics, "write per-game leverage metrics", _FILTERS)
+    p = command("refs", cmd_refs, "write per-referee distribution and ranking tables")
+    p.add_argument("--min-games", dest="min_games", type=int,
+                   help="qualification threshold (default: per season type)")
+    command("outliers", cmd_outliers, "write referee-team excess screens")
+    p = command("regress", cmd_regress, "fit clustered fixed-effects regressions")
+    p.add_argument("--target", action="append",
+                   help="team-side target TEAM:home or TEAM:away (repeatable)")
+    p.add_argument("--pair", action="append",
+                   help="referee-team target REFEREE:TEAM (repeatable)")
+    p = command("robustness", cmd_robustness,
+                "write omitted-variable robustness diagnostics for targets")
     p.add_argument("--target", action="append", help="TEAM:home or TEAM:away")
-    p.set_defaults(func=cmd_robustness)
-
-    p = sub.add_parser(
-        "simulate",
-        parents=[common],
-        help="write a synthetic corpus with a ground-truth ledger",
-    )
-    p.add_argument("--seed", type=int, dest="seed")
-    p.add_argument("--teams", dest="n_teams", type=int)
-    p.add_argument("--referees", dest="n_referees", type=int)
-    p.add_argument("--crew-size", dest="crew_size", type=int)
-    p.add_argument("--games-per-season", dest="games_per_season", type=int)
-    p.add_argument(
-        "--postseason-games", dest="postseason_games_per_season", type=int
-    )
-    p.add_argument(
-        "--sim-seasons",
-        dest="sim_seasons",
-        nargs="*",
-        help="season labels to simulate",
-    )
-    p.add_argument("--fouls-mean", dest="fouls_mean", type=float)
-    p.add_argument("--fouls-dispersion", dest="fouls_dispersion", type=float)
-    p.add_argument("--move-scale", dest="move_scale", type=float)
-    p.add_argument("--benefit-prob", dest="benefit_prob", type=float)
-    p.add_argument("--overtime-rate", dest="overtime_rate", type=float)
-    p.add_argument("--unattributed-rate", dest="unattributed_rate", type=float)
-    p.add_argument("--missing-series-rate", dest="missing_series_rate", type=float)
-    p.add_argument(
-        "--effects",
-        help="JSON file of injected effects (team_home_shift, pair_shift, series_shift)",
-    )
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser(
-        "emit-figures",
-        parents=[common, stats],
-        help="write every figure data file the corpus supports",
-    )
-    p.set_defaults(func=cmd_emit_figures)
-
+    p = command("simulate", cmd_simulate, "write a synthetic corpus with a ground-truth ledger",
+                ("dataset", "out_dir"), _SIM_SETTINGS)
+    p.add_argument("--sim-seasons", dest="sim_seasons", nargs="*",
+                   help="season labels to simulate")
+    p.add_argument("--effects",
+                   help="JSON file of injected effects (team_home_shift, pair_shift, series_shift)")
+    command("emit-figures", cmd_emit_figures, "write every figure data file the corpus supports")
     return parser
 
 

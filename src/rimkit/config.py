@@ -13,16 +13,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .inference import TARGET_FORMS
 from .ingest import DEFAULT_START_PRIOR, MANIFEST_NAME, read_manifest
+from .model import SEASON_TYPES
 
 ENV_CONFIG = "RIMKIT_CONFIG"
 RUN_ECHO_NAME = "run.json"
-
-_SEASON_TYPES = ("regular", "postseason")
-_TARGET_FORMS = ("indicator", "paired")
 
 
 class ConfigError(ValueError):
@@ -31,25 +30,31 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every run setting; a ``choices`` entry in a field's metadata names
+    the values it may take, for ``validate`` and the CLI flag alike."""
+
     dataset: str | None = None
     out_dir: str | None = None
     seasons: tuple[str, ...] = ()  # empty = all seasons
-    season_type: str | None = None  # None = all season types
+    season_type: str | None = field(  # None = all season types
+        default=None, metadata={"choices": SEASON_TYPES}
+    )
     min_games_regular: int = 50
     min_games_postseason: int = 15
     min_pair_games: int = 5
     table_k: int = 10
     pair_k: int = 5
     team_side_k: int = 3
-    target_form: str = "indicator"
+    target_form: str = field(default="indicator", metadata={"choices": TARGET_FORMS})
     seed: int = 0
     start_prior: float = DEFAULT_START_PRIOR
 
     def validate(self) -> None:
-        if self.season_type is not None and self.season_type not in _SEASON_TYPES:
-            raise ConfigError(f"season_type must be one of {_SEASON_TYPES}")
-        if self.target_form not in _TARGET_FORMS:
-            raise ConfigError(f"target_form must be one of {_TARGET_FORMS}")
+        for f in fields(self):
+            value, choices = getattr(self, f.name), f.metadata.get("choices")
+            unset = value is None and f.default is None
+            if choices and value not in choices and not unset:
+                raise ConfigError(f"{f.name} must be one of {choices}")
         for name in (
             "min_games_regular",
             "min_games_postseason",

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import TeamGameRow
+from .model import POSTSEASON, TeamGameRow
 from .outliers import PanelRow
 from .special import student_t_quantile
 
@@ -290,6 +290,11 @@ def _design(blocks: Sequence[_Block], clusters: Sequence[str], notes: Sequence[s
     return Design(rows, groups, columns, dropped, tuple(notes))
 
 
+# How a team-side target enters the design: a 0/1 column on its own rows, or
+# also -1 on the mirror rows where the team is the opponent on the other side.
+TARGET_FORMS = ("indicator", "paired")
+
+
 def build_design(
     rows: Sequence[TeamGameRow],
     targets: Sequence[TeamSideTarget],
@@ -310,7 +315,7 @@ def build_design(
     for outcome in outcomes:
         if outcome not in TEAM_OUTCOMES:
             raise DesignError(f"unknown outcome {outcome!r}")
-    if target_form not in ("indicator", "paired"):
+    if target_form not in TARGET_FORMS:
         raise DesignError(f"unknown target_form {target_form!r}")
     rows = list(rows)
     fitted = [r for r in rows if r.series_key is not None] if include_series else rows
@@ -478,7 +483,7 @@ def series_state_effects(rows: Sequence[TeamGameRow]) -> dict[str, FitResult]:
     form.
     """
     per_game = {r.game_id: r for r in rows
-                if r.season_type == "postseason" and r.series_key is not None and r.is_home}
+                if r.season_type == POSTSEASON and r.series_key is not None and r.is_home}
     if not per_game:
         raise DesignError("no postseason rows with series state")
     game_rows = [per_game[g] for g in sorted(per_game)]

@@ -7,10 +7,11 @@ same canonical dataset format ingest produces, alongside a ledger of every
 injected parameter. Determinism is strict: the same config yields a
 byte-identical corpus, via counter-based per-game seeds.
 
-``oracle_recompute`` and ``oracle_excess`` re-derive the headline
+``oracle_recompute``, ``oracle_excess``, ``oracle_referees``,
+``oracle_home_away`` and ``oracle_series_states`` re-derive the headline
 quantities with deliberately plain, self-contained arithmetic — no kernels
-shared with the metrics or outliers modules — so equivalence tests compare
-two independent code paths.
+shared with the metrics, aggregate or outliers modules — so equivalence
+tests compare two independent code paths.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import (
+    MAX_SERIES_WINS,
     POSTSEASON,
     REGULAR,
     FoulEvent,
@@ -39,6 +41,11 @@ from .outliers import PanelRow
 MOVE_ALPHA = 1.3
 MOVE_BETA = 5.0
 START_WP_JITTER = 0.06
+
+# The canonical pregame series states (lo, hi) a postseason game can draw.
+_SERIES_STATES = frozenset(
+    (lo, hi) for hi in range(MAX_SERIES_WINS + 1) for lo in range(hi + 1)
+)
 
 
 class SimConfigError(ValueError):
@@ -63,6 +70,11 @@ class SimConfig:
       keyed ``(referee, team)``.
     * ``series_shift``: extra expected game RIM for postseason games at a
       canonical pregame series state, keyed ``(lo, hi)``.
+
+    Every effect must be one the generator can apply: a team among
+    ``team_name(0..n_teams-1)``, a referee among
+    ``referee_name(0..n_referees-1)`` and a state with
+    ``0 <= lo <= hi <= MAX_SERIES_WINS``.
     """
 
     seed: int = 0
@@ -110,6 +122,22 @@ class SimConfig:
                 raise SimConfigError(f"{name} must be a probability")
         if self.move_scale < 0:
             raise SimConfigError("move_scale must be >= 0")
+        for key in self.series_shift:
+            if key not in _SERIES_STATES:
+                raise SimConfigError(
+                    f"series_shift {key!r}: not a canonical series state (lo, hi) "
+                    f"with 0 <= lo <= hi <= {MAX_SERIES_WINS}"
+                )
+        named = [("team_home_shift", team, "team", team) for team in self.team_home_shift]
+        for key in self.pair_shift:
+            named += [("pair_shift", key, "referee", key[0]), ("pair_shift", key, "team", key[1])]
+        rosters = {"team": (team_name, self.n_teams), "referee": (referee_name, self.n_referees)}
+        for effect, key, role, name in named:
+            make, size = rosters[role]
+            if not _on_roster(name, make, size):
+                raise SimConfigError(
+                    f"{effect} {key!r}: no {role} {name!r} among the {size} simulated"
+                )
 
 
 def team_name(i: int) -> str:
@@ -118,6 +146,19 @@ def team_name(i: int) -> str:
 
 def referee_name(i: int) -> str:
     return f"Ref{i + 1:02d}"
+
+
+def _on_roster(name, make, size: int) -> bool:
+    """Whether ``name`` is ``make(i)`` for some ``0 <= i < size``, found
+    without building the roster."""
+    prefix = make(0).rstrip("0123456789")
+    if not isinstance(name, str) or len(name) > len(make(size)) or not name.startswith(prefix):
+        return False
+    digits = name[len(prefix):]
+    if not (digits.isascii() and digits.isdigit()):
+        return False
+    i = int(digits) - 1
+    return 0 <= i < size and make(i) == name
 
 
 def _draw_fouls(rng: np.random.Generator, cfg: SimConfig) -> int:
@@ -289,7 +330,7 @@ def write_corpus(cfg: SimConfig, root: Path):
 
 
 # ---------------------------------------------------------------------------
-# Independent oracles (no shared kernels with metrics/outliers)
+# Independent oracles (no shared kernels with metrics/aggregate/outliers)
 # ---------------------------------------------------------------------------
 
 
@@ -392,6 +433,114 @@ def oracle_excess(
         b = team_sum[team][0] / team_sum[team][1]
         out[(ref, team)] = s / c - (a + b - m)
     return out
+
+
+def _oracle_mean(values: Sequence[float]) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
+def oracle_referees(
+    games: Sequence[GameRecord], min_games: int
+) -> tuple[list[tuple], tuple[float, float] | None]:
+    """Re-derive the qualified referees and their band from scratch.
+
+    Each row is (referee, games, mean RIM, mean calls, mean swing per call
+    or None when no game had a call, mean absolute disparity), over every
+    game the referee worked; rows run by mean RIM descending, then name
+    ascending. The band is (mean, sample SD) of the rows' mean RIM, or None
+    when no referee has ``min_games`` games. Games without a crew count for
+    no referee.
+    """
+    per_game = oracle_recompute(games)
+    worked: dict[str, list[OracleGame]] = {}
+    for g in games:
+        for ref in g.crew:
+            worked.setdefault(ref, []).append(per_game[g.game_id])
+    rows = []
+    for ref, gs in worked.items():
+        if len(gs) < min_games:
+            continue
+        swings = [o.swing for o in gs if o.swing is not None]
+        rows.append((
+            ref,
+            len(gs),
+            _oracle_mean([o.rim for o in gs]),
+            _oracle_mean([float(o.n_calls) for o in gs]),
+            _oracle_mean(swings) if swings else None,
+            _oracle_mean([float(abs(o.home_disparity)) for o in gs]),
+        ))
+    rows.sort(key=lambda r: (-r[2], r[0]))
+    if not rows:
+        return [], None
+    means = [r[2] for r in rows]
+    m = _oracle_mean(means)
+    squares = 0.0
+    for v in means:
+        squares += (v - m) ** 2
+    return rows, (m, math.sqrt(squares / (len(means) - 1)) if len(means) > 1 else 0.0)
+
+
+def oracle_home_away(
+    games: Sequence[GameRecord],
+) -> tuple[dict[tuple[str, str], tuple], dict[str, dict[str, tuple]]]:
+    """Re-derive the home/away league and per-team means from scratch.
+
+    Returns ``(league, teams)``. ``league`` maps (season type, side) to
+    (team rows, mean disparity, mean team RIM) for each side with rows;
+    ``teams`` maps each team to {"home": ..., "away": ...} of (games, mean
+    disparity, mean team RIM), the means None for a side without games.
+    Each game gives a home and an away side, with the away values negated.
+    """
+    per_game = oracle_recompute(games)
+    league: dict[tuple[str, str], list[tuple[float, float]]] = {}
+    by_team: dict[str, dict[str, list[tuple[float, float]]]] = {}
+    for g in games:
+        o = per_game[g.game_id]
+        for side, team, sign in (("home", g.home_team, 1.0), ("away", g.away_team, -1.0)):
+            value = (sign * o.home_disparity, sign * o.home_team_rim)
+            league.setdefault((g.season_type, side), []).append(value)
+            by_team.setdefault(team, {"home": [], "away": []})[side].append(value)
+
+    def means(values):
+        if not values:
+            return 0, None, None
+        return (len(values), _oracle_mean([v[0] for v in values]),
+                _oracle_mean([v[1] for v in values]))
+
+    return (
+        {key: means(values) for key, values in league.items()},
+        {team: {side: means(v) for side, v in sides.items()} for team, sides in by_team.items()},
+    )
+
+
+def oracle_series_states(
+    games: Sequence[GameRecord],
+) -> tuple[dict[tuple[int, int], tuple], int]:
+    """Re-derive the postseason series-state buckets from scratch.
+
+    Returns ({(lo, hi): (games, team rows, mean absolute disparity, mean
+    game RIM)}, postseason games without a state), where (lo, hi) is the
+    pregame score with the smaller win count first.
+    """
+    per_game = oracle_recompute(games)
+    buckets: dict[tuple[int, int], list[OracleGame]] = {}
+    missing = 0
+    for g in games:
+        if g.season_type != POSTSEASON:
+            continue
+        if g.series_state is None:
+            missing += 1
+            continue
+        a, b = g.series_state
+        buckets.setdefault((a, b) if a <= b else (b, a), []).append(per_game[g.game_id])
+    return {
+        key: (len(obs), 2 * len(obs), _oracle_mean([float(abs(o.home_disparity)) for o in obs]),
+              _oracle_mean([o.rim for o in obs]))
+        for key, obs in buckets.items()
+    }, missing
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,8 @@ def test_every_setting_can_be_given_on_the_command_line(tmp_path):
 
     from rimkit.cli import _parse_effects_file, build_parser
     from rimkit.config import RunConfig
+    from rimkit.inference import TARGET_FORMS
+    from rimkit.model import SEASON_TYPES
     from rimkit.synth import SimConfig
 
     parser = build_parser()
@@ -416,11 +418,73 @@ def test_every_setting_can_be_given_on_the_command_line(tmp_path):
     effects.write_text('{"team_home_shift": {}, "pair_shift": [], "series_shift": []}',
                        encoding="utf-8")
     # On the command line --seasons filters the analysis; --sim-seasons simulates.
-    simulate = {"seasons" if d == "sim_seasons" else d for d in dests["simulate"] - {"seasons"}}
+    simulate = {"seasons" if d == "sim_seasons" else d for d in dests["simulate"]}
     simulate |= set(_parse_effects_file(str(effects)))
     assert [f.name for f in fields(SimConfig) if f.name not in simulate] == []
     every_dest = set().union(*dests.values())
     assert [f.name for f in fields(RunConfig) if f.name not in every_dest] == []
+
+    # Each setting flag parses to its field's type and offers its choice set.
+    choice_sets = {"season_type": SEASON_TYPES, "target_form": TARGET_FORMS}
+    run_fields = {f.name: f for f in fields(RunConfig)}
+    sim_fields = {f.name: f for f in fields(SimConfig)}
+    checked = set()
+    for name, sub in subparsers.choices.items():
+        declared = run_fields | sim_fields if name == "simulate" else run_fields
+        for action in sub._actions:
+            if action.dest not in declared:
+                continue
+            default = declared[action.dest].default
+            want_type = type(default) if isinstance(default, (int, float)) else str
+            assert action.type is want_type, (name, action.dest)
+            assert action.nargs == ("*" if isinstance(default, tuple) else None), action.dest
+            assert action.choices == choice_sets.get(action.dest), (name, action.dest)
+            checked.add(action.dest)
+    assert set(choice_sets) <= checked and {"start_prior", "fouls_mean", "seasons"} <= checked
+
+
+_NON_ANALYSIS = {
+    "ingest": ["ingest", "--raw-dir", "raw", "--out", "new"],
+    "validate": ["validate", "--dataset", "ds"],
+    "simulate": ["simulate", "--out", "new", "--games-per-season", "4", "--teams", "4",
+                 "--referees", "4"],
+}
+_IGNORED = [(command, flag) for command in _NON_ANALYSIS
+            for flag in (["--seasons", "1999-00"], ["--season-type", "regular"])]
+
+
+@pytest.mark.parametrize("command, flag", _IGNORED + [("validate", ["--out", "v1"])],
+                         ids=lambda v: v if isinstance(v, str) else v[0][2:])
+def test_a_command_refuses_a_setting_it_would_ignore(
+    tmp_path, capsys, monkeypatch, command, flag
+):
+    # These commands used to accept the analysis filters and echo them
+    # unused: `simulate --seasons 2019-20` simulated 2021-22.
+    monkeypatch.delenv("RIMKIT_CONFIG", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "raw").mkdir()
+    simulate_small(capsys, tmp_path / "ds")
+    before = sorted(str(p) for p in tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as exit_info:
+        main(_NON_ANALYSIS[command] + flag)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+    assert sorted(str(p) for p in tmp_path.rglob("*")) == before
+
+
+def test_simulate_writes_to_the_dataset_its_readers_load(tmp_path, capsys, monkeypatch):
+    # With one shared config simulate used to prefer out_dir over dataset,
+    # so the analysis commands found no manifest at the dataset path.
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "settings.json"
+    cfg.write_text('{"dataset": "ds", "out_dir": "out"}', encoding="utf-8")
+    small = ["--games-per-season", "20", "--teams", "4", "--referees", "4"]
+    code, text = run(capsys, "--config", str(cfg), "simulate", *small)
+    assert code == 0, text
+    assert (tmp_path / "ds" / "manifest.json").exists() and not (tmp_path / "out").exists()
+    code, text = run(capsys, "--config", str(cfg), "metrics")
+    assert code == 0, text
+    assert (tmp_path / "out" / "game_metrics.csv").exists()
 
 
 def test_validate_flags_corruption_and_bad_outputs(tmp_path, capsys):
@@ -703,6 +767,36 @@ def test_simulate_effects_file_lands_in_ledger(tmp_path, capsys):
         capsys, "simulate", "--out", str(tmp_path / "ds2"), "--effects", str(bad)
     )
     assert code == 2 and "unknown effects keys" in out
+
+
+@pytest.mark.parametrize(
+    "effects, message",
+    [
+        ({"series_shift": [{"state": "2--1", "shift": 0.5}]},
+         "series_shift (2, 1): not a canonical series state"),
+        ({"series_shift": [{"state": "0--4", "shift": 0.5}]},
+         "series_shift (0, 4): not a canonical series state"),
+        ({"team_home_shift": {"T99": 3.0}}, "team_home_shift 'T99': no team 'T99' among the 8"),
+        ({"pair_shift": [{"referee": "Ref01", "team": "T09", "shift": 0.1}]},
+         "pair_shift ('Ref01', 'T09'): no team 'T09' among the 8"),
+        ({"pair_shift": [{"referee": "Nobody", "team": "T01", "shift": 0.1}]},
+         "pair_shift ('Nobody', 'T01'): no referee 'Nobody' among the 12"),
+        ({"pair_shift": [{"referee": "Ref13", "team": "T01", "shift": 0.1}]},
+         "pair_shift ('Ref13', 'T01'): no referee 'Ref13' among the 12"),
+    ],
+    ids=["unsorted-state", "state-past-3", "home-team", "pair-team", "pair-name", "pair-ref13"],
+)
+def test_simulate_refuses_effects_it_cannot_apply(tmp_path, capsys, effects, message):
+    # These used to land in ledger.json while every partition came out
+    # byte-identical to the corpus built without them.
+    path = tmp_path / "effects.json"
+    path.write_text(json.dumps(effects), encoding="utf-8")
+    ds = tmp_path / "ds"
+    code, out = run(capsys, "simulate", "--out", str(ds), "--teams", "8", "--referees", "12",
+                    "--games-per-season", "20", "--postseason-games", "10",
+                    "--effects", str(path))
+    assert code == 2 and f"error: {message}" in out, out
+    assert not ds.exists()
 
 
 def test_season_filters_select_slices(tmp_path, capsys):

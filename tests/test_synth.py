@@ -1,11 +1,15 @@
 """Tests for the synthetic-corpus generator and its independent oracles."""
 
 import json
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rimkit.aggregate import home_away_summary, referee_distribution, series_state_summary
 from rimkit.ingest import load_dataset
+from rimkit.metrics import expand_rows
 from rimkit.model import POSTSEASON, REGULAR, validate_game
 from rimkit.synth import (
     SimConfig,
@@ -13,7 +17,10 @@ from rimkit.synth import (
     generate,
     ground_truth_ledger,
     oracle_excess,
+    oracle_home_away,
     oracle_recompute,
+    oracle_referees,
+    oracle_series_states,
     referee_name,
     simulate_ref_team_panel,
     simulate_team_side_rows,
@@ -289,6 +296,91 @@ def test_oracle_excess_skips_no_crew_games_and_rejects_bad_metric():
     assert oracle_excess([g]) == {}
     with pytest.raises(ValueError):
         oracle_excess([g], metric="fouls")
+
+
+def _same(got, want) -> bool:
+    """Exact where the oracle adds in the code's order: before Python 3.12,
+    ``sum()`` of floats adds left to right like the oracles' loops; later
+    versions compensate, so there the values agree to 1e-12."""
+    if got is None or want is None or sys.version_info < (3, 12):
+        return got == want
+    return abs(got - want) <= 1e-12
+
+
+def _aggregation_corpus():
+    """About 1,000 games: postseason games with and without a series state,
+    unattributed calls, games without a crew and games without a call."""
+    games, _ = generate(small_config(seed=23, n_referees=14, games_per_season=400,
+                                     postseason_games_per_season=100,
+                                     seasons=("2020-21", "2021-22"), unattributed_rate=0.1))
+    games = [replace(g, crew=()) if i % 13 == 0 else g for i, g in enumerate(games)]
+    return [replace(g, events=()) if i % 29 == 0 else g for i, g in enumerate(games)]
+
+
+def _referee_rows(summaries, band):
+    rows = [(s.referee, s.games, s.mean_rim, s.mean_calls_per_game, s.mean_swing_per_call,
+             s.mean_abs_disparity) for s in summaries]
+    return rows, band and (band.mean, band.sd)
+
+
+def _assert_same_rows(got, want):
+    assert len(got) == len(want)
+    for g_row, w_row in zip(got, want):
+        assert len(g_row) == len(w_row) and all(map(_same, g_row, w_row)), (g_row, w_row)
+
+
+def test_referee_distribution_matches_its_oracle():
+    games = _aggregation_corpus()
+    assert any(not g.crew for g in games) and any(not g.events for g in games)
+    counts = sorted(row[1] for row in oracle_referees(games, 1)[0])
+    # Every referee, then only those at or above the median game count.
+    for min_games in (1, counts[len(counts) // 2]):
+        rows, band = _referee_rows(*referee_distribution(games, min_games))
+        want_rows, want_band = oracle_referees(games, min_games)
+        assert 0 < len(want_rows) <= len(counts)
+        _assert_same_rows(rows, want_rows)
+        _assert_same_rows([band], [want_band])
+    # With no calls anywhere every mean RIM ties at zero: names break the tie.
+    silent = [replace(g, events=()) for g in games[:150]]
+    rows, band = _referee_rows(*referee_distribution(silent, 1))
+    want_rows, want_band = oracle_referees(silent, 1)
+    assert [r[0] for r in want_rows] == sorted(r[0] for r in want_rows)
+    _assert_same_rows(rows, want_rows)
+    assert band == want_band == (0.0, 0.0)
+
+
+def test_home_away_summary_matches_its_oracle():
+    games = _aggregation_corpus()
+    summary = home_away_summary(expand_rows(games))
+    league, teams = oracle_home_away(games)
+    assert [(s.season_type, s.side) for s in summary.league] == sorted(
+        league, key=lambda k: (k[0], k[1] != "home")
+    )
+    _assert_same_rows(
+        [(s.n_rows, s.mean_disparity, s.mean_team_rim) for s in summary.league],
+        [league[(s.season_type, s.side)] for s in summary.league],
+    )
+    assert [t.team for t in summary.teams] == sorted(teams)
+    _assert_same_rows(
+        [row for t in summary.teams for row in (
+            (t.home_games, t.home_mean_disparity, t.home_mean_team_rim),
+            (t.away_games, t.away_mean_disparity, t.away_mean_team_rim),
+        )],
+        [teams[t.team][side] for t in summary.teams for side in ("home", "away")],
+    )
+
+
+def test_series_state_summary_matches_its_oracle():
+    games = _aggregation_corpus()
+    summary = series_state_summary(expand_rows(games))
+    buckets, missing = oracle_series_states(games)
+    assert missing > 0 and len(buckets) > 5
+    assert summary.games_missing_state == missing
+    assert [(b.key.lo, b.key.hi) for b in summary.buckets] == sorted(buckets)
+    _assert_same_rows(
+        [(b.games, b.team_rows, b.mean_abs_disparity, b.mean_game_rim) for b in summary.buckets],
+        [buckets[(b.key.lo, b.key.hi)] for b in summary.buckets],
+    )
 
 
 def test_team_side_rows_mirror_and_recover_shift():
