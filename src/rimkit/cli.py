@@ -9,6 +9,7 @@ the resolved configuration and input-dataset hashes.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import traceback
 from dataclasses import fields
@@ -32,6 +33,7 @@ from .inference import DesignError, TeamSideTarget
 from .ingest import (
     DatasetError,
     IngestError,
+    cyclic_gc_paused,
     ingest_directory,
     load_dataset,
     write_dataset,
@@ -70,10 +72,21 @@ def _require_out(cfg: RunConfig) -> Path:
     return out
 
 
+def _load_frozen(root: Path):
+    """``load_dataset``, with the loaded corpus frozen out of the cyclic
+    collector: it lives until the command ends, so no collection needs to
+    scan it. The collector stays paused until the freeze, so not even the
+    first collection after the load does."""
+    with cyclic_gc_paused():
+        loaded = load_dataset(root)
+        gc.freeze()
+    return loaded
+
+
 def _load_games(cfg: RunConfig):
     if not cfg.dataset:
         raise ConfigError("a dataset root is required (--dataset or dataset)")
-    games, _manifest = load_dataset(Path(cfg.dataset))
+    games, _manifest = _load_frozen(Path(cfg.dataset))
     for g in games:
         for name in g.crew:
             # The analyses key referees by name; anything else would be
@@ -170,7 +183,7 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not cfg.dataset and not args.outputs:
         raise ConfigError("nothing to validate: give --dataset and/or --outputs")
     if cfg.dataset:
-        games, manifest = load_dataset(Path(cfg.dataset))
+        games, manifest = _load_frozen(Path(cfg.dataset))
         bad = no_crew = 0
         for g in games:
             violations = validate_game(g)
@@ -336,6 +349,7 @@ _STATS = ("min_pair_games", "table_k", "pair_k", "team_side_k", "target_form",
 # SimConfig's scalar settings: ``seasons`` comes from ``--sim-seasons``, the
 # injected effects from the ``--effects`` file.
 _SIM_SETTINGS = tuple(f.name for f in fields(SimConfig) if isinstance(f.default, (int, float)))
+_RUN_SETTINGS = frozenset(f.name for f in fields(RunConfig))
 
 
 def _add_settings(p: argparse.ArgumentParser, declared: type, names: tuple[str, ...]) -> None:
@@ -373,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         _add_settings(p, RunConfig, settings)
         _add_settings(p, SimConfig, sim_settings)
-        p.set_defaults(func=func)
+        # The RunConfig settings the command applies, ``simulate``'s seed included.
+        p.set_defaults(func=func, applies=_RUN_SETTINGS.intersection(settings + sim_settings))
         return p
 
     p = command("ingest", cmd_ingest, "parse raw feed documents into the canonical dataset",
@@ -407,10 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. A command that loads the dataset freezes it out of
+    the cyclic collector; the freeze is undone before returning, so an
+    in-process caller keeps a normal collector."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(args.config, _overrides(args))
+        cfg = resolve_config(args.config, _overrides(args), args.applies)
         return args.func(cfg, args)
     except (
         ConfigError,
@@ -425,6 +443,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception:  # pragma: no cover - last-resort boundary
         traceback.print_exc()
         return EXIT_INTERNAL
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Collection
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -131,16 +132,21 @@ def load_config_file(path: Path) -> dict:
 
 
 def resolve_config(
-    config_path: str | None = None, cli_overrides: dict | None = None
+    config_path: str | None, cli_overrides: dict, applies: Collection[str]
 ) -> RunConfig:
     """Merge defaults, config file, and CLI flags into a validated RunConfig.
 
     ``config_path`` falls back to the RIMKIT_CONFIG environment variable.
-    CLI overrides with value None mean "flag not given" and are skipped.
+    The whole file is checked, but only the settings the command
+    ``applies`` are taken from it; the rest keep their defaults, so one
+    file serves every command and ``run.json`` echoes only what the run
+    used. CLI overrides with value None mean "flag not given" and are
+    skipped.
     """
     path = config_path or os.environ.get(ENV_CONFIG) or None
-    merged: dict = dict(load_config_file(path)) if path else {}
-    for key, value in (cli_overrides or {}).items():
+    from_file = load_config_file(path) if path else {}
+    merged = {k: v for k, v in from_file.items() if k in applies}
+    for key, value in cli_overrides.items():
         if value is not None:
             merged[key] = _coerce(key, value)
     cfg = RunConfig(**merged)

@@ -15,28 +15,38 @@ Covariance is the CR1 cluster sandwich, intervals use Student-t critical
 values at n − rank degrees of freedom, and each coefficient carries an
 omitted-variable robustness value: the equal-strength confounder
 association that would zero out its t-statistic.
+
+numpy is imported by the functions that use it, on their first call, so
+importing this module (as every CLI command does) does not load it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import POSTSEASON, TeamGameRow
 from .outliers import PanelRow
 from .special import student_t_quantile
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    # A block of design columns: per-row code within the block (-1: no entry),
+    # per-row value at that code, and the block's column names.
+    _Block = tuple[np.ndarray, np.ndarray, list[str]]
 
 TEAM_OUTCOMES = ("disparity", "team_rim")
 
 HOME = "home"
 AWAY = "away"
 
-_EPS = float(np.finfo(np.float64).eps)
+_EPS = sys.float_info.epsilon
 _DEGENERATE = "outcome is constant; fit is degenerate"
 
 
@@ -61,6 +71,8 @@ def _rank_filter(gram: np.ndarray, n_rows: int) -> list[int]:
     (zero columns included) and is skipped. Fixed-effect designs make
     dependencies exact, so the tolerance can sit near machine precision.
     """
+    import numpy as np
+
     k = gram.shape[0]
     tol = max(n_rows, k) * _EPS
     L = np.zeros((k, k))
@@ -93,6 +105,8 @@ class SparseRows:
 
     @cached_property
     def bread(self) -> np.ndarray:
+        import numpy as np
+
         try:
             return np.linalg.inv(self.gram)
         except np.linalg.LinAlgError as exc:
@@ -101,6 +115,8 @@ class SparseRows:
 
 def _as_rows(X) -> SparseRows:
     """A design's rows as given, or a dense array as one slot per column."""
+    import numpy as np
+
     if isinstance(X, SparseRows):
         return X
     X = np.asarray(X, dtype=float)
@@ -120,6 +136,8 @@ def fit_ols(X, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
     the rank filter's criterion; rank deficiency is refused rather than
     silently resolved.
     """
+    import numpy as np
+
     rows = _as_rows(X)
     y = np.asarray(y, dtype=float)
     n, k = rows.shape
@@ -146,6 +164,8 @@ def cluster_covariance(X, residuals: np.ndarray, clusters: Sequence) -> np.ndarr
     is exactly the HC0 estimator times that factor. ``X`` is dense or
     :class:`SparseRows`, as for :func:`fit_ols`.
     """
+    import numpy as np
+
     rows = _as_rows(X)
     e = np.asarray(residuals, dtype=float)
     n, k = rows.shape
@@ -219,18 +239,17 @@ class Design:
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense (n, k) view, built on first access; fitting never needs it."""
+        import numpy as np
+
         X = np.zeros(self.rows.shape)
         i, s = np.nonzero(self.rows.value)  # a row's nonzero slots hold distinct columns
         X[i, self.rows.index[i, s]] = self.rows.value[i, s]
         return X
 
 
-# A block of design columns: per-row code within the block (-1: no entry),
-# per-row value at that code, and the block's column names.
-_Block = tuple[np.ndarray, np.ndarray, list[str]]
-
-
 def _column(values: np.ndarray, name: str) -> _Block:
+    import numpy as np
+
     values = np.asarray(values, dtype=float)
     return np.where(values != 0.0, 0, -1), values, [name]
 
@@ -241,6 +260,8 @@ def _factor(values: Sequence[str], prefix: str) -> tuple[_Block, str]:
     Canonical series labels sort 0--0 first, so it is the series reference
     whenever it occurs.
     """
+    import numpy as np
+
     levels = sorted(set(values))
     code = {lv: i for i, lv in enumerate(levels[1:])}
     codes = np.array([code.get(v, -1) for v in values], dtype=np.intp)
@@ -249,11 +270,15 @@ def _factor(values: Sequence[str], prefix: str) -> tuple[_Block, str]:
 
 def _blocks(n: int, *families: tuple[Sequence[str], str]) -> list[_Block]:
     """Intercept plus one factor block per (values, prefix)."""
+    import numpy as np
+
     return [_column(np.ones(n), "intercept")] + [_factor(v, p)[0] for v, p in families]
 
 
 def _design(blocks: Sequence[_Block], clusters: Sequence[str], notes: Sequence[str]) -> Design:
     """Assemble blocks into row slots, form X'X, drop dependent columns."""
+    import numpy as np
+
     n = len(clusters)
     index = np.zeros((n, len(blocks)), dtype=np.intp)
     value = np.zeros((n, len(blocks)))
@@ -312,6 +337,8 @@ def build_design(
     series state are excluded and counted. Returns the design and each
     named outcome's values over the rows it kept.
     """
+    import numpy as np
+
     for outcome in outcomes:
         if outcome not in TEAM_OUTCOMES:
             raise DesignError(f"unknown outcome {outcome!r}")
@@ -410,6 +437,8 @@ def fit_clustered(design: Design, outcome: str, y: np.ndarray) -> FitResult:
     Robustness values are computed per coefficient at the same degrees of
     freedom. A constant ``y`` adds a degenerate-fit note to the design's.
     """
+    import numpy as np
+
     y = np.asarray(y, dtype=float)
     beta, resid, _, dof = fit_ols(design.rows, y)
     V = cluster_covariance(design.rows, resid, design.groups)
@@ -482,6 +511,8 @@ def series_state_effects(rows: Sequence[TeamGameRow]) -> dict[str, FitResult]:
     cluster, so the sandwich reduces to the heteroskedasticity-robust
     form.
     """
+    import numpy as np
+
     per_game = {r.game_id: r for r in rows
                 if r.season_type == POSTSEASON and r.series_key is not None and r.is_home}
     if not per_game:
@@ -520,6 +551,8 @@ def ref_team_residual_effects(
     team RIM and disparity, are fitted. Pairs under the games minimum are
     excluded and reported in the fit notes.
     """
+    import numpy as np
+
     rows = list(rows)
     if not rows:
         raise DesignError("no panel rows to fit")

@@ -30,6 +30,8 @@ import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -80,7 +82,7 @@ class DatasetError(IngestError):
 
 
 @contextmanager
-def _cyclic_gc_paused() -> Iterator[None]:
+def cyclic_gc_paused() -> Iterator[None]:
     """Pause the cyclic collector, restoring its prior state on exit.
 
     A decode loop allocates many objects and frees few, so each collection
@@ -492,7 +494,7 @@ def ingest_directory(
     report = IngestReport()
     games: list[GameRecord] = []
     first_document: dict[str, str] = {}  # game_id -> the document that claimed it
-    with _cyclic_gc_paused():
+    with cyclic_gc_paused():
         for summary_path in sorted(raw_dir.rglob("*.summary.json")):
             report.documents_seen += 1
             rel = str(summary_path.relative_to(raw_dir))
@@ -560,12 +562,61 @@ def game_to_dict(g: GameRecord) -> dict:
     }
 
 
-def game_from_dict(d: Mapping) -> GameRecord:
+# An event's stored fields in ``FoulEvent`` order, read in one C-level call.
+_EVENT_FIELDS = itemgetter("event_id", "period", "clock", "team", "pre_wp", "post_wp",
+                           "description")
+_new_event = partial(tuple.__new__, FoulEvent)
+_TEAM_TYPES = frozenset({str, type(None)})
+
+
+def _events_reference(events: list) -> tuple[FoulEvent, ...]:
+    """One ``FoulEvent`` per stored event, built field by field: the reference
+    for every event tuple and every error :func:`_events` gives."""
+    intern = sys.intern
+    return tuple(
+        FoulEvent(
+            e["event_id"],
+            e["period"],
+            e["clock"],
+            None if (team := e["team"]) is None else intern(team),
+            e["pre_wp"],
+            e["post_wp"],
+            intern(e.get("description", "")),
+        )
+        for e in events
+    )
+
+
+def _events(events: list, strings: dict) -> tuple[FoulEvent, ...]:
+    """:func:`_events_reference`'s result, built column-wise in C.
+
+    Every team and description string is swapped for the first equal one in
+    ``strings``, so the events share one copy of each. Any event the column
+    build cannot take as the reference would (a missing key, a description
+    left to its default, a non-string team or description, an event that is
+    not a dict) sends the whole list to the reference, which gives its
+    result or raises its error.
+    """
+    if not events:
+        return ()
+    try:
+        ids, periods, clocks, teams, pre, post, descs = zip(*map(_EVENT_FIELDS, events))
+    except (KeyError, TypeError):
+        return _events_reference(events)
+    if not (set(map(type, teams)) <= _TEAM_TYPES and set(map(type, descs)) == {str}):
+        return _events_reference(events)
+    share = strings.setdefault
+    return tuple(map(_new_event, zip(ids, periods, clocks, map(share, teams, teams),
+                                     pre, post, map(share, descs, descs))))
+
+
+def game_from_dict(d: Mapping, strings: dict | None = None) -> GameRecord:
     """Rebuild a game from its stored dict (the inverse of :func:`game_to_dict`).
 
     Events are built positionally in ``FoulEvent`` field order. Team and
-    description strings repeat across a corpus, so they are interned and
-    every event shares one copy. The containers are checked here, where a
+    description strings repeat across a corpus, so every event shares one
+    copy of each, through ``strings``: pass one dict for a whole load to
+    share across its games. The containers are checked here, where a
     wrong type would otherwise be iterated into nonsense (a crew string
     into one-letter referees); the types of the crew members and event
     fields are left to :func:`validate_game`, which reports them.
@@ -578,7 +629,6 @@ def game_from_dict(d: Mapping) -> GameRecord:
         raise TypeError(f"series_state: {state!r:.40} is not null or a list of two integers")
     if type(events) is not list:
         raise TypeError(f"events: {events!r:.40} is not a list")
-    intern = sys.intern
     return GameRecord(
         game_id=d["game_id"],
         season=d["season"],
@@ -587,18 +637,7 @@ def game_from_dict(d: Mapping) -> GameRecord:
         away_team=d["away_team"],
         crew=tuple(crew),
         series_state=None if state is None else tuple(state),
-        events=tuple(
-            FoulEvent(
-                e["event_id"],
-                e["period"],
-                e["clock"],
-                None if (team := e["team"]) is None else intern(team),
-                e["pre_wp"],
-                e["post_wp"],
-                intern(e.get("description", "")),
-            )
-            for e in events
-        ),
+        events=_events(events, {} if strings is None else strings),
     )
 
 
@@ -826,8 +865,9 @@ def load_dataset(root: Path) -> tuple[list[GameRecord], DatasetManifest]:
         )
     games: list[GameRecord] = []
     seen: set[str] = set()
+    strings: dict = {}  # one copy of each team and description string per load
     inside = root.resolve()
-    with _cyclic_gc_paused():
+    with cyclic_gc_paused():
         for part in manifest.partitions:
             path = root / part.path
             if not path.resolve().is_relative_to(inside):
@@ -844,7 +884,7 @@ def load_dataset(root: Path) -> tuple[list[GameRecord], DatasetManifest]:
                 try:
                     if len(line) >= _LONG_LINE and _deep(line):
                         json.loads(line)  # raises RecursionError where orjson could crash
-                    game = game_from_dict(orjson.loads(line))
+                    game = game_from_dict(orjson.loads(line), strings)
                     fresh = game.game_id not in seen  # TypeError: an unhashable id
                 except (
                     ValueError, KeyError, IndexError, TypeError, AttributeError, RecursionError

@@ -19,10 +19,9 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import (
     MAX_SERIES_WINS,
@@ -33,6 +32,9 @@ from .model import (
     TeamGameRow,
 )
 from .outliers import PanelRow
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # The shape of a foul's win-probability move, Beta(MOVE_ALPHA, MOVE_BETA)
@@ -172,13 +174,31 @@ def _draw_fouls(rng: np.random.Generator, cfg: SimConfig) -> int:
     return int(rng.poisson(cfg.fouls_mean))
 
 
+def _period_cdf(overtime_rate: float) -> np.ndarray:
+    """The cdf over the five period buckets (four quarters, then overtime).
+
+    Built as ``Generator.choice(5, p=...)`` builds it, so drawing
+    ``cdf.searchsorted(rng.random(n), side="right")`` consumes the same
+    stream and gives the same buckets, without choice's per-call checks
+    of ``p``.
+    """
+    import numpy as np
+
+    cdf = np.array([(1.0 - overtime_rate) / 4.0] * 4 + [overtime_rate]).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _generate_game(
     cfg: SimConfig,
+    period_cdf: np.ndarray,
     game_id: str,
     season: str,
     season_type: str,
     index: int,
 ) -> GameRecord:
+    import numpy as np
+
     rng = np.random.default_rng([cfg.seed, index])
 
     home_i, away_i = rng.choice(cfg.n_teams, size=2, replace=False)
@@ -219,8 +239,7 @@ def _generate_game(
         p_home_charge = min(max(0.5 - home_delta / (2.0 * n_attr), 0.01), 0.99)
     charge_home = rng.random(n) < p_home_charge
 
-    period_probs = [(1.0 - cfg.overtime_rate) / 4.0] * 4 + [cfg.overtime_rate]
-    period_draw = rng.choice(5, size=n, p=period_probs)
+    period_draw = period_cdf.searchsorted(rng.random(n), side="right")
     periods = np.where(period_draw < 4, period_draw + 1, 5)
     clocks = np.where(
         periods <= 4, rng.uniform(0.0, 720.0, size=n), rng.uniform(0.0, 300.0, size=n)
@@ -280,9 +299,16 @@ def _generate_game(
 
 
 def ground_truth_ledger(cfg: SimConfig) -> dict:
-    """Every injected parameter, in a stable serializable shape."""
+    """Every simulator setting, in a stable serializable shape.
+
+    The scalar settings and ``seasons`` are keyed by field name and the
+    injected effects are in the ``--effects`` file's format, so a corpus
+    can be rebuilt from its own ledger.
+    """
+    settings = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.default is not MISSING}
     return {
-        "seed": cfg.seed,
+        **settings,
+        "seasons": list(cfg.seasons),
         "team_home_shift": {t: v for t, v in sorted(cfg.team_home_shift.items())},
         "pair_shift": [
             {"referee": r, "team": t, "shift": v}
@@ -302,16 +328,17 @@ def generate(cfg: SimConfig) -> tuple[list[GameRecord], dict]:
     prefix of the corpus is stable under config changes that only extend it.
     """
     cfg.validate()
+    cdf = _period_cdf(cfg.overtime_rate)
     games: list[GameRecord] = []
     index = 0
     for season in cfg.seasons:
         for local in range(cfg.games_per_season):
             gid = f"{season}-reg-{local:05d}"
-            games.append(_generate_game(cfg, gid, season, REGULAR, index))
+            games.append(_generate_game(cfg, cdf, gid, season, REGULAR, index))
             index += 1
         for local in range(cfg.postseason_games_per_season):
             gid = f"{season}-post-{local:05d}"
-            games.append(_generate_game(cfg, gid, season, POSTSEASON, index))
+            games.append(_generate_game(cfg, cdf, gid, season, POSTSEASON, index))
             index += 1
     return games, ground_truth_ledger(cfg)
 

@@ -894,3 +894,71 @@ def test_regress_builds_the_crew_panel_and_team_rows_once(tmp_path, capsys, monk
     assert code == 0, out
     assert "regression_ref_team.csv" in out
     assert calls == {"panel_rows": 1, "expand_rows": 1}
+
+
+def test_a_config_file_sets_only_the_settings_a_command_applies(tmp_path, capsys):
+    # ``simulate`` used to echo a file's analysis filters in run.json while
+    # writing every season it simulates.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seasons": ["2021-22"], "season_type": "postseason",
+                               "seed": 4}), encoding="utf-8")
+    s1 = tmp_path / "s1"
+    code, out = run(capsys, "--config", str(cfg), "simulate", "--out", str(s1),
+                    "--teams", "4", "--referees", "4", "--games-per-season", "10",
+                    "--postseason-games", "2")
+    assert code == 0, out
+    echoed = json.loads((s1 / "run.json").read_text(encoding="utf-8"))["config"]
+    assert (echoed["seasons"], echoed["season_type"], echoed["seed"]) == ([], None, 4)
+    assert json.loads((s1 / "ledger.json").read_text(encoding="utf-8"))["seed"] == 4
+
+    # The same file still filters the analysis commands, which take no seed.
+    out_dir = tmp_path / "m"
+    code, out = run(capsys, "--config", str(cfg), "metrics", "--dataset", str(s1),
+                    "--out", str(out_dir))
+    assert code == 0, out
+    echoed = json.loads((out_dir / "run.json").read_text(encoding="utf-8"))["config"]
+    assert (echoed["seasons"], echoed["season_type"], echoed["seed"]) == (
+        ["2021-22"], "postseason", 0)
+    _, rows = read_table(out_dir / "game_metrics.csv")
+    assert len(rows) == 2
+
+    # Every key is still checked, whichever command reads the file.
+    for doc, message in (({"nope": 1}, "unknown setting: nope"),
+                         ({"table_k": "x"}, "table_k must be an integer")):
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run(capsys, "--config", str(cfg), "simulate", "--out",
+                        str(tmp_path / "s2"), "--games-per-season", "2")
+        assert code == 2 and message in out, out
+
+
+def test_a_simulated_corpus_rebuilds_from_its_ledger(tmp_path, capsys):
+    from rimkit.cli import _parse_effects_file
+    from rimkit.synth import SimConfig, write_corpus
+
+    effects = tmp_path / "effects.json"
+    effects.write_text(json.dumps({
+        "team_home_shift": {"T01": 2.0},
+        "pair_shift": [{"referee": "Ref01", "team": "T02", "shift": 0.05}],
+        "series_shift": [{"state": "1--2", "shift": 0.1}],
+    }), encoding="utf-8")
+    ds = tmp_path / "ds"
+    code, out = run(capsys, "simulate", "--out", str(ds), "--seed", "9", "--teams", "6",
+                    "--referees", "8", "--crew-size", "2", "--games-per-season", "10",
+                    "--postseason-games", "4", "--fouls-mean", "12", "--overtime-rate", "0.5",
+                    "--unattributed-rate", "0.1", "--sim-seasons", "2019-20", "2020-21",
+                    "--effects", str(effects))
+    assert code == 0, out
+
+    ledger = json.loads((ds / "ledger.json").read_text(encoding="utf-8"))
+    again = tmp_path / "again.json"
+    again.write_text(json.dumps({k: ledger.pop(k)
+                                 for k in ("team_home_shift", "pair_shift", "series_shift")}),
+                     encoding="utf-8")
+    ledger["seasons"] = tuple(ledger["seasons"])
+    rebuilt = tmp_path / "rebuilt"
+    write_corpus(SimConfig(**ledger, **_parse_effects_file(str(again))), rebuilt)
+    written = sorted(p.relative_to(ds) for p in ds.rglob("*") if p.name != "run.json")
+    assert written == sorted(p.relative_to(rebuilt) for p in rebuilt.rglob("*"))
+    for name in written:
+        if (ds / name).is_file():
+            assert (ds / name).read_bytes() == (rebuilt / name).read_bytes(), name

@@ -11,7 +11,9 @@ properties pin writer and loader together: every finite float comes back
 with the same ``float.hex`` (signed zero, the smallest subnormal and the
 largest double included), and every string comes back unchanged however
 many escapes it needs. A line whose crew, series state or events container
-has the wrong shape is refused, not coerced.
+has the wrong shape is refused, not coerced. ``game_from_dict`` builds
+events column-wise in C; a differential property pins it to the per-event
+reference build, result for result and error for error.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,10 +31,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_event, make_game
+from rimkit import ingest
 from rimkit.ingest import (
     DatasetError,
     _json_game_line,
     _serialize_game_line,
+    game_from_dict,
     game_to_dict,
     load_dataset,
     read_manifest,
@@ -322,3 +327,78 @@ def test_a_game_line_of_the_wrong_shape_is_refused(tmp_path, field, value):
     path = _rewrite_line(root, 2, json.dumps(doc, sort_keys=True).encode())
     with pytest.raises(DatasetError, match=rf"^{path}:2: bad game line: {field}: "):
         load_dataset(root)
+
+
+_STORED_KEYS = ("event_id", "period", "clock", "team", "pre_wp", "post_wp", "description")
+
+
+@st.composite
+def stored_events(draw):
+    """An event as a dataset line may hold it: the right keys with a few
+    dropped, and a team or description of any JSON type."""
+    event = {
+        "event_id": draw(st.integers(1, 99)),
+        "period": draw(st.integers(1, 5)),
+        "clock": draw(st.floats(0.0, 720.0)),
+        "team": draw(st.one_of(st.none(), st.sampled_from(["HOU", "BOS"]), st.text(max_size=2),
+                               st.integers(), st.lists(st.integers(), max_size=1))),
+        "pre_wp": draw(st.floats(0.0, 1.0)),
+        "post_wp": draw(st.floats(0.0, 1.0)),
+        "description": draw(st.one_of(st.sampled_from(["Foul on HOU", ""]), st.text(max_size=2),
+                                      st.none(), st.integers())),
+    }
+    for key in draw(st.sets(st.sampled_from(_STORED_KEYS), max_size=2)):
+        del event[key]
+    return event
+
+
+def _stored_game(events) -> dict:
+    return {"game_id": "g1", "season": "2021-22", "season_type": "regular",
+            "home_team": "HOU", "away_team": "BOS", "crew": ["Ref A"],
+            "series_state": None, "events": events}
+
+
+def _outcome(build, d):
+    try:
+        return "ok", build(d)
+    except Exception as e:  # the reference's error, type and text, is the expected outcome
+        return "error", type(e), str(e)
+
+
+def _reference_game(d: dict) -> GameRecord:
+    with mock.patch.object(ingest, "_events", lambda events, strings: ingest._events_reference(events)):
+        return game_from_dict(d)
+
+
+_VALID = {"event_id": 1, "period": 1, "clock": 600.0, "team": "HOU", "pre_wp": 0.5,
+          "post_wp": 0.6, "description": "Foul on HOU"}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.one_of(stored_events(), stored_events(), st.lists(st.integers(), max_size=2),
+                          st.text(max_size=2), st.integers(), st.none()), max_size=4))
+@example([])
+@example([{k: v for k, v in _VALID.items() if k != "description"}])  # description left out
+@example([dict(_VALID, team=None), dict(_VALID, team="BOS")])
+@example([_VALID, dict(_VALID, team=7)])  # a team that is not a string
+@example([_VALID, dict(_VALID, description=None)])
+@example([_VALID, ["HOU"]])  # an event that is not an object
+@example([{k: v for k, v in dict(_VALID, team=7).items() if k != "pre_wp"}])  # bad, then missing
+def test_game_from_dict_matches_the_per_event_reference(events):
+    d = _stored_game(events)
+    got, want = _outcome(game_from_dict, d), _outcome(_reference_game, d)
+    assert got == want
+    if got[0] == "ok":
+        built = got[1].events
+        assert all(type(e) is FoulEvent for e in built)
+        for field in ("charged_team", "description"):
+            strings = [getattr(e, field) for e in built if getattr(e, field) is not None]
+            assert len({id(x) for x in strings}) == len(set(strings)), field
+
+
+def test_a_load_shares_one_copy_of_each_event_string(tmp_path):
+    write_dataset(generate(SIM)[0], tmp_path / "ds")
+    games, _ = load_dataset(tmp_path / "ds")
+    strings = [s for g in games for e in g.events for s in (e.charged_team, e.description)
+               if s is not None]
+    assert len({id(s) for s in strings}) == len(set(strings)) < len(strings)

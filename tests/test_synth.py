@@ -13,6 +13,7 @@ from rimkit.metrics import expand_rows
 from rimkit.model import POSTSEASON, REGULAR, validate_game
 from rimkit.synth import (
     SimConfig,
+    _period_cdf,
     SimConfigError,
     generate,
     ground_truth_ledger,
@@ -168,6 +169,19 @@ def test_ledger_records_every_injected_parameter():
     ledger = ground_truth_ledger(cfg)
     assert ledger == {
         "seed": 7,
+        "n_teams": 8,
+        "n_referees": 12,
+        "crew_size": 3,
+        "games_per_season": 40,
+        "postseason_games_per_season": 10,
+        "seasons": ["2021-22"],
+        "fouls_mean": 12.0,
+        "fouls_dispersion": 0.0,
+        "move_scale": 0.04,
+        "benefit_prob": 0.65,
+        "overtime_rate": 0.1,
+        "unattributed_rate": 0.05,
+        "missing_series_rate": 0.2,
         "team_home_shift": {"T01": -0.5, "T03": 1.5},
         "pair_shift": [{"referee": "Ref02", "team": "T04", "shift": 0.02}],
         "series_shift": [
@@ -175,6 +189,21 @@ def test_ledger_records_every_injected_parameter():
             {"state": "3--3", "shift": 0.1},
         ],
     }
+
+
+@pytest.mark.parametrize("overtime_rate", [0.0, 0.04, 0.1, 1.0])
+def test_period_draw_is_generator_choice_without_its_checks(overtime_rate):
+    # The simulator draws period buckets from a cdf built once per corpus;
+    # it must stay the draw ``rng.choice(5, size=n, p=...)`` makes.
+    cdf = _period_cdf(overtime_rate)
+    p = [(1.0 - overtime_rate) / 4.0] * 4 + [overtime_rate]
+    for seed in range(400):
+        n = 1 + seed % 70
+        fast, choice = np.random.default_rng([seed, 3]), np.random.default_rng([seed, 3])
+        got = cdf.searchsorted(fast.random(n), side="right")
+        want = choice.choice(5, size=n, p=p)
+        assert got.dtype == want.dtype and np.array_equal(got, want), seed
+        assert fast.random() == choice.random()  # both consumed the same stream
 
 
 def test_write_corpus_roundtrip(tmp_path):
