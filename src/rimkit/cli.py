@@ -4,6 +4,13 @@ Exit codes: 0 on success, 2 for missing or invalid input (bad paths, bad
 config, malformed data, infeasible simulation settings), 1 for anything
 unexpected. Analysis commands write CSV tables plus a ``run.json`` echo of
 the resolved configuration and input-dataset hashes.
+
+A command imports the modules it runs and no others: the table registry
+(``figures``) and the fits (``inference``) are imported inside the
+commands that use them, so ``ingest``, ``validate`` and ``simulate`` start
+without the analysis layers. ``synth`` is imported with this module,
+since the parser builds ``simulate``'s flags from ``SimConfig``; it
+imports only ``model``.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import sys
 import traceback
 from dataclasses import fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .config import (
     ConfigError,
@@ -22,14 +30,6 @@ from .config import (
     resolve_config,
     write_run_echo,
 )
-from .figures import (
-    AnalysisContext,
-    TableReport,
-    emit_figures,
-    validate_output_dir,
-    write_tables,
-)
-from .inference import DesignError, TeamSideTarget
 from .ingest import (
     DatasetError,
     IngestError,
@@ -40,6 +40,9 @@ from .ingest import (
 )
 from .model import is_no_crew_only, validate_game
 from .synth import SimConfig, SimConfigError, write_corpus
+
+if TYPE_CHECKING:
+    from .figures import AnalysisContext, TableReport
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -72,13 +75,13 @@ def _require_out(cfg: RunConfig) -> Path:
     return out
 
 
-def _load_frozen(root: Path):
-    """``load_dataset``, with the loaded corpus frozen out of the cyclic
-    collector: it lives until the command ends, so no collection needs to
-    scan it. The collector stays paused until the freeze, so not even the
-    first collection after the load does."""
+def _frozen(load, *args, **kwargs):
+    """``load(*args, **kwargs)``, with the games it builds frozen out of the
+    cyclic collector: they live until the command ends, so no collection
+    needs to scan them. The collector stays paused until the freeze, so not
+    even the first collection after the load does."""
     with cyclic_gc_paused():
-        loaded = load_dataset(root)
+        loaded = load(*args, **kwargs)
         gc.freeze()
     return loaded
 
@@ -86,7 +89,7 @@ def _load_frozen(root: Path):
 def _load_games(cfg: RunConfig):
     if not cfg.dataset:
         raise ConfigError("a dataset root is required (--dataset or dataset)")
-    games, _manifest = _load_frozen(Path(cfg.dataset))
+    games, _manifest = _frozen(load_dataset, Path(cfg.dataset))
     for g in games:
         for name in g.crew:
             # The analyses key referees by name; anything else would be
@@ -118,6 +121,9 @@ def _write(
 ) -> tuple[AnalysisContext, Path, TableReport]:
     """Load the dataset and write the named tables, honouring the command's
     own flags (``--target``, ``--pair``)."""
+    from .figures import AnalysisContext, write_tables
+    from .inference import TeamSideTarget
+
     games = _load_games(cfg)
     out = _require_out(cfg)
     ctx = AnalysisContext(games, cfg)
@@ -166,8 +172,8 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
             isinstance(k, str) and isinstance(v, str) and v.strip() for k, v in aliases.items()
         ):
             raise ConfigError("aliases file must map names to non-empty name strings")
-    games, report = ingest_directory(
-        raw_dir, start_prior=cfg.start_prior, aliases=aliases
+    games, report = _frozen(
+        ingest_directory, raw_dir, start_prior=cfg.start_prior, aliases=aliases
     )
     manifest = write_dataset(games, dataset_root, quarantine=report.quarantine_counts())
     print(f"documents seen: {report.documents_seen}")
@@ -183,7 +189,7 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not cfg.dataset and not args.outputs:
         raise ConfigError("nothing to validate: give --dataset and/or --outputs")
     if cfg.dataset:
-        games, manifest = _load_frozen(Path(cfg.dataset))
+        games, manifest = _frozen(load_dataset, Path(cfg.dataset))
         bad = no_crew = 0
         for g in games:
             violations = validate_game(g)
@@ -201,6 +207,8 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
         problems += bad
     if args.outputs:
+        from .figures import validate_output_dir
+
         report = validate_output_dir(Path(args.outputs))
         for issue in report.issues:
             print(f"output issue: {issue}")
@@ -234,6 +242,8 @@ def cmd_outliers(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_regress(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .inference import DesignError
+
     _, out, report = _write(
         cfg, args, ["regression_team_side", "regression_series", "regression_ref_team"]
     )
@@ -245,6 +255,8 @@ def cmd_regress(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_robustness(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .inference import DesignError
+
     _, out, report = _write(cfg, args, ["robustness"])
     if report.skipped:
         raise DesignError(report.skipped["robustness"])
@@ -313,6 +325,8 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_emit_figures(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .figures import emit_figures
+
     games = _load_games(cfg)
     out = _require_out(cfg)
     report = emit_figures(games, out, cfg)
@@ -421,6 +435,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that mean bad input (exit 2). Called only when a
+    command fails, so a command that never loads ``inference`` does not
+    load it to name ``DesignError``."""
+    from .inference import DesignError
+
+    return (ConfigError, IngestError, SimConfigError, DesignError, FileNotFoundError,
+            NotADirectoryError)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command. A command that loads the dataset freezes it out of
     the cyclic collector; the freeze is undone before returning, so an
@@ -430,14 +454,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args.config, _overrides(args), args.applies)
         return args.func(cfg, args)
-    except (
-        ConfigError,
-        IngestError,
-        SimConfigError,
-        DesignError,
-        FileNotFoundError,
-        NotADirectoryError,
-    ) as e:
+    except _input_errors() as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:  # pragma: no cover - last-resort boundary

@@ -17,9 +17,8 @@ from collections.abc import Collection
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .inference import TARGET_FORMS
 from .ingest import DEFAULT_START_PRIOR, MANIFEST_NAME, read_manifest
-from .model import SEASON_TYPES
+from .model import SEASON_TYPES, TARGET_FORMS
 
 ENV_CONFIG = "RIMKIT_CONFIG"
 RUN_ECHO_NAME = "run.json"

@@ -17,7 +17,7 @@ omitted-variable robustness value: the equal-strength confounder
 association that would zero out its t-statistic.
 
 numpy is imported by the functions that use it, on their first call, so
-importing this module (as every CLI command does) does not load it.
+importing this module (as every analysis command does) does not load it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .model import POSTSEASON, TeamGameRow
+from .model import POSTSEASON, TARGET_FORMS, TeamGameRow
 from .outliers import PanelRow
 from .special import student_t_quantile
 
@@ -313,11 +313,6 @@ def _design(blocks: Sequence[_Block], clusters: Sequence[str], notes: Sequence[s
     dropped = tuple(name for name, c in zip(names, col) if c < 0)
     groups = np.unique(np.asarray(clusters), return_inverse=True)[1]
     return Design(rows, groups, columns, dropped, tuple(notes))
-
-
-# How a team-side target enters the design: a 0/1 column on its own rows, or
-# also -1 on the mirror rows where the team is the opponent on the other side.
-TARGET_FORMS = ("indicator", "paired")
 
 
 def build_design(

@@ -21,15 +21,17 @@ record and a check of the output show json would write the same bytes
 
 from __future__ import annotations
 
+import errno
 import gc
 import hashlib
 import json
 import math
+import os
 import shutil
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
@@ -409,28 +411,27 @@ def align_foul_wp(
     reason code — alignment never guesses forward and never reorders plays.
     """
     events: list[FoulEvent] = []
-    pending: list[tuple[RawPlay, float]] = []  # fouls and their pre value, awaiting a sample
+    append = events.append
+    new = tuple.__new__  # FoulEvent(...) less its Python-level __new__
+    get = wp_by_play.get
+    pending: list[tuple] = []  # fouls as (play, pre value), awaiting a sample
     before = start_prior
     for play in plays:
-        if play.is_foul:
-            pending.append((play, before))
-        own = wp_by_play.get(play.play_id)
-        if own is not None:
-            if pending:
-                for foul, pre in pending:
-                    events.append(
-                        FoulEvent(
-                            len(events) + 1,
-                            foul.period,
-                            foul.clock_seconds_remaining,
-                            foul.charged_team,
-                            pre,
-                            own,
-                            foul.description,
-                        )
-                    )
-                pending.clear()
-            before = own
+        play_id, period, clock, description, is_foul, team = play
+        own = get(play_id)
+        if own is None:
+            if is_foul:
+                pending.append((play, before))
+            continue
+        if pending:
+            for (_, p_period, p_clock, p_description, _, p_team), pre in pending:
+                append(new(FoulEvent, (len(events) + 1, p_period, p_clock, p_team,
+                                       pre, own, p_description)))
+            pending.clear()
+        if is_foul:
+            append(new(FoulEvent, (len(events) + 1, period, clock, team, before, own,
+                                   description)))
+        before = own
     quarantined = tuple(
         QuarantinedFoul(foul.play_id, REASON_NO_POST_SAMPLE) for foul, _ in pending
     )
@@ -468,11 +469,20 @@ class IngestReport:
         }
 
 
-def _read(path: Path, what: str) -> bytes:
+def _read(path: str, what: str, missing_ok: bool = False) -> bytes | None:
+    """The bytes of the file at ``path``; with ``missing_ok``, None when no
+    file is there (the errors for which ``Path.exists`` is False)."""
     try:
-        return path.read_bytes()
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as e:  # a directory, or a file this process may not read
+        if missing_ok and e.errno in _ABSENT:
+            return None
         raise ParseError(f"{what}: cannot read: {e.strerror or e}") from e
+
+
+_ABSENT = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
+_SUMMARY_SUFFIX = ".summary.json"
 
 
 def ingest_directory(
@@ -485,49 +495,57 @@ def ingest_directory(
 
     Nothing here raises for data problems: malformed documents, invalid
     games, unalignable fouls, and missing crews all land in the report.
-    Documents are read in sorted path order; a later document that repeats
-    an earlier one's ``game_id`` is quarantined as its duplicate. A
-    feed-supplied pregame probability overrides ``start_prior`` for fouls
-    that precede every sample.
+    Documents are read in sorted ``Path`` order (component by component,
+    so ``a/x`` comes before ``a-b/x``); a later document that repeats an
+    earlier one's ``game_id`` is quarantined as its duplicate. A summary's
+    wp feed is its sibling with the trailing ``.summary.json`` replaced by
+    ``.wp.json``; a feed that is not there, as ``Path.exists`` judges it,
+    counts as absent. A feed-supplied pregame probability overrides
+    ``start_prior`` for fouls that precede every sample.
+
+    Past the sorted listing, documents are opened by their path strings,
+    and each game is built once, with its events.
     """
     raw_dir = Path(raw_dir)
+    skip = len(raw_dir.parts)  # path components above a document's relative path
     report = IngestReport()
     games: list[GameRecord] = []
     first_document: dict[str, str] = {}  # game_id -> the document that claimed it
     with cyclic_gc_paused():
-        for summary_path in sorted(raw_dir.rglob("*.summary.json")):
+        for summary_path in sorted(raw_dir.rglob("*" + _SUMMARY_SUFFIX)):
             report.documents_seen += 1
-            rel = str(summary_path.relative_to(raw_dir))
+            path = str(summary_path)
+            rel = os.sep.join(summary_path.parts[skip:])
             try:
-                game, plays = parse_game_summary(_read(summary_path, "summary"), aliases)
-                wp_path = summary_path.with_name(
-                    summary_path.name.replace(".summary.json", ".wp.json")
-                )
-                if wp_path.exists():
-                    wp_by_play, pregame, dropped = parse_wp_feed(_read(wp_path, "wp"))
+                header, plays = parse_game_summary(_read(path, "summary"), aliases)
+                wp = _read(path[: -len(_SUMMARY_SUFFIX)] + ".wp.json", "wp", missing_ok=True)
+                if wp is not None:
+                    wp_by_play, pregame, dropped = parse_wp_feed(wp)
                     report.dropped_samples += dropped
                 else:
                     wp_by_play, pregame = {}, None
             except ParseError as e:
                 report.document_errors.append((rel, str(e)))
                 continue
-            first = first_document.setdefault(game.game_id, rel)
+            game_id = header.game_id
+            first = first_document.setdefault(game_id, rel)
             if first != rel:
                 report.quarantined_games.append(
-                    (game.game_id, (f"game_id: duplicate of {first}",))
+                    (game_id, (f"game_id: duplicate of {first}",))
                 )
                 continue
             prior = pregame if pregame is not None else start_prior
             events, quarantined = align_foul_wp(plays, wp_by_play, start_prior=prior)
             if quarantined:
-                report.quarantined_fouls[game.game_id] = quarantined
-            game = replace(game, events=events)
+                report.quarantined_fouls[game_id] = quarantined
+            game = GameRecord(game_id, header.season, header.season_type, header.home_team,
+                              header.away_team, header.crew, events, header.series_state)
             violations = validate_game(game)
             if violations and not is_no_crew_only(violations):
-                report.quarantined_games.append((game.game_id, tuple(violations)))
+                report.quarantined_games.append((game_id, tuple(violations)))
                 continue
             if not game.crew:
-                report.no_crew_games.append(game.game_id)
+                report.no_crew_games.append(game_id)
             games.append(game)
             report.kept_games += 1
     return games, report
@@ -688,10 +706,11 @@ class DatasetManifest:
 
 
 _HEADERS = ("game_id", "season", "season_type", "home_team", "away_team")
+_FOUL_EVENT = frozenset({FoulEvent})
 
 
-def _orjson_exact(d: dict) -> bool:
-    """Whether orjson can write ``d``, a :func:`game_to_dict` result, as the json path does.
+def _orjson_exact(g: GameRecord, d: dict) -> bool:
+    """Whether orjson can write ``d``, ``game_to_dict(g)``, as the json path does.
 
     True when every header and crew member is an exact ``str``, the series
     state is None or exact ints, and every event value is None, a ``str``,
@@ -699,6 +718,11 @@ def _orjson_exact(d: dict) -> bool:
     whose magnitude is in [1e-4, 1e16). Python's float repr uses fixed
     notation exactly there, as orjson does; NaN and the infinities fail the
     range test. Strings are checked on the output instead.
+
+    Events of the usual shape (``FoulEvent``s of ints, floats in [1e-4,
+    1e16), and strings or None where the schema has them) pass one unpack
+    and one chain of comparisons each; the events of any other game are
+    judged value by value, by :func:`_event_values_exact`.
     """
     for key in _HEADERS:
         if type(d[key]) is not str:
@@ -709,7 +733,25 @@ def _orjson_exact(d: dict) -> bool:
     for v in d["series_state"] or ():
         if type(v) is not int or not -_INT64_LIMIT <= v < _INT64_LIMIT:
             return False
-    for e in d["events"]:
+    if set(map(type, g.events)) <= _FOUL_EVENT:
+        for event_id, period, clock, team, pre, post, description in g.events:
+            if not (
+                type(event_id) is type(period) is int
+                and type(clock) is type(pre) is type(post) is float
+                and (team is None or type(team) is str) and type(description) is str
+                and -_INT64_LIMIT <= event_id < _INT64_LIMIT
+                and -_INT64_LIMIT <= period < _INT64_LIMIT
+                and 1e-4 <= clock < 1e16 and 1e-4 <= pre < 1e16 and 1e-4 <= post < 1e16
+            ):
+                break
+        else:
+            return True
+    return _event_values_exact(d["events"])
+
+
+def _event_values_exact(events: list[dict]) -> bool:
+    """:func:`_orjson_exact`'s rule for the event values, one value at a time."""
+    for e in events:
         for v in e.values():
             t = type(v)
             if t is float:
@@ -727,7 +769,7 @@ def _serialize_game_line(g: GameRecord) -> bytes:
     """One dataset line: orjson's bytes where :func:`_orjson_exact` and the output
     show they equal the reference's, else :func:`_json_game_line`'s."""
     d = game_to_dict(g)
-    if _orjson_exact(d):
+    if _orjson_exact(g, d):
         try:
             line = orjson.dumps(d, option=orjson.OPT_SORT_KEYS)
         except orjson.JSONEncodeError:  # a lone surrogate

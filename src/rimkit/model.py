@@ -18,6 +18,10 @@ REGULAR = "regular"
 POSTSEASON = "postseason"
 SEASON_TYPES = (REGULAR, POSTSEASON)
 
+# How a team-side target enters a design: a 0/1 column on its own rows, or
+# also -1 on the mirror rows where the team is the opponent on the other side.
+TARGET_FORMS = ("indicator", "paired")
+
 REGULATION_PERIODS = 4
 PERIOD_SECONDS = 12 * 60.0
 OVERTIME_SECONDS = 5 * 60.0
@@ -138,7 +142,9 @@ def validate_game(record: GameRecord) -> list[str]:
     record holding out-of-range feed values must still be constructible so
     the problem can be reported and the game quarantined. The empty-crew
     rule is special-cased upstream (such games stay usable for team-level
-    analysis); every message is prefixed with the offending field.
+    analysis); every message is prefixed with the offending field. An
+    event that passes every rule costs one chain of comparisons; only a
+    failing one is checked again, rule by rule, to word its messages.
     """
     problems: list[str] = []
     if record.season_type not in SEASON_TYPES:
@@ -164,31 +170,22 @@ def validate_game(record: GameRecord) -> list[str]:
 
     sides = (record.home_team, record.away_team)
     prev: tuple | None = None  # (period, clock) of the last event checked
-    for i, (_, period, clock, charged, pre, post, _) in enumerate(record.events):
-        tag = f"events[{i}]"
-        if (type(period) is not int or type(clock) is not float
-                or type(pre) is not float or type(post) is not float):
-            typed = [f"{tag}.{name}: {value!r} is not a number"
-                     for name, value in zip(_EVENT_NUMBERS, (period, clock, pre, post))
-                     if not _is_number(value)]
-            if typed:
-                problems += typed  # the range and order checks need numbers
-                continue
-        if period < 1:
-            problems.append(f"{tag}.period: {period} below 1")
+    for i, event in enumerate(record.events):
+        _, period, clock, charged, pre, post, _ = event
+        if (
+            type(period) is int and type(clock) is float
+            and type(pre) is float and type(post) is float
+            and period >= 1
+            and 0.0 <= clock <= (PERIOD_SECONDS if period <= REGULATION_PERIODS
+                                 else OVERTIME_SECONDS)
+            and 0.0 <= pre <= 1.0 and 0.0 <= post <= 1.0
+            and (charged is None or charged in sides)
+            and not (prev is not None and (period < prev[0]
+                                           or (period == prev[0] and clock > prev[1])))
+        ):
+            prev = (period, clock)
         else:
-            limit = _period_length(period)
-            if not 0.0 <= clock <= limit:
-                problems.append(f"{tag}.clock_seconds_remaining: {clock} outside [0, {limit}]")
-        for field_name, wp in (("pre_wp", pre), ("post_wp", post)):
-            if not 0.0 <= wp <= 1.0:
-                problems.append(f"{tag}.{field_name}: win probability {wp} outside [0, 1]")
-        if charged is not None and charged not in sides:
-            problems.append(f"{tag}.charged_team: {charged!r} is neither side")
-        # Ties (same period, same clock) keep feed order and are legal.
-        if prev is not None and (period < prev[0] or (period == prev[0] and clock > prev[1])):
-            problems.append(f"{tag}: out of order (period asc, clock desc violated)")
-        prev = (period, clock)
+            prev = _event_problems(problems, i, event, sides, prev)
 
     state = record.series_state
     if state is not None:
@@ -201,6 +198,39 @@ def validate_game(record: GameRecord) -> list[str]:
                     f"series_state.{side}: {wins} outside 0..{MAX_SERIES_WINS}"
                 )
     return problems
+
+
+def _event_problems(
+    problems: list[str], i: int, event: FoulEvent, sides: tuple, prev: tuple | None
+) -> tuple | None:
+    """Append the messages of ``record.events[i]``, rule by rule, to
+    ``problems``; returns the (period, clock) the next event is ordered
+    against, which an event with a non-numeric field leaves unchanged."""
+    _, period, clock, charged, pre, post, _ = event
+    tag = f"events[{i}]"
+    if (type(period) is not int or type(clock) is not float
+            or type(pre) is not float or type(post) is not float):
+        typed = [f"{tag}.{name}: {value!r} is not a number"
+                 for name, value in zip(_EVENT_NUMBERS, (period, clock, pre, post))
+                 if not _is_number(value)]
+        if typed:
+            problems += typed  # the range and order checks need numbers
+            return prev
+    if period < 1:
+        problems.append(f"{tag}.period: {period} below 1")
+    else:
+        limit = _period_length(period)
+        if not 0.0 <= clock <= limit:
+            problems.append(f"{tag}.clock_seconds_remaining: {clock} outside [0, {limit}]")
+    for field_name, wp in (("pre_wp", pre), ("post_wp", post)):
+        if not 0.0 <= wp <= 1.0:
+            problems.append(f"{tag}.{field_name}: win probability {wp} outside [0, 1]")
+    if charged is not None and charged not in sides:
+        problems.append(f"{tag}.charged_team: {charged!r} is neither side")
+    # Ties (same period, same clock) keep feed order and are legal.
+    if prev is not None and (period < prev[0] or (period == prev[0] and clock > prev[1])):
+        problems.append(f"{tag}: out of order (period asc, clock desc violated)")
+    return (period, clock)
 
 
 def is_no_crew_only(violations: list[str]) -> bool:

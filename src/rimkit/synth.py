@@ -31,10 +31,11 @@ from .model import (
     GameRecord,
     TeamGameRow,
 )
-from .outliers import PanelRow
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .outliers import PanelRow
 
 
 # The shape of a foul's win-probability move, Beta(MOVE_ALPHA, MOVE_BETA)
@@ -647,6 +648,8 @@ def simulate_ref_team_panel(
     row noise (SD 0.02) sits on top. Referees and teams have no effect of
     their own.
     """
+    from .outliers import PanelRow
+
     pairs = pair_shift or {}
     season = "S1"
     rows: list[PanelRow] = []

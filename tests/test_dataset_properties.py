@@ -5,7 +5,9 @@ record shows the bytes cannot differ from the standard library's, and with
 json, the reference, everywhere else; ``load_dataset`` decodes with orjson.
 A differential property pins the two writers together: for any record,
 fitting the fast path or not, the line is the reference's byte for byte,
-or the same ``DatasetError`` text. Simulated events hold plain Python
+or the same ``DatasetError`` text; the scan that decides, ``_orjson_exact``,
+accepts exactly what a plain scan of every value, kept here as the oracle,
+accepts. Simulated events hold plain Python
 values, so a simulated corpus is written without json. The round-trip
 properties pin writer and loader together: every finite float comes back
 with the same ``float.hex`` (signed zero, the smallest subnormal and the
@@ -219,6 +221,63 @@ def _line_or_error(write, game: GameRecord):
 def test_a_game_line_is_the_json_reference_byte_for_byte(game):
     reference = _line_or_error(lambda g: _json_game_line(g, game_to_dict(g)), game)
     assert _line_or_error(_serialize_game_line, game) == reference
+
+
+def _orjson_exact_reference(d: dict) -> bool:
+    """The writer guard as one Python pass over every value: the oracle for
+    ``ingest._orjson_exact``, which checks events of the usual shape one
+    event at a time."""
+    for key in ("game_id", "season", "season_type", "home_team", "away_team"):
+        if type(d[key]) is not str:
+            return False
+    for name in d["crew"]:
+        if type(name) is not str:
+            return False
+    for v in d["series_state"] or ():
+        if type(v) is not int or not -(2**63) <= v < 2**63:
+            return False
+    for e in d["events"]:
+        for v in e.values():
+            t = type(v)
+            if t is float:
+                if not (1e-4 <= v < 1e16 or v == 0.0 or -1e16 < v <= -1e-4):
+                    return False
+            elif t is int:
+                if not -(2**63) <= v < 2**63:
+                    return False
+            elif t is not str and v is not None:
+                return False
+    return True
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.one_of(games, loose_games))
+@example(make_game([make_event(1e-4, math.nextafter(1e16, 0.0), event_id=2**63 - 1,
+                               period=-(2**63))]))
+@example(make_game([make_event(0.5, 0.6), make_event(0.5, 0.6, clock=1e16)]))
+@example(make_game([make_event(0.5, 0.6), make_event(5e-324, 0.6)]))
+@example(make_game([make_event(0.5, 0.6), make_event(0.5, 0.6, charged=5)]))
+@example(make_game([make_event(0.5, 0.6), make_event(0.5, 0.6, period=2**63)]))
+@example(make_game([make_event(0.5, 0.6), make_event(0.0, 0.6, charged=None)]))
+@example(make_game([make_event(0.5, 0.6), make_event(0.5, 0.6, clock=float("nan"))]))
+@example(make_game([make_event(0.5, 0.6), make_event(0.5, 0.6)._replace(pre_wp=True)]))
+@example(make_game([make_event(0.5, 0.6, clock=700), make_event(0.5, 0.6, clock=1e16)]))
+@example(make_game([make_event(0.5, 0.6, clock=700), make_event(0.5, 0.6, clock=1e-05)]))
+@example(make_game([make_event(0.5, 0.6, clock=2**63), make_event(0.5, 0.6, clock=0.5)]))
+@example(make_game([make_event(0.5, 0.6, clock=-(2**63)), make_event(-0.0, 0.6, clock=0.5)]))
+@example(make_game([make_event(0.5, 0.6, event_id=0.5), make_event(0.5, float("nan"))]))
+@example(make_game([make_event(0.5, 0.6, charged=5), make_event(0.5, 0.6, charged=2**64)]))
+@example(make_game([make_event(0.5, 0.6, description=None)]))
+@example(make_game([make_event(-1e-4, -9.999999999999998e15)]))
+@example(make_game(crew=()))
+def test_the_writer_guard_accepts_what_the_per_value_scan_accepts(game):
+    d = game_to_dict(game)
+    assert ingest._orjson_exact(game, d) == _orjson_exact_reference(d)
 
 
 SIM = SimConfig(

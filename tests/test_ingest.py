@@ -610,6 +610,44 @@ def test_ingest_directory_missing_wp_feed_is_tolerated(tmp_path):
     assert set(report.quarantined_fouls) == {"g-nowp"}
 
 
+def test_ingest_directory_pairs_a_doubled_suffix_with_its_own_wp_feed(tmp_path):
+    # Only the trailing ".summary.json" turns into ".wp.json": replacing every
+    # occurrence looked for "g.wp.json.wp.json" and quarantined the foul.
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    doc = summary_doc(game_id="g-1", plays=[play("p1", 1, foul=True, team="HOU")])
+    (raw / "g.summary.json.summary.json").write_bytes(dumps(doc))
+    (raw / "g.summary.json.wp.json").write_bytes(dumps(wp_doc([("p1", 0.6)])))
+    (raw / "g.wp.json.wp.json").write_bytes(dumps(wp_doc([("p1", 0.3)])))
+    games, report = ingest_directory(raw)
+    assert [e.post_wp for g in games for e in g.events] == [0.6]
+    assert report.quarantined_fouls == {}
+
+
+def test_ingest_directory_treats_a_dangling_or_looping_wp_link_as_missing(tmp_path):
+    # As Path.exists() does: such a feed is absent, so the fouls are quarantined.
+    raw = tmp_path / "raw"
+    for gid, target in (("g-dangling", "nowhere.json"), ("g-loop", "g-loop.wp.json")):
+        _write_raw_game(raw, summary_doc(game_id=gid, plays=[play("p1", 1, foul=True)]))
+        (raw / f"{gid}.wp.json").symlink_to(target)
+    games, report = ingest_directory(raw)
+    assert [g.events for g in games] == [(), ()]
+    assert sorted(report.quarantined_fouls) == ["g-dangling", "g-loop"]
+    assert report.document_errors == []
+
+
+def test_ingest_directory_reads_documents_in_path_order(tmp_path):
+    # Paths sort component by component, so "a/..." comes before "a-b/...",
+    # although "a-b/" sorts first as a plain string ("-" is below "/").
+    raw = tmp_path / "raw"
+    _write_raw_game(raw / "a-b", summary_doc(game_id="g-1", home="LAL", away="MIA"))
+    _write_raw_game(raw / "a", summary_doc(game_id="g-1"))
+    games, report = ingest_directory(raw)
+    assert [(g.game_id, g.home_team) for g in games] == [("g-1", "HOU")]
+    first = os.path.join("a", "g-1.summary.json")
+    assert report.quarantined_games == [("g-1", (f"game_id: duplicate of {first}",))]
+
+
 def test_ingest_quarantines_a_season_that_would_escape_the_dataset(tmp_path):
     raw = tmp_path / "raw"
     _write_raw_game(raw, summary_doc(game_id="g-ok"), wp_doc([("p1", 0.5)]))

@@ -1,10 +1,13 @@
 """What a command pays for before and after its work: numpy is loaded only
 by the commands that fit or simulate, no rimkit module imports it at load
-time, and a command that loads the dataset freezes it out of the cyclic
-collector only while it runs."""
+time, ``import rimkit`` loads a submodule only when one of its names is
+read, the raw-data commands load none of the analysis layers, and a command
+that loads the dataset freezes it out of the cyclic collector only while
+it runs."""
 
 import ast
 import gc
+import importlib
 import json
 import os
 import subprocess
@@ -13,21 +16,29 @@ from pathlib import Path
 
 import pytest
 
-import rimkit.cli as cli
 from rimkit.cli import main
 
 from conftest import play, summary_doc, wp_doc
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Runs one command in a fresh interpreter, then reports whether numpy was loaded.
+# Runs one command in a fresh interpreter, then reports whether numpy was
+# loaded and, on its last line, which rimkit modules were.
 _PROBE = (
     "import sys\n"
     "from rimkit.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "print('numpy loaded:', 'numpy' in sys.modules)\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.startswith('rimkit'))))\n"
     "sys.exit(code)\n"
 )
+
+
+def _probe(cwd: Path, *args: str) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items() if k != "RIMKIT_CONFIG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture(scope="module")
@@ -59,37 +70,85 @@ def corpus(tmp_path_factory) -> Path:
     ids=lambda v: v[0] if isinstance(v, list) else str(v),
 )
 def test_numpy_is_loaded_only_by_a_command_that_fits(corpus, argv, loads_numpy):
-    env = {k: v for k, v in os.environ.items() if k != "RIMKIT_CONFIG"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    p = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=corpus, env=env,
-                       capture_output=True, text=True, timeout=120)
+    p = _probe(corpus, "-c", _PROBE, *argv)
     assert p.returncode == 0, p.stdout + p.stderr
-    assert p.stdout.splitlines()[-1] == f"numpy loaded: {loads_numpy}"
+    assert p.stdout.splitlines()[-2] == f"numpy loaded: {loads_numpy}"
+
+
+# What the raw-data commands run: the CLI and its settings, ingest and the
+# record model, and ``synth``, from which the parser builds ``simulate``'s flags.
+_RAW_COMMAND_MODULES = "rimkit rimkit.cli rimkit.config rimkit.ingest rimkit.model rimkit.synth"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "--raw-dir", "raw", "--out", "o/raw-ingested"],
+        ["validate", "--dataset", "ds"],
+        ["simulate", "--out", "o/simulated", "--teams", "4", "--referees", "4",
+         "--games-per-season", "6"],
+    ],
+    ids=lambda v: v[0],
+)
+def test_a_raw_data_command_loads_no_analysis_layer(corpus, argv):
+    p = _probe(corpus, "-c", _PROBE, *argv)
+    assert p.returncode == 0, p.stdout + p.stderr
+    assert p.stdout.splitlines()[-1] == _RAW_COMMAND_MODULES  # no figures, no inference
+
+
+def test_import_rimkit_loads_a_submodule_only_when_a_name_is_read(tmp_path):
+    script = (
+        "import sys\n"
+        "import rimkit\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('rimkit.'))\n"
+        "print(loaded())\n"
+        "assert 'load_dataset' in dir(rimkit)\n"
+        "print(loaded())\n"
+        "rimkit.load_dataset\n"
+        "print(loaded())\n"
+        "try:\n"
+        "    rimkit.no_such_name\n"
+        "except AttributeError as e:\n"
+        "    print(e)\n"
+    )
+    p = _probe(tmp_path, "-c", script)
+    assert p.returncode == 0, p.stdout + p.stderr
+    assert p.stdout.splitlines() == [
+        "[]",
+        "[]",
+        "['rimkit.ingest', 'rimkit.model']",
+        "module 'rimkit' has no attribute 'no_such_name'",
+    ]
 
 
 @pytest.mark.parametrize(
     "argv, spied, code",
     [
-        (["metrics", "--out", "o"], "AnalysisContext", 0),
-        (["validate"], "validate_game", 0),
+        (["metrics", "--out", "o"], "figures.AnalysisContext", 0),
+        (["validate"], "cli.validate_game", 0),
+        (["ingest", "--raw-dir", "raw", "--out", "o"], "cli.write_dataset", 0),
         # Fails after the load: the freeze is still undone.
-        (["metrics", "--out", "o", "--seasons", "1999-00"], "AnalysisContext", 2),
+        (["metrics", "--out", "o", "--seasons", "1999-00"], "figures.AnalysisContext", 2),
     ],
-    ids=["metrics", "validate", "metrics-no-games-left"],
+    ids=["metrics", "validate", "ingest", "metrics-no-games-left"],
 )
 def test_a_command_freezes_its_corpus_and_unfreezes_before_returning(
     corpus, tmp_path, capsys, monkeypatch, argv, spied, code
 ):
     frozen = []
-    original = getattr(cli, spied)
+    module_name, _, name = spied.partition(".")
+    module = importlib.import_module(f"rimkit.{module_name}")
+    original = getattr(module, name)
 
     def spy(*args, **kwargs):
         frozen.append(gc.get_freeze_count())
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, spied, spy)
+    monkeypatch.setattr(module, name, spy)
     argv = [argv[0], "--dataset", str(corpus / "ds"), *argv[1:]]
-    argv = [str(tmp_path / a) if a == "o" else a for a in argv]
+    argv = [str(tmp_path / a) if a == "o" else str(corpus / a) if a == "raw" else a
+            for a in argv]
     assert main(argv) == code
     if code == 0:
         assert frozen and min(frozen) > 0  # the loaded corpus sat in the permanent generation
