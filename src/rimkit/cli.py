@@ -31,6 +31,7 @@ from .config import (
     write_run_echo,
 )
 from .ingest import (
+    _HEADERS,
     DatasetError,
     IngestError,
     cyclic_gc_paused,
@@ -38,7 +39,7 @@ from .ingest import (
     load_dataset,
     write_dataset,
 )
-from .model import is_no_crew_only, validate_game
+from .model import _EVENT_NUMBERS, is_no_crew_only, validate_game
 from .synth import SimConfig, SimConfigError, write_corpus
 
 if TYPE_CHECKING:
@@ -86,19 +87,41 @@ def _frozen(load, *args, **kwargs):
     return loaded
 
 
+_NUMBERS = frozenset({int, float})
+
+
+def _mistyped(g) -> str | None:
+    """The first value of ``g`` the analyses cannot use, worded, or None: a
+    header or crew member that is not a string, or an event number that is
+    not an int or a float (a boolean included, as :func:`validate_game`
+    judges). The analyses sort and key by name and do arithmetic on the
+    event numbers, so they would fail on one or rank it as a name.
+    """
+    for key in _HEADERS:
+        if not isinstance(value := getattr(g, key), str):
+            return f"{key} {value!r:.40} is not a string"
+    for name in g.crew:
+        if not isinstance(name, str):
+            return f"crew member {name!r:.40} is not a name"
+    if g.events:
+        _, periods, clocks, _, pre, post, _ = zip(*g.events)
+        if not _NUMBERS.issuperset(map(type, periods + clocks + pre + post)):
+            for i, event in enumerate(g.events):
+                for key in _EVENT_NUMBERS:
+                    if type(value := getattr(event, key)) not in _NUMBERS:
+                        return f"events[{i}].{key} {value!r:.40} is not a number"
+    return None
+
+
 def _load_games(cfg: RunConfig):
     if not cfg.dataset:
         raise ConfigError("a dataset root is required (--dataset or dataset)")
     games, _manifest = _frozen(load_dataset, Path(cfg.dataset))
     for g in games:
-        for name in g.crew:
-            # The analyses key referees by name; anything else would be
-            # ranked as a referee or fail to hash.
-            if not isinstance(name, str):
-                raise DatasetError(
-                    f"game {g.game_id!r}: crew member {name!r:.40} is not a name; "
-                    "`rimkit validate` lists every such violation"
-                )
+        if problem := _mistyped(g):
+            raise DatasetError(
+                f"game {g.game_id!r}: {problem}; `rimkit validate` lists every such violation"
+            )
     if cfg.seasons:
         wanted = set(cfg.seasons)
         games = [g for g in games if g.season in wanted]
@@ -264,6 +287,13 @@ def cmd_robustness(cfg: RunConfig, args: argparse.Namespace) -> int:
     return _echo(out, "robustness", cfg)
 
 
+def _shift(value) -> float:
+    """An effect's shift: like ``config._coerce``, a boolean or a string is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    return float(value)
+
+
 def _effect_entries(data: dict, key: str, fields: str) -> list:
     entries = data.pop(key, [])
     if not isinstance(entries, list):
@@ -282,14 +312,14 @@ def _parse_effects_file(path: str) -> dict:
     shifts = {}
     for team, shift in team_home.items():
         try:
-            shifts[str(team)] = float(shift)
+            shifts[str(team)] = _shift(shift)
         except (TypeError, ValueError, OverflowError) as e:
             raise SimConfigError(f"bad team_home_shift entry: {team!r}: {shift!r}") from e
     out["team_home_shift"] = shifts
     pair = {}
     for entry in _effect_entries(data, "pair_shift", "referee, team, shift"):
         try:
-            pair[(str(entry["referee"]), str(entry["team"]))] = float(entry["shift"])
+            pair[(str(entry["referee"]), str(entry["team"]))] = _shift(entry["shift"])
         except (TypeError, KeyError, ValueError, OverflowError) as e:
             raise SimConfigError(f"bad pair_shift entry: {entry!r}") from e
     out["pair_shift"] = pair
@@ -297,7 +327,7 @@ def _parse_effects_file(path: str) -> dict:
     for entry in _effect_entries(data, "series_shift", "state, shift"):
         try:
             lo, hi = str(entry["state"]).split("--")
-            series[(int(lo), int(hi))] = float(entry["shift"])
+            series[(int(lo), int(hi))] = _shift(entry["shift"])
         except (TypeError, KeyError, ValueError, OverflowError) as e:
             raise SimConfigError(f"bad series_shift entry: {entry!r}") from e
     out["series_shift"] = series

@@ -268,11 +268,12 @@ def _factor(values: Sequence[str], prefix: str) -> tuple[_Block, str]:
     return (codes, np.ones(len(values)), [f"{prefix}{lv}" for lv in code]), levels[0]
 
 
-def _blocks(n: int, *families: tuple[Sequence[str], str]) -> list[_Block]:
-    """Intercept plus one factor block per (values, prefix)."""
+def _blocks(n: int, *families: tuple[Sequence[str], str]) -> tuple[list[_Block], list[str]]:
+    """Intercept plus one factor block per (values, prefix), and each factor's reference."""
     import numpy as np
 
-    return [_column(np.ones(n), "intercept")] + [_factor(v, p)[0] for v, p in families]
+    factors = [_factor(v, p) for v, p in families]
+    return [_column(np.ones(n), "intercept")] + [b for b, _ in factors], [r for _, r in factors]
 
 
 def _design(blocks: Sequence[_Block], clusters: Sequence[str], notes: Sequence[str]) -> Design:
@@ -349,15 +350,13 @@ def build_design(
     teams = [r.team for r in fitted]
     opponents = [r.opponent for r in fitted]
     is_home = np.array([r.is_home for r in fitted], dtype=bool)
-    blocks = [_column(np.ones(len(fitted)), "intercept"), _column(is_home, "home")]
-    families = [("team", "team_", teams), ("opponent", "opp_", opponents),
-                ("season", "season_", [r.season for r in fitted])]
+    families = {"team": (teams, "team_"), "opponent": (opponents, "opp_"),
+                "season": ([r.season for r in fitted], "season_")}
     if include_series:
-        families.append(("series", "series_", [r.series_key.label for r in fitted]))
-    for family, prefix, values in families:
-        block, ref = _factor(values, prefix)
-        blocks.append(block)
-        notes.append(f"{family} reference {ref}")
+        families["series"] = ([r.series_key.label for r in fitted], "series_")
+    blocks, refs = _blocks(len(fitted), *families.values())
+    blocks.insert(1, _column(is_home, "home"))
+    notes += [f"{family} reference {ref}" for family, ref in zip(families, refs)]
     team, opponent = np.array(teams), np.array(opponents)
     for tgt in targets:
         own = (team == tgt.team) & (is_home == (tgt.side == HOME))
@@ -515,20 +514,18 @@ def series_state_effects(rows: Sequence[TeamGameRow]) -> dict[str, FitResult]:
     game_rows = [per_game[g] for g in sorted(per_game)]
     n = len(game_rows)
 
-    blocks = _blocks(
+    blocks, refs = _blocks(
         n,
         ([r.team for r in game_rows], "home_team_"),
         ([r.opponent for r in game_rows], "away_team_"),
         ([r.season for r in game_rows], "season_"),
+        ([r.series_key.label for r in game_rows], "series_"),  # type: ignore[union-attr]
     )
-    labels = [r.series_key.label for r in game_rows]  # type: ignore[union-attr]
-    block, ref = _factor(labels, "series_")
-    blocks.append(block)
     ys = {
         "abs_disparity": np.array([float(abs(r.disparity)) for r in game_rows]),
         "game_rim": np.array([r.game_rim for r in game_rows]),
     }
-    notes = (f"series reference {ref}", f"games {n}")
+    notes = (f"series reference {refs[-1]}", f"games {n}")
     return _fit_outcomes(_design(blocks, [r.game_id for r in game_rows], notes), ys)
 
 
@@ -561,7 +558,7 @@ def ref_team_residual_effects(
     if excluded:
         notes.append("excluded targets below minimum: " + ", ".join(sorted(excluded)))
 
-    blocks = _blocks(
+    blocks, _ = _blocks(
         len(rows),
         (referees, "ref_"),
         (teams, "team_"),

@@ -3,11 +3,11 @@
 Raw documents are parsed defensively: a malformed document fails
 atomically with a byte offset and no partial game, while recoverable data
 problems (missing crew, unalignable fouls) become quarantine entries
-instead of exceptions. Both raw feeds are decoded with orjson behind a
-guard: a document orjson refuses, one with enough brackets to nest near
-json's recursion limit, and one holding a value orjson may have read
-differently (see :func:`_fast_decode`) are decoded again with json, whose
-result and error text are the reference.
+instead of exceptions. Both raw feeds are decoded by one skeleton,
+:func:`_parsed`: orjson first, and json, the reference, for a document
+orjson refuses, one with enough brackets to nest near json's recursion
+limit, and one holding a value orjson may have read differently (see
+:func:`_fast_decode`).
 
 The canonical dataset is JSONL, one game per line, partitioned by
 ``<root>/<season>/<season_type>/games.jsonl`` with a manifest recording a
@@ -214,6 +214,29 @@ def _number(doc: Mapping, key: str, what: str, kind: type[int] | type[float], ex
     raise ParseError(f"{what}.{key}: not a number: {value!r:.40}{problem}")
 
 
+def _parsed(data: bytes, what: str, body, *args, lone_surrogates: bool = True):
+    """``body(doc, *args, exact=True)`` on orjson's decode of ``data``; on
+    json's, the reference, with ``exact=False``, where orjson refuses the
+    bytes (see :func:`_fast_decode`) or ``body`` raises ``_Fallback``.
+
+    A ParseError on orjson's document stands: with ``exact``, one comes
+    only from a missing key or a container of the wrong type, where the
+    decoders agree. Without ``lone_surrogates``, a document holding one is
+    refused (orjson refuses one itself).
+    """
+    doc = _fast_decode(data)
+    if type(doc) is dict:
+        try:
+            return body(doc, *args, exact=True)
+        except _Fallback:
+            pass  # json decodes the document of record
+    doc = _load_json(data, what)
+    # Only a \u escape can spell a lone surrogate.
+    if not lone_surrogates and b"\\u" in data and _lone_surrogate(doc):
+        raise ParseError(f"{what}: a \\u escape spells a lone surrogate")
+    return body(doc, *args, exact=False)
+
+
 def parse_game_summary(
     data: bytes, aliases: Mapping[str, str] | None = None
 ) -> tuple[GameRecord, list[RawPlay]]:
@@ -222,20 +245,11 @@ def parse_game_summary(
     ``game`` holds the summary's identity, crew and series state, with no
     events yet; alignment supplies them. The crew may come back empty
     (callers flag such games); any structural problem — bad JSON, missing
-    or non-numeric fields, non-increasing play sequence — raises
-    :class:`ParseError` and yields no partial game.
+    or non-numeric fields, non-increasing play sequence, a string the
+    dataset could not hold (a lone surrogate) — raises :class:`ParseError`
+    and yields no partial game. Decoded by :func:`_parsed`.
     """
-    doc = _fast_decode(data)
-    if type(doc) is dict:
-        try:
-            return _summary_from_doc(doc, aliases, exact=True)
-        except (_Fallback, ParseError):
-            pass  # the json path gives the result, or the error text, of record
-    doc = _load_json(data, "summary")
-    # Only a \u escape can spell a lone surrogate; orjson refuses one itself.
-    if b"\\u" in data and _lone_surrogate(doc):
-        raise ParseError("summary: a \\u escape spells a lone surrogate")
-    return _summary_from_doc(doc, aliases, exact=False)
+    return _parsed(data, "summary", _summary_from_doc, aliases, lone_surrogates=False)
 
 
 def _summary_from_doc(
@@ -335,15 +349,11 @@ def parse_wp_feed(data: bytes) -> tuple[dict[str, float], float | None, int]:
     outside [0, 1], are dropped and counted rather than propagated; the
     alignment step treats a foul whose samples were dropped the same as one
     never sampled. A pregame value that would be dropped is absent. A play
-    id sampled more than once keeps its last usable value.
+    id sampled more than once keeps its last usable value. Decoded by
+    :func:`_parsed`; the feed's strings only key samples, so a lone
+    surrogate in one is read, not refused.
     """
-    doc = _fast_decode(data)
-    if type(doc) is dict:
-        try:
-            return _wp_from_doc(doc, exact=True)
-        except (_Fallback, ParseError):
-            pass  # the json path gives the result, or the error text, of record
-    return _wp_from_doc(_load_json(data, "wp"), exact=False)
+    return _parsed(data, "wp", _wp_from_doc)
 
 
 def _probability(value) -> float | None:
@@ -512,7 +522,8 @@ def ingest_directory(
     games: list[GameRecord] = []
     first_document: dict[str, str] = {}  # game_id -> the document that claimed it
     with cyclic_gc_paused():
-        for summary_path in sorted(raw_dir.rglob("*" + _SUMMARY_SUFFIX)):
+        # Sorted by components, as ``Path`` sorts on POSIX, without its per-pair overhead.
+        for summary_path in sorted(raw_dir.rglob("*" + _SUMMARY_SUFFIX), key=lambda p: p.parts):
             report.documents_seen += 1
             path = str(summary_path)
             rel = os.sep.join(summary_path.parts[skip:])
@@ -706,7 +717,6 @@ class DatasetManifest:
 
 
 _HEADERS = ("game_id", "season", "season_type", "home_team", "away_team")
-_FOUL_EVENT = frozenset({FoulEvent})
 
 
 def _orjson_exact(g: GameRecord, d: dict) -> bool:
@@ -717,12 +727,9 @@ def _orjson_exact(g: GameRecord, d: dict) -> bool:
     an exact ``int`` within 64 bits, or an exact ``float`` that is 0 or
     whose magnitude is in [1e-4, 1e16). Python's float repr uses fixed
     notation exactly there, as orjson does; NaN and the infinities fail the
-    range test. Strings are checked on the output instead.
-
-    Events of the usual shape (``FoulEvent``s of ints, floats in [1e-4,
-    1e16), and strings or None where the schema has them) pass one unpack
-    and one chain of comparisons each; the events of any other game are
-    judged value by value, by :func:`_event_values_exact`.
+    range test. Strings are checked on the output instead. The event values
+    are read from ``g``'s event tuples, which hold those of ``d``'s event
+    dicts and are quicker to scan.
     """
     for key in _HEADERS:
         if type(d[key]) is not str:
@@ -733,26 +740,8 @@ def _orjson_exact(g: GameRecord, d: dict) -> bool:
     for v in d["series_state"] or ():
         if type(v) is not int or not -_INT64_LIMIT <= v < _INT64_LIMIT:
             return False
-    if set(map(type, g.events)) <= _FOUL_EVENT:
-        for event_id, period, clock, team, pre, post, description in g.events:
-            if not (
-                type(event_id) is type(period) is int
-                and type(clock) is type(pre) is type(post) is float
-                and (team is None or type(team) is str) and type(description) is str
-                and -_INT64_LIMIT <= event_id < _INT64_LIMIT
-                and -_INT64_LIMIT <= period < _INT64_LIMIT
-                and 1e-4 <= clock < 1e16 and 1e-4 <= pre < 1e16 and 1e-4 <= post < 1e16
-            ):
-                break
-        else:
-            return True
-    return _event_values_exact(d["events"])
-
-
-def _event_values_exact(events: list[dict]) -> bool:
-    """:func:`_orjson_exact`'s rule for the event values, one value at a time."""
-    for e in events:
-        for v in e.values():
+    for e in g.events:
+        for v in e:
             t = type(v)
             if t is float:
                 if not (1e-4 <= v < 1e16 or v == 0.0 or -1e16 < v <= -1e-4):

@@ -118,6 +118,9 @@ class SimConfig:
             )
         if not self.seasons:
             raise SimConfigError("need at least one season label")
+        for name in ("games_per_season", "postseason_games_per_season"):
+            if getattr(self, name) < 0:
+                raise SimConfigError(f"{name} must be >= 0")
         if self.fouls_mean < 0 or self.fouls_dispersion < 0:
             raise SimConfigError("foul distribution parameters must be >= 0")
         for name in ("benefit_prob", "overtime_rate", "unattributed_rate", "missing_series_rate"):

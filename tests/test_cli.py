@@ -255,6 +255,11 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     )
     assert code == 2 and "infeasible" in out
 
+    code, out = run(capsys, "simulate", "--out", str(tmp_path / "sim-neg"),
+                    "--games-per-season", "-5", "--postseason-games", "-3")
+    assert code == 2 and "games_per_season must be >= 0" in out, out
+    assert not (tmp_path / "sim-neg").exists()
+
     for value in ("nan", "inf"):
         code, out = run(
             capsys, "simulate", "--out", str(tmp_path / "sim-nf"), "--fouls-mean", value
@@ -580,25 +585,13 @@ def test_analyses_refuse_a_crew_member_that_is_not_a_name(tmp_path, capsys, comm
 def test_validate_reports_non_string_and_non_numeric_fields(tmp_path, capsys):
     # A hand-edited dataset whose manifest hashes still match: validate must
     # report the wrongly typed fields, not fail on them.
-    from rimkit.ingest import write_dataset
-    from rimkit.synth import SimConfig, generate
+    def edit(first):
+        first["season"] = 2021
+        first["events"][0]["period"] = "1"
+        first["events"][1]["pre_wp"] = "0.5"
 
-    games, _ = generate(SimConfig(seed=3, n_teams=6, n_referees=9, games_per_season=20,
-                                  postseason_games_per_season=0, seasons=("2021-22",)))
     ds = tmp_path / "ds"
-    write_dataset(games, ds)
-    manifest = json.loads((ds / "manifest.json").read_text(encoding="utf-8"))
-    part = manifest["partitions"][0]
-    path = ds / part["path"]
-    lines = path.read_text(encoding="utf-8").splitlines()
-    first = json.loads(lines[0])
-    first["season"] = 2021
-    first["events"][0]["period"] = "1"
-    first["events"][1]["pre_wp"] = "0.5"
-    lines[0] = json.dumps(first)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    part["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    (ds / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    first = _small_dataset_with_first_game_edited(ds, edit)
 
     code, out = run(capsys, "validate", "--dataset", str(ds))
     assert code == 2, out
@@ -608,6 +601,61 @@ def test_validate_reports_non_string_and_non_numeric_fields(tmp_path, capsys):
     assert f"{gid}: events[0].period: '1' is not a number" in out
     assert f"{gid}: events[1].pre_wp: '0.5' is not a number" in out
     assert "dataset has violations: 20 games, 1 partitions, 1 with violations" in out
+
+
+def _small_dataset_with_first_game_edited(ds, edit) -> dict:
+    """A 20-game dataset whose first line ``edit`` changed in place, its
+    manifest hash updated to match; returns the edited game's dict."""
+    from rimkit.ingest import write_dataset
+    from rimkit.synth import SimConfig, generate
+
+    games, _ = generate(SimConfig(seed=3, n_teams=6, n_referees=9, games_per_season=20,
+                                  postseason_games_per_season=0, seasons=("2021-22",)))
+    write_dataset(games, ds)
+    manifest = json.loads((ds / "manifest.json").read_text(encoding="utf-8"))
+    part = manifest["partitions"][0]
+    path = ds / part["path"]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])
+    edit(first)
+    lines[0] = json.dumps(first)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    part["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (ds / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    return first
+
+
+ANALYSES = ["metrics", "refs", "outliers", "regress", "robustness", "emit-figures"]
+
+
+@pytest.mark.parametrize("command", ANALYSES)
+@pytest.mark.parametrize(
+    "edit, problem, reported",
+    [
+        (lambda g: g.update(game_id=12345), "game_id 12345 is not a string",
+         "game_id: 12345 is not a string"),
+        (lambda g: g.update(home_team=7), "home_team 7 is not a string",
+         "home_team: 7 is not a string"),
+        (lambda g: g["events"][1].update(pre_wp="0.5"), "events[1].pre_wp '0.5' is not a number",
+         "events[1].pre_wp: '0.5' is not a number"),
+    ],
+    ids=["game-id", "home-team", "pre-wp"],
+)
+def test_analyses_refuse_a_value_of_the_wrong_type(tmp_path, capsys, command, edit, problem,
+                                                    reported):
+    # These used to end in a TypeError (exit 1) inside a sort or the kernel;
+    # like a crew member that is not a name, they stop the load and point at
+    # `validate`, which reports them.
+    ds = tmp_path / "ds"
+    game = _small_dataset_with_first_game_edited(ds, edit)
+    out_dir = tmp_path / "out"
+    code, out = run(capsys, command, "--dataset", str(ds), "--out", str(out_dir))
+    assert code == 2, out
+    assert f"error: game {game['game_id']!r}: {problem}; `rimkit validate`" in out
+    assert "Traceback" not in out
+    assert not out_dir.exists()
+    code, out = run(capsys, "validate", "--dataset", str(ds))
+    assert code == 2 and f"{game['game_id']}: {reported}" in out, out
 
 
 def test_regress_writes_fit_notes_and_dropped_columns(tmp_path, capsys):
@@ -783,8 +831,16 @@ def test_simulate_effects_file_lands_in_ledger(tmp_path, capsys):
          "pair_shift ('Nobody', 'T01'): no referee 'Nobody' among the 12"),
         ({"pair_shift": [{"referee": "Ref13", "team": "T01", "shift": 0.1}]},
          "pair_shift ('Ref13', 'T01'): no referee 'Ref13' among the 12"),
+        # Like a config setting, a boolean or a string is not a number.
+        ({"team_home_shift": {"T01": True}}, "bad team_home_shift entry: 'T01': True"),
+        ({"team_home_shift": {"T01": "0.5"}}, "bad team_home_shift entry: 'T01': '0.5'"),
+        ({"pair_shift": [{"referee": "Ref01", "team": "T02", "shift": "0.5"}]},
+         "bad pair_shift entry: {'referee': 'Ref01', 'team': 'T02', 'shift': '0.5'}"),
+        ({"series_shift": [{"state": "1--2", "shift": False}]},
+         "bad series_shift entry: {'state': '1--2', 'shift': False}"),
     ],
-    ids=["unsorted-state", "state-past-3", "home-team", "pair-team", "pair-name", "pair-ref13"],
+    ids=["unsorted-state", "state-past-3", "home-team", "pair-team", "pair-name", "pair-ref13",
+         "home-shift-bool", "home-shift-string", "pair-shift-string", "series-shift-bool"],
 )
 def test_simulate_refuses_effects_it_cannot_apply(tmp_path, capsys, effects, message):
     # These used to land in ledger.json while every partition came out

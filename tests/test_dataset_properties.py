@@ -6,7 +6,8 @@ json, the reference, everywhere else; ``load_dataset`` decodes with orjson.
 A differential property pins the two writers together: for any record,
 fitting the fast path or not, the line is the reference's byte for byte,
 or the same ``DatasetError`` text; the scan that decides, ``_orjson_exact``,
-accepts exactly what a plain scan of every value, kept here as the oracle,
+which reads the event values from the event tuples, accepts exactly what
+the same rule over ``game_to_dict``'s event dicts, kept here as the oracle,
 accepts. Simulated events hold plain Python
 values, so a simulated corpus is written without json. The round-trip
 properties pin writer and loader together: every finite float comes back
@@ -224,9 +225,9 @@ def test_a_game_line_is_the_json_reference_byte_for_byte(game):
 
 
 def _orjson_exact_reference(d: dict) -> bool:
-    """The writer guard as one Python pass over every value: the oracle for
-    ``ingest._orjson_exact``, which checks events of the usual shape one
-    event at a time."""
+    """The writer guard as one Python pass over every value of ``d``: the
+    oracle for ``ingest._orjson_exact``, which reads the event values from
+    the event tuples instead."""
     for key in ("game_id", "season", "season_type", "home_team", "away_team"):
         if type(d[key]) is not str:
             return False

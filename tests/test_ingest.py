@@ -296,6 +296,49 @@ def test_parse_gives_the_json_path_result_or_error_text(parse, data):
     assert _outcome(parse, data) == _json_path_outcome(parse, data)
 
 
+def _refuses_json(parse, data: bytes) -> str:
+    """``parse(data)``'s ParseError text, with the json decode made to fail the test."""
+    with mock.patch.object(ingest, "_load_json", side_effect=AssertionError("decoded by json")):
+        with pytest.raises(ParseError) as exc:
+            parse(data)
+    assert _outcome(parse, data) == _json_path_outcome(parse, data)
+    return str(exc.value)
+
+
+_NO_GAME_ID = {k: v for k, v in summary_doc().items() if k != "game_id"}
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        (_NO_GAME_ID, "summary: missing required field 'game_id'"),
+        (dict(summary_doc(), plays=5), "summary: 'plays' must be a list"),
+        (dict(summary_doc(), officials="Tony Brothers"), "summary: 'officials' must be a list"),
+        (dict(summary_doc(), series=[1, 0]), "summary: 'series' must be an object"),
+        (dict(summary_doc(), series={"home_wins": 1}),
+         "summary.series: missing required field 'away_wins'"),
+    ],
+    ids=["missing-field", "plays", "officials", "series", "series-field"],
+)
+def test_parse_game_summary_raises_on_the_orjson_document_without_a_json_decode(doc, error):
+    # A missing key or a container of the wrong type reads the same from
+    # either decoder, so decoding the document again cannot change the error.
+    assert _refuses_json(parse_game_summary, dumps(doc)) == error
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        ({"items": {"p1": 0.5}}, "wp: 'items' must be a list"),
+        ({"items": [{"play_id": "p1", "home_wp": 0.5}, ["p2", 0.6]]},
+         "wp: items[1] must be an object"),
+    ],
+    ids=["items", "item"],
+)
+def test_parse_wp_feed_raises_on_the_orjson_document_without_a_json_decode(doc, error):
+    assert _refuses_json(parse_wp_feed, dumps(doc)) == error
+
+
 def test_parse_reads_an_integer_beyond_64_bits_as_json_does():
     game, plays = parse_game_summary(_splice(_SUMMARY, b'"id": "p1"', b'"id": ' + _BIG))
     assert plays[0].play_id == "100000000000000000000"

@@ -232,6 +232,8 @@ def test_write_corpus_roundtrip(tmp_path):
         {"fouls_dispersion": -0.5},
         {"benefit_prob": 1.5},
         {"move_scale": -0.01},
+        {"games_per_season": -5},
+        {"postseason_games_per_season": -3},
     ],
 )
 def test_infeasible_configs_are_rejected(overrides):
