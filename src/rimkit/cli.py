@@ -39,7 +39,7 @@ from .ingest import (
     load_dataset,
     write_dataset,
 )
-from .model import _EVENT_NUMBERS, is_no_crew_only, validate_game
+from .model import _EVENT_NUMBERS, NUMBER_TYPES, PERIOD_TYPES, is_no_crew_only, validate_game
 from .synth import SimConfig, SimConfigError, write_corpus
 
 if TYPE_CHECKING:
@@ -87,15 +87,14 @@ def _frozen(load, *args, **kwargs):
     return loaded
 
 
-_NUMBERS = frozenset({int, float})
-
-
-def _mistyped(g) -> str | None:
+def _mistyped(g, check_events: bool) -> str | None:
     """The first value of ``g`` the analyses cannot use, worded, or None: a
-    header or crew member that is not a string, or an event number that is
-    not an int or a float (a boolean included, as :func:`validate_game`
-    judges). The analyses sort and key by name and do arithmetic on the
-    event numbers, so they would fail on one or rank it as a name.
+    header or crew member that is not a string, or, with ``check_events``,
+    an event number not of the type they compute with (an ``int`` period,
+    an ``int`` or ``float`` clock and probabilities; a boolean is not a
+    number, as :func:`validate_game` judges). The analyses sort and key by
+    name, index by period and do arithmetic on the event numbers, so they
+    would fail on one or rank it as a name.
     """
     for key in _HEADERS:
         if not isinstance(value := getattr(g, key), str):
@@ -103,22 +102,26 @@ def _mistyped(g) -> str | None:
     for name in g.crew:
         if not isinstance(name, str):
             return f"crew member {name!r:.40} is not a name"
-    if g.events:
-        _, periods, clocks, _, pre, post, _ = zip(*g.events)
-        if not _NUMBERS.issuperset(map(type, periods + clocks + pre + post)):
-            for i, event in enumerate(g.events):
-                for key in _EVENT_NUMBERS:
-                    if type(value := getattr(event, key)) not in _NUMBERS:
-                        return f"events[{i}].{key} {value!r:.40} is not a number"
+    if check_events:
+        for i, event in enumerate(g.events):
+            for key in _EVENT_NUMBERS:
+                value = getattr(event, key)
+                if type(value) not in (PERIOD_TYPES if key == "period" else NUMBER_TYPES):
+                    what = "an integer" if type(value) is float else "a number"
+                    return f"events[{i}].{key} {value!r:.40} is not {what}"
     return None
 
 
 def _load_games(cfg: RunConfig):
+    """The dataset's games, each checked by :func:`_mistyped` in load order:
+    its events only when the load did not see all their numbers well typed."""
     if not cfg.dataset:
         raise ConfigError("a dataset root is required (--dataset or dataset)")
-    games, _manifest = _frozen(load_dataset, Path(cfg.dataset))
+    suspects: list = []
+    games, _manifest = _frozen(load_dataset, Path(cfg.dataset), mistyped=suspects)
+    suspect = set(map(id, suspects))
     for g in games:
-        if problem := _mistyped(g):
+        if problem := _mistyped(g, id(g) in suspect):
             raise DatasetError(
                 f"game {g.game_id!r}: {problem}; `rimkit validate` lists every such violation"
             )

@@ -1,16 +1,20 @@
 """Fixed-effects regressions with game-clustered errors.
 
 A design is an intercept, one-hot factors (one reference level dropped per
-family) and +-1 target columns, stored as ~7 (column, value) slots per row.
-Design values are restricted to {-1, 0, 1} (anything else is a
+family) and +-1 target columns, stored as ~7 (column, value) slots per row,
+the values as ``int8``; each slot holds one block's contiguous columns.
+Factor levels, clusters and target matches are integer codes over sorted
+levels. Design values are restricted to {-1, 0, 1} (anything else is a
 ``DesignError``), so every X'X entry is an integer count, exact in float64
 in any summation order; X'X is built one slot pair at a time, one
-``bincount`` per pair added into a K x K accumulator. A
-sequential Cholesky on it drops dependent columns, earliest column wins:
-column j goes when its Schur pivot, the squared norm of its residual
-against the kept columns, is at most ``max(n, K) * eps`` times its squared
-norm. A design holds no outcome: the kept Gram is inverted once per design
-and solves every outcome fitted on it, each named at the fit.
+``bincount`` per pair added into a K x K accumulator. X'y and the cluster
+scores are summed one slot at a time, over its column range and its
+nonzero entries, which keeps every bin's terms and their row order, and so
+their bits. A sequential Cholesky on X'X drops dependent columns, earliest
+column wins: column j goes when its Schur pivot, the squared norm of its
+residual against the kept columns, is at most ``max(n, K) * eps`` times its
+squared norm. A design holds no outcome: the kept Gram is inverted once per
+design and solves every outcome fitted on it, each named at the fit.
 Covariance is the CR1 cluster sandwich, intervals use Student-t critical
 values at n − rank degrees of freedom, and each coefficient carries an
 omitted-variable robustness value: the equal-strength confounder
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,13 +94,15 @@ def _rank_filter(gram: np.ndarray, n_rows: int) -> list[int]:
 class SparseRows:
     """Row i holds ``value[i, s]`` in column ``index[i, s]``; unused slots hold 0.
 
-    ``gram`` is X'X; its inverse is computed once for every outcome fitted
-    on the rows.
+    Slot s holds only columns ``bounds[s]`` to ``bounds[s + 1] - 1``, so every
+    column lives in exactly one slot. ``gram`` is X'X; its inverse is
+    computed once for every outcome fitted on the rows.
     """
 
     index: np.ndarray
     value: np.ndarray
     gram: np.ndarray
+    bounds: tuple[int, ...]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -125,7 +130,33 @@ def _as_rows(X) -> SparseRows:
     if not np.isfinite(X).all():
         raise FitError("design contains non-finite values")
     n, k = X.shape
-    return SparseRows(np.broadcast_to(np.arange(k), (n, k)), X, X.T @ X)
+    return SparseRows(np.broadcast_to(np.arange(k), (n, k)), X, X.T @ X, tuple(range(k + 1)))
+
+
+def _column_sums(rows: SparseRows, w: np.ndarray, groups: np.ndarray | None = None,
+                 n_groups: int = 1) -> np.ndarray:
+    """(n_groups, k): the sum of ``value * w`` over each group's rows, per column.
+
+    One slot at a time, over its column range and its rows with a nonzero
+    value: each column lives in one slot, so every bin receives the nonzero
+    terms one ``bincount`` over all slots would, in the same row order; the
+    zeros left out add only +-0 to a bin, and every bin starts at +0.0, so
+    the sums keep their bits.
+    """
+    import numpy as np
+
+    out = np.zeros((n_groups, rows.shape[1]))
+    for s, (lo, hi) in enumerate(zip(rows.bounds, rows.bounds[1:])):
+        if lo == hi:
+            continue
+        value = rows.value[:, s]
+        hit = np.flatnonzero(value)
+        cells = rows.index[hit, s] - lo
+        if groups is not None:
+            cells += groups[hit] * (hi - lo)
+        sums = np.bincount(cells, value[hit] * w[hit], minlength=n_groups * (hi - lo))
+        out[:, lo:hi] = sums.reshape(n_groups, hi - lo)
+    return out
 
 
 def fit_ols(X, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -151,9 +182,12 @@ def fit_ols(X, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
         raise FitError(f"{n} rows cannot identify {k} columns")
     if not isinstance(X, SparseRows) and len(_rank_filter(rows.gram, n)) < k:
         raise FitError("design is rank deficient; apply the rank filter first")
-    xty = np.bincount(rows.index.ravel(), (rows.value * y[:, None]).ravel(), minlength=k)
-    beta = rows.bread @ xty
-    return beta, y - (rows.value * beta[rows.index]).sum(axis=1), k, n - k
+    beta = rows.bread @ _column_sums(rows, y)[0]
+    # The fitted values summed over each row's (n, slots) terms, as numpy
+    # sums a row: pairwise, so the shape of the terms is part of their bits.
+    terms = beta[rows.index]
+    np.multiply(rows.value, terms, out=terms)
+    return beta, y - terms.sum(axis=1), k, n - k
 
 
 def cluster_covariance(X, residuals: np.ndarray, clusters: Sequence) -> np.ndarray:
@@ -177,8 +211,7 @@ def cluster_covariance(X, residuals: np.ndarray, clusters: Sequence) -> np.ndarr
     G = uniq.size
     if G < 2:
         raise FitError("clustered covariance needs at least two clusters")
-    cells = (groups[:, None] * k + rows.index).ravel()
-    S = np.bincount(cells, (rows.value * e[:, None]).ravel(), minlength=G * k).reshape(G, k)
+    S = _column_sums(rows, e, groups, G)
     V = rows.bread @ (S.T @ S) @ rows.bread * (G / (G - 1.0)) * ((n - 1.0) / (n - k))
     return (V + V.T) / 2.0
 
@@ -254,52 +287,82 @@ def _column(values: np.ndarray, name: str) -> _Block:
     return np.where(values != 0.0, 0, -1), values, [name]
 
 
-def _factor(values: Sequence[str], prefix: str) -> tuple[_Block, str]:
-    """One-hot block for a categorical family minus its first level, the reference.
+def _coded(values: Sequence) -> tuple[dict, np.ndarray]:
+    """Each distinct value's position in sorted order, and every value's position.
+
+    Python orders ``str`` by code point, as numpy orders unicode arrays, so
+    the codes are ``np.unique(values, return_inverse=True)``'s, except for a
+    string ending in NUL: numpy drops trailing NULs, so "g1\\x00" would be
+    "g1" there; here it is a value of its own, as it is to Python.
+    """
+    import numpy as np
+
+    position = {level: i for i, level in enumerate(sorted(set(values)))}
+    return position, np.fromiter(map(position.__getitem__, values), np.intp, len(values))
+
+
+def _rows_equal(coded: tuple[dict, np.ndarray], value) -> np.ndarray:
+    """Which rows of a coded family hold ``value``."""
+    position, codes = coded
+    return codes == position.get(value, -1)
+
+
+def _factor(coded: tuple[dict, np.ndarray], prefix: str) -> _Block:
+    """One-hot block for a coded categorical family minus its first level, the reference.
 
     Canonical series labels sort 0--0 first, so it is the series reference
     whenever it occurs.
     """
     import numpy as np
 
-    levels = sorted(set(values))
-    code = {lv: i for i, lv in enumerate(levels[1:])}
-    codes = np.array([code.get(v, -1) for v in values], dtype=np.intp)
-    return (codes, np.ones(len(values)), [f"{prefix}{lv}" for lv in code]), levels[0]
+    position, codes = coded
+    names = [f"{prefix}{level}" for level in position]
+    return codes - 1, np.ones(codes.size, dtype=np.int8), names[1:]
 
 
-def _blocks(n: int, *families: tuple[Sequence[str], str]) -> tuple[list[_Block], list[str]]:
-    """Intercept plus one factor block per (values, prefix), and each factor's reference."""
+def _blocks(n: int, *families: tuple[tuple[dict, np.ndarray], str]) -> list[_Block]:
+    """Intercept plus one factor block per (coded values, prefix)."""
     import numpy as np
 
-    factors = [_factor(v, p) for v, p in families]
-    return [_column(np.ones(n), "intercept")] + [b for b, _ in factors], [r for _, r in factors]
+    return [_column(np.ones(n), "intercept")] + [_factor(c, p) for c, p in families]
 
 
-def _design(blocks: Sequence[_Block], clusters: Sequence[str], notes: Sequence[str]) -> Design:
-    """Assemble blocks into row slots, form X'X, drop dependent columns."""
+def _reference(coded: tuple[dict, np.ndarray]):
+    """A coded family's reference level, its first."""
+    return next(iter(coded[0]))
+
+
+def _design(blocks: list[_Block], clusters: Sequence[str], notes: Sequence[str]) -> Design:
+    """Assemble blocks into row slots, form X'X, drop dependent columns.
+
+    ``blocks`` is emptied as its blocks are copied into the rows, so they are
+    freed before the Gram is formed. A row holds its slot values as ``int8``.
+    """
     import numpy as np
 
-    n = len(clusters)
-    index = np.zeros((n, len(blocks)), dtype=np.intp)
-    value = np.zeros((n, len(blocks)))
+    n, slots = len(clusters), len(blocks)
+    index = np.zeros((n, slots), dtype=np.intp)
+    value = np.zeros((n, slots), dtype=np.int8)
     names: list[str] = []
-    for s, (codes, vals, block_names) in enumerate(blocks):
+    bounds = [0]
+    for s in range(slots):
+        codes, vals, block_names = blocks.pop(0)
         hit = codes >= 0
         v = vals[hit]
-        if not ((v == 0.0) | (np.abs(v) == 1.0)).all():
+        if not ((v == 0) | (np.abs(v) == 1)).all():
             raise DesignError(f"block {block_names[0]!r}: design values must be -1, 0 or 1")
         index[hit, s] = codes[hit] + len(names)
         value[hit, s] = v
         names.extend(block_names)
+        bounds.append(len(names))
     # Slots hold ascending columns, so slot pairs s <= t fill the upper triangle.
     # Every product is 0 or +-1, so each entry is an integer count and the
     # per-pair sums are exact in any order; one pair at a time keeps the
     # temporaries at n rather than n times the number of pairs.
     K = len(names)
     upper = np.zeros(K * K)
-    for s in range(len(blocks)):
-        for t in range(s, len(blocks)):
+    for s in range(slots):
+        for t in range(s, slots):
             upper += np.bincount(index[:, s] * K + index[:, t], value[:, s] * value[:, t],
                                  minlength=K * K)
     upper = upper.reshape(K, K)
@@ -307,13 +370,15 @@ def _design(blocks: Sequence[_Block], clusters: Sequence[str], notes: Sequence[s
     kept = _rank_filter(gram, n)
     col = np.full(K, -1, dtype=np.intp)
     col[kept] = np.arange(len(kept))
-    index = col[index]
-    value = np.where(index >= 0, value, 0.0)
-    rows = SparseRows(np.maximum(index, 0), value, gram[np.ix_(kept, kept)])
+    for s in range(slots):  # in place, one slot at a time; a dropped column's entry becomes a 0
+        remapped = col[index[:, s]]
+        value[remapped < 0, s] = 0
+        index[:, s] = np.maximum(remapped, 0, out=remapped)
+    rows = SparseRows(index, value, gram[np.ix_(kept, kept)],
+                      tuple(np.searchsorted(kept, bounds).tolist()))
     columns = tuple(names[j] for j in kept)
     dropped = tuple(name for name, c in zip(names, col) if c < 0)
-    groups = np.unique(np.asarray(clusters), return_inverse=True)[1]
-    return Design(rows, groups, columns, dropped, tuple(notes))
+    return Design(rows, _coded(clusters)[1], columns, dropped, tuple(notes))
 
 
 def build_design(
@@ -347,24 +412,22 @@ def build_design(
     if not fitted:
         raise DesignError("no rows to fit")
 
-    teams = [r.team for r in fitted]
-    opponents = [r.opponent for r in fitted]
+    team, opponent = _coded([r.team for r in fitted]), _coded([r.opponent for r in fitted])
     is_home = np.array([r.is_home for r in fitted], dtype=bool)
-    families = {"team": (teams, "team_"), "opponent": (opponents, "opp_"),
-                "season": ([r.season for r in fitted], "season_")}
+    families = {"team": (team, "team_"), "opponent": (opponent, "opp_"),
+                "season": (_coded([r.season for r in fitted]), "season_")}
     if include_series:
-        families["series"] = ([r.series_key.label for r in fitted], "series_")
-    blocks, refs = _blocks(len(fitted), *families.values())
+        families["series"] = (_coded([r.series_key.label for r in fitted]), "series_")
+    blocks = _blocks(len(fitted), *families.values())
     blocks.insert(1, _column(is_home, "home"))
-    notes += [f"{family} reference {ref}" for family, ref in zip(families, refs)]
-    team, opponent = np.array(teams), np.array(opponents)
+    notes += [f"{family} reference {_reference(c)}" for family, (c, _) in families.items()]
     for tgt in targets:
-        own = (team == tgt.team) & (is_home == (tgt.side == HOME))
+        own = _rows_equal(team, tgt.team) & (is_home == (tgt.side == HOME))
         if not own.any():
             raise DesignError(f"target {tgt.name} matches no rows")
         column = own.astype(float)
         if target_form == "paired":
-            column[(opponent == tgt.team) & (is_home != (tgt.side == HOME))] = -1.0
+            column[_rows_equal(opponent, tgt.team) & (is_home != (tgt.side == HOME))] = -1.0
         blocks.append(_column(column, f"{tgt.name}[{target_form}]"))
     ys = {o: np.array([getattr(r, o) for r in fitted], dtype=float) for o in outcomes}
     return _design(blocks, [r.game_id for r in fitted], notes), ys
@@ -514,18 +577,19 @@ def series_state_effects(rows: Sequence[TeamGameRow]) -> dict[str, FitResult]:
     game_rows = [per_game[g] for g in sorted(per_game)]
     n = len(game_rows)
 
-    blocks, refs = _blocks(
+    series = _coded([r.series_key.label for r in game_rows])  # type: ignore[union-attr]
+    blocks = _blocks(
         n,
-        ([r.team for r in game_rows], "home_team_"),
-        ([r.opponent for r in game_rows], "away_team_"),
-        ([r.season for r in game_rows], "season_"),
-        ([r.series_key.label for r in game_rows], "series_"),  # type: ignore[union-attr]
+        (_coded([r.team for r in game_rows]), "home_team_"),
+        (_coded([r.opponent for r in game_rows]), "away_team_"),
+        (_coded([r.season for r in game_rows]), "season_"),
+        (series, "series_"),
     )
     ys = {
         "abs_disparity": np.array([float(abs(r.disparity)) for r in game_rows]),
         "game_rim": np.array([r.game_rim for r in game_rows]),
     }
-    notes = (f"series reference {refs[-1]}", f"games {n}")
+    notes = (f"series reference {_reference(series)}", f"games {n}")
     return _fit_outcomes(_design(blocks, [r.game_id for r in game_rows], notes), ys)
 
 
@@ -550,22 +614,22 @@ def ref_team_residual_effects(
         raise DesignError("no panel rows to fit")
     ys = {"team_rim": np.array([r.team_rim for r in rows]),
           "disparity": np.array([r.disparity for r in rows])}
-    referees, teams = [r.referee for r in rows], [r.team for r in rows]
-    pair_games = Counter(zip(referees, teams))
-    kept_targets = [tuple(p) for p in target_pairs if pair_games[tuple(p)] >= min_pair_games]
-    excluded = [f"{p[0]}|{p[1]}" for p in target_pairs if tuple(p) not in kept_targets]
+    referee, team = _coded([r.referee for r in rows]), _coded([r.team for r in rows])
+    blocks = _blocks(
+        len(rows),
+        (referee, "ref_"),
+        (team, "team_"),
+        (_coded([r.opponent for r in rows]), "opp_"),
+        (_coded([r.season for r in rows]), "season_"),
+    )
+    excluded = []
+    for ref, tm in target_pairs:
+        pair = _rows_equal(referee, ref) & _rows_equal(team, tm)
+        if np.count_nonzero(pair) >= min_pair_games:
+            blocks.append(_column(pair, f"pair_{ref}|{tm}"))
+        else:
+            excluded.append(f"{ref}|{tm}")
     notes = [f"pair minimum {min_pair_games} games"]
     if excluded:
         notes.append("excluded targets below minimum: " + ", ".join(sorted(excluded)))
-
-    blocks, _ = _blocks(
-        len(rows),
-        (referees, "ref_"),
-        (teams, "team_"),
-        ([r.opponent for r in rows], "opp_"),
-        ([r.season for r in rows], "season_"),
-    )
-    referee, team = np.array(referees), np.array(teams)
-    for ref, tm in kept_targets:
-        blocks.append(_column((referee == ref) & (team == tm), f"pair_{ref}|{tm}"))
     return _fit_outcomes(_design(blocks, [r.game_id for r in rows], notes), ys)

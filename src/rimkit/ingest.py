@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -40,6 +41,8 @@ from typing import NamedTuple
 import orjson
 
 from .model import (
+    NUMBER_TYPES,
+    PERIOD_TYPES,
     SAFE_LABEL,
     FoulEvent,
     GameRecord,
@@ -115,8 +118,8 @@ class RawPlay(NamedTuple):
     charged_team: str | None
 
 
-def _deep(data: bytes) -> bool:
-    return data.count(b"[") + data.count(b"{") >= _NEST_GUARD
+def _deep(data: bytes, start: int = 0, end: int | None = None) -> bool:
+    return data.count(b"[", start, end) + data.count(b"{", start, end) >= _NEST_GUARD
 
 
 class _Fallback(Exception):
@@ -595,6 +598,9 @@ def game_to_dict(g: GameRecord) -> dict:
 _EVENT_FIELDS = itemgetter("event_id", "period", "clock", "team", "pre_wp", "post_wp",
                            "description")
 _new_event = partial(tuple.__new__, FoulEvent)
+# A game's leading ``GameRecord`` fields, in order, as strings in a valid dataset.
+_HEADERS = ("game_id", "season", "season_type", "home_team", "away_team")
+_header_values = itemgetter(*_HEADERS)
 _TEAM_TYPES = frozenset({str, type(None)})
 
 
@@ -616,30 +622,38 @@ def _events_reference(events: list) -> tuple[FoulEvent, ...]:
     )
 
 
-def _events(events: list, strings: dict) -> tuple[FoulEvent, ...]:
-    """:func:`_events_reference`'s result, built column-wise in C.
+def _events(events: list, strings: dict) -> tuple[tuple[FoulEvent, ...], bool]:
+    """:func:`_events_reference`'s result, built column-wise in C, and whether
+    every event number is of a type the analyses compute with (``PERIOD_TYPES``
+    for the period, ``NUMBER_TYPES`` for the clock and probabilities).
 
     Every team and description string is swapped for the first equal one in
     ``strings``, so the events share one copy of each. Any event the column
     build cannot take as the reference would (a missing key, a description
     left to its default, a non-string team or description, an event that is
     not a dict) sends the whole list to the reference, which gives its
-    result or raises its error.
+    result or raises its error; its events count as not checked.
     """
     if not events:
-        return ()
+        return (), True
     try:
         ids, periods, clocks, teams, pre, post, descs = zip(*map(_EVENT_FIELDS, events))
     except (KeyError, TypeError):
-        return _events_reference(events)
+        return _events_reference(events), False
     if not (set(map(type, teams)) <= _TEAM_TYPES and set(map(type, descs)) == {str}):
-        return _events_reference(events)
+        return _events_reference(events), False
+    typed = (PERIOD_TYPES.issuperset(map(type, periods))
+             and NUMBER_TYPES.issuperset(map(type, clocks))
+             and NUMBER_TYPES.issuperset(map(type, pre))
+             and NUMBER_TYPES.issuperset(map(type, post)))
     share = strings.setdefault
     return tuple(map(_new_event, zip(ids, periods, clocks, map(share, teams, teams),
-                                     pre, post, map(share, descs, descs))))
+                                     pre, post, map(share, descs, descs)))), typed
 
 
-def game_from_dict(d: Mapping, strings: dict | None = None) -> GameRecord:
+def game_from_dict(
+    d: Mapping, strings: dict | None = None, mistyped: list[GameRecord] | None = None
+) -> GameRecord:
     """Rebuild a game from its stored dict (the inverse of :func:`game_to_dict`).
 
     Events are built positionally in ``FoulEvent`` field order. Team and
@@ -648,7 +662,9 @@ def game_from_dict(d: Mapping, strings: dict | None = None) -> GameRecord:
     share across its games. The containers are checked here, where a
     wrong type would otherwise be iterated into nonsense (a crew string
     into one-letter referees); the types of the crew members and event
-    fields are left to :func:`validate_game`, which reports them.
+    fields are left to :func:`validate_game`, which reports them. With a
+    ``mistyped`` list, the game is appended to it unless its event numbers
+    were all seen to be of the types the analyses compute with.
     """
     crew, state, events = d["crew"], d.get("series_state"), d["events"]
     if type(crew) is not list:
@@ -658,16 +674,13 @@ def game_from_dict(d: Mapping, strings: dict | None = None) -> GameRecord:
         raise TypeError(f"series_state: {state!r:.40} is not null or a list of two integers")
     if type(events) is not list:
         raise TypeError(f"events: {events!r:.40} is not a list")
-    return GameRecord(
-        game_id=d["game_id"],
-        season=d["season"],
-        season_type=d["season_type"],
-        home_team=d["home_team"],
-        away_team=d["away_team"],
-        crew=tuple(crew),
-        series_state=None if state is None else tuple(state),
-        events=_events(events, {} if strings is None else strings),
-    )
+    headers = _header_values(d)  # before the events, whose errors come after a missing header
+    built, typed = _events(events, {} if strings is None else strings)
+    game = GameRecord(*headers, crew=tuple(crew), events=built,
+                      series_state=None if state is None else tuple(state))
+    if not typed and mistyped is not None:
+        mistyped.append(game)
+    return game
 
 
 def _string(value) -> str:
@@ -714,9 +727,6 @@ class DatasetManifest:
             ),
             quarantine={k: int(v) for k, v in d.get("quarantine", {}).items()},
         )
-
-
-_HEADERS = ("game_id", "season", "season_type", "home_team", "away_team")
 
 
 def _orjson_exact(g: GameRecord, d: dict) -> bool:
@@ -881,11 +891,78 @@ def read_manifest(root: Path) -> DatasetManifest:
         raise DatasetError(f"manifest unreadable: {e}") from e
 
 
-def load_dataset(root: Path) -> tuple[list[GameRecord], DatasetManifest]:
+def _line_spans(data: bytes) -> Iterator[tuple[bytes, int, int]]:
+    """Each line of ``data`` as ``(buffer, start, end)``, in the order and
+    number of ``data.splitlines()``, without copying it: the buffer is
+    ``data`` itself. A buffer holding a carriage return, which
+    :func:`write_dataset` never writes, is split by ``splitlines`` instead,
+    each line its own buffer."""
+    if b"\r" in data:
+        for line in data.splitlines():
+            yield line, 0, len(line)
+        return
+    start, size = 0, len(data)
+    while start < size:
+        end = data.find(b"\n", start)
+        if end < 0:
+            end = size
+        yield data, start, end
+        start = end + 1
+
+
+# The bytes ``bytes.strip`` removes; a line of only these holds no game.
+_BLANK = re.compile(rb"[ \t\n\r\x0b\x0c]*")
+
+
+def _partition_games(path: Path, part: PartitionInfo, games: list[GameRecord], seen: set,
+                     strings: dict, mistyped: list[GameRecord] | None) -> int:
+    """Append the games of one partition, its hash verified before any
+    decode, to ``games``; returns how many. Its bytes are read once and
+    decoded line by line through views, so a load holds one partition's
+    bytes besides the games it has built (two copies only for a partition
+    holding a carriage return)."""
+    data = path.read_bytes()
+    if hashlib.sha256(data).hexdigest() != part.sha256:
+        raise DatasetError(f"partition hash mismatch: {part.path}")
+    count = 0
+    for line_no, (buf, start, end) in enumerate(_line_spans(data), start=1):
+        if _BLANK.fullmatch(buf, start, end):
+            continue
+        try:
+            if end - start >= _LONG_LINE and _deep(buf, start, end):
+                json.loads(buf[start:end])  # raises RecursionError where orjson could crash
+            game = game_from_dict(orjson.loads(memoryview(buf)[start:end]), strings, mistyped)
+            fresh = game.game_id not in seen  # TypeError: an unhashable id
+        except (
+            ValueError, KeyError, IndexError, TypeError, AttributeError, RecursionError
+        ) as e:
+            # ValueError covers orjson.JSONDecodeError and RecursionError
+            # a line nested too deeply; the rest are a well-formed line
+            # of the wrong shape.
+            raise DatasetError(f"{part.path}:{line_no}: bad game line: {e}") from e
+        if not fresh:
+            raise DatasetError(f"{part.path}:{line_no}: duplicate game_id {game.game_id!r}")
+        seen.add(game.game_id)
+        games.append(game)
+        count += 1
+    return count
+
+
+def load_dataset(
+    root: Path, mistyped: list[GameRecord] | None = None
+) -> tuple[list[GameRecord], DatasetManifest]:
     """Read every partition listed by the manifest, verifying its hash first.
 
     A game id seen before, in this partition or an earlier one (a partition
-    the manifest lists twice included), is a ``DatasetError``.
+    the manifest lists twice included), is a ``DatasetError``. The peak
+    memory of a load is the games it returns plus about one partition's
+    bytes: each partition is read once and decoded through views of it,
+    and released before the next is read.
+
+    With a ``mistyped`` list, each game whose event numbers are not all seen
+    to be of the types the analyses compute with (an ``int`` period, an
+    ``int`` or ``float`` clock and probabilities) is appended to it, in load
+    order. Such a game still loads, for :func:`validate_game` to report.
     """
     root = Path(root)
     manifest = read_manifest(root)
@@ -905,34 +982,7 @@ def load_dataset(root: Path) -> tuple[list[GameRecord], DatasetManifest]:
                 raise DatasetError(f"partition path leaves the dataset root: {part.path}")
             if not path.exists():
                 raise DatasetError(f"partition missing: {part.path}")
-            data = path.read_bytes()
-            if hashlib.sha256(data).hexdigest() != part.sha256:
-                raise DatasetError(f"partition hash mismatch: {part.path}")
-            count = 0
-            for line_no, line in enumerate(data.splitlines(), start=1):
-                if not line.strip():
-                    continue
-                try:
-                    if len(line) >= _LONG_LINE and _deep(line):
-                        json.loads(line)  # raises RecursionError where orjson could crash
-                    game = game_from_dict(orjson.loads(line), strings)
-                    fresh = game.game_id not in seen  # TypeError: an unhashable id
-                except (
-                    ValueError, KeyError, IndexError, TypeError, AttributeError, RecursionError
-                ) as e:
-                    # ValueError covers orjson.JSONDecodeError and RecursionError
-                    # a line nested too deeply; the rest are a well-formed line
-                    # of the wrong shape.
-                    raise DatasetError(
-                        f"{part.path}:{line_no}: bad game line: {e}"
-                    ) from e
-                if not fresh:
-                    raise DatasetError(
-                        f"{part.path}:{line_no}: duplicate game_id {game.game_id!r}"
-                    )
-                seen.add(game.game_id)
-                games.append(game)
-                count += 1
+            count = _partition_games(path, part, games, seen, strings, mistyped)
             if count != part.games:
                 raise DatasetError(
                     f"partition {part.path}: manifest says {part.games} games, "

@@ -30,6 +30,10 @@ MAX_SERIES_WINS = 3
 
 # Event fields the range and order rules compare as numbers.
 _EVENT_NUMBERS = ("period", "clock_seconds_remaining", "pre_wp", "post_wp")
+# The types the analyses compute with: a period indexes the period buckets,
+# so it must be an int; the clock and probabilities may be ints or floats.
+PERIOD_TYPES = frozenset({int})
+NUMBER_TYPES = frozenset({int, float})
 
 # Season labels name dataset directories, so one must be a single plain
 # path component ("2021-22", "S1"), never "..", "a/b" or an absolute path.
@@ -205,7 +209,8 @@ def _event_problems(
 ) -> tuple | None:
     """Append the messages of ``record.events[i]``, rule by rule, to
     ``problems``; returns the (period, clock) the next event is ordered
-    against, which an event with a non-numeric field leaves unchanged."""
+    against, which an event with a non-numeric field or a float period
+    leaves unchanged."""
     _, period, clock, charged, pre, post, _ = event
     tag = f"events[{i}]"
     if (type(period) is not int or type(clock) is not float
@@ -213,6 +218,8 @@ def _event_problems(
         typed = [f"{tag}.{name}: {value!r} is not a number"
                  for name, value in zip(_EVENT_NUMBERS, (period, clock, pre, post))
                  if not _is_number(value)]
+        if type(period) is float:  # a number, but periods are counted
+            typed.insert(0, f"{tag}.period: {period!r} is not an integer")
         if typed:
             problems += typed  # the range and order checks need numbers
             return prev

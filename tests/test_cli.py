@@ -606,6 +606,13 @@ def test_validate_reports_non_string_and_non_numeric_fields(tmp_path, capsys):
 def _small_dataset_with_first_game_edited(ds, edit) -> dict:
     """A 20-game dataset whose first line ``edit`` changed in place, its
     manifest hash updated to match; returns the edited game's dict."""
+    return _small_dataset_with_games_edited(ds, {0: edit})[0]
+
+
+def _small_dataset_with_games_edited(ds, edits) -> list[dict]:
+    """A 20-game dataset whose line ``i`` ``edits[i]`` changed in place (a
+    string replaces the line), its manifest hash updated to match; returns
+    every game's dict, in line order."""
     from rimkit.ingest import write_dataset
     from rimkit.synth import SimConfig, generate
 
@@ -616,13 +623,17 @@ def _small_dataset_with_first_game_edited(ds, edit) -> dict:
     part = manifest["partitions"][0]
     path = ds / part["path"]
     lines = path.read_text(encoding="utf-8").splitlines()
-    first = json.loads(lines[0])
-    edit(first)
-    lines[0] = json.dumps(first)
+    stored = [json.loads(line) for line in lines]
+    for i, edit in edits.items():
+        if isinstance(edit, str):
+            lines[i] = edit
+        else:
+            edit(stored[i])
+            lines[i] = json.dumps(stored[i])
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     part["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
     (ds / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-    return first
+    return stored
 
 
 ANALYSES = ["metrics", "refs", "outliers", "regress", "robustness", "emit-figures"]
@@ -638,8 +649,14 @@ ANALYSES = ["metrics", "refs", "outliers", "regress", "robustness", "emit-figure
          "home_team: 7 is not a string"),
         (lambda g: g["events"][1].update(pre_wp="0.5"), "events[1].pre_wp '0.5' is not a number",
          "events[1].pre_wp: '0.5' is not a number"),
+        # A float period used to pass validate and end in a TypeError (exit 1)
+        # where the kernel indexes its period buckets.
+        (lambda g: g["events"][0].update(period=1.0), "events[0].period 1.0 is not an integer",
+         "events[0].period: 1.0 is not an integer"),
+        (lambda g: g["events"][2].update(period=True), "events[2].period True is not a number",
+         "events[2].period: True is not a number"),
     ],
-    ids=["game-id", "home-team", "pre-wp"],
+    ids=["game-id", "home-team", "pre-wp", "float-period", "bool-period"],
 )
 def test_analyses_refuse_a_value_of_the_wrong_type(tmp_path, capsys, command, edit, problem,
                                                     reported):
@@ -656,6 +673,43 @@ def test_analyses_refuse_a_value_of_the_wrong_type(tmp_path, capsys, command, ed
     assert not out_dir.exists()
     code, out = run(capsys, "validate", "--dataset", str(ds))
     assert code == 2 and f"{game['game_id']}: {reported}" in out, out
+
+
+def _float_period(g):
+    g["events"][0]["period"] = 1.0
+
+
+def _numeric_home_team(g):
+    g["home_team"] = 7
+
+
+@pytest.mark.parametrize(
+    "edits, first, problem",
+    [
+        ({2: _float_period, 5: _numeric_home_team}, 2, "events[0].period 1.0 is not an integer"),
+        ({2: _numeric_home_team, 5: _float_period}, 2, "home_team 7 is not a string"),
+        ({2: _float_period, 3: _float_period}, 2, "events[0].period 1.0 is not an integer"),
+    ],
+    ids=["event-first", "header-first", "two-events"],
+)
+def test_analyses_name_the_first_mistyped_game_in_load_order(tmp_path, capsys, edits, first,
+                                                             problem):
+    # The loader flags the games whose event numbers it did not see well
+    # typed; the headers and crews of every game are still checked, in order.
+    ds = tmp_path / "ds"
+    stored = _small_dataset_with_games_edited(ds, edits)
+    code, out = run(capsys, "metrics", "--dataset", str(ds), "--out", str(tmp_path / "out"))
+    assert code == 2, out
+    assert f"error: game {stored[first]['game_id']!r}: {problem}; `rimkit validate`" in out
+
+
+def test_a_load_error_comes_before_a_mistyped_game(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    _small_dataset_with_games_edited(ds, {1: _float_period, 6: '{"game_id": "x"'})
+    code, out = run(capsys, "metrics", "--dataset", str(ds), "--out", str(tmp_path / "out"))
+    assert code == 2, out
+    assert "2021-22/regular/games.jsonl:7: bad game line" in out
+    assert "is not an integer" not in out
 
 
 def test_regress_writes_fit_notes_and_dropped_columns(tmp_path, capsys):

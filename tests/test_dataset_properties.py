@@ -16,7 +16,11 @@ largest double included), and every string comes back unchanged however
 many escapes it needs. A line whose crew, series state or events container
 has the wrong shape is refused, not coerced. ``game_from_dict`` builds
 events column-wise in C; a differential property pins it to the per-event
-reference build, result for result and error for error.
+reference build, result for result and error for error, and another that
+it flags every game whose event numbers the analyses cannot compute with.
+The loader reads a partition's lines through views of its bytes; a
+differential property pins the lines it keeps, and the line number in
+every error, to a read through ``splitlines`` copies.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -389,6 +394,91 @@ def test_a_game_line_of_the_wrong_shape_is_refused(tmp_path, field, value):
         load_dataset(root)
 
 
+# ---------------------------------------------------------------------------
+# The loader reads lines through views of the partition, as splitlines counts them
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.binary(max_size=8), st.sampled_from([b"\n", b"\r", b"\r\n"])),
+                max_size=12))
+def test_line_spans_are_the_lines_splitlines_gives(pieces):
+    data = b"".join(pieces)
+    assert [buf[start:end] for buf, start, end in ingest._line_spans(data)] == data.splitlines()
+
+
+_GAME_LINES = [orjson.dumps(game_to_dict(make_game([make_event(0.5, 0.6)], game_id=f"g{i}")),
+                            option=orjson.OPT_SORT_KEYS) for i in range(4)]
+_LINE_BODIES = st.one_of(
+    st.sampled_from(_GAME_LINES),  # a repeat is a duplicate game_id
+    st.text(" \t\x0b\x0c", max_size=100).map(str.encode),  # blank, under and over 64 bytes
+    st.sampled_from([
+        b'{"game_id": ',  # truncated
+        b"[1, 2]",  # a well-formed line of the wrong shape
+        b" " * 17_000 + _GAME_LINES[3],  # long, but shallow: orjson reads it
+        b"[" * 9_000 + b"]" * 9_000,  # long and deep: json refuses it first
+        b"\x0c" + _GAME_LINES[2] + b"\x0b",
+    ]),
+)
+
+
+def _splitlines_outcome(label: str, data: bytes):
+    """What a load of one partition holding ``data`` gives, read through
+    ``splitlines`` copies: the game ids, or the first error's text."""
+    ids: list = []
+    for line_no, line in enumerate(data.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            if len(line) >= 16_384 and line.count(b"[") + line.count(b"{") >= 800:
+                json.loads(line)
+            game_id = game_from_dict(orjson.loads(line)).game_id
+        except (ValueError, KeyError, TypeError, RecursionError) as e:
+            return "error", f"{label}:{line_no}: bad game line: {e}"
+        if game_id in ids:
+            return "error", f"{label}:{line_no}: duplicate game_id {game_id!r}"
+        ids.append(game_id)
+    return "ok", ids
+
+
+@st.composite
+def partitions(draw) -> bytes:
+    """Partition bytes: game, blank and bad lines, each ended by "\\n" or,
+    in about half the partitions, by any of "\\n", "\\r\\n" and "\\r"; the
+    last ending is sometimes left off."""
+    ends = [b"\n", b"\r\n", b"\r"] if draw(st.booleans()) else [b"\n"]
+    lines = draw(st.lists(st.tuples(_LINE_BODIES, st.sampled_from(ends)), max_size=8))
+    raw = b"".join(body + end for body, end in lines)
+    if lines and draw(st.booleans()):
+        raw = raw[:len(raw) - len(lines[-1][1])]
+    return raw
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(partitions())
+@example(_GAME_LINES[0] + b"\n" + b" " * 80 + b"\n" + _GAME_LINES[1])
+@example(_GAME_LINES[0] + b"\r\n\t\r" + b'{"game_id": \n')
+def test_the_loader_keeps_and_numbers_lines_as_splitlines_does(raw):
+    # A carriage return in the partition sends it to splitlines; without
+    # one, the lines are views split at "\n". Either way the kept lines,
+    # and the line numbers in every error, are the ones splitlines gives.
+    label = "2021-22/regular/games.jsonl"
+    want = _splitlines_outcome(label, raw)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / label).parent.mkdir(parents=True)
+        (root / label).write_bytes(raw)
+        games = len(want[1]) if want[0] == "ok" else 0
+        manifest = {"schema_version": 1, "quarantine": {}, "partitions": [
+            {"path": label, "games": games, "sha256": hashlib.sha256(raw).hexdigest()}]}
+        (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        try:
+            got = "ok", [g.game_id for g in load_dataset(root)[0]]
+        except DatasetError as e:
+            got = "error", str(e)
+    assert got == want
+
+
 _STORED_KEYS = ("event_id", "period", "clock", "team", "pre_wp", "post_wp", "description")
 
 
@@ -426,7 +516,8 @@ def _outcome(build, d):
 
 
 def _reference_game(d: dict) -> GameRecord:
-    with mock.patch.object(ingest, "_events", lambda events, strings: ingest._events_reference(events)):
+    reference = lambda events, strings: (ingest._events_reference(events), False)  # noqa: E731
+    with mock.patch.object(ingest, "_events", reference):
         return game_from_dict(d)
 
 
@@ -454,6 +545,42 @@ def test_game_from_dict_matches_the_per_event_reference(events):
         for field in ("charged_team", "description"):
             strings = [getattr(e, field) for e in built if getattr(e, field) is not None]
             assert len({id(x) for x in strings}) == len(set(strings)), field
+
+
+# Event numbers of every JSON type, so about half the events hold one the
+# analyses cannot compute with.
+_ANY_NUMBER = st.one_of(st.integers(0, 5), st.floats(0.0, 5.0), st.booleans(), st.none(),
+                        st.text(max_size=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.fixed_dictionaries(
+    {"period": _ANY_NUMBER, "clock": _ANY_NUMBER, "pre_wp": _ANY_NUMBER, "post_wp": _ANY_NUMBER}),
+    st.booleans()), max_size=4))
+def test_game_from_dict_flags_every_game_whose_event_numbers_the_analyses_cannot_use(drawn):
+    # A period must be an int, the other numbers ints or floats; a game the
+    # column build could not take (here, a description left to its default)
+    # is flagged whatever its numbers, since they were not seen.
+    events = [{k: v for k, v in dict(_VALID, **e).items() if k != "description" or keep}
+              for e, keep in drawn]
+    flagged: list = []
+    game = game_from_dict(_stored_game(events), mistyped=flagged)
+    wrong = any(type(e["period"]) is not int or not all(
+        type(e[k]) in (int, float) for k in ("clock", "pre_wp", "post_wp")) for e in events)
+    unseen = not all(keep for _, keep in drawn)
+    assert flagged == ([game] if wrong or unseen else [])
+    assert game_from_dict(_stored_game(events)) == game
+
+
+def test_a_load_lists_the_flagged_games_in_load_order(tmp_path):
+    games = [make_game([make_event(0.5, 0.6, period=p)], game_id=f"g{i}")
+             for i, p in enumerate([1, 2.0, 3, True, 1.5])]
+    write_dataset(games, tmp_path / "ds")
+    flagged: list = []
+    loaded, _ = load_dataset(tmp_path / "ds", mistyped=flagged)
+    assert [g.game_id for g in flagged] == ["g1", "g3", "g4"]
+    assert all(any(f is g for g in loaded) for f in flagged)
+    assert load_dataset(tmp_path / "ds")[0] == loaded
 
 
 def test_a_load_shares_one_copy_of_each_event_string(tmp_path):

@@ -724,8 +724,9 @@ def test_design_refuses_values_outside_minus_one_zero_one(bad):
 
 
 def test_ref_team_fit_peak_memory_stays_small():
-    # The Baseline ref-team shape: ~22,000 panel rows, 15 slots per row.
-    # tracemalloc sees numpy's buffers, so the peak is the fit's own.
+    # The Baseline ref-team shape: ~22,000 panel rows, 16 slots per row.
+    # tracemalloc sees numpy's buffers, so the peak is the fit's own: 12.0
+    # MiB with int8 slot values and slot-wise sums, 22.7 MiB before them.
     rows = simulate_ref_team_panel(np.random.default_rng(0), n_games=3690, n_teams=30,
                                    n_referees=70, pair_shift={})
     counts = Counter((r.referee, r.team) for r in rows)
@@ -738,7 +739,67 @@ def test_ref_team_fit_peak_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert fits["team_rim"].dropped == ("pair_{}|{}".format(*pairs[0]),)
-    assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 15 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _former_column_sums(rows, w, groups=None, n_groups=1):
+    """X'w, or the per-cluster scores, as one ``bincount`` over every slot at
+    once: how the sums were formed before they went one slot at a time."""
+    k = rows.shape[1]
+    cells = rows.index if groups is None else groups[:, None] * k + rows.index
+    return np.bincount(np.asarray(cells).ravel(), (rows.value * w[:, None]).ravel(),
+                       minlength=n_groups * k).reshape(n_groups, k)
+
+
+def _former_covariance(rows, e, groups):
+    n, k = rows.shape
+    G = int(groups.max()) + 1
+    S = _former_column_sums(rows, e, groups, G)
+    V = rows.bread @ (S.T @ S) @ rows.bread * (G / (G - 1.0)) * ((n - 1.0) / (n - k))
+    return (V + V.T) / 2.0
+
+
+def _hex(a) -> list[str]:
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+@pytest.mark.parametrize("shape", ["ref_team", "paired", "dense"])
+def test_slot_wise_sums_keep_the_bits_of_one_bincount(rng, monkeypatch, shape):
+    # Pads (a slot a row leaves empty), dropped columns (zeroed in place),
+    # signed-zero outcomes and a dense X with zeros and real values: every
+    # sum, residual and covariance is float.hex-identical to the former form.
+    if shape == "ref_team":
+        panel = simulate_ref_team_panel(rng, n_games=200, n_teams=6, n_referees=8)
+        pairs = [("Ref01", "T01"), ("Ref02", "T03"), ("Ref01", "T01")]
+        design = _fitted_design(monkeypatch, ref_team_residual_effects, panel, pairs)
+        rows, groups = design.rows, design.groups
+        assert design.dropped == ("pair_Ref01|T01",)
+        assert rows.value.dtype == np.int8 and (rows.value == 0).any()
+    elif shape == "paired":
+        targets = [TeamSideTarget("Z", "home"), TeamSideTarget("B", "away")]
+        design, _ = build_design(fe_rows(rng), targets,
+                                 outcomes=("disparity",), target_form="paired",
+                                 include_series=True)
+        rows, groups = design.rows, design.groups
+        assert design.dropped == ("Z:home[paired]",) and (rows.value == -1).any()
+    else:
+        X = rng.normal(size=(300, 7))
+        X[rng.random(X.shape) < 0.4] = 0.0
+        X[:, 0] = 1.0
+        rows, groups = _as_rows(X), rng.integers(0, 40, 300)
+    n, k = rows.shape
+    y = rng.normal(size=n)
+    y[::7], y[3::11] = -0.0, 0.0
+    assert _hex(inference._column_sums(rows, y)) == _hex(_former_column_sums(rows, y))
+    G = int(groups.max()) + 1
+    assert _hex(inference._column_sums(rows, y, groups, G)) == _hex(
+        _former_column_sums(rows, y, groups, G))
+    beta, resid, _, _ = fit_ols(rows, y)
+    former = rows.bread @ _former_column_sums(rows, y)[0]
+    assert _hex(beta) == _hex(former)
+    assert _hex(resid) == _hex(y - (rows.value * former[rows.index]).sum(axis=1))
+    assert _hex(cluster_covariance(rows, resid, groups)) == _hex(
+        _former_covariance(rows, resid, groups))
 
 
 # ---------------------------------------------------------------------------

@@ -893,6 +893,32 @@ def test_load_dataset_refuses_a_repeated_game_line(tmp_path, rng):
         load_dataset(root)
 
 
+def test_a_load_holds_one_partition_besides_its_games(tmp_path):
+    # Each partition is read once, decoded through views of its bytes and
+    # released before the next: the traced peak is what the load returns
+    # plus one partition, not the two copies a splitlines() of it made.
+    import tracemalloc
+
+    from rimkit.synth import SimConfig, generate
+
+    games, _ = generate(SimConfig(seed=4, seasons=("2020-21", "2021-22"), games_per_season=200,
+                                  postseason_games_per_season=20, n_teams=10, n_referees=16))
+    manifest = write_dataset(games, tmp_path / "ds")
+    largest = max((tmp_path / "ds" / p.path).stat().st_size for p in manifest.partitions)
+    assert len(manifest.partitions) == 4
+    del games
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_dataset(tmp_path / "ds")
+        retained, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(loaded[0]) == manifest.total_games
+    assert peak < retained + largest * 1.25, (retained, peak, largest)
+
+
 def test_load_dataset_missing_manifest(tmp_path):
     with pytest.raises(DatasetError, match="manifest"):
         load_dataset(tmp_path / "nope")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from conftest import make_event, make_game
@@ -116,6 +118,22 @@ def test_non_numeric_event_fields_are_reported_not_raised():
         "events[0].period: '1' is not a number",
         "events[1].clock_seconds_remaining: True is not a number",
         "events[1].pre_wp: '0.5' is not a number",
+    ]
+
+
+def test_a_float_period_is_not_an_integer():
+    # The kernel indexes its period buckets with the period, so 1.0 is
+    # refused like a string; the range and order checks skip the event.
+    events = [
+        make_event(0.5, 0.55, event_id=1, period=3, clock=100.0),
+        make_event(0.5, 0.55, event_id=2, period=1.0, clock=-1.0),
+        make_event(0.5, 0.55, event_id=3, period=math.inf, clock=100.0),
+        make_event(0.5, 0.55, event_id=4, period=2, clock=100.0),
+    ]
+    assert validate_game(make_game(events)) == [
+        "events[1].period: 1.0 is not an integer",
+        "events[2].period: inf is not an integer",
+        "events[3]: out of order (period asc, clock desc violated)",
     ]
 
 

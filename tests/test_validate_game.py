@@ -3,8 +3,10 @@
 ``validate_game`` checks a passing event with one chain of comparisons and
 words messages only for an event that fails. ``reference_validate_game``
 below is the function as it was before that fast path, kept verbatim
-apart from its name: every message, and the order of the messages, must
-match it on games built to break each rule, alone and together.
+apart from its name and one later rule (a float period is not an integer,
+and the range and order checks skip it): every message, and the order of
+the messages, must match it on games built to break each rule, alone and
+together.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ def reference_validate_game(record: GameRecord) -> list[str]:
             typed = [f"{tag}.{name}: {value!r} is not a number"
                      for name, value in zip(_EVENT_NUMBERS, (period, clock, pre, post))
                      if not _is_number(value)]
+            if type(period) is float:  # a number, but periods are counted
+                typed.insert(0, f"{tag}.period: {period!r} is not an integer")
             if typed:
                 problems += typed  # the range and order checks need numbers
                 continue
@@ -195,6 +199,7 @@ ONE_RULE_BROKEN = {
     "later-clock": make_event(0.5, 0.6, period=2, clock=200.5),
     "int-clock": make_event(0.5, 0.6, period=2, clock=100),
     "bool-period": make_event(0.5, 0.6, period=True, clock=100.0),
+    "float-period": make_event(0.5, 0.6, period=2.0, clock=100.0),
 }
 
 
