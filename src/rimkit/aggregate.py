@@ -10,9 +10,21 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .metrics import PERIOD_BUCKETS, compute_game_metrics, swing_per_call
 from .model import POSTSEASON, GameRecord, SeriesStateKey, TeamGameRow
+
+
+def _total(values: Iterable[float]) -> float:
+    """The sum of ``values`` added one by one, left to right, from +0.0.
+
+    These are the bits of ``sum()`` under Python 3.11, the sign of a zero
+    result included. From 3.12 on ``sum()`` compensates float rounding, so
+    a mean ranked or printed from it would depend on the interpreter.
+    """
+    return reduce(add, values, 0.0)
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
@@ -22,25 +34,25 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
         raise ValueError("series lengths differ")
     if n < 3:
         return None
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    syy = sum((y - my) ** 2 for y in ys)
+    mx = _total(xs) / n
+    my = _total(ys) / n
+    sxx = _total((x - mx) ** 2 for x in xs)
+    syy = _total((y - my) ** 2 for y in ys)
     if sxx == 0.0 or syy == 0.0:
         return None
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxy = _total((x - mx) * (y - my) for x, y in zip(xs, ys))
     return sxy / math.sqrt(sxx * syy)
 
 
 def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
+    return _total(values) / len(values)
 
 
 def _sample_sd(values: Sequence[float]) -> float:
     if len(values) < 2:
         return 0.0
     m = _mean(values)
-    return math.sqrt(sum((v - m) ** 2 for v in values) / (len(values) - 1))
+    return math.sqrt(_total((v - m) ** 2 for v in values) / (len(values) - 1))
 
 
 @dataclass(frozen=True)
@@ -198,12 +210,15 @@ def home_away_summary(rows: Iterable[TeamGameRow]) -> HomeAwaySummary:
     mirror each other, the league home and away means are exact negations;
     per-team splits are where real asymmetry shows up.
     """
-    rows = list(rows)
+    by_type: dict[tuple[str, bool], list[TeamGameRow]] = {}
+    by_team: dict[tuple[str, bool], list[TeamGameRow]] = {}
+    for r in rows:  # one pass; each group keeps the rows' order, so its sums keep their bits
+        by_type.setdefault((r.season_type, r.is_home), []).append(r)
+        by_team.setdefault((r.team, r.is_home), []).append(r)
     league: list[SideSummary] = []
-    by_type = sorted({r.season_type for r in rows})
-    for st in by_type:
+    for st in sorted({st for st, _ in by_type}):
         for side, flag in (("home", True), ("away", False)):
-            sel = [r for r in rows if r.season_type == st and r.is_home == flag]
+            sel = by_type.get((st, flag))
             if not sel:
                 continue
             league.append(
@@ -216,9 +231,9 @@ def home_away_summary(rows: Iterable[TeamGameRow]) -> HomeAwaySummary:
                 )
             )
     teams: list[TeamHomeAway] = []
-    for team in sorted({r.team for r in rows}):
-        home = [r for r in rows if r.team == team and r.is_home]
-        away = [r for r in rows if r.team == team and not r.is_home]
+    for team in sorted({team for team, _ in by_team}):
+        home = by_team.get((team, True), [])
+        away = by_team.get((team, False), [])
         teams.append(
             TeamHomeAway(
                 team=team,

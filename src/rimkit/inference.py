@@ -196,7 +196,9 @@ def cluster_covariance(X, residuals: np.ndarray, clusters: Sequence) -> np.ndarr
     bread = (X'X)^-1, meat = sum over clusters g of (X_g'e_g)(X_g'e_g)',
     times [G/(G-1)]*[(n-1)/(n-k)]. With every row its own cluster the result
     is exactly the HC0 estimator times that factor. ``X`` is dense or
-    :class:`SparseRows`, as for :func:`fit_ols`.
+    :class:`SparseRows`, as for :func:`fit_ols`. ``clusters`` holds one label
+    per row; labels that are not integers are told apart as Python compares
+    them, so "a" and "a\\x00" are two clusters.
     """
     import numpy as np
 
@@ -207,8 +209,13 @@ def cluster_covariance(X, residuals: np.ndarray, clusters: Sequence) -> np.ndarr
         raise FitError("residual length does not match design rows")
     if n <= k:
         raise FitError("no residual degrees of freedom for the covariance")
-    uniq, groups = np.unique(np.asarray(clusters), return_inverse=True)
-    G = uniq.size
+    codes = np.asarray(clusters)
+    if codes.dtype.kind in "biu":  # integers code exactly in numpy
+        levels, groups = np.unique(codes, return_inverse=True)
+        G = levels.size
+    else:  # numpy would drop a string's trailing NULs (see _coded)
+        position, groups = _coded(clusters)
+        G = len(position)
     if G < 2:
         raise FitError("clustered covariance needs at least two clusters")
     S = _column_sums(rows, e, groups, G)

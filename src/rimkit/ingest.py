@@ -26,6 +26,7 @@ import gc
 import hashlib
 import json
 import math
+import mmap
 import os
 import re
 import shutil
@@ -118,8 +119,8 @@ class RawPlay(NamedTuple):
     charged_team: str | None
 
 
-def _deep(data: bytes, start: int = 0, end: int | None = None) -> bool:
-    return data.count(b"[", start, end) + data.count(b"{", start, end) >= _NEST_GUARD
+def _deep(data: bytes) -> bool:
+    return data.count(b"[") + data.count(b"{") >= _NEST_GUARD
 
 
 class _Fallback(Exception):
@@ -602,6 +603,12 @@ _new_event = partial(tuple.__new__, FoulEvent)
 _HEADERS = ("game_id", "season", "season_type", "home_team", "away_team")
 _header_values = itemgetter(*_HEADERS)
 _TEAM_TYPES = frozenset({str, type(None)})
+_FLOAT = frozenset({float})
+
+
+def _shared_wp(pre, ended):
+    """``ended``, the previous event's post_wp, where ``pre`` may be that object."""
+    return ended if type(pre) is float is type(ended) and pre == ended and pre else pre
 
 
 def _events_reference(events: list) -> tuple[FoulEvent, ...]:
@@ -628,11 +635,17 @@ def _events(events: list, strings: dict) -> tuple[tuple[FoulEvent, ...], bool]:
     for the period, ``NUMBER_TYPES`` for the clock and probabilities).
 
     Every team and description string is swapped for the first equal one in
-    ``strings``, so the events share one copy of each. Any event the column
-    build cannot take as the reference would (a missing key, a description
-    left to its default, a non-string team or description, an event that is
-    not a dict) sends the whole list to the reference, which gives its
-    result or raises its error; its events count as not checked.
+    ``strings``, so the events share one copy of each. An event's ``pre_wp``
+    that is an exact ``float``, nonzero and equal to the previous event's
+    exact-float ``post_wp`` is that ``post_wp`` object: win-probability feeds
+    usually start a call where the last one ended, so most games store each
+    such sample twice. (An int or a bool equal to it would change type, a
+    zero of the other sign would change sign, and NaN is never equal.) Any
+    event the column build cannot take as the reference would (a missing
+    key, a description left to its default, a non-string team or
+    description, an event that is not a dict) sends the whole list to the
+    reference, which gives its result or raises its error; its events count
+    as not checked.
     """
     if not events:
         return (), True
@@ -642,10 +655,14 @@ def _events(events: list, strings: dict) -> tuple[tuple[FoulEvent, ...], bool]:
         return _events_reference(events), False
     if not (set(map(type, teams)) <= _TEAM_TYPES and set(map(type, descs)) == {str}):
         return _events_reference(events), False
+    pre_types, post_types = set(map(type, pre)), set(map(type, post))
     typed = (PERIOD_TYPES.issuperset(map(type, periods))
              and NUMBER_TYPES.issuperset(map(type, clocks))
-             and NUMBER_TYPES.issuperset(map(type, pre))
-             and NUMBER_TYPES.issuperset(map(type, post)))
+             and pre_types <= NUMBER_TYPES and post_types <= NUMBER_TYPES)
+    if pre_types == post_types == _FLOAT and pre[1:] == (ended := post[:-1]) and all(ended):
+        pre = pre[:1] + ended  # every later pre_wp equals a nonzero post_wp: share them all
+    else:
+        pre = (pre[0], *map(_shared_wp, pre[1:], post))
     share = strings.setdefault
     return tuple(map(_new_event, zip(ids, periods, clocks, map(share, teams, teams),
                                      pre, post, map(share, descs, descs)))), typed
@@ -891,14 +908,14 @@ def read_manifest(root: Path) -> DatasetManifest:
         raise DatasetError(f"manifest unreadable: {e}") from e
 
 
-def _line_spans(data: bytes) -> Iterator[tuple[bytes, int, int]]:
-    """Each line of ``data`` as ``(buffer, start, end)``, in the order and
-    number of ``data.splitlines()``, without copying it: the buffer is
-    ``data`` itself. A buffer holding a carriage return, which
-    :func:`write_dataset` never writes, is split by ``splitlines`` instead,
-    each line its own buffer."""
-    if b"\r" in data:
-        for line in data.splitlines():
+def _line_spans(data: bytes | mmap.mmap) -> Iterator[tuple[bytes | mmap.mmap, int, int]]:
+    """Each line of ``data`` (bytes or a map) as ``(buffer, start, end)``, in
+    the order and number of ``data.splitlines()``, without copying it: the
+    buffer is ``data`` itself. A buffer holding a carriage return, which
+    :func:`write_dataset` never writes, is copied and split by
+    ``splitlines`` instead, each line its own buffer."""
+    if data.find(b"\r") >= 0:  # not ``in``, which a map answers byte by byte
+        for line in data[:].splitlines():
             yield line, 0, len(line)
         return
     start, size = 0, len(data)
@@ -914,37 +931,68 @@ def _line_spans(data: bytes) -> Iterator[tuple[bytes, int, int]]:
 _BLANK = re.compile(rb"[ \t\n\r\x0b\x0c]*")
 
 
+def _read_partition(path: Path) -> bytes | mmap.mmap:
+    """The bytes of ``path`` in an anonymous map, or ``b""`` for an empty file.
+
+    A buffer as large as a partition taken from malloc raises glibc's mmap
+    threshold once it is freed, so the next one comes from the heap and
+    stays resident after it too is freed; a map of its own is returned to
+    the system when it is closed. The map is not of the file itself: a
+    partition truncated while mapped would kill the process with SIGBUS
+    rather than fail its hash check. A file that shrinks while it is read
+    gives the bytes read, as bytes.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if not size:
+            return b""
+        data = mmap.mmap(-1, size)
+        got = 0
+        with memoryview(data) as view:
+            while got < size and (n := fh.readinto(view[got:])):
+                got += n
+    if got < size:
+        short = data[:got]
+        data.close()
+        return short
+    return data
+
+
 def _partition_games(path: Path, part: PartitionInfo, games: list[GameRecord], seen: set,
                      strings: dict, mistyped: list[GameRecord] | None) -> int:
     """Append the games of one partition, its hash verified before any
-    decode, to ``games``; returns how many. Its bytes are read once and
-    decoded line by line through views, so a load holds one partition's
-    bytes besides the games it has built (two copies only for a partition
-    holding a carriage return)."""
-    data = path.read_bytes()
-    if hashlib.sha256(data).hexdigest() != part.sha256:
-        raise DatasetError(f"partition hash mismatch: {part.path}")
-    count = 0
-    for line_no, (buf, start, end) in enumerate(_line_spans(data), start=1):
-        if _BLANK.fullmatch(buf, start, end):
-            continue
-        try:
-            if end - start >= _LONG_LINE and _deep(buf, start, end):
-                json.loads(buf[start:end])  # raises RecursionError where orjson could crash
-            game = game_from_dict(orjson.loads(memoryview(buf)[start:end]), strings, mistyped)
-            fresh = game.game_id not in seen  # TypeError: an unhashable id
-        except (
-            ValueError, KeyError, IndexError, TypeError, AttributeError, RecursionError
-        ) as e:
-            # ValueError covers orjson.JSONDecodeError and RecursionError
-            # a line nested too deeply; the rest are a well-formed line
-            # of the wrong shape.
-            raise DatasetError(f"{part.path}:{line_no}: bad game line: {e}") from e
-        if not fresh:
-            raise DatasetError(f"{part.path}:{line_no}: duplicate game_id {game.game_id!r}")
-        seen.add(game.game_id)
-        games.append(game)
-        count += 1
+    decode, to ``games``; returns how many. Its bytes are read once into a
+    map of their own (see :func:`_read_partition`) and decoded line by line
+    through views of it, so a load holds one partition's bytes, outside
+    the malloc heap, besides the games it has built."""
+    data = _read_partition(path)
+    try:
+        if hashlib.sha256(data).hexdigest() != part.sha256:
+            raise DatasetError(f"partition hash mismatch: {part.path}")
+        count = 0
+        for line_no, (buf, start, end) in enumerate(_line_spans(data), start=1):
+            if _BLANK.fullmatch(buf, start, end):
+                continue
+            try:
+                if end - start >= _LONG_LINE and _deep(line := buf[start:end]):
+                    json.loads(line)  # raises RecursionError where orjson could crash
+                game = game_from_dict(orjson.loads(memoryview(buf)[start:end]), strings, mistyped)
+                fresh = game.game_id not in seen  # TypeError: an unhashable id
+            except (
+                ValueError, KeyError, IndexError, TypeError, AttributeError, RecursionError
+            ) as e:
+                # ValueError covers orjson.JSONDecodeError and RecursionError
+                # a line nested too deeply; the rest are a well-formed line
+                # of the wrong shape.
+                raise DatasetError(f"{part.path}:{line_no}: bad game line: {e}") from e
+            if not fresh:
+                raise DatasetError(f"{part.path}:{line_no}: duplicate game_id {game.game_id!r}")
+            seen.add(game.game_id)
+            games.append(game)
+            count += 1
+    finally:
+        if type(data) is mmap.mmap:
+            data.close()
     return count
 
 
@@ -956,8 +1004,12 @@ def load_dataset(
     A game id seen before, in this partition or an earlier one (a partition
     the manifest lists twice included), is a ``DatasetError``. The peak
     memory of a load is the games it returns plus about one partition's
-    bytes: each partition is read once and decoded through views of it,
-    and released before the next is read.
+    bytes: each partition is read once into an anonymous map, decoded
+    through views of it, and unmapped before the next is read, so no
+    partition's bytes stay resident in the malloc heap after the load.
+    Each win-probability sample a game stores twice, as one event's
+    ``post_wp`` and the next one's ``pre_wp``, is decoded into one float
+    object (see :func:`_events`).
 
     With a ``mistyped`` list, each game whose event numbers are not all seen
     to be of the types the analyses compute with (an ``int`` period, an

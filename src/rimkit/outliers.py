@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 
-from .aggregate import pearson
+from .aggregate import _total, pearson
 from .metrics import compute_game_metrics
 from .model import GameRecord
 
@@ -153,8 +153,8 @@ def _zscores(values: Sequence[float]) -> list[float] | None:
     n = len(values)
     if n < 2:
         return None
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    mean = _total(values) / n
+    var = _total((v - mean) ** 2 for v in values) / (n - 1)
     if var == 0.0:
         return None
     sd = var**0.5

@@ -217,6 +217,15 @@ def test_cluster_covariance_hand_value():
     assert V1[0, 0] == 13.0 / 8.0
 
 
+def test_cluster_labels_differing_by_a_trailing_nul_are_two_clusters(rng):
+    # numpy strips trailing NULs from its strings, so np.unique once merged
+    # these six labels into three clusters.
+    X = np.column_stack([np.ones(6), rng.normal(size=6)])
+    e = rng.normal(size=6)
+    labels = ["a", "a\x00", "b", "b\x00", "c", "c\x00"]
+    assert np.array_equal(cluster_covariance(X, e, labels), cluster_covariance(X, e, np.arange(6)))
+
+
 def test_singleton_clusters_equal_hc0_times_cr1_exactly(rng):
     n, k = 37, 3
     X = rng.normal(size=(n, k))
