@@ -197,8 +197,8 @@ def cluster_covariance(X, residuals: np.ndarray, clusters: Sequence) -> np.ndarr
     times [G/(G-1)]*[(n-1)/(n-k)]. With every row its own cluster the result
     is exactly the HC0 estimator times that factor. ``X`` is dense or
     :class:`SparseRows`, as for :func:`fit_ols`. ``clusters`` holds one label
-    per row; labels that are not integers are told apart as Python compares
-    them, so "a" and "a\\x00" are two clusters.
+    per row; string, bytes and object labels are told apart as Python
+    compares them, so "a" and "a\\x00" are two clusters.
     """
     import numpy as np
 
@@ -210,12 +210,12 @@ def cluster_covariance(X, residuals: np.ndarray, clusters: Sequence) -> np.ndarr
     if n <= k:
         raise FitError("no residual degrees of freedom for the covariance")
     codes = np.asarray(clusters)
-    if codes.dtype.kind in "biu":  # integers code exactly in numpy
-        levels, groups = np.unique(codes, return_inverse=True)
-        G = levels.size
-    else:  # numpy would drop a string's trailing NULs (see _coded)
+    if codes.dtype.kind in "USO":  # numpy would drop a string's trailing NULs (see _coded)
         position, groups = _coded(clusters)
         G = len(position)
+    else:  # numbers code exactly in numpy, every NaN in one cluster
+        levels, groups = np.unique(codes, return_inverse=True)
+        G = levels.size
     if G < 2:
         raise FitError("clustered covariance needs at least two clusters")
     S = _column_sums(rows, e, groups, G)

@@ -603,12 +603,6 @@ _new_event = partial(tuple.__new__, FoulEvent)
 _HEADERS = ("game_id", "season", "season_type", "home_team", "away_team")
 _header_values = itemgetter(*_HEADERS)
 _TEAM_TYPES = frozenset({str, type(None)})
-_FLOAT = frozenset({float})
-
-
-def _shared_wp(pre, ended):
-    """``ended``, the previous event's post_wp, where ``pre`` may be that object."""
-    return ended if type(pre) is float is type(ended) and pre == ended and pre else pre
 
 
 def _events_reference(events: list) -> tuple[FoulEvent, ...]:
@@ -635,17 +629,11 @@ def _events(events: list, strings: dict) -> tuple[tuple[FoulEvent, ...], bool]:
     for the period, ``NUMBER_TYPES`` for the clock and probabilities).
 
     Every team and description string is swapped for the first equal one in
-    ``strings``, so the events share one copy of each. An event's ``pre_wp``
-    that is an exact ``float``, nonzero and equal to the previous event's
-    exact-float ``post_wp`` is that ``post_wp`` object: win-probability feeds
-    usually start a call where the last one ended, so most games store each
-    such sample twice. (An int or a bool equal to it would change type, a
-    zero of the other sign would change sign, and NaN is never equal.) Any
-    event the column build cannot take as the reference would (a missing
-    key, a description left to its default, a non-string team or
-    description, an event that is not a dict) sends the whole list to the
-    reference, which gives its result or raises its error; its events count
-    as not checked.
+    ``strings``, so the events share one copy of each. Any event the column
+    build cannot take as the reference would (a missing key, a description
+    left to its default, a non-string team or description, an event that is
+    not a dict) sends the whole list to the reference, which gives its
+    result or raises its error; its events count as not checked.
     """
     if not events:
         return (), True
@@ -655,14 +643,10 @@ def _events(events: list, strings: dict) -> tuple[tuple[FoulEvent, ...], bool]:
         return _events_reference(events), False
     if not (set(map(type, teams)) <= _TEAM_TYPES and set(map(type, descs)) == {str}):
         return _events_reference(events), False
-    pre_types, post_types = set(map(type, pre)), set(map(type, post))
     typed = (PERIOD_TYPES.issuperset(map(type, periods))
              and NUMBER_TYPES.issuperset(map(type, clocks))
-             and pre_types <= NUMBER_TYPES and post_types <= NUMBER_TYPES)
-    if pre_types == post_types == _FLOAT and pre[1:] == (ended := post[:-1]) and all(ended):
-        pre = pre[:1] + ended  # every later pre_wp equals a nonzero post_wp: share them all
-    else:
-        pre = (pre[0], *map(_shared_wp, pre[1:], post))
+             and NUMBER_TYPES.issuperset(map(type, pre))
+             and NUMBER_TYPES.issuperset(map(type, post)))
     share = strings.setdefault
     return tuple(map(_new_event, zip(ids, periods, clocks, map(share, teams, teams),
                                      pre, post, map(share, descs, descs)))), typed
@@ -991,7 +975,7 @@ def _partition_games(path: Path, part: PartitionInfo, games: list[GameRecord], s
             games.append(game)
             count += 1
     finally:
-        if type(data) is mmap.mmap:
+        if type(data) is not bytes:  # a map, which is unmapped now
             data.close()
     return count
 
@@ -1007,9 +991,6 @@ def load_dataset(
     bytes: each partition is read once into an anonymous map, decoded
     through views of it, and unmapped before the next is read, so no
     partition's bytes stay resident in the malloc heap after the load.
-    Each win-probability sample a game stores twice, as one event's
-    ``post_wp`` and the next one's ``pre_wp``, is decoded into one float
-    object (see :func:`_events`).
 
     With a ``mistyped`` list, each game whose event numbers are not all seen
     to be of the types the analyses compute with (an ``int`` period, an

@@ -16,10 +16,8 @@ largest double included), and every string comes back unchanged however
 many escapes it needs. A line whose crew, series state or events container
 has the wrong shape is refused, not coerced. ``game_from_dict`` builds
 events column-wise in C; a differential property pins it to the per-event
-reference build, result for result and error for error, another that
-it flags every game whose event numbers the analyses cannot compute with,
-and another that sharing a repeated win probability between events keeps
-every value's type and bits.
+reference build, result for result and error for error, and another that
+it flags every game whose event numbers the analyses cannot compute with.
 The loader reads a partition's lines through views of its bytes; a
 differential property pins the lines it keeps, and the line number in
 every error, to a read through ``splitlines`` copies.
@@ -594,71 +592,3 @@ def test_a_load_shares_one_copy_of_each_event_string(tmp_path):
     strings = [s for g in games for e in g.events for s in (e.charged_team, e.description)
                if s is not None]
     assert len({id(s) for s in strings}) == len(set(strings)) < len(strings)
-
-
-def test_a_load_shares_each_repeated_win_probability(tmp_path):
-    write_dataset(generate(SIM)[0], tmp_path / "ds")
-    games, _ = load_dataset(tmp_path / "ds")
-    pairs = [(e.pre_wp, prev.post_wp) for g in games for prev, e in zip(g.events, g.events[1:])]
-    repeated = [(pre, ended) for pre, ended in pairs if pre == ended and pre]
-    assert repeated and all(pre is ended for pre, ended in repeated)
-
-
-def _value_bits(events) -> list:
-    """Each event value's type and exact value: a float's ``hex``, NaN's too."""
-    return [[(type(v), v.hex() if type(v) is float else repr(v)) for v in e] for e in events]
-
-
-def _fresh(v):
-    return float.fromhex(v.hex()) if type(v) is float else v
-
-
-def _wp_chain(pairs) -> list[dict]:
-    """Events whose (pre_wp, post_wp) are ``pairs``, each float a fresh object."""
-    return [dict(_VALID, event_id=i, pre_wp=_fresh(pre), post_wp=_fresh(post))
-            for i, (pre, post) in enumerate(pairs, start=1)]
-
-
-_NAN = float("nan")
-
-
-@pytest.mark.parametrize("pairs, shared", [
-    ([(0.5, 0.6), (0.6, 0.7), (0.7, 0.2)], [True, True]),  # every later sample repeats
-    ([(0.5, 0.6), (0.6, 0.7), (0.1, 0.2)], [True, False]),  # one does not
-    ([(0.5, 1.0), (1, 0.7)], [False]),  # an int equal to the float
-    ([(0.5, 1), (1.0, 0.7)], [False]),
-    ([(0.5, 1.0), (True, 0.7)], [False]),  # a bool equal to the float
-    ([(0.5, 0.0), (-0.0, 0.7)], [False]),  # zeros of either sign
-    ([(0.5, -0.0), (0.0, 0.7)], [False]),
-    ([(0.5, 0.0), (0.0, 0.7)], [False]),
-    ([(0.5, _NAN), (_NAN, 0.7)], [False]),
-    ([(0.5, 1.0), (1, 0.3), (0.3, 0.0), (-0.0, 0.2), (0.9, 0.4)], [False, True, False, False]),
-], ids=["all", "one-differs", "int", "int-post", "bool", "zero-neg", "zero-pos", "zero-same",
-        "nan", "mixed"])
-def test_a_repeated_win_probability_is_shared_only_as_an_equal_nonzero_float(pairs, shared):
-    events = _wp_chain(pairs)
-    built = game_from_dict(_stored_game(events)).events
-    assert _value_bits(built) == _value_bits(ingest._events_reference(events))
-    assert [e.pre_wp is prev.post_wp for prev, e in zip(built, built[1:])] == shared
-
-
-_WP_VALUES = st.one_of(st.sampled_from([0.5, 1.0, 1, True, 0.0, -0.0, _NAN, 0, False]),
-                       st.floats(-1.0, 1.0))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_WP_VALUES, st.booleans(), _WP_VALUES), max_size=6))
-def test_the_event_build_keeps_every_win_probability_bit_of_the_reference(drawn):
-    # Most drawn events restart at the previous event's post_wp, as a fresh
-    # object; the values include ints, bools, zeros of either sign and NaN
-    # equal to it, so sharing any of those shows as a changed type or bit.
-    pairs, ended = [], None
-    for pre, repeat, post in drawn:
-        pairs.append((ended if repeat and ended is not None else pre, post))
-        ended = post
-    events = _wp_chain(pairs)
-    built = game_from_dict(_stored_game(events)).events
-    assert _value_bits(built) == _value_bits(ingest._events_reference(events))
-    for prev, e in zip(built, built[1:]):
-        if type(e.pre_wp) is float is type(prev.post_wp) and e.pre_wp == prev.post_wp != 0.0:
-            assert e.pre_wp is prev.post_wp

@@ -217,13 +217,23 @@ def test_cluster_covariance_hand_value():
     assert V1[0, 0] == 13.0 / 8.0
 
 
-def test_cluster_labels_differing_by_a_trailing_nul_are_two_clusters(rng):
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("labels, codes", [
     # numpy strips trailing NULs from its strings, so np.unique once merged
     # these six labels into three clusters.
+    (["a", "a\x00", "b", "b\x00", "c", "c\x00"], [0, 1, 2, 3, 4, 5]),
+    ([b"a", b"a\x00", b"b", b"b\x00", b"c", b"c\x00"], [0, 1, 2, 3, 4, 5]),
+    # Float labels stay with np.unique, which keeps every NaN in one cluster
+    # (each NaN is a distinct object to a set).
+    (np.array([0.5, _NAN, _NAN, 1.5, 1.5, 0.5]), [0, 2, 2, 1, 1, 0]),
+], ids=["str", "bytes", "float-nan"])
+def test_cluster_labels_differing_by_a_trailing_nul_are_two_clusters(rng, labels, codes):
     X = np.column_stack([np.ones(6), rng.normal(size=6)])
     e = rng.normal(size=6)
-    labels = ["a", "a\x00", "b", "b\x00", "c", "c\x00"]
-    assert np.array_equal(cluster_covariance(X, e, labels), cluster_covariance(X, e, np.arange(6)))
+    want = cluster_covariance(X, e, np.array(codes))
+    assert np.array_equal(cluster_covariance(X, e, labels), want)
 
 
 def test_singleton_clusters_equal_hc0_times_cr1_exactly(rng):

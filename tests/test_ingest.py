@@ -893,12 +893,25 @@ def test_load_dataset_refuses_a_repeated_game_line(tmp_path, rng):
         load_dataset(root)
 
 
-def test_a_load_holds_one_partition_besides_its_games(tmp_path):
+def test_a_load_holds_one_partition_besides_its_games(tmp_path, monkeypatch):
     # Each partition is read once into an anonymous map, decoded through
-    # views of it and unmapped before the next, so no partition's bytes pass
-    # through the malloc heap (which tracemalloc sees): the traced peak is
-    # what the load returns plus the decode of one line.
+    # views of it and unmapped before the next. tracemalloc sees only the
+    # malloc heap, so its peak shows that no partition's bytes are copied
+    # there (the traced peak is what the load returns plus the decode of
+    # one line); the maps themselves are counted as they are made, and each
+    # must be closed before the next is opened.
+    import mmap
     import tracemalloc
+    from types import SimpleNamespace
+
+    opened = []
+
+    def opening(*args):
+        assert all(m.closed for m in opened), "a partition's map is still open"
+        opened.append(m := mmap.mmap(*args))
+        return m
+
+    monkeypatch.setattr(ingest, "mmap", SimpleNamespace(mmap=opening))
 
     from rimkit.synth import SimConfig, generate
 
@@ -918,6 +931,7 @@ def test_a_load_holds_one_partition_besides_its_games(tmp_path):
         tracemalloc.stop()
     assert len(loaded[0]) == manifest.total_games
     assert peak - retained < largest * 0.25, (retained, peak, largest)
+    assert len(opened) == len(manifest.partitions) and all(m.closed for m in opened)
 
 
 def test_a_partition_truncated_after_its_manifest_fails_the_hash_check(tmp_path, rng):
