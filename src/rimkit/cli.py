@@ -31,7 +31,6 @@ from .config import (
     write_run_echo,
 )
 from .ingest import (
-    _HEADERS,
     DatasetError,
     IngestError,
     cyclic_gc_paused,
@@ -39,8 +38,8 @@ from .ingest import (
     load_dataset,
     write_dataset,
 )
-from .model import _EVENT_NUMBERS, NUMBER_TYPES, PERIOD_TYPES, is_no_crew_only, validate_game
-from .synth import SimConfig, SimConfigError, write_corpus
+from .model import is_no_crew_only, unusable_values, validate_game
+from .synth import SimConfig, SimConfigError, read_effects_file, write_corpus
 
 if TYPE_CHECKING:
     from .figures import AnalysisContext, TableReport
@@ -87,44 +86,25 @@ def _frozen(load, *args, **kwargs):
     return loaded
 
 
-def _mistyped(g, check_events: bool) -> str | None:
-    """The first value of ``g`` the analyses cannot use, worded, or None: a
-    header or crew member that is not a string, or, with ``check_events``,
-    an event number not of the type they compute with (an ``int`` period,
-    an ``int`` or ``float`` clock and probabilities; a boolean is not a
-    number, as :func:`validate_game` judges). The analyses sort and key by
-    name, index by period and do arithmetic on the event numbers, so they
-    would fail on one or rank it as a name.
-    """
-    for key in _HEADERS:
-        if not isinstance(value := getattr(g, key), str):
-            return f"{key} {value!r:.40} is not a string"
-    for name in g.crew:
-        if not isinstance(name, str):
-            return f"crew member {name!r:.40} is not a name"
-    if check_events:
-        for i, event in enumerate(g.events):
-            for key in _EVENT_NUMBERS:
-                value = getattr(event, key)
-                if type(value) not in (PERIOD_TYPES if key == "period" else NUMBER_TYPES):
-                    what = "an integer" if type(value) is float else "a number"
-                    return f"events[{i}].{key} {value!r:.40} is not {what}"
-    return None
-
-
 def _load_games(cfg: RunConfig):
-    """The dataset's games, each checked by :func:`_mistyped` in load order:
-    its events only when the load did not see all their numbers well typed."""
+    """The dataset's games, refused at the first value in load order that the
+    analyses cannot use: one that :func:`unusable_values` yields (a game's
+    events only when the load did not see all their numbers well typed), or
+    a crew member that is not a string, which they would rank as a name.
+    """
     if not cfg.dataset:
         raise ConfigError("a dataset root is required (--dataset or dataset)")
     suspects: list = []
     games, _manifest = _frozen(load_dataset, Path(cfg.dataset), mistyped=suspects)
     suspect = set(map(id, suspects))
     for g in games:
-        if problem := _mistyped(g, id(g) in suspect):
-            raise DatasetError(
-                f"game {g.game_id!r}: {problem}; `rimkit validate` lists every such violation"
-            )
+        problems = [f"{path} {value!r:.40} is not {what}"
+                    for path, value, what in unusable_values(g, id(g) in suspect)]
+        problems += [f"crew member {name!r:.40} is not a name"
+                     for name in g.crew if not isinstance(name, str)]
+        if problems:
+            raise DatasetError(f"game {g.game_id!r}: {problems[0]}; "
+                               "`rimkit validate` lists every such violation")
     if cfg.seasons:
         wanted = set(cfg.seasons)
         games = [g for g in games if g.season in wanted]
@@ -290,55 +270,6 @@ def cmd_robustness(cfg: RunConfig, args: argparse.Namespace) -> int:
     return _echo(out, "robustness", cfg)
 
 
-def _shift(value) -> float:
-    """An effect's shift: like ``config._coerce``, a boolean or a string is not a number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(value)
-    return float(value)
-
-
-def _effect_entries(data: dict, key: str, fields: str) -> list:
-    entries = data.pop(key, [])
-    if not isinstance(entries, list):
-        raise SimConfigError(f"{key} must be a list of {{{fields}}} entries")
-    return entries
-
-
-def _parse_effects_file(path: str) -> dict:
-    data = read_json_file(path, "effects file")
-    if not isinstance(data, dict):
-        raise SimConfigError("effects file must hold a JSON object")
-    out: dict = {}
-    team_home = data.pop("team_home_shift", {})
-    if not isinstance(team_home, dict):
-        raise SimConfigError("team_home_shift must map team -> shift")
-    shifts = {}
-    for team, shift in team_home.items():
-        try:
-            shifts[str(team)] = _shift(shift)
-        except (TypeError, ValueError, OverflowError) as e:
-            raise SimConfigError(f"bad team_home_shift entry: {team!r}: {shift!r}") from e
-    out["team_home_shift"] = shifts
-    pair = {}
-    for entry in _effect_entries(data, "pair_shift", "referee, team, shift"):
-        try:
-            pair[(str(entry["referee"]), str(entry["team"]))] = _shift(entry["shift"])
-        except (TypeError, KeyError, ValueError, OverflowError) as e:
-            raise SimConfigError(f"bad pair_shift entry: {entry!r}") from e
-    out["pair_shift"] = pair
-    series = {}
-    for entry in _effect_entries(data, "series_shift", "state, shift"):
-        try:
-            lo, hi = str(entry["state"]).split("--")
-            series[(int(lo), int(hi))] = _shift(entry["shift"])
-        except (TypeError, KeyError, ValueError, OverflowError) as e:
-            raise SimConfigError(f"bad series_shift entry: {entry!r}") from e
-    out["series_shift"] = series
-    if data:
-        raise SimConfigError(f"unknown effects keys: {sorted(data)}")
-    return out
-
-
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     root = _destination(cfg, args)
     overrides = {n: getattr(args, n) for n in _SIM_SETTINGS if getattr(args, n) is not None}
@@ -346,7 +277,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.sim_seasons:
         overrides["seasons"] = tuple(args.sim_seasons)
     if args.effects:
-        overrides.update(_parse_effects_file(args.effects))
+        overrides.update(read_effects_file(args.effects))
     sim = SimConfig(**overrides)
     _games, _ledger, manifest = write_corpus(sim, root)
     print(

@@ -42,6 +42,7 @@ from typing import NamedTuple
 import orjson
 
 from .model import (
+    HEADERS,
     NUMBER_TYPES,
     PERIOD_TYPES,
     SAFE_LABEL,
@@ -49,6 +50,7 @@ from .model import (
     GameRecord,
     canonicalize_name,
     is_no_crew_only,
+    unusable_values,
     validate_game,
 )
 
@@ -599,9 +601,7 @@ def game_to_dict(g: GameRecord) -> dict:
 _EVENT_FIELDS = itemgetter("event_id", "period", "clock", "team", "pre_wp", "post_wp",
                            "description")
 _new_event = partial(tuple.__new__, FoulEvent)
-# A game's leading ``GameRecord`` fields, in order, as strings in a valid dataset.
-_HEADERS = ("game_id", "season", "season_type", "home_team", "away_team")
-_header_values = itemgetter(*_HEADERS)
+_header_values = itemgetter(*HEADERS)
 _TEAM_TYPES = frozenset({str, type(None)})
 
 
@@ -625,8 +625,7 @@ def _events_reference(events: list) -> tuple[FoulEvent, ...]:
 
 def _events(events: list, strings: dict) -> tuple[tuple[FoulEvent, ...], bool]:
     """:func:`_events_reference`'s result, built column-wise in C, and whether
-    every event number is of a type the analyses compute with (``PERIOD_TYPES``
-    for the period, ``NUMBER_TYPES`` for the clock and probabilities).
+    no event number is one :func:`unusable_values` yields.
 
     Every team and description string is swapped for the first equal one in
     ``strings``, so the events share one copy of each. Any event the column
@@ -665,7 +664,7 @@ def game_from_dict(
     into one-letter referees); the types of the crew members and event
     fields are left to :func:`validate_game`, which reports them. With a
     ``mistyped`` list, the game is appended to it unless its event numbers
-    were all seen to be of the types the analyses compute with.
+    were all seen to be of the types the analyses accept.
     """
     crew, state, events = d["crew"], d.get("series_state"), d["events"]
     if type(crew) is not list:
@@ -687,6 +686,12 @@ def game_from_dict(
 def _string(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r:.40}")
+    return value
+
+
+def _integer(value) -> int:
+    if type(value) is not int:  # a bool, a float or a string is not a count
+        raise TypeError(f"expected an integer, got {value!r:.40}")
     return value
 
 
@@ -721,12 +726,12 @@ class DatasetManifest:
     @classmethod
     def from_dict(cls, d: Mapping) -> DatasetManifest:
         return cls(
-            schema_version=int(d["schema_version"]),
+            schema_version=_integer(d["schema_version"]),
             partitions=tuple(
-                PartitionInfo(_string(p["path"]), int(p["games"]), _string(p["sha256"]))
+                PartitionInfo(_string(p["path"]), _integer(p["games"]), _string(p["sha256"]))
                 for p in d["partitions"]
             ),
-            quarantine={k: int(v) for k, v in d.get("quarantine", {}).items()},
+            quarantine={k: _integer(v) for k, v in d.get("quarantine", {}).items()},
         )
 
 
@@ -742,7 +747,7 @@ def _orjson_exact(g: GameRecord, d: dict) -> bool:
     are read from ``g``'s event tuples, which hold those of ``d``'s event
     dicts and are quicker to scan.
     """
-    for key in _HEADERS:
+    for key in HEADERS:
         if type(d[key]) is not str:
             return False
     for name in d["crew"]:
@@ -822,10 +827,9 @@ def write_dataset(
     by_partition: dict[tuple[str, str], list[GameRecord]] = {}
     ids_seen: set[str] = set()
     for g in games:
-        for key in _HEADERS:
+        for path, value, what in unusable_values(g, events=False):
             # Partition labels and the sort by id need strings.
-            if not isinstance(value := getattr(g, key), str):
-                raise DatasetError(f"game {g.game_id!r}: {key} {value!r:.40} is not a string")
+            raise DatasetError(f"game {g.game_id!r}: {path} {value!r:.40} is not {what}")
         if g.game_id in ids_seen:
             raise DatasetError(f"duplicate game_id {g.game_id!r}")
         ids_seen.add(g.game_id)
@@ -888,7 +892,7 @@ def read_manifest(root: Path) -> DatasetManifest:
         raise DatasetError(f"no manifest at {path}")
     try:
         return DatasetManifest.from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, RecursionError) as e:
+    except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as e:
         raise DatasetError(f"manifest unreadable: {e}") from e
 
 
@@ -993,9 +997,8 @@ def load_dataset(
     partition's bytes stay resident in the malloc heap after the load.
 
     With a ``mistyped`` list, each game whose event numbers are not all seen
-    to be of the types the analyses compute with (an ``int`` period, an
-    ``int`` or ``float`` clock and probabilities) is appended to it, in load
-    order. Such a game still loads, for :func:`validate_game` to report.
+    to be of the types the analyses accept is appended to it, in load order.
+    Such a game still loads, for :func:`validate_game` to report.
     """
     root = Path(root)
     manifest = read_manifest(root)

@@ -10,7 +10,7 @@ ingest layer to quarantine or flag.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,10 +28,13 @@ OVERTIME_SECONDS = 5 * 60.0
 
 MAX_SERIES_WINS = 3
 
+# A game's leading ``GameRecord`` fields: strings the analyses sort, key and partition by.
+HEADERS = ("game_id", "season", "season_type", "home_team", "away_team")
 # Event fields the range and order rules compare as numbers.
 _EVENT_NUMBERS = ("period", "clock_seconds_remaining", "pre_wp", "post_wp")
-# The types the analyses compute with: a period indexes the period buckets,
-# so it must be an int; the clock and probabilities may be ints or floats.
+# The exact types the analyses compute with (a bool is not a number): a
+# period indexes the period buckets, so it must be an int; the clock and
+# probabilities may be ints or floats. The loader reads them at C speed.
 PERIOD_TYPES = frozenset({int})
 NUMBER_TYPES = frozenset({int, float})
 
@@ -135,8 +138,26 @@ def _period_length(period: int) -> float:
     return PERIOD_SECONDS if period <= REGULATION_PERIODS else OVERTIME_SECONDS
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def unusable_values(record: GameRecord, events: bool = True) -> Iterator[tuple[str, object, str]]:
+    """Each value of ``record`` the analyses cannot use, in field order, as
+    (field path, value, what it should be): a header that is not a string,
+    then, with ``events``, each event number whose exact type is not in
+    ``PERIOD_TYPES`` or ``NUMBER_TYPES``; a float period is "an integer".
+    """
+    for key in HEADERS:
+        if not isinstance(value := getattr(record, key), str):
+            yield key, value, "a string"
+    if events:
+        for i, event in enumerate(record.events):
+            yield from _unusable_numbers(f"events[{i}]", event)
+
+
+def _unusable_numbers(tag: str, event: FoulEvent) -> Iterator[tuple[str, object, str]]:
+    _, period, clock, _, pre, post, _ = event
+    for key, value in zip(_EVENT_NUMBERS, (period, clock, pre, post)):
+        if type(value) not in (PERIOD_TYPES if key == "period" else NUMBER_TYPES):
+            integer = key == "period" and isinstance(value, float)
+            yield f"{tag}.{key}", value, "an integer" if integer else "a number"
 
 
 def validate_game(record: GameRecord) -> list[str]:
@@ -155,9 +176,9 @@ def validate_game(record: GameRecord) -> list[str]:
         problems.append(
             f"season_type: {record.season_type!r} not one of {SEASON_TYPES}"
         )
-    problems += [f"{name}: {getattr(record, name)!r} is not a string"
-                 for name in ("game_id", "season", "home_team", "away_team")
-                 if not isinstance(getattr(record, name), str)]
+    problems += [f"{path}: {value!r} is not {what}"
+                 for path, value, what in unusable_values(record, events=False)
+                 if path != "season_type"]  # worded by the rule above
     if isinstance(record.season, str) and not SAFE_LABEL.fullmatch(record.season):
         problems.append(f"season: {record.season!r} is not a plain directory name")
     if not record.game_id:
@@ -209,20 +230,15 @@ def _event_problems(
 ) -> tuple | None:
     """Append the messages of ``record.events[i]``, rule by rule, to
     ``problems``; returns the (period, clock) the next event is ordered
-    against, which an event with a non-numeric field or a float period
-    leaves unchanged."""
+    against, which an event with a number the analyses cannot use leaves
+    unchanged."""
     _, period, clock, charged, pre, post, _ = event
     tag = f"events[{i}]"
-    if (type(period) is not int or type(clock) is not float
-            or type(pre) is not float or type(post) is not float):
-        typed = [f"{tag}.{name}: {value!r} is not a number"
-                 for name, value in zip(_EVENT_NUMBERS, (period, clock, pre, post))
-                 if not _is_number(value)]
-        if type(period) is float:  # a number, but periods are counted
-            typed.insert(0, f"{tag}.period: {period!r} is not an integer")
-        if typed:
-            problems += typed  # the range and order checks need numbers
-            return prev
+    typed = [f"{path}: {value!r} is not {what}"
+             for path, value, what in _unusable_numbers(tag, event)]
+    if typed:
+        problems += typed  # the range and order checks need numbers
+        return prev
     if period < 1:
         problems.append(f"{tag}.period: {period} below 1")
     else:

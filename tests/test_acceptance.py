@@ -20,6 +20,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 
 from conftest import make_game, play, solve_normal_longdouble, summary_doc, wp_doc
+from oracles import oracle_recompute
 from rimkit.cli import main
 from rimkit.figures import FIGURE_FILES, validate_output_dir
 from rimkit.inference import (
@@ -36,7 +37,6 @@ from rimkit.outliers import PanelRow, build_cells, outlier_tables, panel_rows
 from rimkit.synth import (
     SimConfig,
     generate,
-    oracle_recompute,
     simulate_team_side_rows,
 )
 

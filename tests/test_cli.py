@@ -410,11 +410,11 @@ def test_every_setting_can_be_given_on_the_command_line(tmp_path):
     import argparse
     from dataclasses import fields
 
-    from rimkit.cli import _parse_effects_file, build_parser
+    from rimkit.cli import build_parser
     from rimkit.config import RunConfig
     from rimkit.inference import TARGET_FORMS
     from rimkit.model import SEASON_TYPES
-    from rimkit.synth import SimConfig
+    from rimkit.synth import SimConfig, read_effects_file
 
     parser = build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -424,7 +424,7 @@ def test_every_setting_can_be_given_on_the_command_line(tmp_path):
                        encoding="utf-8")
     # On the command line --seasons filters the analysis; --sim-seasons simulates.
     simulate = {"seasons" if d == "sim_seasons" else d for d in dests["simulate"]}
-    simulate |= set(_parse_effects_file(str(effects)))
+    simulate |= set(read_effects_file(str(effects)))
     assert [f.name for f in fields(SimConfig) if f.name not in simulate] == []
     every_dest = set().union(*dests.values())
     assert [f.name for f in fields(RunConfig) if f.name not in every_dest] == []
@@ -1041,9 +1041,31 @@ def test_a_config_file_sets_only_the_settings_a_command_applies(tmp_path, capsys
         assert code == 2 and message in out, out
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (["2021-22", "2021-22"], "season label '2021-22' is given twice"),
+        (["2021-22", "a b"], "season label 'a b' cannot name a partition"),
+        (["../x"], "season label '../x' cannot name a partition"),
+    ],
+    ids=["repeated", "space", "path"],
+)
+def test_simulate_refuses_a_bad_season_label_before_drawing(tmp_path, capsys, monkeypatch,
+                                                            labels, message):
+    # These used to fail only at write time, after every game was drawn.
+    import rimkit.synth
+
+    def draw(*args):
+        raise AssertionError("a game was drawn")
+
+    monkeypatch.setattr(rimkit.synth, "_generate_game", draw)
+    code, out = run(capsys, "simulate", "--out", str(tmp_path / "ds"), "--sim-seasons", *labels)
+    assert code == 2 and f"error: {message}" in out, out
+    assert not (tmp_path / "ds").exists()
+
+
 def test_a_simulated_corpus_rebuilds_from_its_ledger(tmp_path, capsys):
-    from rimkit.cli import _parse_effects_file
-    from rimkit.synth import SimConfig, write_corpus
+    from rimkit.synth import SimConfig, read_effects_file, write_corpus
 
     effects = tmp_path / "effects.json"
     effects.write_text(json.dumps({
@@ -1066,7 +1088,7 @@ def test_a_simulated_corpus_rebuilds_from_its_ledger(tmp_path, capsys):
                      encoding="utf-8")
     ledger["seasons"] = tuple(ledger["seasons"])
     rebuilt = tmp_path / "rebuilt"
-    write_corpus(SimConfig(**ledger, **_parse_effects_file(str(again))), rebuilt)
+    write_corpus(SimConfig(**ledger, **read_effects_file(str(again))), rebuilt)
     written = sorted(p.relative_to(ds) for p in ds.rglob("*") if p.name != "run.json")
     assert written == sorted(p.relative_to(rebuilt) for p in rebuilt.rglob("*"))
     for name in written:

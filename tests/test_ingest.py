@@ -835,6 +835,32 @@ def test_load_dataset_refuses_a_partition_path_that_is_not_a_string(tmp_path, rn
         load_dataset(root)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc, n: doc["partitions"][0].update(games=n + 0.9),
+        lambda doc, n: doc["partitions"][0].update(games=str(n)),
+        lambda doc, n: doc["partitions"][0].update(games=True),
+        lambda doc, n: doc.update(schema_version=1.7),
+        lambda doc, n: doc.update(schema_version=True),
+        lambda doc, n: doc.update(quarantine={"quarantined_games": 2.5}),
+    ],
+    ids=["games-float", "games-string", "games-bool", "schema-float", "schema-bool",
+         "quarantine-float"],
+)
+def test_load_dataset_refuses_a_manifest_number_that_is_not_an_integer(tmp_path, rng, edit):
+    # These used to be coerced by int(): 20.9 games read as 20, "20" as 20,
+    # and true as 1, which then failed as a count mismatch.
+    root = tmp_path / "ds"
+    write_dataset(random_games(rng, 3), root)
+    manifest_path = root / "manifest.json"
+    doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+    edit(doc, doc["partitions"][0]["games"])
+    manifest_path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DatasetError, match="manifest unreadable: expected an integer"):
+        load_dataset(root)
+
+
 def test_validate_refuses_an_over_deep_dataset_line_without_crashing(tmp_path):
     # orjson overflows the C stack on a line nested this deep and takes the
     # process with it, so the command runs in a child process.

@@ -137,6 +137,22 @@ def test_a_float_period_is_not_an_integer():
     ]
 
 
+def test_a_numpy_number_is_judged_by_its_exact_type():
+    # np.float64 subclasses float, so an isinstance test let a float64
+    # period through validate and the kernel then failed indexing with it.
+    import numpy as np
+
+    period, pre = np.float64(1.0), np.float64(0.5)
+    events = [
+        make_event(0.5, 0.55, event_id=1, period=period, clock=100.0),
+        make_event(pre, 0.55, event_id=2, period=1, clock=90.0),
+    ]
+    assert validate_game(make_game(events)) == [
+        f"events[0].period: {period!r} is not an integer",
+        f"events[1].pre_wp: {pre!r} is not a number",
+    ]
+
+
 @pytest.mark.parametrize("season", ["../../escaped", "a/b", "/abs", "..", "", "2021 22"])
 def test_season_that_is_not_a_plain_directory_name_is_flagged(season):
     problems = validate_game(make_game(season=season))

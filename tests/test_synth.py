@@ -17,11 +17,6 @@ from rimkit.synth import (
     SimConfigError,
     generate,
     ground_truth_ledger,
-    oracle_excess,
-    oracle_home_away,
-    oracle_recompute,
-    oracle_referees,
-    oracle_series_states,
     referee_name,
     simulate_ref_team_panel,
     simulate_team_side_rows,
@@ -30,6 +25,13 @@ from rimkit.synth import (
 )
 
 from conftest import make_event, make_game
+from oracles import (
+    oracle_excess,
+    oracle_home_away,
+    oracle_recompute,
+    oracle_referees,
+    oracle_series_states,
+)
 
 
 def small_config(**overrides) -> SimConfig:
@@ -234,6 +236,9 @@ def test_write_corpus_roundtrip(tmp_path):
         {"move_scale": -0.01},
         {"games_per_season": -5},
         {"postseason_games_per_season": -3},
+        {"seasons": ("S1", "S1")},
+        {"seasons": ("a b",)},
+        {"seasons": (2021,)},
     ],
 )
 def test_infeasible_configs_are_rejected(overrides):
@@ -262,6 +267,23 @@ def test_injected_home_disparity_shows_up_in_foul_counts():
     assert len(disparities) > 300
     assert abs(np.mean(disparities) - shift) < 1.0
     assert abs(np.mean(baseline)) < 1.0
+
+
+def test_the_oracles_import_only_the_standard_library_and_the_record_model():
+    # The oracles check the kernels, so they must share none of their code.
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "a relative import"
+            imported.add(node.module)
+    outside = {name for name in imported if name.split(".")[0] not in sys.stdlib_module_names}
+    assert outside == {"rimkit.model"}, outside
 
 
 def test_oracle_recompute_matches_hand_arithmetic():
