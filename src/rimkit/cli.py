@@ -274,7 +274,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     root = _destination(cfg, args)
     overrides = {n: getattr(args, n) for n in _SIM_SETTINGS if getattr(args, n) is not None}
     overrides["seed"] = cfg.seed  # the resolved seed, so a config file can set it
-    if args.sim_seasons:
+    if args.sim_seasons is not None:  # given with no labels is refused, not the default
         overrides["seasons"] = tuple(args.sim_seasons)
     if args.effects:
         overrides.update(read_effects_file(args.effects))

@@ -113,6 +113,9 @@ class SimConfig:
                 f"crew_size {self.crew_size} infeasible with "
                 f"{self.n_referees} referees"
             )
+        if not isinstance(self.seasons, (tuple, list)):
+            raise SimConfigError(
+                f"seasons must be a tuple or list of season labels, got {self.seasons!r:.40}")
         if not self.seasons:
             raise SimConfigError("need at least one season label")
         labels: set[str] = set()

@@ -1064,6 +1064,14 @@ def test_simulate_refuses_a_bad_season_label_before_drawing(tmp_path, capsys, mo
     assert not (tmp_path / "ds").exists()
 
 
+def test_simulate_refuses_sim_seasons_without_labels(tmp_path, capsys):
+    # An empty --sim-seasons used to read as absent and simulate the default season.
+    code, out = run(capsys, "simulate", "--out", str(tmp_path / "ds"), "--games-per-season", "3",
+                    "--sim-seasons")
+    assert code == 2 and "error: need at least one season label" in out, out
+    assert not (tmp_path / "ds").exists()
+
+
 def test_a_simulated_corpus_rebuilds_from_its_ledger(tmp_path, capsys):
     from rimkit.synth import SimConfig, read_effects_file, write_corpus
 

@@ -246,6 +246,15 @@ def test_infeasible_configs_are_rejected(overrides):
         small_config(**overrides).validate()
 
 
+@pytest.mark.parametrize("seasons", ["S1", "2021-22", None, {"S1": 1}])
+def test_seasons_must_be_a_tuple_or_list_of_labels(seasons):
+    # A string used to be read as its characters: "S1" passed as seasons "S"
+    # and "1", and "2021-22" was refused for a repeated label '2'.
+    with pytest.raises(SimConfigError, match="^seasons must be a tuple or list of season labels"):
+        small_config(seasons=seasons).validate()
+    small_config(seasons=["S1", "S2"]).validate()
+
+
 def test_injected_home_disparity_shows_up_in_foul_counts():
     shift = 6.0
     cfg = small_config(
