@@ -6,8 +6,8 @@ unexpected. Analysis commands write CSV tables plus a ``run.json`` echo of
 the resolved configuration and input-dataset hashes.
 
 A command imports the modules it runs and no others: the table registry
-(``figures``) and the fits (``inference``) are imported inside the
-commands that use them, so ``ingest``, ``validate`` and ``simulate`` start
+(``figures``) and the fits (``inference``) are imported inside
+:func:`run_analysis`, so ``ingest``, ``validate`` and ``simulate`` start
 without the analysis layers. ``synth`` is imported with this module,
 since the parser builds ``simulate``'s flags from ``SimConfig``; it
 imports only ``model``.
@@ -19,6 +19,7 @@ import argparse
 import gc
 import sys
 import traceback
+from collections.abc import Callable
 from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -64,14 +65,6 @@ def _overrides(args: argparse.Namespace) -> dict:
     out = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     if getattr(args, "min_games", None) is not None:
         out["min_games_regular"] = out["min_games_postseason"] = args.min_games
-    return out
-
-
-def _require_out(cfg: RunConfig) -> Path:
-    if not cfg.out_dir:
-        raise ConfigError("an output directory is required (--out or out_dir)")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -122,31 +115,6 @@ def _parse_colon_pair(text: str, what: str) -> tuple[str, str]:
     return head, tail
 
 
-def _write(
-    cfg: RunConfig, args: argparse.Namespace, names: list[str]
-) -> tuple[AnalysisContext, Path, TableReport]:
-    """Load the dataset and write the named tables, honouring the command's
-    own flags (``--target``, ``--pair``)."""
-    from .figures import AnalysisContext, write_tables
-    from .inference import TeamSideTarget
-
-    games = _load_games(cfg)
-    out = _require_out(cfg)
-    ctx = AnalysisContext(games, cfg)
-    if getattr(args, "target", None):
-        ctx.targets = [
-            TeamSideTarget(*_parse_colon_pair(text, "--target")) for text in args.target
-        ]
-    if getattr(args, "pair", None):
-        ctx.pairs = [_parse_colon_pair(text, "--pair") for text in args.pair]
-    return ctx, out, write_tables(ctx, names, out)
-
-
-def _print_skipped(report: TableReport) -> None:
-    for name, reason in sorted(report.skipped.items()):
-        print(f"skipped: {name} ({reason})")
-
-
 def _destination(cfg: RunConfig, args: argparse.Namespace) -> Path:
     """Where ``ingest`` and ``simulate`` write a dataset: ``--out``, else the
     ``dataset`` setting, which the analysis commands then read."""
@@ -154,11 +122,6 @@ def _destination(cfg: RunConfig, args: argparse.Namespace) -> Path:
     if not dest:
         raise ConfigError("a dataset destination is required (--out or dataset)")
     return Path(dest)
-
-
-def _echo(out: Path, command: str, cfg: RunConfig) -> int:
-    write_run_echo(out, command, cfg, Path(cfg.dataset))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -223,53 +186,6 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK if problems == 0 else EXIT_INPUT
 
 
-def cmd_metrics(cfg: RunConfig, args: argparse.Namespace) -> int:
-    ctx, out, _ = _write(cfg, args, ["game_metrics"])
-    print(f"game metrics written for {len(ctx.games)} games -> {out / 'game_metrics.csv'}")
-    return _echo(out, "metrics", cfg)
-
-
-def cmd_refs(cfg: RunConfig, args: argparse.Namespace) -> int:
-    ctx, out, _ = _write(cfg, args, ["referee_summary", "referee_top_bottom"])
-    summaries, _band = ctx.focus.referees
-    print(f"{len(summaries)} qualified referees -> {out / 'referee_summary.csv'}")
-    return _echo(out, "refs", cfg)
-
-
-def cmd_outliers(cfg: RunConfig, args: argparse.Namespace) -> int:
-    ctx, out, _ = _write(
-        cfg, args, ["outlier_cells", "outlier_top_rim", "outlier_top_disparity"]
-    )
-    print(
-        f"{len(ctx.focus.screen.qualified)} qualified referee-team cells "
-        f"-> {out / 'outlier_cells.csv'}"
-    )
-    return _echo(out, "outliers", cfg)
-
-
-def cmd_regress(cfg: RunConfig, args: argparse.Namespace) -> int:
-    from .inference import DesignError
-
-    _, out, report = _write(
-        cfg, args, ["regression_team_side", "regression_series", "regression_ref_team"]
-    )
-    _print_skipped(report)
-    if not report.written:
-        raise DesignError("no regression had usable targets or rows")
-    print("written: " + ", ".join(f"{name}.csv" for name in report.written))
-    return _echo(out, "regress", cfg)
-
-
-def cmd_robustness(cfg: RunConfig, args: argparse.Namespace) -> int:
-    from .inference import DesignError
-
-    _, out, report = _write(cfg, args, ["robustness"])
-    if report.skipped:
-        raise DesignError(report.skipped["robustness"])
-    print(f"robustness diagnostics -> {out / 'robustness.csv'}")
-    return _echo(out, "robustness", cfg)
-
-
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     root = _destination(cfg, args)
     overrides = {n: getattr(args, n) for n in _SIM_SETTINGS if getattr(args, n) is not None}
@@ -288,16 +204,59 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_emit_figures(cfg: RunConfig, args: argparse.Namespace) -> int:
-    from .figures import emit_figures
+# Each analysis command: the tables it writes (None: every figure file the
+# corpus supports) and its summary line, from the analysis context, the
+# output directory and the write report.
+_ANALYSES: dict[str, tuple[tuple[str, ...] | None,
+                          Callable[[AnalysisContext, Path, TableReport], str]]] = {
+    "metrics": (("game_metrics",), lambda ctx, out, _: (
+        f"game metrics written for {len(ctx.games)} games -> {out / 'game_metrics.csv'}")),
+    "refs": (("referee_summary", "referee_top_bottom"), lambda ctx, out, _: (
+        f"{len(ctx.focus.referees[0])} qualified referees -> {out / 'referee_summary.csv'}")),
+    "outliers": (("outlier_cells", "outlier_top_rim", "outlier_top_disparity"),
+                 lambda ctx, out, _: f"{len(ctx.focus.screen.qualified)} qualified "
+                                     f"referee-team cells -> {out / 'outlier_cells.csv'}"),
+    "regress": (("regression_team_side", "regression_series", "regression_ref_team"),
+                lambda ctx, out, report: "written: " + ", ".join(
+                    f"{name}.csv" for name in report.written)),
+    "robustness": (("robustness",), lambda ctx, out, _: (
+        f"robustness diagnostics -> {out / 'robustness.csv'}")),
+    "emit-figures": (None, lambda ctx, out, report: "\n".join(
+        f"written: {name}.csv" for name in report.written)),
+}
 
+
+def run_analysis(cfg: RunConfig, args: argparse.Namespace) -> int:
+    """Run the analysis command ``args.command`` as ``_ANALYSES`` declares
+    it: load the games, write its tables into ``--out`` (honouring its own
+    ``--target`` and ``--pair``), print its summary line and then one line
+    per skipped table, and echo ``run.json``.
+
+    A command that wrote none of its tables is bad input; the error gives
+    the reasons its tables were skipped.
+    """
+    from .figures import AnalysisContext, emit_figures, write_tables
+    from .inference import DesignError, TeamSideTarget
+
+    tables, summary = _ANALYSES[args.command]
     games = _load_games(cfg)
-    out = _require_out(cfg)
-    report = emit_figures(games, out, cfg)
-    for name in report.written:
-        print(f"written: {name}.csv")
-    _print_skipped(report)
-    return _echo(out, "emit-figures", cfg)
+    if not cfg.out_dir:
+        raise ConfigError("an output directory is required (--out or out_dir)")
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    ctx = AnalysisContext(games, cfg)
+    if getattr(args, "target", None):
+        ctx.targets = [TeamSideTarget(*_parse_colon_pair(t, "--target")) for t in args.target]
+    if getattr(args, "pair", None):
+        ctx.pairs = [_parse_colon_pair(text, "--pair") for text in args.pair]
+    report = emit_figures(games, out, cfg) if tables is None else write_tables(ctx, tables, out)
+    if not report.written:
+        raise DesignError("; ".join(report.skipped.values()))
+    print(summary(ctx, out, report))
+    for name, reason in sorted(report.skipped.items()):
+        print(f"skipped: {name} ({reason})")
+    write_run_echo(out, args.command, cfg, Path(cfg.dataset))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +335,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("validate", cmd_validate,
                 "verify dataset integrity and/or re-parse emitted outputs", ("dataset",))
     p.add_argument("--outputs", help="directory of emitted CSV outputs to re-parse")
-    command("metrics", cmd_metrics, "write per-game leverage metrics", _FILTERS)
-    p = command("refs", cmd_refs, "write per-referee distribution and ranking tables")
+    command("metrics", run_analysis, "write per-game leverage metrics", _FILTERS)
+    p = command("refs", run_analysis, "write per-referee distribution and ranking tables")
     p.add_argument("--min-games", dest="min_games", type=int,
                    help="qualification threshold (default: per season type)")
-    command("outliers", cmd_outliers, "write referee-team excess screens")
-    p = command("regress", cmd_regress, "fit clustered fixed-effects regressions")
+    command("outliers", run_analysis, "write referee-team excess screens")
+    p = command("regress", run_analysis, "fit clustered fixed-effects regressions")
     p.add_argument("--target", action="append",
                    help="team-side target TEAM:home or TEAM:away (repeatable)")
     p.add_argument("--pair", action="append",
                    help="referee-team target REFEREE:TEAM (repeatable)")
-    p = command("robustness", cmd_robustness,
+    p = command("robustness", run_analysis,
                 "write omitted-variable robustness diagnostics for targets")
     p.add_argument("--target", action="append", help="TEAM:home or TEAM:away")
     p = command("simulate", cmd_simulate, "write a synthetic corpus with a ground-truth ledger",
@@ -395,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="season labels to simulate")
     p.add_argument("--effects",
                    help="JSON file of injected effects (team_home_shift, pair_shift, series_shift)")
-    command("emit-figures", cmd_emit_figures, "write every figure data file the corpus supports")
+    command("emit-figures", run_analysis, "write every figure data file the corpus supports")
     return parser
 
 
