@@ -205,7 +205,8 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 # Each analysis command: the tables it writes (None: every figure file the
-# corpus supports) and its summary line, from the analysis context, the
+# corpus supports, written by ``figures.emit_figures``, whose skip count
+# perfbench reads) and its summary line, from the analysis context, the
 # output directory and the write report.
 _ANALYSES: dict[str, tuple[tuple[str, ...] | None,
                           Callable[[AnalysisContext, Path, TableReport], str]]] = {
@@ -214,8 +215,8 @@ _ANALYSES: dict[str, tuple[tuple[str, ...] | None,
     "refs": (("referee_summary", "referee_top_bottom"), lambda ctx, out, _: (
         f"{len(ctx.focus.referees[0])} qualified referees -> {out / 'referee_summary.csv'}")),
     "outliers": (("outlier_cells", "outlier_top_rim", "outlier_top_disparity"),
-                 lambda ctx, out, _: f"{len(ctx.focus.screen.qualified)} qualified "
-                                     f"referee-team cells -> {out / 'outlier_cells.csv'}"),
+                 lambda ctx, out, _: (f"{len(ctx.focus.screen.qualified)} qualified "
+                                      f"referee-team cells -> {out / 'outlier_cells.csv'}")),
     "regress": (("regression_team_side", "regression_series", "regression_ref_team"),
                 lambda ctx, out, report: "written: " + ", ".join(
                     f"{name}.csv" for name in report.written)),
@@ -246,7 +247,9 @@ def run_analysis(cfg: RunConfig, args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ctx = AnalysisContext(games, cfg)
     if getattr(args, "target", None):
-        ctx.targets = [TeamSideTarget(*_parse_colon_pair(t, "--target")) for t in args.target]
+        ctx.targets = [
+            TeamSideTarget(*_parse_colon_pair(text, "--target")) for text in args.target
+        ]
     if getattr(args, "pair", None):
         ctx.pairs = [_parse_colon_pair(text, "--pair") for text in args.pair]
     report = emit_figures(games, out, cfg) if tables is None else write_tables(ctx, tables, out)
