@@ -1,8 +1,9 @@
 """Fixed-effects regressions with game-clustered errors.
 
 A design is an intercept, one-hot factors (one reference level dropped per
-family) and +-1 target columns, stored as ~7 (column, value) slots per row,
-the values as ``int8``; each slot holds one block's contiguous columns.
+family) and +-1 target columns, stored as a few (column, value) slots per
+row, the values as ``int8``; each slot holds one block's contiguous columns,
+and a row holds at most one of them.
 Factor levels, clusters and target matches are integer codes over sorted
 levels. Design values are restricted to {-1, 0, 1} (anything else is a
 ``DesignError``), so every X'X entry is an integer count, exact in float64
@@ -15,7 +16,8 @@ column wins: column j goes when its Schur pivot, the squared norm of its
 residual against the kept columns, is at most ``max(n, K) * eps`` times its
 squared norm. A design holds no outcome: the kept Gram is inverted once per
 design and solves every outcome fitted on it, each named at the fit.
-Covariance is the CR1 cluster sandwich, intervals use Student-t critical
+Covariance is the CR1 cluster sandwich, its meat summed over blocks of
+whole clusters of bounded size, intervals use Student-t critical
 values at n − rank degrees of freedom, and each coefficient carries an
 omitted-variable robustness value: the equal-strength confounder
 association that would zero out its t-statistic.
@@ -141,7 +143,10 @@ def _column_sums(rows: SparseRows, w: np.ndarray, groups: np.ndarray | None = No
     value: each column lives in one slot, so every bin receives the nonzero
     terms one ``bincount`` over all slots would, in the same row order; the
     zeros left out add only +-0 to a bin, and every bin starts at +0.0, so
-    the sums keep their bits.
+    the sums keep their bits. The same holds for any subset of the rows kept
+    in their order, so a group's sums over a block of whole groups are its
+    sums over all the rows. Its buffers are ``n_groups`` times a slot's
+    column count.
     """
     import numpy as np
 
@@ -198,17 +203,15 @@ def cluster_covariance(X, residuals: np.ndarray, clusters: Sequence) -> np.ndarr
     is exactly the HC0 estimator times that factor. ``X`` is dense or
     :class:`SparseRows`, as for :func:`fit_ols`. ``clusters`` holds one label
     per row; string, bytes and object labels are told apart as Python
-    compares them, so "a" and "a\\x00" are two clusters.
+    compares them, so "a" and "a\\x00" are two clusters. The meat is formed
+    as in :func:`_sandwich`, from the clusters' codes over sorted labels.
     """
     import numpy as np
 
     rows = _as_rows(X)
     e = np.asarray(residuals, dtype=float)
-    n, k = rows.shape
-    if e.shape[0] != n:
+    if e.shape[0] != rows.shape[0]:
         raise FitError("residual length does not match design rows")
-    if n <= k:
-        raise FitError("no residual degrees of freedom for the covariance")
     codes = np.asarray(clusters)
     if codes.dtype.kind in "USO":  # numpy would drop a string's trailing NULs (see _coded)
         position, groups = _coded(clusters)
@@ -216,10 +219,45 @@ def cluster_covariance(X, residuals: np.ndarray, clusters: Sequence) -> np.ndarr
     else:  # numbers code exactly in numpy, every NaN in one cluster
         levels, groups = np.unique(codes, return_inverse=True)
         G = levels.size
+    return _sandwich(rows, e, groups, G)
+
+
+# The cluster scores are formed for blocks of whole clusters, each block's
+# (clusters, k) float64 score matrix at most this many bytes.
+_SCORE_BLOCK_BYTES = 2**20
+
+
+def _sandwich(rows: SparseRows, e: np.ndarray, groups: np.ndarray, G: int) -> np.ndarray:
+    """The CR1 covariance of :func:`cluster_covariance`, for clusters coded 0..G-1.
+
+    When every cluster's scores fit in one block, the meat is ``S.T @ S`` over
+    the (G, k) score matrix S. Otherwise the rows are taken in stable cluster
+    order and the meat is the sum of ``S_b.T @ S_b`` over blocks of whole
+    clusters: each cluster's scores keep their bits, and the sum of the
+    blocks may differ from one product in its last bits.
+    """
+    import numpy as np
+
+    n, k = rows.shape
+    if n <= k:
+        raise FitError("no residual degrees of freedom for the covariance")
     if G < 2:
         raise FitError("clustered covariance needs at least two clusters")
-    S = _column_sums(rows, e, groups, G)
-    V = rows.bread @ (S.T @ S) @ rows.bread * (G / (G - 1.0)) * ((n - 1.0) / (n - k))
+    per_block = max(1, _SCORE_BLOCK_BYTES // (8 * k))
+    if G <= per_block:
+        S = _column_sums(rows, e, groups, G)
+        meat = S.T @ S
+    else:
+        order = np.argsort(groups, kind="stable")
+        firsts = range(0, G, per_block)
+        cuts = np.searchsorted(groups, [*firsts, G], sorter=order)
+        meat = np.zeros((k, k))
+        for first, lo, hi in zip(firsts, cuts, cuts[1:]):
+            take = order[lo:hi]  # the block's rows, in row order within each cluster
+            block = SparseRows(rows.index[take], rows.value[take], rows.gram, rows.bounds)
+            S = _column_sums(block, e[take], groups[take] - first, min(per_block, G - first))
+            meat += S.T @ S
+    V = rows.bread @ meat @ rows.bread * (G / (G - 1.0)) * ((n - 1.0) / (n - k))
     return (V + V.T) / 2.0
 
 
@@ -505,7 +543,8 @@ def fit_clustered(design: Design, outcome: str, y: np.ndarray) -> FitResult:
 
     y = np.asarray(y, dtype=float)
     beta, resid, _, dof = fit_ols(design.rows, y)
-    V = cluster_covariance(design.rows, resid, design.groups)
+    n_clusters = int(design.groups.max()) + 1
+    V = _sandwich(design.rows, resid, design.groups, n_clusters)
     se = np.sqrt(np.maximum(np.diag(V), 0.0))
     t_stats, rho = np.zeros_like(beta), np.zeros_like(beta)
     for i in range(beta.size):
@@ -527,7 +566,7 @@ def fit_clustered(design: Design, outcome: str, y: np.ndarray) -> FitResult:
         rho=rho,
         covariance=V,
         n_rows=design.rows.shape[0],
-        n_clusters=int(design.groups.max()) + 1,
+        n_clusters=n_clusters,
         dof=dof,
         dropped=design.dropped,
         notes=design.notes + ((_DEGENERATE,) if np.all(y == y[0]) else ()),
@@ -612,7 +651,10 @@ def ref_team_residual_effects(
     indicator marks that referee with that team; controls are referee,
     team, opponent, and season effects, clustered by game. Both outcomes,
     team RIM and disparity, are fitted. Pairs under the games minimum are
-    excluded and reported in the fit notes.
+    excluded and reported in the fit notes. A row matches at most one pair,
+    so the kept pairs share one coded slot, their columns in the order
+    given; a repeated pair's later copies are empty columns the rank filter
+    drops, so the earliest copy is the one kept.
     """
     import numpy as np
 
@@ -629,13 +671,19 @@ def ref_team_residual_effects(
         (_coded([r.opponent for r in rows]), "opp_"),
         (_coded([r.season for r in rows]), "season_"),
     )
-    excluded = []
+    # A row's code is its pair's position among the kept pairs (-1: none);
+    # a repeated pair's earliest copy takes the rows.
+    pair_codes = np.full(len(rows), -1, dtype=np.intp)
+    pair_names, excluded = [], []
     for ref, tm in target_pairs:
         pair = _rows_equal(referee, ref) & _rows_equal(team, tm)
         if np.count_nonzero(pair) >= min_pair_games:
-            blocks.append(_column(pair, f"pair_{ref}|{tm}"))
+            pair_codes[pair & (pair_codes < 0)] = len(pair_names)
+            pair_names.append(f"pair_{ref}|{tm}")
         else:
             excluded.append(f"{ref}|{tm}")
+    if pair_names:
+        blocks.append((pair_codes, np.ones(len(rows), dtype=np.int8), pair_names))
     notes = [f"pair minimum {min_pair_games} games"]
     if excluded:
         notes.append("excluded targets below minimum: " + ", ".join(sorted(excluded)))

@@ -555,11 +555,10 @@ def dense_panel_design(rows, pairs):
     return np.hstack(cols), names
 
 
-def oracle_fit(X, names, y, clusters):
-    """Gram-Schmidt earliest-wins filter, Householder QR, brute-force sandwich."""
-    n = X.shape[0]
+def oracle_kept(X):
+    """Columns kept by a Gram-Schmidt earliest-wins filter."""
     tol = max(X.shape) * np.finfo(float).eps
-    Q = np.empty((n, 0))
+    Q = np.empty((X.shape[0], 0))
     kept = []
     for j in range(X.shape[1]):
         col = X[:, j]
@@ -569,6 +568,12 @@ def oracle_fit(X, names, y, clusters):
             continue
         Q = np.column_stack([Q, resid / np.linalg.norm(resid)])
         kept.append(j)
+    return kept
+
+
+def oracle_fit(X, names, y, clusters):
+    """Gram-Schmidt earliest-wins filter, Householder QR, brute-force sandwich."""
+    kept = oracle_kept(X)
     Xk = X[:, kept]
     q, r = np.linalg.qr(Xk)
     beta = np.linalg.solve(r, q.T @ y)
@@ -742,15 +747,24 @@ def test_design_refuses_values_outside_minus_one_zero_one(bad):
         _design(blocks, [f"g{i}" for i in range(n)], ())
 
 
-def test_ref_team_fit_peak_memory_stays_small():
-    # The Baseline ref-team shape: ~22,000 panel rows, 16 slots per row.
-    # tracemalloc sees numpy's buffers, so the peak is the fit's own: 12.0
-    # MiB with int8 slot values and slot-wise sums, 22.7 MiB before them.
+@pytest.fixture(scope="module")
+def baseline_panel():
+    """The Baseline ref-team shape: ~22,000 panel rows over 3,690 games, its
+    ten most frequent pairs and the first of them again, a repeated --pair."""
     rows = simulate_ref_team_panel(np.random.default_rng(0), n_games=3690, n_teams=30,
                                    n_referees=70, pair_shift={})
     counts = Counter((r.referee, r.team) for r in rows)
     pairs = sorted(counts, key=lambda p: (-counts[p], p))[:10]
-    pairs.append(pairs[0])
+    return rows, pairs + pairs[:1]
+
+
+def test_ref_team_fit_peak_memory_stays_small(baseline_panel):
+    # 6 slots per row: intercept, referee, team, opponent, season and one
+    # coded pair slot. tracemalloc sees numpy's buffers, so the peak is the
+    # fit's own: 6.5 MiB with one pair slot and cluster scores in bounded
+    # blocks, 12.0 MiB with a slot per pair and every score at once, 22.7
+    # MiB before int8 slot values and slot-wise sums.
+    rows, pairs = baseline_panel
     tracemalloc.start()
     try:
         fits = ref_team_residual_effects(rows, pairs)
@@ -758,7 +772,20 @@ def test_ref_team_fit_peak_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert fits["team_rim"].dropped == ("pair_{}|{}".format(*pairs[0]),)
-    assert peak < 15 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_kept_pairs_share_one_coded_slot(baseline_panel, monkeypatch):
+    # A row matches at most one pair, so ten pairs and a repeat take one slot,
+    # not eleven; the repeat is an empty column the rank filter drops.
+    rows, pairs = baseline_panel
+    design = _fitted_design(monkeypatch, ref_team_residual_effects, rows, pairs)
+    assert design.rows.index.shape[1] == 6
+    X, names = dense_panel_design(rows, pairs)
+    assert list(design.columns) == [names[j] for j in oracle_kept(X)]
+    assert design.dropped == ("pair_{}|{}".format(*pairs[0]),)
+    kept = [names.index(c) for c in design.columns]
+    assert np.array_equal(design.rows.gram, X[:, kept].T @ X[:, kept])
 
 
 def _former_column_sums(rows, w, groups=None, n_groups=1):
@@ -819,6 +846,48 @@ def test_slot_wise_sums_keep_the_bits_of_one_bincount(rng, monkeypatch, shape):
     assert _hex(resid) == _hex(y - (rows.value * former[rows.index]).sum(axis=1))
     assert _hex(cluster_covariance(rows, resid, groups)) == _hex(
         _former_covariance(rows, resid, groups))
+
+
+def test_one_block_meat_is_the_full_product_to_the_bit():
+    # The C7 team-side shape: every cluster's scores fit in one block, so the
+    # meat is S'S over all of them at once, as before the blocks.
+    rows = simulate_team_side_rows(np.random.default_rng(7), n_games=1230, n_teams=30,
+                                   home_disparity_shift={"T05": 1.5})
+    design, y = team_design(rows, [TeamSideTarget("T05", "home")], target_form="paired")
+    n, k = design.rows.shape
+    assert design.groups.max() + 1 <= inference._SCORE_BLOCK_BYTES // (8 * k)
+    fit = fit_clustered(design, "disparity", y)
+    resid = fit_ols(design.rows, y)[1]
+    assert _hex(fit.covariance) == _hex(_former_covariance(design.rows, resid, design.groups))
+
+
+def test_multi_block_meat_agrees_with_the_full_product(baseline_panel, monkeypatch):
+    # The Baseline ref-team scores span several blocks; their sum adds in
+    # another order than one product, so only the last bits may move.
+    rows, pairs = baseline_panel
+    design = _fitted_design(monkeypatch, ref_team_residual_effects, rows, pairs)
+    n, k = design.rows.shape
+    assert design.groups.max() + 1 > 3 * (inference._SCORE_BLOCK_BYTES // (8 * k))
+    y = np.array([r.team_rim for r in rows])
+    fit = fit_clustered(design, "team_rim", y)
+    resid = fit_ols(design.rows, y)[1]
+    full = _former_covariance(design.rows, resid, design.groups)
+    assert np.abs(fit.covariance - full).max() <= 1e-12 * np.abs(full).max()
+    assert np.array_equal(fit.covariance, fit.covariance.T)
+    # A fit passes its cluster codes; the public function codes the labels.
+    labelled = cluster_covariance(design.rows, resid, [r.game_id for r in rows])
+    assert _hex(fit.covariance) == _hex(labelled)
+
+
+@pytest.mark.parametrize("per_block", [1, 7])
+def test_score_blocks_cover_every_cluster_once(rng, monkeypatch, per_block):
+    # Unsorted cluster codes and a last block shorter than the rest.
+    X = np.column_stack([np.ones(300), rng.normal(size=(300, 4))])
+    e, clusters = rng.normal(size=300), rng.integers(0, 40, 300)
+    monkeypatch.setattr(inference, "_SCORE_BLOCK_BYTES", 8 * X.shape[1] * per_block)
+    V = cluster_covariance(X, e, clusters)
+    assert np.abs(V - brute_force_sandwich(X, e, clusters)).max() < 1e-12
+    assert np.array_equal(V, V.T)
 
 
 # ---------------------------------------------------------------------------
