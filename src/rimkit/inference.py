@@ -219,6 +219,8 @@ def cluster_covariance(X, residuals: np.ndarray, clusters: Sequence) -> np.ndarr
     else:  # numbers code exactly in numpy, every NaN in one cluster
         levels, groups = np.unique(codes, return_inverse=True)
         G = levels.size
+    if len(groups) != rows.shape[0]:
+        raise FitError("need one cluster label per row")
     return _sandwich(rows, e, groups, G)
 
 
@@ -230,11 +232,11 @@ _SCORE_BLOCK_BYTES = 2**20
 def _sandwich(rows: SparseRows, e: np.ndarray, groups: np.ndarray, G: int) -> np.ndarray:
     """The CR1 covariance of :func:`cluster_covariance`, for clusters coded 0..G-1.
 
-    When every cluster's scores fit in one block, the meat is ``S.T @ S`` over
-    the (G, k) score matrix S. Otherwise the rows are taken in stable cluster
-    order and the meat is the sum of ``S_b.T @ S_b`` over blocks of whole
-    clusters: each cluster's scores keep their bits, and the sum of the
-    blocks may differ from one product in its last bits.
+    The rows are taken in stable cluster order and the meat is the sum of
+    ``S_b.T @ S_b`` over blocks of whole clusters, S_b a block's score matrix.
+    Each cluster's rows keep their order, so its scores keep their bits: one
+    block is exactly ``S.T @ S`` over all G clusters, and the sum of several
+    may differ from that product in its last bits.
     """
     import numpy as np
 
@@ -244,19 +246,15 @@ def _sandwich(rows: SparseRows, e: np.ndarray, groups: np.ndarray, G: int) -> np
     if G < 2:
         raise FitError("clustered covariance needs at least two clusters")
     per_block = max(1, _SCORE_BLOCK_BYTES // (8 * k))
-    if G <= per_block:
-        S = _column_sums(rows, e, groups, G)
-        meat = S.T @ S
-    else:
-        order = np.argsort(groups, kind="stable")
-        firsts = range(0, G, per_block)
-        cuts = np.searchsorted(groups, [*firsts, G], sorter=order)
-        meat = np.zeros((k, k))
-        for first, lo, hi in zip(firsts, cuts, cuts[1:]):
-            take = order[lo:hi]  # the block's rows, in row order within each cluster
-            block = SparseRows(rows.index[take], rows.value[take], rows.gram, rows.bounds)
-            S = _column_sums(block, e[take], groups[take] - first, min(per_block, G - first))
-            meat += S.T @ S
+    order = np.argsort(groups, kind="stable")
+    firsts = range(0, G, per_block)
+    cuts = np.searchsorted(groups, [*firsts, G], sorter=order)
+    meat = None
+    for first, lo, hi in zip(firsts, cuts, cuts[1:]):
+        take = order[lo:hi]  # the block's rows, in row order within each cluster
+        block = SparseRows(rows.index[take], rows.value[take], rows.gram, rows.bounds)
+        S = _column_sums(block, e[take], groups[take] - first, min(per_block, G - first))
+        meat = S.T @ S if meat is None else meat + S.T @ S
     V = rows.bread @ meat @ rows.bread * (G / (G - 1.0)) * ((n - 1.0) / (n - k))
     return (V + V.T) / 2.0
 

@@ -249,7 +249,7 @@ def test_singleton_clusters_equal_hc0_times_cr1_exactly(rng):
     assert np.array_equal(V, ref)
 
 
-def test_cluster_covariance_rejects_degenerate_inputs(rng):
+def test_cluster_covariance_rejects_degenerate_inputs(rng, monkeypatch):
     X = rng.normal(size=(10, 3))
     e = rng.normal(size=10)
     with pytest.raises(FitError):
@@ -258,6 +258,12 @@ def test_cluster_covariance_rejects_degenerate_inputs(rng):
         cluster_covariance(X[:3], e[:3], ["a", "b", "c"])  # n <= k
     with pytest.raises(FitError):
         cluster_covariance(X, e[:-1], list(range(10)))
+    # Blocks of one cluster each: a label list of the wrong length must not
+    # leave rows out of the meat.
+    monkeypatch.setattr(inference, "_SCORE_BLOCK_BYTES", 8 * X.shape[1])
+    for labels in (9, 11):
+        with pytest.raises(FitError, match="one cluster label per row"):
+            cluster_covariance(X, e, list(range(labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +561,11 @@ def dense_panel_design(rows, pairs):
     return np.hstack(cols), names
 
 
-def oracle_kept(X):
-    """Columns kept by a Gram-Schmidt earliest-wins filter."""
+def oracle_fit(X, names, y, clusters):
+    """Gram-Schmidt earliest-wins filter, Householder QR, brute-force sandwich."""
+    n = X.shape[0]
     tol = max(X.shape) * np.finfo(float).eps
-    Q = np.empty((X.shape[0], 0))
+    Q = np.empty((n, 0))
     kept = []
     for j in range(X.shape[1]):
         col = X[:, j]
@@ -568,12 +575,6 @@ def oracle_kept(X):
             continue
         Q = np.column_stack([Q, resid / np.linalg.norm(resid)])
         kept.append(j)
-    return kept
-
-
-def oracle_fit(X, names, y, clusters):
-    """Gram-Schmidt earliest-wins filter, Householder QR, brute-force sandwich."""
-    kept = oracle_kept(X)
     Xk = X[:, kept]
     q, r = np.linalg.qr(Xk)
     beta = np.linalg.solve(r, q.T @ y)
@@ -728,6 +729,9 @@ def test_study_gram_matches_dense_build(rng, monkeypatch, study):
         X, names = dense_panel_design(rows, pairs)
         y, clusters = np.array([r.team_rim for r in rows]), [r.game_id for r in rows]
         assert design.dropped == ("pair_Ref01|T01",)  # the repeat goes, the earliest stays
+        # A row matches at most one pair, so three pairs take one coded slot
+        # beside intercept, referee, team, opponent and season, not three.
+        assert design.rows.index.shape[1] == 6
     else:
         rows = fe_rows(rng)
         design = _fitted_design(monkeypatch, series_state_effects, rows)
@@ -773,19 +777,6 @@ def test_ref_team_fit_peak_memory_stays_small(baseline_panel):
         tracemalloc.stop()
     assert fits["team_rim"].dropped == ("pair_{}|{}".format(*pairs[0]),)
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-
-
-def test_kept_pairs_share_one_coded_slot(baseline_panel, monkeypatch):
-    # A row matches at most one pair, so ten pairs and a repeat take one slot,
-    # not eleven; the repeat is an empty column the rank filter drops.
-    rows, pairs = baseline_panel
-    design = _fitted_design(monkeypatch, ref_team_residual_effects, rows, pairs)
-    assert design.rows.index.shape[1] == 6
-    X, names = dense_panel_design(rows, pairs)
-    assert list(design.columns) == [names[j] for j in oracle_kept(X)]
-    assert design.dropped == ("pair_{}|{}".format(*pairs[0]),)
-    kept = [names.index(c) for c in design.columns]
-    assert np.array_equal(design.rows.gram, X[:, kept].T @ X[:, kept])
 
 
 def _former_column_sums(rows, w, groups=None, n_groups=1):
@@ -849,8 +840,8 @@ def test_slot_wise_sums_keep_the_bits_of_one_bincount(rng, monkeypatch, shape):
 
 
 def test_one_block_meat_is_the_full_product_to_the_bit():
-    # The C7 team-side shape: every cluster's scores fit in one block, so the
-    # meat is S'S over all of them at once, as before the blocks.
+    # The C7 team-side shape: every cluster's scores fit in one block, and the
+    # rows gathered in cluster order give the bits of S'S over the rows as given.
     rows = simulate_team_side_rows(np.random.default_rng(7), n_games=1230, n_teams=30,
                                    home_disparity_shift={"T05": 1.5})
     design, y = team_design(rows, [TeamSideTarget("T05", "home")], target_form="paired")
