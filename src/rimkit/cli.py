@@ -362,13 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _input_errors() -> tuple[type[Exception], ...]:
-    """The exceptions that mean bad input (exit 2). Called only when a
+    """The exceptions that mean bad input (exit 2), a path the command
+    cannot read or write (any ``OSError``) included. Called only when a
     command fails, so a command that never loads ``inference`` does not
     load it to name ``DesignError``."""
     from .inference import DesignError
 
-    return (ConfigError, IngestError, SimConfigError, DesignError, FileNotFoundError,
-            NotADirectoryError)
+    return (ConfigError, IngestError, SimConfigError, DesignError, OSError)
 
 
 def main(argv: list[str] | None = None) -> int:

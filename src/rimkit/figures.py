@@ -15,6 +15,7 @@ import io
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import dropwhile
 from pathlib import Path
 
 from .aggregate import (
@@ -82,9 +83,10 @@ def write_table(
 
 
 def read_table(path: Path) -> tuple[list[str], list[list[str]]]:
-    """Parse one emitted file back: (header, data rows), comments skipped."""
+    """Parse one emitted file back: (header, data rows), the comments above the header skipped."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln and not ln.startswith("#")]
+    body = dropwhile(lambda ln: ln[:1] in ("", "#"), text.split("\n"))
+    lines = [ln for ln in body if ln]
     parsed = list(csv.reader(lines))
     if not parsed:
         raise ValueError(f"{path}: no header row")

@@ -14,13 +14,15 @@ The canonical dataset is JSONL, one game per line, partitioned by
 schema version, per-partition counts, and content hashes. Writes are
 deterministic (games ordered by id, stable serialization) and staged
 through a temp directory so an interrupted run never leaves a corrupt
-dataset behind. Each game line is encoded by orjson where a scan of the
-record and a check of the output show json would write the same bytes
-(see :func:`_orjson_exact`), and by json, the reference, everywhere else.
+dataset behind. Each game line is encoded by orjson, with json's escapes
+applied to the characters orjson writes raw, where one rule over the
+record's values shows json would write the same bytes (see
+:func:`_serialize_game_line`), and by json, the reference, everywhere else.
 """
 
 from __future__ import annotations
 
+import codecs
 import errno
 import gc
 import hashlib
@@ -35,6 +37,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -736,43 +739,44 @@ class DatasetManifest:
 
 
 def _orjson_exact(g: GameRecord, d: dict) -> bool:
-    """Whether orjson can write ``d``, ``game_to_dict(g)``, as the json path does.
+    """Whether orjson writes the values of ``d``, ``game_to_dict(g)``, as json does.
 
-    True when every header and crew member is an exact ``str``, the series
-    state is None or exact ints, and every event value is None, a ``str``,
-    an exact ``int`` within 64 bits, or an exact ``float`` that is 0 or
-    whose magnitude is in [1e-4, 1e16). Python's float repr uses fixed
-    notation exactly there, as orjson does; NaN and the infinities fail the
-    range test. Strings are checked on the output instead. The event values
-    are read from ``g``'s event tuples, which hold those of ``d``'s event
-    dicts and are quicker to scan.
+    One rule for every scalar of the record (the headers, the crew members,
+    the series state and the event values): it is None, a ``str``, an exact
+    ``int`` within 64 bits, or an exact ``float`` that is 0 or whose
+    magnitude is in [1e-4, 1e16). Python's float repr uses fixed notation
+    exactly there, as orjson does; NaN and the infinities fail the range
+    test. The event values are read from ``g``'s event tuples, which hold
+    those of ``d``'s event dicts and are quicker to scan.
     """
-    for key in HEADERS:
-        if type(d[key]) is not str:
-            return False
-    for name in d["crew"]:
-        if type(name) is not str:
-            return False
-    for v in d["series_state"] or ():
-        if type(v) is not int or not -_INT64_LIMIT <= v < _INT64_LIMIT:
-            return False
-    for e in g.events:
-        for v in e:
-            t = type(v)
-            if t is float:
-                if not (1e-4 <= v < 1e16 or v == 0.0 or -1e16 < v <= -1e-4):
-                    return False
-            elif t is int:
-                if not -_INT64_LIMIT <= v < _INT64_LIMIT:
-                    return False
-            elif t is not str and v is not None:
+    for v in chain(_header_values(d), d["crew"], d["series_state"] or (), *g.events):
+        t = type(v)
+        if t is float:
+            if not (1e-4 <= v < 1e16 or v == 0.0 or -1e16 < v <= -1e-4):
                 return False
+        elif t is int:
+            if not -_INT64_LIMIT <= v < _INT64_LIMIT:
+                return False
+        elif t is not str and v is not None:
+            return False
     return True
 
 
+# json's escapes for a run of non-ASCII characters: "\uXXXX" in lowercase
+# hex, an astral character as a surrogate pair.
+codecs.register_error("rimkit-json-escape",
+                      lambda e: (json.dumps(e.object[e.start:e.end])[1:-1], e.end))
+
+
 def _serialize_game_line(g: GameRecord) -> bytes:
-    """One dataset line: orjson's bytes where :func:`_orjson_exact` and the output
-    show they equal the reference's, else :func:`_json_game_line`'s."""
+    """One dataset line, byte for byte :func:`_json_game_line`'s.
+
+    A record :func:`_orjson_exact` accepts goes to orjson, which escapes as
+    json does but writes DEL and non-ASCII characters raw; those are then
+    escaped as json escapes them. Any other record, and one orjson cannot
+    encode (a lone surrogate), goes to the reference, which owns every
+    refusal.
+    """
     d = game_to_dict(g)
     if _orjson_exact(g, d):
         try:
@@ -780,11 +784,8 @@ def _serialize_game_line(g: GameRecord) -> bytes:
         except orjson.JSONEncodeError:  # a lone surrogate
             pass
         else:
-            # json escapes '"', "\\" and every character outside " "..."~";
-            # orjson writes DEL and non-ASCII raw and escapes the rest with a
-            # backslash.
-            if line.isascii() and b"\\" not in line and b"\x7f" not in line:
-                return line + b"\n"
+            line = line.decode().encode("ascii", "rimkit-json-escape")
+            return line.replace(b"\x7f", b"\\u007f") + b"\n"
     return _json_game_line(g, d)
 
 
@@ -892,7 +893,7 @@ def read_manifest(root: Path) -> DatasetManifest:
         raise DatasetError(f"no manifest at {path}")
     try:
         return DatasetManifest.from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as e:
+    except (OSError, KeyError, TypeError, ValueError, AttributeError, RecursionError) as e:
         raise DatasetError(f"manifest unreadable: {e}") from e
 
 
@@ -953,7 +954,10 @@ def _partition_games(path: Path, part: PartitionInfo, games: list[GameRecord], s
     map of their own (see :func:`_read_partition`) and decoded line by line
     through views of it, so a load holds one partition's bytes, outside
     the malloc heap, besides the games it has built."""
-    data = _read_partition(path)
+    try:
+        data = _read_partition(path)
+    except OSError as e:  # a directory, or a file this process may not read
+        raise DatasetError(f"partition unreadable: {part.path}: {e.strerror}") from e
     try:
         if hashlib.sha256(data).hexdigest() != part.sha256:
             raise DatasetError(f"partition hash mismatch: {part.path}")

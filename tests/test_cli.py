@@ -340,6 +340,20 @@ def test_a_command_without_a_destination_writes_nothing(tmp_path, capsys, monkey
     assert not any((tmp_path / "raw").iterdir())
 
 
+def test_an_out_path_that_is_a_file_is_an_input_error(tmp_path, capsys):
+    # Each used to exit 1 with a FileExistsError traceback.
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n", encoding="utf-8")
+    code, out = run(capsys, "simulate", "--out", str(afile), "--games-per-season", "4",
+                    "--teams", "4", "--referees", "4")
+    assert code == 2 and "error:" in out and "Traceback" not in out, out
+    ds = tmp_path / "ds"
+    simulate_small(capsys, ds)
+    code, out = run(capsys, "metrics", "--dataset", str(ds), "--out", str(afile))
+    assert code == 2 and "error:" in out and "Traceback" not in out, out
+    assert afile.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_refs_rejects_a_min_games_below_one(tmp_path, capsys):
     ds = tmp_path / "ds"
     simulate_small(capsys, ds)

@@ -1,15 +1,17 @@
 """The canonical dataset round-trips any record it accepts, to the bit.
 
-``write_dataset`` serializes each game line with orjson where a scan of the
-record shows the bytes cannot differ from the standard library's, and with
-json, the reference, everywhere else; ``load_dataset`` decodes with orjson.
-A differential property pins the two writers together: for any record,
-fitting the fast path or not, the line is the reference's byte for byte,
-or the same ``DatasetError`` text; the scan that decides, ``_orjson_exact``,
-which reads the event values from the event tuples, accepts exactly what
-the same rule over ``game_to_dict``'s event dicts, kept here as the oracle,
-accepts. Simulated events hold plain Python
-values, so a simulated corpus is written without json. The round-trip
+``write_dataset`` serializes each game line with orjson, json's escapes
+applied to the characters orjson writes raw, where one rule over the
+record's values shows the bytes cannot differ from the standard library's,
+and with json, the reference, everywhere else; ``load_dataset`` decodes
+with orjson. A differential property pins the two writers together: for
+any record, fitting the fast path or not, the line is the reference's byte
+for byte, or the same ``DatasetError`` text; the scan that decides,
+``_orjson_exact``, which reads the event values from the event tuples,
+accepts exactly what the same rule over every scalar of ``game_to_dict``'s
+dict, kept here as the oracle, accepts. Simulated events hold plain Python
+values, so a simulated corpus is written without json, and a line with
+non-ASCII text or DEL is written without the reference. The round-trip
 properties pin writer and loader together: every finite float comes back
 with the same ``float.hex`` (signed zero, the smallest subnormal and the
 largest double included), and every string comes back unchanged however
@@ -224,35 +226,32 @@ def _line_or_error(write, game: GameRecord):
 @example(make_game([make_event(0.5, 0.6, description="\ud800")]))
 @example(make_game(crew=("Ref A", 5)))
 @example(make_game(crew=(1e20,)))
+@example(make_game([make_event(0.5, 0.6, description="Luka Don\u010di\u0107")]))
+@example(make_game([make_event(0.5, 0.6, description="\u2028")]))
+@example(make_game([make_event(0.5, 0.6, description="\U0001f3c0")]))
+@example(make_game([make_event(0.5, 0.6, description="Joki\u0107\x7f\u2028\U0001f3c0\x7f")]))
 def test_a_game_line_is_the_json_reference_byte_for_byte(game):
     reference = _line_or_error(lambda g: _json_game_line(g, game_to_dict(g)), game)
     assert _line_or_error(_serialize_game_line, game) == reference
 
 
 def _orjson_exact_reference(d: dict) -> bool:
-    """The writer guard as one Python pass over every value of ``d``: the
-    oracle for ``ingest._orjson_exact``, which reads the event values from
-    the event tuples instead."""
-    for key in ("game_id", "season", "season_type", "home_team", "away_team"):
-        if type(d[key]) is not str:
-            return False
-    for name in d["crew"]:
-        if type(name) is not str:
-            return False
-    for v in d["series_state"] or ():
-        if type(v) is not int or not -(2**63) <= v < 2**63:
-            return False
-    for e in d["events"]:
-        for v in e.values():
-            t = type(v)
-            if t is float:
-                if not (1e-4 <= v < 1e16 or v == 0.0 or -1e16 < v <= -1e-4):
-                    return False
-            elif t is int:
-                if not -(2**63) <= v < 2**63:
-                    return False
-            elif t is not str and v is not None:
+    """The writer guard as one Python pass, with one rule, over every scalar
+    of ``d`` (the headers, the crew members, the series state and the event
+    values): the oracle for ``ingest._orjson_exact``, which reads the event
+    values from the event tuples instead."""
+    headers = [d[key] for key in ("game_id", "season", "season_type", "home_team", "away_team")]
+    event_values = [v for e in d["events"] for v in e.values()]
+    for v in [*headers, *d["crew"], *(d["series_state"] or ()), *event_values]:
+        t = type(v)
+        if t is float:
+            if not (1e-4 <= v < 1e16 or v == 0.0 or -1e16 < v <= -1e-4):
                 return False
+        elif t is int:
+            if not -(2**63) <= v < 2**63:
+                return False
+        elif t is not str and v is not None:
+            return False
     return True
 
 
@@ -323,6 +322,23 @@ def test_a_simulated_corpus_is_written_without_json(monkeypatch):
     lines = [_serialize_game_line(g) for g in games]
     monkeypatch.undo()
     assert lines == [_json_game_line(g, game_to_dict(g)) for g in games]
+
+
+def test_a_line_with_non_ascii_text_or_del_is_written_without_the_reference(monkeypatch):
+    # Such a line used to go through json.dumps whole; orjson now writes it,
+    # with json's escapes applied to the characters it writes raw.
+    texts = ["Luka Don\u010di\u0107", "line\u2028separator", "ball \U0001f3c0", "del\x7f"]
+    games = [make_game([make_event(0.5, 0.6, description=t)], game_id=f"g{i}")
+             for i, t in enumerate(texts)]
+    games.append(make_game([make_event(0.5, 0.6, description=t, charged=t) for t in texts],
+                           crew=tuple(texts), game_id="all"))
+    expected = [_json_game_line(g, game_to_dict(g)) for g in games]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a game line went through the json reference")
+
+    monkeypatch.setattr(ingest, "_json_game_line", refuse)
+    assert [_serialize_game_line(g) for g in games] == expected
 
 
 def _rewrite_line(root: Path, line_no: int, new: bytes) -> str:

@@ -91,6 +91,19 @@ def test_read_table_rejects_empty_file(tmp_path):
         read_table(p)
 
 
+def test_read_table_keeps_a_data_row_that_starts_with_a_hash(tmp_path):
+    # Only the block above the header holds comments; such a row used to be
+    # dropped as one, so validate --outputs miscounted and never checked it.
+    cols = [Column("referee", "str", "who"), Column("games", "int", "how many")]
+    write_table(tmp_path / "t.csv", cols, [("#1 Ref", 4), ("Ann", 3)])
+    assert read_table(tmp_path / "t.csv") == (["referee", "games"],
+                                              [["#1 Ref", "4"], ["Ann", "3"]])
+    (tmp_path / "ragged.csv").write_text("# note\nx,y\n#1\n", encoding="utf-8")
+    report = validate_output_dir(tmp_path)
+    assert report.files == {"ragged.csv": 1, "t.csv": 2}
+    assert report.issues == ["ragged.csv: row 1 has 1 fields, header has 2"]
+
+
 def test_validate_output_dir_flags_problems(tmp_path):
     good = tmp_path / "good"
     good.mkdir()

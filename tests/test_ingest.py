@@ -835,6 +835,26 @@ def test_load_dataset_refuses_a_partition_path_that_is_not_a_string(tmp_path, rn
         load_dataset(root)
 
 
+@pytest.mark.parametrize("what", ["manifest", "partition"])
+def test_load_dataset_refuses_a_manifest_or_partition_that_is_a_directory(tmp_path, rng, what):
+    # Each used to raise IsADirectoryError, so `rimkit validate` exited 1.
+    root = tmp_path / "ds"
+    write_dataset(random_games(rng, 3), root)
+    manifest_path = root / "manifest.json"
+    if what == "manifest":
+        manifest_path.unlink()
+        manifest_path.mkdir()
+        message = r"^manifest unreadable: .*Is a directory: .*manifest\.json'$"
+    else:
+        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+        doc["partitions"][0]["path"] = "2021-22"
+        (root / "2021-22").mkdir(exist_ok=True)
+        manifest_path.write_text(json.dumps(doc), encoding="utf-8")
+        message = "^partition unreadable: 2021-22: Is a directory$"
+    with pytest.raises(DatasetError, match=message):
+        load_dataset(root)
+
+
 @pytest.mark.parametrize(
     "edit",
     [
