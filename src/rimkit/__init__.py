@@ -61,6 +61,7 @@ _EXPORTS = {
         "swing_per_call",
     ),
     "model": (
+        "EventColumns",
         "FoulEvent",
         "GameRecord",
         "SeriesStateKey",

@@ -39,7 +39,7 @@ from .ingest import (
     load_dataset,
     write_dataset,
 )
-from .model import is_no_crew_only, unusable_values, validate_game
+from .model import control_named, is_no_crew_only, unusable_values, validate_game
 from .synth import SimConfig, SimConfigError, read_effects_file, write_corpus
 
 if TYPE_CHECKING:
@@ -82,8 +82,10 @@ def _frozen(load, *args, **kwargs):
 def _load_games(cfg: RunConfig):
     """The dataset's games, refused at the first value in load order that the
     analyses cannot use: one that :func:`unusable_values` yields (a game's
-    events only when the load did not see all their numbers well typed), or
-    a crew member that is not a string, which they would rank as a name.
+    events only when the load did not see all their numbers well typed), a
+    crew member that is not a string, which they would rank as a name, or a
+    team or crew name with a control character, which the tables would
+    print (:func:`control_named`).
     """
     if not cfg.dataset:
         raise ConfigError("a dataset root is required (--dataset or dataset)")
@@ -95,6 +97,8 @@ def _load_games(cfg: RunConfig):
                     for path, value, what in unusable_values(g, id(g) in suspect)]
         problems += [f"crew member {name!r:.40} is not a name"
                      for name in g.crew if not isinstance(name, str)]
+        problems += [f"{path} {name!r:.40} holds a control character"
+                     for path, name in control_named(g)]
         if problems:
             raise DatasetError(f"game {g.game_id!r}: {problems[0]}; "
                                "`rimkit validate` lists every such violation")

@@ -11,11 +11,10 @@ numeric formatting, UTF-8 with LF endings, no timestamps.
 from __future__ import annotations
 
 import csv
-import io
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import dropwhile
+from itertools import chain, dropwhile
 from pathlib import Path
 
 from .aggregate import (
@@ -62,6 +61,20 @@ def format_value(value, kind: str) -> str:
     return str(value)
 
 
+class _Echo:
+    """A file whose ``write`` returns its argument, so a csv writer's
+    ``writerow`` returns the record it formats."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+# A csv writer quotes a value that holds a character of its line terminator:
+# with "\r\n", every value holding a line feed or a carriage return. Each
+# record's "\r\n" is then replaced by the files' LF.
+_RECORDS = csv.writer(_Echo(), lineterminator="\r\n")
+
+
 def write_table(
     path: Path,
     columns: Sequence[Column],
@@ -69,25 +82,37 @@ def write_table(
     *,
     notes: Sequence[str] = (),
 ) -> None:
-    buf = io.StringIO()
-    for c in columns:
-        buf.write(f"# {c.name}: {c.description}\n")
-    for note in notes:
-        buf.write(f"# note: {note}\n")
-    buf.write(f"# {DISCLAIMER}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([c.name for c in columns])
-    for row in rows:
-        writer.writerow([format_value(v, c.kind) for v, c in zip(row, columns)])
-    Path(path).write_bytes(buf.getvalue().encode("utf-8"))
+    """Write one table: its comment lines, then the header and data rows as
+    CSV with LF line ends.
+
+    A comment line (a column description or a note) that holds a line break
+    raises ``ValueError`` naming the file, before it is written: a reader
+    would take the line's second half as the header. A value holding a line
+    break is quoted, so :func:`read_table` reads it back whole.
+    """
+    comments = [*(f"{c.name}: {c.description}" for c in columns),
+                *(f"note: {note}" for note in notes), DISCLAIMER]
+    for line in comments:
+        if "\n" in line or "\r" in line:
+            raise ValueError(f"{path}: a comment line holds a line break: {line!r}")
+    records = chain([[c.name for c in columns]],
+                    ([format_value(v, c.kind) for v, c in zip(row, columns)] for row in rows))
+    text = "".join([*(f"# {line}\n" for line in comments),
+                    *(_RECORDS.writerow(record)[:-2] + "\n" for record in records)])
+    Path(path).write_bytes(text.encode("utf-8"))
 
 
 def read_table(path: Path) -> tuple[list[str], list[list[str]]]:
-    """Parse one emitted file back: (header, data rows), the comments above the header skipped."""
-    text = Path(path).read_text(encoding="utf-8")
-    body = dropwhile(lambda ln: ln[:1] in ("", "#"), text.split("\n"))
-    lines = [ln for ln in body if ln]
-    parsed = list(csv.reader(lines))
+    """Parse one emitted file back: (header, data rows).
+
+    The comment and blank lines above the header are skipped; the rest of
+    the file is one CSV stream, so a quoted value keeps its line breaks and
+    a data row starting with '#' is a row. A blank line below the header is
+    no row.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        body = dropwhile(lambda ln: ln[:1] == "#" or not ln.strip("\r\n"), fh)
+        parsed = [row for row in csv.reader(body) if row]
     if not parsed:
         raise ValueError(f"{path}: no header row")
     return parsed[0], parsed[1:]

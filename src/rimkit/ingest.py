@@ -33,10 +33,10 @@ import os
 import re
 import shutil
 import sys
+from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -49,10 +49,12 @@ from .model import (
     NUMBER_TYPES,
     PERIOD_TYPES,
     SAFE_LABEL,
+    EventColumns,
     FoulEvent,
     GameRecord,
     canonicalize_name,
     is_no_crew_only,
+    new_event,
     unusable_values,
     validate_game,
 )
@@ -603,9 +605,10 @@ def game_to_dict(g: GameRecord) -> dict:
 # An event's stored fields in ``FoulEvent`` order, read in one C-level call.
 _EVENT_FIELDS = itemgetter("event_id", "period", "clock", "team", "pre_wp", "post_wp",
                            "description")
-_new_event = partial(tuple.__new__, FoulEvent)
 _header_values = itemgetter(*HEADERS)
 _TEAM_TYPES = frozenset({str, type(None)})
+_INT = frozenset({int})
+_FLOAT = frozenset({float})
 
 
 def _events_reference(events: list) -> tuple[FoulEvent, ...]:
@@ -626,10 +629,16 @@ def _events_reference(events: list) -> tuple[FoulEvent, ...]:
     )
 
 
-def _events(events: list, strings: dict) -> tuple[tuple[FoulEvent, ...], bool]:
-    """:func:`_events_reference`'s result, built column-wise in C, and whether
-    no event number is one :func:`unusable_values` yields.
+def _events(
+    events: list, strings: dict
+) -> tuple[tuple[FoulEvent, ...] | EventColumns, bool]:
+    """Events equal to :func:`_events_reference`'s result, built column-wise
+    in C, and whether no event number is one :func:`unusable_values` yields.
 
+    The events are :class:`EventColumns` when every value fits its column
+    exactly: ``int`` ids and periods within 64 bits (a bool is not an int)
+    and ``float`` clocks and win probabilities (an int is not a float);
+    otherwise the tuple of ``FoulEvent``s, holding each value as stored.
     Every team and description string is swapped for the first equal one in
     ``strings``, so the events share one copy of each. Any event the column
     build cannot take as the reference would (a missing key, a description
@@ -645,13 +654,21 @@ def _events(events: list, strings: dict) -> tuple[tuple[FoulEvent, ...], bool]:
         return _events_reference(events), False
     if not (set(map(type, teams)) <= _TEAM_TYPES and set(map(type, descs)) == {str}):
         return _events_reference(events), False
+    share = strings.setdefault
+    teams, descs = tuple(map(share, teams, teams)), tuple(map(share, descs, descs))
+    if (_INT.issuperset(map(type, ids)) and _INT.issuperset(map(type, periods))
+            and _FLOAT.issuperset(map(type, clocks)) and _FLOAT.issuperset(map(type, pre))
+            and _FLOAT.issuperset(map(type, post))):
+        try:
+            return EventColumns(array("q", ids), array("q", periods), array("d", clocks), teams,
+                                array("d", pre), array("d", post), descs), True
+        except OverflowError:  # an id or a period beyond 64 bits
+            pass
     typed = (PERIOD_TYPES.issuperset(map(type, periods))
              and NUMBER_TYPES.issuperset(map(type, clocks))
              and NUMBER_TYPES.issuperset(map(type, pre))
              and NUMBER_TYPES.issuperset(map(type, post)))
-    share = strings.setdefault
-    return tuple(map(_new_event, zip(ids, periods, clocks, map(share, teams, teams),
-                                     pre, post, map(share, descs, descs)))), typed
+    return tuple(map(new_event, zip(ids, periods, clocks, teams, pre, post, descs))), typed
 
 
 def game_from_dict(
@@ -659,7 +676,8 @@ def game_from_dict(
 ) -> GameRecord:
     """Rebuild a game from its stored dict (the inverse of :func:`game_to_dict`).
 
-    Events are built positionally in ``FoulEvent`` field order. Team and
+    Events are built column-wise by :func:`_events`: as typed
+    :class:`EventColumns` when every value fits them. Team and
     description strings repeat across a corpus, so every event shares one
     copy of each, through ``strings``: pass one dict for a whole load to
     share across its games. The containers are checked here, where a

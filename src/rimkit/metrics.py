@@ -10,13 +10,22 @@ negations of each other.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from operator import itemgetter
 from typing import NamedTuple
 
-from .model import REGULATION_PERIODS, GameRecord, TeamGameRow, canonical_series_key
+from .model import (
+    REGULATION_PERIODS,
+    EventColumns,
+    GameRecord,
+    TeamGameRow,
+    canonical_series_key,
+)
 
 OT_BUCKET = "OT"
 PERIOD_BUCKETS = ("Q1", "Q2", "Q3", "Q4", OT_BUCKET)
 _OT_INDEX = PERIOD_BUCKETS.index(OT_BUCKET)
+# The period, charged team and both win probabilities of a FoulEvent.
+_KERNEL_FIELDS = itemgetter(1, 3, 4, 5)
 
 
 def period_bucket(period: int) -> str:
@@ -71,15 +80,21 @@ def compute_game_metrics(game: GameRecord) -> GameMetrics:
     the whole-game totals. Unattributed calls count toward rim and calls
     but not disparity. The away value of the signed total is the exact
     negation of the home value (IEEE negation is sign-symmetric, so the
-    mirror identity holds to the bit).
+    mirror identity holds to the bit). Events held as
+    :class:`~rimkit.model.EventColumns` are read from their columns, with
+    no ``FoulEvent`` built.
     """
     home, away = game.home_team, game.away_team
     rim = 0.0
     q_home = 0.0
     bucket_rim = [0.0] * len(PERIOD_BUCKETS)
     bucket_disp = [0] * len(PERIOD_BUCKETS)
-    # Positional unpacking follows FoulEvent's field order.
-    for _, period, _, charged, pre_wp, post_wp, _ in game.events:
+    events = game.events
+    if type(events) is EventColumns:
+        fields = zip(events.period, events.charged_team, events.pre_wp, events.post_wp)
+    else:
+        fields = map(_KERNEL_FIELDS, events)
+    for period, charged, pre_wp, post_wp in fields:
         move = post_wp - pre_wp
         leverage = abs(move)  # event_leverage(pre_wp, post_wp)
         b = period - 1 if 1 <= period <= REGULATION_PERIODS else _OT_INDEX  # period_bucket
@@ -101,7 +116,7 @@ def compute_game_metrics(game: GameRecord) -> GameMetrics:
         season=game.season,
         season_type=game.season_type,
         game_rim=rim,
-        n_calls=len(game.events),
+        n_calls=len(events),
         series_key=series_key,
     )
     home_row = TeamGameRow(

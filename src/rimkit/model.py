@@ -10,8 +10,11 @@ ingest layer to quarantine or flag.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Mapping
+from array import array
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 REGULAR = "regular"
@@ -42,6 +45,11 @@ NUMBER_TYPES = frozenset({int, float})
 # path component ("2021-22", "S1"), never "..", "a/b" or an absolute path.
 SAFE_LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*")
 
+# Team and crew names are printed in the tables, as values and in comment
+# lines, so one may hold no control character (Unicode category Cc): a line
+# break would end a comment early or split a value across rows.
+CONTROL_CHARACTER = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+
 # Generational suffixes keep conventional casing under name normalization.
 _SUFFIXES = {"jr": "Jr.", "sr": "Sr.", "ii": "II", "iii": "III", "iv": "IV", "v": "V"}
 
@@ -54,9 +62,11 @@ class FoulEvent(NamedTuple):
     are home-side probabilities. ``charged_team`` is None when the feed
     cannot attribute the call to either team.
 
-    A NamedTuple rather than a dataclass: a corpus holds one per call, and a
-    tuple of atoms is cheaper to build and is left alone by the cyclic
-    garbage collector. Use ``_replace`` to derive a modified event.
+    A NamedTuple rather than a dataclass: the simulator and ingest build one
+    per call, and a tuple of atoms is cheaper to build and is left alone by
+    the cyclic garbage collector. A loaded game holds its events as
+    :class:`EventColumns` instead, which yields one on demand. Use
+    ``_replace`` to derive a modified event.
     """
 
     event_id: int
@@ -66,6 +76,65 @@ class FoulEvent(NamedTuple):
     pre_wp: float
     post_wp: float
     description: str = ""
+
+
+# A FoulEvent from a tuple of its field values, without its Python-level __new__.
+new_event = partial(tuple.__new__, FoulEvent)
+
+
+class EventColumns(Sequence):
+    """One game's events as typed columns, one per ``FoulEvent`` field.
+
+    A loaded game holds its events this way: ``event_id`` and ``period`` in
+    ``array('q')``, the clock and both win probabilities in ``array('d')``,
+    and the team and description strings, shared across a load, in tuples.
+    That keeps about 60 bytes an event where a tuple of ``FoulEvent``s
+    keeps about 200. It reads as that tuple: indexing and iteration yield
+    ``FoulEvent``s, a slice is a tuple of them, and it compares equal to,
+    hashes like and has the repr of the tuple of the same events. The
+    kernels read the columns directly, building no event; the arrays hold
+    only 64-bit ints and floats, so every event number is of a type the
+    analyses accept. The columns are not to be written to.
+    """
+
+    __slots__ = FoulEvent._fields
+
+    def __init__(self, event_id: array, period: array, clock_seconds_remaining: array,
+                 charged_team: tuple[str | None, ...], pre_wp: array, post_wp: array,
+                 description: tuple[str, ...]):
+        self.event_id = event_id
+        self.period = period
+        self.clock_seconds_remaining = clock_seconds_remaining
+        self.charged_team = charged_team
+        self.pre_wp = pre_wp
+        self.post_wp = post_wp
+        self.description = description
+
+    def _columns(self) -> tuple:
+        return (self.event_id, self.period, self.clock_seconds_remaining, self.charged_team,
+                self.pre_wp, self.post_wp, self.description)
+
+    def __len__(self) -> int:
+        return len(self.event_id)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        return new_event(column[index] for column in self._columns())
+
+    def __iter__(self) -> Iterator[FoulEvent]:
+        return map(new_event, zip(*self._columns()))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, EventColumns)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -96,9 +165,11 @@ def canonical_series_key(home_wins: int, away_wins: int) -> SeriesStateKey:
 class GameRecord:
     """One game: identity, crew, aligned foul events, optional series state.
 
-    ``events`` hold only fouls that survived alignment, in feed order;
-    ``series_state`` is the raw pregame ``(home_wins, away_wins)`` pair and
-    is only meaningful for postseason games.
+    ``events`` hold only fouls that survived alignment, in feed order: a
+    tuple of ``FoulEvent``s, or :class:`EventColumns` for a loaded game
+    whose event values all fit its columns. ``series_state`` is the raw
+    pregame ``(home_wins, away_wins)`` pair and is only meaningful for
+    postseason games.
     """
 
     game_id: str
@@ -107,7 +178,7 @@ class GameRecord:
     home_team: str
     away_team: str
     crew: tuple[str, ...]
-    events: tuple[FoulEvent, ...]
+    events: tuple[FoulEvent, ...] | EventColumns
     series_state: tuple[int, int] | None = None
 
 
@@ -143,11 +214,12 @@ def unusable_values(record: GameRecord, events: bool = True) -> Iterator[tuple[s
     (field path, value, what it should be): a header that is not a string,
     then, with ``events``, each event number whose exact type is not in
     ``PERIOD_TYPES`` or ``NUMBER_TYPES``; a float period is "an integer".
+    Events held as :class:`EventColumns` have none.
     """
     for key in HEADERS:
         if not isinstance(value := getattr(record, key), str):
             yield key, value, "a string"
-    if events:
+    if events and type(record.events) is not EventColumns:  # whose arrays hold only numbers
         for i, event in enumerate(record.events):
             yield from _unusable_numbers(f"events[{i}]", event)
 
@@ -158,6 +230,26 @@ def _unusable_numbers(tag: str, event: FoulEvent) -> Iterator[tuple[str, object,
         if type(value) not in (PERIOD_TYPES if key == "period" else NUMBER_TYPES):
             integer = key == "period" and isinstance(value, float)
             yield f"{tag}.{key}", value, "an integer" if integer else "a number"
+
+
+def control_named(record: GameRecord) -> list[tuple[str, str]]:
+    """Each team or crew name of ``record`` that holds a control character,
+    as (field path, name), in field order: the tables print these names, and
+    such a character would break a comment line or split a value. Names
+    that are not strings are other rules' to report."""
+    names = (record.home_team, record.away_team, *record.crew)
+    try:
+        if not CONTROL_CHARACTER.search("".join(names)):  # one scan for a plain game
+            return []
+    except TypeError:  # a name that is not a string
+        pass
+    paths = ("home_team", "away_team", *(f"crew[{i}]" for i in range(len(record.crew))))
+    return [(path, name) for path, name in zip(paths, names)
+            if isinstance(name, str) and CONTROL_CHARACTER.search(name)]
+
+
+# Stands for the columns validate_game's fast chain does not read.
+_UNREAD = repeat(None)
 
 
 def validate_game(record: GameRecord) -> list[str]:
@@ -187,6 +279,8 @@ def validate_game(record: GameRecord) -> list[str]:
         problems.append("teams: home and away ids must be non-empty")
     elif record.home_team == record.away_team:
         problems.append(f"teams: home and away are both {record.home_team!r}")
+    problems += [f"{path}: {name!r} holds a control character"
+                 for path, name in control_named(record)]
     if not record.crew:
         problems.append("crew: empty; game cannot join referee analyses")
     for i, ref in enumerate(record.crew):
@@ -195,11 +289,16 @@ def validate_game(record: GameRecord) -> list[str]:
 
     sides = (record.home_team, record.away_team)
     prev: tuple | None = None  # (period, clock) of the last event checked
-    for i, event in enumerate(record.events):
-        _, period, clock, charged, pre, post, _ = event
+    events = record.events
+    # Columns are read as they are, with no FoulEvent built, and their
+    # arrays hold only ints and floats, so their types need no check.
+    typed = type(events) is EventColumns
+    rows = (zip(_UNREAD, events.period, events.clock_seconds_remaining, events.charged_team,
+                events.pre_wp, events.post_wp, _UNREAD) if typed else events)
+    for i, (_, period, clock, charged, pre, post, _) in enumerate(rows):
         if (
-            type(period) is int and type(clock) is float
-            and type(pre) is float and type(post) is float
+            (typed or (type(period) is int and type(clock) is float
+                       and type(pre) is float and type(post) is float))
             and period >= 1
             and 0.0 <= clock <= (PERIOD_SECONDS if period <= REGULATION_PERIODS
                                  else OVERTIME_SECONDS)
@@ -210,7 +309,7 @@ def validate_game(record: GameRecord) -> list[str]:
         ):
             prev = (period, clock)
         else:
-            prev = _event_problems(problems, i, event, sides, prev)
+            prev = _event_problems(problems, i, events[i], sides, prev)
 
     state = record.series_state
     if state is not None:

@@ -689,6 +689,42 @@ def test_analyses_refuse_a_value_of_the_wrong_type(tmp_path, capsys, command, ed
     assert code == 2 and f"{game['game_id']}: {reported}" in out, out
 
 
+def _rename_home_team(g, name="T01\nX"):
+    old = g["home_team"]
+    g["home_team"] = name
+    for e in g["events"]:
+        if e["team"] == old:
+            e["team"] = name
+
+
+@pytest.mark.parametrize("command", ANALYSES)
+@pytest.mark.parametrize(
+    "edit, problem, reported",
+    [
+        (_rename_home_team, r"home_team 'T01\nX' holds a control character",
+         r"home_team: 'T01\nX' holds a control character"),
+        (lambda g: g["crew"].__setitem__(1, "Ann\x00Lee"),
+         r"crew[1] 'Ann\x00Lee' holds a control character",
+         r"crew[1]: 'Ann\x00Lee' holds a control character"),
+    ],
+    ids=["home-team", "crew"],
+)
+def test_analyses_refuse_a_name_with_a_control_character(tmp_path, capsys, command, edit,
+                                                         problem, reported):
+    # The tables print team and crew names: "T01\nX" broke the comment block
+    # of fig13_team_side_effects.csv, and read back merged or split values.
+    ds = tmp_path / "ds"
+    game = _small_dataset_with_first_game_edited(ds, edit)
+    out_dir = tmp_path / "out"
+    code, out = run(capsys, command, "--dataset", str(ds), "--out", str(out_dir))
+    assert code == 2, out
+    assert f"error: game {game['game_id']!r}: {problem}; `rimkit validate`" in out
+    assert "Traceback" not in out
+    assert not out_dir.exists()
+    code, out = run(capsys, "validate", "--dataset", str(ds))
+    assert code == 2 and f"{game['game_id']}: {reported}" in out, out
+
+
 def _float_period(g):
     g["events"][0]["period"] = 1.0
 

@@ -52,7 +52,7 @@ from rimkit.ingest import (
     read_manifest,
     write_dataset,
 )
-from rimkit.model import FoulEvent, GameRecord
+from rimkit.model import EventColumns, FoulEvent, GameRecord
 from rimkit.synth import SimConfig, generate
 
 EDGE_FLOATS = (
@@ -534,6 +534,11 @@ def _outcome(build, d):
         return "error", type(e), str(e)
 
 
+def _exact(events) -> list:
+    """Every event value with its type, a float as ``float.hex``."""
+    return [[(type(v), v.hex() if type(v) is float else v) for v in e] for e in events]
+
+
 def _reference_game(d: dict) -> GameRecord:
     reference = lambda events, strings: (ingest._events_reference(events), False)  # noqa: E731
     with mock.patch.object(ingest, "_events", reference):
@@ -554,6 +559,8 @@ _VALID = {"event_id": 1, "period": 1, "clock": 600.0, "team": "HOU", "pre_wp": 0
 @example([_VALID, dict(_VALID, description=None)])
 @example([_VALID, ["HOU"]])  # an event that is not an object
 @example([{k: v for k, v in dict(_VALID, team=7).items() if k != "pre_wp"}])  # bad, then missing
+@example([_VALID, dict(_VALID, clock=600)])  # values that do not fit the columns
+@example([dict(_VALID, event_id=2**63), dict(_VALID, period=-(2**63), pre_wp=-0.0)])
 def test_game_from_dict_matches_the_per_event_reference(events):
     d = _stored_game(events)
     got, want = _outcome(game_from_dict, d), _outcome(_reference_game, d)
@@ -561,9 +568,82 @@ def test_game_from_dict_matches_the_per_event_reference(events):
     if got[0] == "ok":
         built = got[1].events
         assert all(type(e) is FoulEvent for e in built)
+        assert _exact(built) == _exact(want[1].events)
         for field in ("charged_team", "description"):
             strings = [getattr(e, field) for e in built if getattr(e, field) is not None]
             assert len({id(x) for x in strings}) == len(set(strings)), field
+
+
+@pytest.mark.parametrize(
+    "edit, form",
+    [
+        ({}, EventColumns),
+        ({"team": None}, EventColumns),
+        ({"event_id": -(2**63), "period": 2**63 - 1, "pre_wp": -0.0}, EventColumns),
+        ({"clock": 600}, tuple),
+        ({"pre_wp": 1}, tuple),
+        ({"period": 1.0}, tuple),
+        ({"event_id": True}, tuple),
+        ({"event_id": 2**63}, tuple),
+        ({"period": -(2**63) - 1}, tuple),
+    ],
+    ids=["plain", "none-team", "64-bit-bounds", "int-clock", "int-pre-wp", "float-period",
+         "bool-event-id", "event-id-past-64-bits", "period-past-64-bits"],
+)
+def test_a_game_takes_the_column_form_only_when_every_value_fits(edit, form):
+    # Anything else keeps the tuple, holding each value as stored, so the
+    # game is written back byte for byte, or refused with the same error.
+    d = _stored_game([_VALID, {**_VALID, "event_id": 2, "team": "BOS", **edit}])
+    game, reference = game_from_dict(d), _reference_game(d)
+    assert type(game.events) is form
+    assert game == reference and _exact(game.events) == _exact(reference.events)
+    assert _outcome(_serialize_game_line, game) == _outcome(_serialize_game_line, reference)
+
+
+def test_a_game_without_events_holds_the_empty_tuple():
+    assert game_from_dict(_stored_game([])).events == ()
+    assert type(game_from_dict(_stored_game([])).events) is tuple
+
+
+def _columns_and_tuple():
+    """One game's events as loaded, in column form, and as the tuple of the
+    same events."""
+    stored = [_VALID,
+              {**_VALID, "event_id": 2, "team": None, "clock": 500.5, "pre_wp": 0.6,
+               "post_wp": 0.25, "description": "Unattributed"},
+              {**_VALID, "event_id": 3, "period": 5, "team": "BOS", "clock": 0.0, "pre_wp": -0.0,
+               "post_wp": 1.0}]
+    columns = game_from_dict(_stored_game(stored)).events
+    assert type(columns) is EventColumns
+    return columns, ingest._events_reference(stored)
+
+
+def test_event_columns_compare_and_hash_as_the_tuple_of_their_events():
+    columns, events = _columns_and_tuple()
+    assert columns == events and events == columns and not columns != events
+    assert columns == _columns_and_tuple()[0] and columns != events[:2]
+    assert columns != list(events) and columns != events[::-1]
+    assert hash(columns) == hash(events)
+    game = game_from_dict(_stored_game([_VALID]))
+    assert type(game.events) is EventColumns
+    as_tuple = _reference_game(_stored_game([_VALID]))
+    assert game == as_tuple and hash(game) == hash(as_tuple)
+
+
+def test_event_columns_index_slice_and_print_as_the_tuple_of_their_events():
+    columns, events = _columns_and_tuple()
+    assert len(columns) == len(events) == 3
+    for i in range(-3, 3):
+        assert type(columns[i]) is FoulEvent and columns[i] == events[i]
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            columns[i]
+    for cut in (slice(None), slice(1, None), slice(None, None, -1), slice(-2, -1), slice(5, 9)):
+        assert type(columns[cut]) is tuple and columns[cut] == events[cut]
+    assert repr(columns) == repr(events)
+    assert list(columns) == list(events) and list(reversed(columns)) == list(reversed(events))
+    assert events[2] in columns and columns.index(events[2]) == 2 and columns.count(events[0]) == 1
+    assert columns[2].pre_wp.hex() == (-0.0).hex()
 
 
 # Event numbers of every JSON type, so about half the events hold one the

@@ -2,9 +2,13 @@
 selection, and the end-to-end figure writer."""
 
 import hashlib
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from rimkit.figures import (
     DISCLAIMER,
@@ -102,6 +106,43 @@ def test_read_table_keeps_a_data_row_that_starts_with_a_hash(tmp_path):
     report = validate_output_dir(tmp_path)
     assert report.files == {"ragged.csv": 1, "t.csv": 2}
     assert report.issues == ["ragged.csv: row 1 has 1 fields, header has 2"]
+
+
+# Text that breaks a line-by-line reader: line breaks of each kind, a
+# leading "#", quotes and commas; and any text a UTF-8 file can hold.
+_AWKWARD = st.lists(st.sampled_from(["\n", "\r\n", "\r", "#", '"', ",", " ", "T", "é"]),
+                    max_size=6).map("".join)
+_VALUES = st.one_of(_AWKWARD, st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(_VALUES, _VALUES), max_size=4))
+@example([("a\n\nb", "x")])  # read back as "ab"
+@example([("T01\rX", "#1"), ("\r\n", "")])  # a carriage return split the row
+@example([("", ""), ("#", '"')])
+def test_a_written_table_reads_back_as_its_formatted_values(rows):
+    cols = [Column("team", "str", "who"), Column("note", "str", "what")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_table(path, cols, rows, notes=["hand fixture"])
+        assert read_table(path) == (["team", "note"],
+                                    [[format_value(v, c.kind) for v, c in zip(row, cols)]
+                                     for row in rows])
+
+
+@pytest.mark.parametrize(
+    "description, notes",
+    [("who", ["disparity: team reference T01\nX"]), ("who\r", []), ("who", ["a\r\nb"])],
+    ids=["note-lf", "description-cr", "note-crlf"],
+)
+def test_write_table_refuses_a_comment_line_with_a_line_break(tmp_path, description, notes):
+    # A note built from data (fig13's team reference) would otherwise break
+    # the comment block, and a reader would take its second half as the header.
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"t\.csv: a comment line holds a line break"):
+        write_table(path, [Column("team", "str", description)], [("T01",)], notes=notes)
+    assert not path.exists()
 
 
 def test_validate_output_dir_flags_problems(tmp_path):

@@ -583,6 +583,23 @@ def test_ingest_directory_quarantines_a_later_duplicate_game_id(tmp_path):
     write_dataset(games, tmp_path / "ds")  # the kept games are writable
 
 
+def test_ingest_directory_quarantines_a_name_with_a_control_character(tmp_path):
+    # The tables print team and crew names; a line break in one broke the
+    # comment block of fig13_team_side_effects.csv and split values.
+    raw = tmp_path / "raw"
+    plays = [play("p1", 1, foul=True, team="T01\nX"), play("p2", 2, foul=True, team="BOS")]
+    _write_raw_game(raw, summary_doc(game_id="g-team", home="T01\nX", plays=plays),
+                    wp_doc([("p1", 0.5), ("p2", 0.6)]))
+    _write_raw_game(raw, summary_doc(game_id="g-crew", officials=["Tony\x07Brothers"]))
+    _write_raw_game(raw, summary_doc(game_id="g-ok"), wp_doc([("p1", 0.5)]))
+    games, report = ingest_directory(raw)
+    assert [g.game_id for g in games] == ["g-ok"]
+    assert report.quarantined_games == [
+        ("g-crew", ("crew[0]: 'Tony\\x07Brothers' holds a control character",)),
+        ("g-team", ("home_team: 'T01\\nX' holds a control character",)),
+    ]
+
+
 def test_ingest_directory_ledgers_a_lone_surrogate_document(tmp_path):
     raw = tmp_path / "raw"
     _write_raw_game(raw, summary_doc(game_id="g-ok"), wp_doc([("p1", 0.5)]))
@@ -978,6 +995,32 @@ def test_a_load_holds_one_partition_besides_its_games(tmp_path, monkeypatch):
     assert len(loaded[0]) == manifest.total_games
     assert peak - retained < largest * 0.25, (retained, peak, largest)
     assert len(opened) == len(manifest.partitions) and all(m.closed for m in opened)
+
+
+def test_a_load_keeps_at_most_100_bytes_an_event_in_column_form(tmp_path):
+    # A FoulEvent tuple with its three floats kept about 200 bytes an event;
+    # typed columns keep about 60, about 85 with the games' headers, crews
+    # and containers. A load that fell back to tuples would fail this.
+    import tracemalloc
+
+    from rimkit.model import EventColumns
+    from rimkit.synth import SimConfig, generate
+
+    games, _ = generate(SimConfig(seed=4, seasons=("2020-21", "2021-22"), games_per_season=200,
+                                  postseason_games_per_season=20, n_teams=10, n_referees=16))
+    write_dataset(games, tmp_path / "ds")
+    del games
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded, _ = load_dataset(tmp_path / "ds")
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(type(g.events) is EventColumns for g in loaded)
+    per_event = kept / sum(len(g.events) for g in loaded)
+    assert per_event <= 100, per_event
 
 
 def test_a_partition_truncated_after_its_manifest_fails_the_hash_check(tmp_path, rng):

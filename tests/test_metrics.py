@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import make_event, make_game, random_games
+from rimkit.ingest import load_dataset, write_dataset
 from rimkit.metrics import (
     PERIOD_BUCKETS,
     compute_game_metrics,
@@ -15,6 +18,8 @@ from rimkit.metrics import (
     signed_disparity,
     swing_per_call,
 )
+from rimkit.model import EventColumns
+from rimkit.synth import SimConfig, generate
 
 
 def test_event_leverage_hand_values():
@@ -194,6 +199,30 @@ def test_one_pass_kernel_matches_separate_loops_to_the_bit(rng):
             per,
         )
         assert got == _reference_metrics(game)
+
+
+def _exact_metrics(m) -> tuple:
+    """Every field of a ``GameMetrics``, each float as ``float.hex``."""
+    def exact(v):
+        return v.hex() if type(v) is float else v
+
+    rows = [[exact(getattr(r, f.name)) for f in dataclasses.fields(r)]
+            for r in (m.home_row, m.away_row)]
+    return rows, [exact(v) for v in m.period_rim], m.period_home_disparity
+
+
+def test_the_kernel_reads_loaded_columns_to_the_bit_of_the_tuple_form(tmp_path, rng):
+    # A loaded game holds its events as typed columns, which the kernel reads
+    # without building an event; every sum keeps its order and its bits.
+    games = random_games(rng, 200) + generate(SimConfig(
+        seed=5, seasons=("2020-21",), n_teams=6, n_referees=9, games_per_season=60,
+        postseason_games_per_season=12, overtime_rate=0.3, unattributed_rate=0.1))[0]
+    write_dataset(games, tmp_path / "ds")
+    loaded = {g.game_id: g for g in load_dataset(tmp_path / "ds")[0]}
+    assert all(type(g.events) is EventColumns for g in loaded.values() if g.events)
+    for game in games:
+        assert (_exact_metrics(compute_game_metrics(loaded[game.game_id]))
+                == _exact_metrics(compute_game_metrics(game)))
 
 
 def test_permutation_invariance(rng):

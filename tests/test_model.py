@@ -98,6 +98,25 @@ def test_crew_members_must_be_non_empty_names():
     ]
 
 
+def test_a_team_or_crew_name_with_a_control_character_is_reported():
+    # The tables print these names: a line break would end a comment line
+    # early or split a value across rows.
+    game = make_game([make_event(0.5, 0.55, charged="HOU\nX", clock=700.0)], home="HOU\nX",
+                     crew=("Tony Brothers", "Ann\x00Lee", "Pat\x85Fraher"))
+    assert validate_game(game) == [
+        "home_team: 'HOU\\nX' holds a control character",
+        "crew[1]: 'Ann\\x00Lee' holds a control character",
+        "crew[2]: 'Pat\\x85Fraher' holds a control character",
+    ]
+    assert validate_game(make_game(away="BOS\x7f")) == [
+        "away_team: 'BOS\\x7f' holds a control character"]
+
+
+def test_names_with_spaces_and_non_ascii_letters_are_plain():
+    game = make_game(home="Team Dončić", away="São Paulo", crew=("José Núñez", "Zhang\u3000Wei"))
+    assert validate_game(game) == []
+
+
 def test_non_string_headers_are_reported_not_raised():
     game = make_game(season=2021, game_id=7, home=None)
     assert validate_game(game) == [

@@ -6,7 +6,7 @@ below is the function as it was before that fast path, kept verbatim
 apart from its name and one later rule (a float period is not an integer,
 and the range and order checks skip it): every message, and the order of
 the messages, must match it on games built to break each rule, alone and
-together.
+together, and for a loaded game whose events are held as columns.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_event, make_game
+from rimkit.ingest import game_from_dict, game_to_dict
 from rimkit.model import (
     MAX_SERIES_WINS,
     OVERTIME_SECONDS,
@@ -26,6 +27,7 @@ from rimkit.model import (
     REGULATION_PERIODS,
     SAFE_LABEL,
     SEASON_TYPES,
+    EventColumns,
     FoulEvent,
     GameRecord,
     validate_game,
@@ -180,6 +182,33 @@ games = st.builds(
 @example(make_game(home="HOU", away="HOU", season_type="postseason", series_state=(3, 3)))
 def test_validate_game_matches_the_rule_by_rule_reference(game):
     assert validate_game(game) == reference_validate_game(game)
+
+
+# Events of the column form's types, at and around every bound.
+column_events = st.tuples(
+    st.integers(1, 50),
+    st.integers(-1, 7),
+    st.one_of(st.sampled_from([0.0, -0.0, 300.0, 720.0, 600.0, 100.0]),
+              st.sampled_from([math.nextafter(300.0, math.inf), math.nextafter(720.0, math.inf),
+                               -5e-324]),
+              st.floats(-10.0, 800.0), NON_FINITE),
+    st.sampled_from((None, "LAL") + SIDES),
+    st.one_of(st.floats(0.0, 1.0), st.floats(-0.5, 1.5), NON_FINITE),
+    st.one_of(st.floats(0.0, 1.0), st.floats(-0.5, 1.5), NON_FINITE),
+    st.just("Foul"),
+).map(lambda fields: FoulEvent(*fields))
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(column_events, min_size=1, max_size=8))
+def test_validate_game_reads_events_held_as_columns_as_the_reference(events):
+    # The fast chain reads the columns; a failing event is built to word its
+    # messages, which must be the reference's for the same events as tuples.
+    game = make_game(events)
+    loaded = game_from_dict(game_to_dict(game))
+    assert type(loaded.events) is EventColumns
+    assert validate_game(loaded) == reference_validate_game(game)
 
 
 # One rule broken by the smallest step past its bound, first in its game and
