@@ -16,7 +16,6 @@ imports only ``model``.
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
 import traceback
 from collections.abc import Callable
@@ -34,12 +33,17 @@ from .config import (
 from .ingest import (
     DatasetError,
     IngestError,
-    cyclic_gc_paused,
     ingest_directory,
     load_dataset,
     write_dataset,
 )
-from .model import control_named, is_no_crew_only, unusable_values, validate_game
+from .model import (
+    control_named,
+    is_no_crew_only,
+    repeated_crew,
+    unusable_values,
+    validate_game,
+)
 from .synth import SimConfig, SimConfigError, read_effects_file, write_corpus
 
 if TYPE_CHECKING:
@@ -68,37 +72,27 @@ def _overrides(args: argparse.Namespace) -> dict:
     return out
 
 
-def _frozen(load, *args, **kwargs):
-    """``load(*args, **kwargs)``, with the games it builds frozen out of the
-    cyclic collector: they live until the command ends, so no collection
-    needs to scan them. The collector stays paused until the freeze, so not
-    even the first collection after the load does."""
-    with cyclic_gc_paused():
-        loaded = load(*args, **kwargs)
-        gc.freeze()
-    return loaded
-
-
 def _load_games(cfg: RunConfig):
     """The dataset's games, refused at the first value in load order that the
-    analyses cannot use: one that :func:`unusable_values` yields (a game's
-    events only when the load did not see all their numbers well typed), a
-    crew member that is not a string, which they would rank as a name, or a
-    team or crew name with a control character, which the tables would
-    print (:func:`control_named`).
+    analyses cannot use: one that :func:`unusable_values` yields (it reads
+    the events only of a game the load kept as a tuple), a crew member that
+    is not a string, which they would rank as a name, a team or crew name
+    with a control character, which the tables would print
+    (:func:`control_named`), or a crew member listed twice, who would be
+    counted twice (:func:`repeated_crew`).
     """
     if not cfg.dataset:
         raise ConfigError("a dataset root is required (--dataset or dataset)")
-    suspects: list = []
-    games, _manifest = _frozen(load_dataset, Path(cfg.dataset), mistyped=suspects)
-    suspect = set(map(id, suspects))
+    games, _manifest = load_dataset(Path(cfg.dataset))
     for g in games:
         problems = [f"{path} {value!r:.40} is not {what}"
-                    for path, value, what in unusable_values(g, id(g) in suspect)]
+                    for path, value, what in unusable_values(g)]
         problems += [f"crew member {name!r:.40} is not a name"
                      for name in g.crew if not isinstance(name, str)]
         problems += [f"{path} {name!r:.40} holds a control character"
                      for path, name in control_named(g)]
+        problems += [f"{path} {name!r:.40} repeats {first}"
+                     for path, name, first in repeated_crew(g)]
         if problems:
             raise DatasetError(f"game {g.game_id!r}: {problems[0]}; "
                                "`rimkit validate` lists every such violation")
@@ -145,9 +139,7 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
             isinstance(k, str) and isinstance(v, str) and v.strip() for k, v in aliases.items()
         ):
             raise ConfigError("aliases file must map names to non-empty name strings")
-    games, report = _frozen(
-        ingest_directory, raw_dir, start_prior=cfg.start_prior, aliases=aliases
-    )
+    games, report = ingest_directory(raw_dir, start_prior=cfg.start_prior, aliases=aliases)
     manifest = write_dataset(games, dataset_root, quarantine=report.quarantine_counts())
     print(f"documents seen: {report.documents_seen}")
     for key, value in sorted(report.quarantine_counts().items()):
@@ -162,7 +154,7 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not cfg.dataset and not args.outputs:
         raise ConfigError("nothing to validate: give --dataset and/or --outputs")
     if cfg.dataset:
-        games, manifest = _frozen(load_dataset, Path(cfg.dataset))
+        games, manifest = load_dataset(Path(cfg.dataset))
         bad = no_crew = 0
         for g in games:
             violations = validate_game(g)
@@ -376,9 +368,7 @@ def _input_errors() -> tuple[type[Exception], ...]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command. A command that loads the dataset freezes it out of
-    the cyclic collector; the freeze is undone before returning, so an
-    in-process caller keeps a normal collector."""
+    """Run one command and return its exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -390,8 +380,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception:  # pragma: no cover - last-resort boundary
         traceback.print_exc()
         return EXIT_INTERNAL
-    finally:
-        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -46,15 +46,12 @@ import orjson
 
 from .model import (
     HEADERS,
-    NUMBER_TYPES,
-    PERIOD_TYPES,
     SAFE_LABEL,
     EventColumns,
     FoulEvent,
     GameRecord,
     canonicalize_name,
     is_no_crew_only,
-    new_event,
     unusable_values,
     validate_game,
 )
@@ -185,12 +182,18 @@ def _require(doc: Mapping, key: str, what: str):
 
 
 def _text(doc: dict, key: str, what: str, exact: bool) -> str:
+    """A required string field; a number is read as its decimal text, and
+    anything else (null, a boolean, a list, an object) is a ParseError
+    naming the field. With ``exact``, only a string is read; any other
+    value raises ``_Fallback``."""
     value = _require(doc, key, what)
     if type(value) is str:
         return value
     if exact:
         raise _Fallback
-    return str(value)
+    if type(value) in (int, float):
+        return str(value)
+    raise ParseError(f"{what}.{key}: not a string: {value!r:.40}")
 
 
 def _number(doc: Mapping, key: str, what: str, kind: type[int] | type[float], exact: bool = False):
@@ -256,9 +259,11 @@ def parse_game_summary(
     ``game`` holds the summary's identity, crew and series state, with no
     events yet; alignment supplies them. The crew may come back empty
     (callers flag such games); any structural problem — bad JSON, missing
-    or non-numeric fields, non-increasing play sequence, a string the
-    dataset could not hold (a lone surrogate) — raises :class:`ParseError`
-    and yields no partial game. Decoded by :func:`_parsed`.
+    or non-numeric fields, a header that is neither a string nor a number,
+    an official that is not a string, non-increasing play sequence, a
+    string the dataset could not hold (a lone surrogate) — raises
+    :class:`ParseError` and yields no partial game. Decoded by
+    :func:`_parsed`.
     """
     return _parsed(data, "summary", _summary_from_doc, aliases, lone_surrogates=False)
 
@@ -289,9 +294,12 @@ def _summary_from_doc(
     officials = doc.get("officials") or []
     if type(officials) is not list:
         raise ParseError("summary: 'officials' must be a list")
-    if exact and any(type(o) is not str for o in officials):
-        raise _Fallback
-    crew = tuple(canonicalize_name(str(o), aliases) for o in officials if str(o).strip())
+    for i, o in enumerate(officials):
+        if type(o) is not str:
+            if exact:
+                raise _Fallback
+            raise ParseError(f"summary.officials[{i}]: not a string: {o!r:.40}")
+    crew = tuple(canonicalize_name(o, aliases) for o in officials if o.strip())
 
     raw_plays = doc.get("plays", [])
     if type(raw_plays) is not list:
@@ -629,63 +637,52 @@ def _events_reference(events: list) -> tuple[FoulEvent, ...]:
     )
 
 
-def _events(
-    events: list, strings: dict
-) -> tuple[tuple[FoulEvent, ...] | EventColumns, bool]:
-    """Events equal to :func:`_events_reference`'s result, built column-wise
-    in C, and whether no event number is one :func:`unusable_values` yields.
+def _events(events: list, strings: dict) -> tuple[FoulEvent, ...] | EventColumns:
+    """Events equal to :func:`_events_reference`'s result, built column-wise in C.
 
     The events are :class:`EventColumns` when every value fits its column
-    exactly: ``int`` ids and periods within 64 bits (a bool is not an int)
-    and ``float`` clocks and win probabilities (an int is not a float);
-    otherwise the tuple of ``FoulEvent``s, holding each value as stored.
-    Every team and description string is swapped for the first equal one in
-    ``strings``, so the events share one copy of each. Any event the column
-    build cannot take as the reference would (a missing key, a description
-    left to its default, a non-string team or description, an event that is
-    not a dict) sends the whole list to the reference, which gives its
-    result or raises its error; its events count as not checked.
+    exactly: ``int`` ids and periods within 64 bits (a bool is not an int),
+    ``float`` clocks and win probabilities (an int is not a float), and
+    ``str`` descriptions and teams, or no team. Every team and description
+    string is then swapped for the first equal one in ``strings``, so the
+    events share one copy of each. Any other list (a missing key, a
+    description left to its default, a value of another type, an event that
+    is not a dict) goes to the reference, which gives its result, holding
+    each value as stored, or raises its error.
     """
     if not events:
-        return (), True
+        return ()
     try:
         ids, periods, clocks, teams, pre, post, descs = zip(*map(_EVENT_FIELDS, events))
     except (KeyError, TypeError):
-        return _events_reference(events), False
-    if not (set(map(type, teams)) <= _TEAM_TYPES and set(map(type, descs)) == {str}):
-        return _events_reference(events), False
-    share = strings.setdefault
-    teams, descs = tuple(map(share, teams, teams)), tuple(map(share, descs, descs))
-    if (_INT.issuperset(map(type, ids)) and _INT.issuperset(map(type, periods))
+        return _events_reference(events)
+    if (set(map(type, teams)) <= _TEAM_TYPES and set(map(type, descs)) == {str}
+            and _INT.issuperset(map(type, ids)) and _INT.issuperset(map(type, periods))
             and _FLOAT.issuperset(map(type, clocks)) and _FLOAT.issuperset(map(type, pre))
             and _FLOAT.issuperset(map(type, post))):
-        try:
-            return EventColumns(array("q", ids), array("q", periods), array("d", clocks), teams,
-                                array("d", pre), array("d", post), descs), True
+        share = strings.setdefault
+        try:  # the ids and periods are packed first, before any string is shared
+            return EventColumns(array("q", ids), array("q", periods), array("d", clocks),
+                                tuple(map(share, teams, teams)), array("d", pre),
+                                array("d", post), tuple(map(share, descs, descs)))
         except OverflowError:  # an id or a period beyond 64 bits
             pass
-    typed = (PERIOD_TYPES.issuperset(map(type, periods))
-             and NUMBER_TYPES.issuperset(map(type, clocks))
-             and NUMBER_TYPES.issuperset(map(type, pre))
-             and NUMBER_TYPES.issuperset(map(type, post)))
-    return tuple(map(new_event, zip(ids, periods, clocks, teams, pre, post, descs))), typed
+    return _events_reference(events)
 
 
-def game_from_dict(
-    d: Mapping, strings: dict | None = None, mistyped: list[GameRecord] | None = None
-) -> GameRecord:
+def game_from_dict(d: Mapping, strings: dict | None = None) -> GameRecord:
     """Rebuild a game from its stored dict (the inverse of :func:`game_to_dict`).
 
     Events are built column-wise by :func:`_events`: as typed
-    :class:`EventColumns` when every value fits them. Team and
-    description strings repeat across a corpus, so every event shares one
-    copy of each, through ``strings``: pass one dict for a whole load to
-    share across its games. The containers are checked here, where a
-    wrong type would otherwise be iterated into nonsense (a crew string
-    into one-letter referees); the types of the crew members and event
-    fields are left to :func:`validate_game`, which reports them. With a
-    ``mistyped`` list, the game is appended to it unless its event numbers
-    were all seen to be of the types the analyses accept.
+    :class:`EventColumns` when every value fits them, otherwise as the
+    tuple of ``FoulEvent``s holding each value as stored, whose numbers
+    :func:`unusable_values` checks. Team and description strings repeat
+    across a corpus, so every event shares one copy of each, through
+    ``strings``: pass one dict for a whole load to share across its games.
+    The containers are checked here, where a wrong type would otherwise be
+    iterated into nonsense (a crew string into one-letter referees); the
+    types of the crew members and event fields are left to
+    :func:`validate_game`, which reports them.
     """
     crew, state, events = d["crew"], d.get("series_state"), d["events"]
     if type(crew) is not list:
@@ -696,12 +693,9 @@ def game_from_dict(
     if type(events) is not list:
         raise TypeError(f"events: {events!r:.40} is not a list")
     headers = _header_values(d)  # before the events, whose errors come after a missing header
-    built, typed = _events(events, {} if strings is None else strings)
-    game = GameRecord(*headers, crew=tuple(crew), events=built,
+    return GameRecord(*headers, crew=tuple(crew),
+                      events=_events(events, {} if strings is None else strings),
                       series_state=None if state is None else tuple(state))
-    if not typed and mistyped is not None:
-        mistyped.append(game)
-    return game
 
 
 def _string(value) -> str:
@@ -966,7 +960,7 @@ def _read_partition(path: Path) -> bytes | mmap.mmap:
 
 
 def _partition_games(path: Path, part: PartitionInfo, games: list[GameRecord], seen: set,
-                     strings: dict, mistyped: list[GameRecord] | None) -> int:
+                     strings: dict) -> int:
     """Append the games of one partition, its hash verified before any
     decode, to ``games``; returns how many. Its bytes are read once into a
     map of their own (see :func:`_read_partition`) and decoded line by line
@@ -986,7 +980,7 @@ def _partition_games(path: Path, part: PartitionInfo, games: list[GameRecord], s
             try:
                 if end - start >= _LONG_LINE and _deep(line := buf[start:end]):
                     json.loads(line)  # raises RecursionError where orjson could crash
-                game = game_from_dict(orjson.loads(memoryview(buf)[start:end]), strings, mistyped)
+                game = game_from_dict(orjson.loads(memoryview(buf)[start:end]), strings)
                 fresh = game.game_id not in seen  # TypeError: an unhashable id
             except (
                 ValueError, KeyError, IndexError, TypeError, AttributeError, RecursionError
@@ -1006,9 +1000,7 @@ def _partition_games(path: Path, part: PartitionInfo, games: list[GameRecord], s
     return count
 
 
-def load_dataset(
-    root: Path, mistyped: list[GameRecord] | None = None
-) -> tuple[list[GameRecord], DatasetManifest]:
+def load_dataset(root: Path) -> tuple[list[GameRecord], DatasetManifest]:
     """Read every partition listed by the manifest, verifying its hash first.
 
     A game id seen before, in this partition or an earlier one (a partition
@@ -1018,9 +1010,8 @@ def load_dataset(
     through views of it, and unmapped before the next is read, so no
     partition's bytes stay resident in the malloc heap after the load.
 
-    With a ``mistyped`` list, each game whose event numbers are not all seen
-    to be of the types the analyses accept is appended to it, in load order.
-    Such a game still loads, for :func:`validate_game` to report.
+    A game whose values the analyses cannot use still loads, for
+    :func:`validate_game` to report and :func:`unusable_values` to name.
     """
     root = Path(root)
     manifest = read_manifest(root)
@@ -1033,17 +1024,15 @@ def load_dataset(
     seen: set[str] = set()
     strings: dict = {}  # one copy of each team and description string per load
     inside = root.resolve()
-    with cyclic_gc_paused():
-        for part in manifest.partitions:
-            path = root / part.path
-            if not path.resolve().is_relative_to(inside):
-                raise DatasetError(f"partition path leaves the dataset root: {part.path}")
-            if not path.exists():
-                raise DatasetError(f"partition missing: {part.path}")
-            count = _partition_games(path, part, games, seen, strings, mistyped)
-            if count != part.games:
-                raise DatasetError(
-                    f"partition {part.path}: manifest says {part.games} games, "
-                    f"found {count}"
-                )
+    for part in manifest.partitions:
+        path = root / part.path
+        if not path.resolve().is_relative_to(inside):
+            raise DatasetError(f"partition path leaves the dataset root: {part.path}")
+        if not path.exists():
+            raise DatasetError(f"partition missing: {part.path}")
+        count = _partition_games(path, part, games, seen, strings)
+        if count != part.games:
+            raise DatasetError(
+                f"partition {part.path}: manifest says {part.games} games, found {count}"
+            )
     return games, manifest

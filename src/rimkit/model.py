@@ -37,7 +37,7 @@ HEADERS = ("game_id", "season", "season_type", "home_team", "away_team")
 _EVENT_NUMBERS = ("period", "clock_seconds_remaining", "pre_wp", "post_wp")
 # The exact types the analyses compute with (a bool is not a number): a
 # period indexes the period buckets, so it must be an int; the clock and
-# probabilities may be ints or floats. The loader reads them at C speed.
+# probabilities may be ints or floats.
 PERIOD_TYPES = frozenset({int})
 NUMBER_TYPES = frozenset({int, float})
 
@@ -248,6 +248,17 @@ def control_named(record: GameRecord) -> list[tuple[str, str]]:
             if isinstance(name, str) and CONTROL_CHARACTER.search(name)]
 
 
+def repeated_crew(record: GameRecord) -> list[tuple[str, str, str]]:
+    """Each crew member of ``record`` who repeats an earlier one, as (field
+    path, name, path of the first), in crew order: an official listed
+    twice would count the game twice in that official's tallies and panel
+    rows. Names that are not strings are other rules' to report."""
+    first: dict[str, int] = {}
+    return [(f"crew[{i}]", name, f"crew[{first[name]}]")
+            for i, name in enumerate(record.crew)
+            if isinstance(name, str) and first.setdefault(name, i) != i]
+
+
 # Stands for the columns validate_game's fast chain does not read.
 _UNREAD = repeat(None)
 
@@ -286,6 +297,8 @@ def validate_game(record: GameRecord) -> list[str]:
     for i, ref in enumerate(record.crew):
         if not isinstance(ref, str) or not ref.strip():
             problems.append(f"crew[{i}]: {ref!r} is not a non-empty name")
+    problems += [f"{path}: {name!r} repeats {first}"
+                 for path, name, first in repeated_crew(record)]
 
     sides = (record.home_team, record.away_team)
     prev: tuple | None = None  # (period, clock) of the last event checked

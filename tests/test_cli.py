@@ -725,6 +725,23 @@ def test_analyses_refuse_a_name_with_a_control_character(tmp_path, capsys, comma
     assert code == 2 and f"{game['game_id']}: {reported}" in out, out
 
 
+def test_refs_refuses_a_crew_member_listed_twice(tmp_path, capsys):
+    # The game used to count twice for that official in referee_distribution,
+    # and as two duplicate rows in the crew panel.
+    ds = tmp_path / "ds"
+    game = _small_dataset_with_first_game_edited(
+        ds, lambda g: g["crew"].__setitem__(2, g["crew"][0]))
+    name = game["crew"][0]
+    out_dir = tmp_path / "out"
+    code, out = run(capsys, "refs", "--dataset", str(ds), "--out", str(out_dir))
+    assert code == 2, out
+    assert (f"error: game {game['game_id']!r}: crew[2] {name!r} repeats crew[0]; "
+            "`rimkit validate`") in out
+    assert not out_dir.exists()
+    code, out = run(capsys, "validate", "--dataset", str(ds))
+    assert code == 2 and f"{game['game_id']}: crew[2]: {name!r} repeats crew[0]" in out, out
+
+
 def _float_period(g):
     g["events"][0]["period"] = 1.0
 

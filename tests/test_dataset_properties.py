@@ -52,7 +52,7 @@ from rimkit.ingest import (
     read_manifest,
     write_dataset,
 )
-from rimkit.model import EventColumns, FoulEvent, GameRecord
+from rimkit.model import EventColumns, FoulEvent, GameRecord, unusable_values
 from rimkit.synth import SimConfig, generate
 
 EDGE_FLOATS = (
@@ -540,7 +540,7 @@ def _exact(events) -> list:
 
 
 def _reference_game(d: dict) -> GameRecord:
-    reference = lambda events, strings: (ingest._events_reference(events), False)  # noqa: E731
+    reference = lambda events, strings: ingest._events_reference(events)  # noqa: E731
     with mock.patch.object(ingest, "_events", reference):
         return game_from_dict(d)
 
@@ -657,29 +657,24 @@ _ANY_NUMBER = st.one_of(st.integers(0, 5), st.floats(0.0, 5.0), st.booleans(), s
     {"period": _ANY_NUMBER, "clock": _ANY_NUMBER, "pre_wp": _ANY_NUMBER, "post_wp": _ANY_NUMBER}),
     st.booleans()), max_size=4))
 def test_game_from_dict_flags_every_game_whose_event_numbers_the_analyses_cannot_use(drawn):
-    # A period must be an int, the other numbers ints or floats; a game the
-    # column build could not take (here, a description left to its default)
-    # is flagged whatever its numbers, since they were not seen.
+    # A period must be an int, the other numbers ints or floats. Whichever
+    # form the game loads in (a description left to its default, or a
+    # number of another type, keeps the tuple), unusable_values names
+    # exactly the games holding such a number.
     events = [{k: v for k, v in dict(_VALID, **e).items() if k != "description" or keep}
               for e, keep in drawn]
-    flagged: list = []
-    game = game_from_dict(_stored_game(events), mistyped=flagged)
+    game = game_from_dict(_stored_game(events))
     wrong = any(type(e["period"]) is not int or not all(
         type(e[k]) in (int, float) for k in ("clock", "pre_wp", "post_wp")) for e in events)
-    unseen = not all(keep for _, keep in drawn)
-    assert flagged == ([game] if wrong or unseen else [])
-    assert game_from_dict(_stored_game(events)) == game
+    assert bool(list(unusable_values(game))) == wrong
 
 
 def test_a_load_lists_the_flagged_games_in_load_order(tmp_path):
     games = [make_game([make_event(0.5, 0.6, period=p)], game_id=f"g{i}")
              for i, p in enumerate([1, 2.0, 3, True, 1.5])]
     write_dataset(games, tmp_path / "ds")
-    flagged: list = []
-    loaded, _ = load_dataset(tmp_path / "ds", mistyped=flagged)
-    assert [g.game_id for g in flagged] == ["g1", "g3", "g4"]
-    assert all(any(f is g for g in loaded) for f in flagged)
-    assert load_dataset(tmp_path / "ds")[0] == loaded
+    loaded, _ = load_dataset(tmp_path / "ds")
+    assert [g.game_id for g in loaded if list(unusable_values(g))] == ["g1", "g3", "g4"]
 
 
 def test_a_load_shares_one_copy_of_each_event_string(tmp_path):

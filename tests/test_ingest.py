@@ -288,6 +288,17 @@ _PARSE_CASES += [
         _splice(_SERIES, b'"home_wins": 1', b'"home_wins": -9223372036854775809'),
         id="summary-series-below-64-bits",
     ),
+    pytest.param(
+        parse_game_summary,
+        dumps(summary_doc(officials=["Tony Brothers", {"name": "Pat Fraher"}, 7, True])),
+        id="summary-official-not-a-string",
+    ),
+] + [
+    pytest.param(parse_game_summary, dumps(dict(summary_doc(), **{key: value})),
+                 id=f"summary-{key}-{name}")
+    for key in ("game_id", "season", "home_team")
+    for name, value in [("null", None), ("boolean", False), ("list", ["HOU"]),
+                        ("object", {"id": "HOU"}), ("integer", 7), ("float", 2.5)]
 ]
 
 
@@ -597,6 +608,35 @@ def test_ingest_directory_quarantines_a_name_with_a_control_character(tmp_path):
     assert report.quarantined_games == [
         ("g-crew", ("crew[0]: 'Tony\\x07Brothers' holds a control character",)),
         ("g-team", ("home_team: 'T01\\nX' holds a control character",)),
+    ]
+
+
+def test_ingest_directory_quarantines_an_official_listed_twice(tmp_path):
+    # Both spellings canonicalize to one name; kept, the game would count
+    # twice for that official in the referee tallies and the crew panel.
+    raw = tmp_path / "raw"
+    officials = ["TONY BROTHERS", "Tony  Brothers", "Pat Fraher"]
+    _write_raw_game(raw, summary_doc(game_id="g-twice", officials=officials))
+    _write_raw_game(raw, summary_doc(game_id="g-ok"), wp_doc([("p1", 0.5)]))
+    games, report = ingest_directory(raw)
+    assert [g.game_id for g in games] == ["g-ok"]
+    assert report.quarantined_games == [
+        ("g-twice", ("crew[1]: 'Tony Brothers' repeats crew[0]",))]
+
+
+def test_ingest_directory_ledgers_a_header_or_official_that_is_not_a_string(tmp_path):
+    # Each used to become a name: null as 'None', an object as its repr.
+    raw = tmp_path / "raw"
+    _write_raw_game(raw, summary_doc(game_id="g-ok"), wp_doc([("p1", 0.5)]))
+    _write_raw_game(raw, summary_doc(game_id="g-official",
+                                     officials=[None, {"name": "Pat Fraher"}, 7, True]))
+    _write_raw_game(raw, dict(summary_doc(game_id="g-header"), home_team=None))
+    _write_raw_game(raw, dict(summary_doc(game_id="g-number"), season=2021))
+    games, report = ingest_directory(raw)
+    assert [(g.game_id, g.season) for g in games] == [("g-number", "2021"), ("g-ok", "2021-22")]
+    assert report.document_errors == [
+        ("g-header.summary.json", "summary.home_team: not a string: None"),
+        ("g-official.summary.json", "summary.officials[0]: not a string: None"),
     ]
 
 

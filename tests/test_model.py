@@ -112,6 +112,18 @@ def test_a_team_or_crew_name_with_a_control_character_is_reported():
         "away_team: 'BOS\\x7f' holds a control character"]
 
 
+def test_a_crew_member_listed_twice_is_reported():
+    # Counted twice, the official would get the game twice in the referee
+    # tallies and two rows of it in the crew panel.
+    game = make_game(crew=("Tony Brothers", "Pat Fraher", "Tony Brothers", "Pat Fraher", 5, 5))
+    assert validate_game(game) == [
+        "crew[4]: 5 is not a non-empty name",
+        "crew[5]: 5 is not a non-empty name",
+        "crew[2]: 'Tony Brothers' repeats crew[0]",
+        "crew[3]: 'Pat Fraher' repeats crew[1]",
+    ]
+
+
 def test_names_with_spaces_and_non_ascii_letters_are_plain():
     game = make_game(home="Team Dončić", away="São Paulo", crew=("José Núñez", "Zhang\u3000Wei"))
     assert validate_game(game) == []

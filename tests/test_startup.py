@@ -2,8 +2,7 @@
 by the commands that fit or simulate, no rimkit module imports it at load
 time, ``import rimkit`` loads a submodule only when one of its names is
 read, the raw-data commands load none of the analysis layers, and a command
-that loads the dataset freezes it out of the cyclic collector only while
-it runs."""
+leaves the cyclic collector as it found it."""
 
 import ast
 import gc
@@ -128,31 +127,34 @@ def test_import_rimkit_loads_a_submodule_only_when_a_name_is_read(tmp_path):
         (["metrics", "--out", "o"], "figures.AnalysisContext", 0),
         (["validate"], "cli.validate_game", 0),
         (["ingest", "--raw-dir", "raw", "--out", "o"], "cli.write_dataset", 0),
-        # Fails after the load: the freeze is still undone.
+        # Fails after the load.
         (["metrics", "--out", "o", "--seasons", "1999-00"], "figures.AnalysisContext", 2),
     ],
     ids=["metrics", "validate", "ingest", "metrics-no-games-left"],
 )
-def test_a_command_freezes_its_corpus_and_unfreezes_before_returning(
+def test_a_command_leaves_the_collector_as_it_found_it(
     corpus, tmp_path, capsys, monkeypatch, argv, spied, code
 ):
-    frozen = []
+    # The loaded corpus is left to the collector: nothing is frozen out of
+    # it, and a pause taken while feeds are ingested ends with the ingest.
+    seen = []
     module_name, _, name = spied.partition(".")
     module = importlib.import_module(f"rimkit.{module_name}")
     original = getattr(module, name)
 
     def spy(*args, **kwargs):
-        frozen.append(gc.get_freeze_count())
+        seen.append((gc.isenabled(), gc.get_freeze_count()))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, spy)
     argv = [argv[0], "--dataset", str(corpus / "ds"), *argv[1:]]
     argv = [str(tmp_path / a) if a == "o" else str(corpus / a) if a == "raw" else a
             for a in argv]
+    assert gc.isenabled() and gc.get_freeze_count() == 0
     assert main(argv) == code
     if code == 0:
-        assert frozen and min(frozen) > 0  # the loaded corpus sat in the permanent generation
-    assert gc.get_freeze_count() == 0
+        assert seen and set(seen) == {(True, 0)}  # the work after the load ran so too
+    assert gc.isenabled() and gc.get_freeze_count() == 0
 
 
 def _import_time_nodes(nodes):

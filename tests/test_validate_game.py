@@ -3,10 +3,12 @@
 ``validate_game`` checks a passing event with one chain of comparisons and
 words messages only for an event that fails. ``reference_validate_game``
 below is the function as it was before that fast path, kept verbatim
-apart from its name and one later rule (a float period is not an integer,
-and the range and order checks skip it): every message, and the order of
-the messages, must match it on games built to break each rule, alone and
-together, and for a loaded game whose events are held as columns.
+apart from its name and two later rules (a float period is not an integer,
+and the range and order checks skip it; a crew member listed twice is
+reported after the name check of every crew member): every message, and
+the order of the messages, must match it on games built to break each
+rule, alone and together, and for a loaded game whose events are held as
+columns.
 """
 
 from __future__ import annotations
@@ -66,6 +68,11 @@ def reference_validate_game(record: GameRecord) -> list[str]:
     for i, ref in enumerate(record.crew):
         if not isinstance(ref, str) or not ref.strip():
             problems.append(f"crew[{i}]: {ref!r} is not a non-empty name")
+    listed: list = []
+    for i, ref in enumerate(record.crew):
+        if isinstance(ref, str) and ref in listed:
+            problems.append(f"crew[{i}]: {ref!r} repeats crew[{listed.index(ref)}]")
+        listed.append(ref)
 
     sides = (record.home_team, record.away_team)
     prev: tuple | None = None  # (period, clock) of the last event checked
