@@ -39,7 +39,6 @@ from .ingest import (
 )
 from .model import (
     control_named,
-    is_no_crew_only,
     repeated_crew,
     unusable_values,
     validate_game,
@@ -158,12 +157,12 @@ def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
         bad = no_crew = 0
         for g in games:
             violations = validate_game(g)
-            if is_no_crew_only(violations):
-                no_crew += 1  # kept by ingest on purpose; a soft flag
-            elif violations:
+            if violations:
                 bad += 1
                 for v in violations:
                     print(f"{g.game_id}: {v}")
+            elif not g.crew:
+                no_crew += 1  # kept by ingest on purpose
         print(
             f"{'dataset has violations' if bad else 'dataset ok'}: "
             f"{manifest.total_games} games, "

@@ -51,7 +51,6 @@ from .model import (
     FoulEvent,
     GameRecord,
     canonicalize_name,
-    is_no_crew_only,
     unusable_values,
     validate_game,
 )
@@ -259,10 +258,11 @@ def parse_game_summary(
     ``game`` holds the summary's identity, crew and series state, with no
     events yet; alignment supplies them. The crew may come back empty
     (callers flag such games); any structural problem — bad JSON, missing
-    or non-numeric fields, a header that is neither a string nor a number,
-    an official that is not a string, non-increasing play sequence, a
-    string the dataset could not hold (a lone surrogate) — raises
-    :class:`ParseError` and yields no partial game. Decoded by
+    or non-numeric fields, a header or a play's id, text or team that is
+    neither a string nor a number, an official that is not a string, a
+    foul flag that is neither absent, null nor a boolean, non-increasing
+    play sequence, a string the dataset could not hold (a lone surrogate) —
+    raises :class:`ParseError` and yields no partial game. Decoded by
     :func:`_parsed`.
     """
     return _parsed(data, "summary", _summary_from_doc, aliases, lone_surrogates=False)
@@ -313,8 +313,10 @@ def _summary_from_doc(
             # Fast path: exact types, read unchanged, as _number would return them.
             play_id, seq, period = p.get("id"), p.get("sequence"), p.get("period")
             clock, text, team = p.get("clock_seconds"), p.get("text", ""), p.get("team")
+            foul = p.get("foul", False)
             if (
-                type(play_id) is str
+                type(foul) is bool
+                and type(play_id) is str
                 and type(seq) is int
                 and type(period) is int
                 and type(clock) is float
@@ -325,7 +327,6 @@ def _summary_from_doc(
                 and -_INT64_LIMIT < clock < _INT64_LIMIT
             ):
                 last_seq = seq
-                foul = bool(p.get("foul", False))
                 append(new(RawPlay, (play_id, period, clock, text, foul, team)))
                 continue
         if exact:
@@ -337,15 +338,17 @@ def _summary_from_doc(
         if seq <= last_seq:
             raise ParseError(f"{what}: sequence {seq} not increasing")
         last_seq = seq
-        team = p.get("team")
+        foul = p.get("foul")
+        if foul is not None and type(foul) is not bool:
+            raise ParseError(f"{what}.foul: not a boolean: {foul!r:.40}")
         append(
             RawPlay(
-                play_id=str(_require(p, "id", what)),
+                play_id=_text(p, "id", what, False),
                 period=_number(p, "period", what, int),
                 clock_seconds_remaining=_number(p, "clock_seconds", what, float),
-                description=str(p.get("text", "")),
-                is_foul=bool(p.get("foul", False)),
-                charged_team=str(team) if team is not None else None,
+                description="" if p.get("text") is None else _text(p, "text", what, False),
+                is_foul=foul is True,
+                charged_team=None if p.get("team") is None else _text(p, "team", what, False),
             )
         )
     game = GameRecord(
@@ -403,9 +406,7 @@ def _wp_from_doc(doc: dict, exact: bool) -> tuple[dict[str, float], float | None
             raise ParseError(f"wp: items[{i}] must be an object")
         play_id = item.get("play_id")
         if type(play_id) is not str:
-            if exact:
-                raise _Fallback
-            play_id = str(_require(item, "play_id", f"wp.items[{i}]"))
+            play_id = _text(item, "play_id", f"wp.items[{i}]", exact)
         wp = _probability(item.get("home_wp"))
         if wp is None:
             dropped += 1
@@ -571,7 +572,7 @@ def ingest_directory(
             game = GameRecord(game_id, header.season, header.season_type, header.home_team,
                               header.away_team, header.crew, events, header.series_state)
             violations = validate_game(game)
-            if violations and not is_no_crew_only(violations):
+            if violations:
                 report.quarantined_games.append((game_id, tuple(violations)))
                 continue
             if not game.crew:

@@ -268,11 +268,12 @@ def validate_game(record: GameRecord) -> list[str]:
 
     Violations are data for the caller to act on, never exceptions: a
     record holding out-of-range feed values must still be constructible so
-    the problem can be reported and the game quarantined. The empty-crew
-    rule is special-cased upstream (such games stay usable for team-level
-    analysis); every message is prefixed with the offending field. An
-    event that passes every rule costs one chain of comparisons; only a
-    failing one is checked again, rule by rule, to word its messages.
+    the problem can be reported and the game quarantined. An empty crew is
+    no violation: such games stay usable for team-level analysis, and
+    callers count them from ``record.crew``. Every message is prefixed with
+    the offending field. An event that passes every rule costs one chain of
+    comparisons; only a failing one is checked again, rule by rule, to word
+    its messages.
     """
     problems: list[str] = []
     if record.season_type not in SEASON_TYPES:
@@ -292,8 +293,6 @@ def validate_game(record: GameRecord) -> list[str]:
         problems.append(f"teams: home and away are both {record.home_team!r}")
     problems += [f"{path}: {name!r} holds a control character"
                  for path, name in control_named(record)]
-    if not record.crew:
-        problems.append("crew: empty; game cannot join referee analyses")
     for i, ref in enumerate(record.crew):
         if not isinstance(ref, str) or not ref.strip():
             problems.append(f"crew[{i}]: {ref!r} is not a non-empty name")
@@ -366,11 +365,6 @@ def _event_problems(
     if prev is not None and (period < prev[0] or (period == prev[0] and clock > prev[1])):
         problems.append(f"{tag}: out of order (period asc, clock desc violated)")
     return (period, clock)
-
-
-def is_no_crew_only(violations: list[str]) -> bool:
-    """True when the only problem is an empty crew (soft flag, not fatal)."""
-    return len(violations) == 1 and violations[0].startswith("crew:")
 
 
 def canonicalize_name(raw: str, aliases: Mapping[str, str] | None = None) -> str:

@@ -302,9 +302,50 @@ _PARSE_CASES += [
 ]
 
 
+
+
+def _made_shot_with(key: str, value) -> bytes:
+    return dumps(summary_doc(plays=[dict(play("p1", 1, text="Made shot"), **{key: value})]))
+
+
+# A play field, foul flag or sample id of the wrong type, each of which used
+# to be read through bool() or str(): "false" as a foul, null as 'None'.
+_REFUSALS = [
+    (parse_game_summary, _made_shot_with("foul", value),
+     f"summary.plays[0].foul: not a boolean: {value!r}", f"summary-foul-{name}")
+    for name, value in [("string", "false"), ("zero", 0), ("one", 1), ("list", [True])]
+] + [
+    (parse_game_summary, _made_shot_with(key, value),
+     f"summary.plays[0].{key}: not a string: {value!r}", f"summary-play-{key}-{name}")
+    for key, name, value in [("id", "null", None), ("id", "boolean", True),
+                             ("text", "object", {"x": 1}), ("text", "boolean", False),
+                             ("team", "list", ["HOU"])]
+] + [
+    (parse_wp_feed, dumps({"items": [{"play_id": value, "home_wp": 0.5}]}),
+     f"wp.items[0].play_id: not a string: {value!r}", f"wp-play-id-{name}")
+    for name, value in [("null", None), ("list", ["p1"])]
+]
+_PARSE_CASES += [pytest.param(parse, data, id=name) for parse, data, _, name in _REFUSALS]
+
+
 @pytest.mark.parametrize("parse, data", _PARSE_CASES)
 def test_parse_gives_the_json_path_result_or_error_text(parse, data):
     assert _outcome(parse, data) == _json_path_outcome(parse, data)
+
+
+@pytest.mark.parametrize("parse, data, error",
+                         [pytest.param(*case[:3], id=case[3]) for case in _REFUSALS])
+def test_parse_refuses_a_play_field_or_foul_flag_of_the_wrong_type(parse, data, error):
+    assert _outcome(parse, data) == ("error", error)
+
+
+def test_parse_reads_a_number_as_its_text_and_null_as_absent_in_a_play():
+    doc = summary_doc(plays=[dict(play("p1", 1), id=7, text=None, team=None, foul=None),
+                             dict(play("p2", 2), text=2.5, team=3, foul=True)])
+    _, plays = parse_game_summary(dumps(doc))
+    assert [(p.play_id, p.description, p.charged_team, p.is_foul) for p in plays] == [
+        ("7", "", None, False), ("p2", "2.5", "3", True)]
+    assert parse_wp_feed(dumps({"items": [{"play_id": 7, "home_wp": 0.5}]}))[0] == {"7": 0.5}
 
 
 def _refuses_json(parse, data: bytes) -> str:
@@ -637,6 +678,21 @@ def test_ingest_directory_ledgers_a_header_or_official_that_is_not_a_string(tmp_
     assert report.document_errors == [
         ("g-header.summary.json", "summary.home_team: not a string: None"),
         ("g-official.summary.json", "summary.officials[0]: not a string: None"),
+    ]
+
+
+def test_ingest_directory_ledgers_a_foul_flag_that_is_not_a_boolean(tmp_path):
+    # "false" used to make a made shot a foul, and its swing part of RIM.
+    raw = tmp_path / "raw"
+    plays = [play("p1", 1, text="Made shot"), dict(play("p2", 2, team="HOU"), foul=True, text=5)]
+    _write_raw_game(raw, summary_doc(game_id="g-ok", plays=plays),
+                    wp_doc([("p1", 0.5), ("p2", 0.6)]))
+    plays = [dict(play("p1", 1, text="Made shot"), foul="false")]
+    _write_raw_game(raw, summary_doc(game_id="g-string", plays=plays), wp_doc([("p1", 0.5)]))
+    games, report = ingest_directory(raw)
+    assert [(g.game_id, [e.description for e in g.events]) for g in games] == [("g-ok", ["5"])]
+    assert report.document_errors == [
+        ("g-string.summary.json", "summary.plays[0].foul: not a boolean: 'false'")
     ]
 
 

@@ -11,7 +11,6 @@ from rimkit.model import (
     SeriesStateKey,
     canonical_series_key,
     canonicalize_name,
-    is_no_crew_only,
     validate_game,
 )
 
@@ -80,14 +79,11 @@ def test_unknown_charged_team_flagged_but_none_allowed():
     assert validate_game(unattributed) == []
 
 
-def test_empty_crew_is_isolated_soft_flag():
-    game = make_game(crew=())
-    problems = validate_game(game)
-    assert len(problems) == 1
-    assert is_no_crew_only(problems)
-    # Any second problem makes the set hard-quarantine material.
-    game2 = make_game(crew=(), season_type="preseason")
-    assert not is_no_crew_only(validate_game(game2))
+def test_an_empty_crew_alone_is_no_violation():
+    # Ingest keeps such a game and counts it from its crew, not from a message.
+    assert validate_game(make_game(crew=())) == []
+    problems = validate_game(make_game(crew=(), season_type="preseason"))
+    assert [p.split(":")[0] for p in problems] == ["season_type"]
 
 
 def test_crew_members_must_be_non_empty_names():

@@ -1,7 +1,7 @@
 """What a command pays for before and after its work: numpy is loaded only
 by the commands that fit or simulate, no rimkit module imports it at load
-time, ``import rimkit`` loads a submodule only when one of its names is
-read, the raw-data commands load none of the analysis layers, and a command
+time, ``import rimkit`` binds only its version and loads no submodule,
+the raw-data commands load none of the analysis layers, and a command
 leaves the cyclic collector as it found it."""
 
 import ast
@@ -95,29 +95,23 @@ def test_a_raw_data_command_loads_no_analysis_layer(corpus, argv):
     assert p.stdout.splitlines()[-1] == _RAW_COMMAND_MODULES  # no figures, no inference
 
 
-def test_import_rimkit_loads_a_submodule_only_when_a_name_is_read(tmp_path):
+def test_import_rimkit_binds_only_its_version_and_loads_no_submodule(tmp_path):
     script = (
         "import sys\n"
         "import rimkit\n"
         "def loaded():\n"
         "    return sorted(m for m in sys.modules if m.startswith('rimkit.'))\n"
         "print(loaded())\n"
-        "assert 'load_dataset' in dir(rimkit)\n"
+        "print(sorted(n for n in vars(rimkit) if not n.startswith('_')), rimkit.__version__)\n"
+        "from rimkit.ingest import load_dataset\n"
         "print(loaded())\n"
-        "rimkit.load_dataset\n"
-        "print(loaded())\n"
-        "try:\n"
-        "    rimkit.no_such_name\n"
-        "except AttributeError as e:\n"
-        "    print(e)\n"
     )
     p = _probe(tmp_path, "-c", script)
     assert p.returncode == 0, p.stdout + p.stderr
     assert p.stdout.splitlines() == [
         "[]",
-        "[]",
+        "[] 0.1.0",
         "['rimkit.ingest', 'rimkit.model']",
-        "module 'rimkit' has no attribute 'no_such_name'",
     ]
 
 

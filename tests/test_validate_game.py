@@ -3,9 +3,10 @@
 ``validate_game`` checks a passing event with one chain of comparisons and
 words messages only for an event that fails. ``reference_validate_game``
 below is the function as it was before that fast path, kept verbatim
-apart from its name and two later rules (a float period is not an integer,
+apart from its name and three later rules (a float period is not an integer,
 and the range and order checks skip it; a crew member listed twice is
-reported after the name check of every crew member): every message, and
+reported after the name check of every crew member; an empty crew is no
+violation): every message, and
 the order of the messages, must match it on games built to break each
 rule, alone and together, and for a loaded game whose events are held as
 columns.
@@ -63,8 +64,6 @@ def reference_validate_game(record: GameRecord) -> list[str]:
         problems.append("teams: home and away ids must be non-empty")
     elif record.home_team == record.away_team:
         problems.append(f"teams: home and away are both {record.home_team!r}")
-    if not record.crew:
-        problems.append("crew: empty; game cannot join referee analyses")
     for i, ref in enumerate(record.crew):
         if not isinstance(ref, str) or not ref.strip():
             problems.append(f"crew[{i}]: {ref!r} is not a non-empty name")
