@@ -14,7 +14,7 @@ from functools import reduce
 from operator import add
 
 from .metrics import PERIOD_BUCKETS, compute_game_metrics, swing_per_call
-from .model import POSTSEASON, GameRecord, SeriesStateKey, TeamGameRow
+from .model import POSTSEASON, GameRecord, SeriesStateKey, TeamGameColumns, TeamGameRow
 
 
 def _total(values: Iterable[float]) -> float:
@@ -210,11 +210,21 @@ def home_away_summary(rows: Iterable[TeamGameRow]) -> HomeAwaySummary:
     mirror each other, the league home and away means are exact negations;
     per-team splits are where real asymmetry shows up.
     """
-    by_type: dict[tuple[str, bool], list[TeamGameRow]] = {}
-    by_team: dict[tuple[str, bool], list[TeamGameRow]] = {}
-    for r in rows:  # one pass; each group keeps the rows' order, so its sums keep their bits
-        by_type.setdefault((r.season_type, r.is_home), []).append(r)
-        by_team.setdefault((r.team, r.is_home), []).append(r)
+    rows = TeamGameColumns.of(rows)
+    by_type: dict[tuple[str, bool], list[int]] = {}
+    by_team: dict[tuple[str, bool], list[int]] = {}
+    for i, (st, team, home) in enumerate(zip(rows.season_type, rows.team, rows.is_home)):
+        # each group keeps the rows' order, so its sums keep their bits
+        by_type.setdefault((st, home), []).append(i)
+        by_team.setdefault((team, home), []).append(i)
+    disparity, team_rim = rows.disparity, rows.team_rim
+
+    def mean_disparity(sel: list[int]) -> float:
+        return _mean([float(disparity[i]) for i in sel])
+
+    def mean_team_rim(sel: list[int]) -> float:
+        return _mean([team_rim[i] for i in sel])
+
     league: list[SideSummary] = []
     for st in sorted({st for st, _ in by_type}):
         for side, flag in (("home", True), ("away", False)):
@@ -226,8 +236,8 @@ def home_away_summary(rows: Iterable[TeamGameRow]) -> HomeAwaySummary:
                     season_type=st,
                     side=side,
                     n_rows=len(sel),
-                    mean_disparity=_mean([float(r.disparity) for r in sel]),
-                    mean_team_rim=_mean([r.team_rim for r in sel]),
+                    mean_disparity=mean_disparity(sel),
+                    mean_team_rim=mean_team_rim(sel),
                 )
             )
     teams: list[TeamHomeAway] = []
@@ -239,18 +249,10 @@ def home_away_summary(rows: Iterable[TeamGameRow]) -> HomeAwaySummary:
                 team=team,
                 home_games=len(home),
                 away_games=len(away),
-                home_mean_disparity=(
-                    _mean([float(r.disparity) for r in home]) if home else None
-                ),
-                away_mean_disparity=(
-                    _mean([float(r.disparity) for r in away]) if away else None
-                ),
-                home_mean_team_rim=(
-                    _mean([r.team_rim for r in home]) if home else None
-                ),
-                away_mean_team_rim=(
-                    _mean([r.team_rim for r in away]) if away else None
-                ),
+                home_mean_disparity=mean_disparity(home) if home else None,
+                away_mean_disparity=mean_disparity(away) if away else None,
+                home_mean_team_rim=mean_team_rim(home) if home else None,
+                away_mean_team_rim=mean_team_rim(away) if away else None,
             )
         )
     return HomeAwaySummary(league=league, teams=teams)
@@ -278,28 +280,30 @@ def series_state_summary(rows: Iterable[TeamGameRow]) -> SeriesStateSummary:
     counted and excluded. Mirrored states pool because rows carry the
     already-canonical key.
     """
-    games_seen: dict[str, TeamGameRow] = {}
+    rows = TeamGameColumns.of(rows)
+    games_seen: dict[str, int] = {}  # each postseason game's home row, else its last row
     row_counts: dict[str, int] = {}
-    for r in rows:
-        if r.season_type != POSTSEASON:
+    for i, (gid, st, home) in enumerate(zip(rows.game_id, rows.season_type, rows.is_home)):
+        if st != POSTSEASON:
             continue
-        row_counts[r.game_id] = row_counts.get(r.game_id, 0) + 1
-        if r.game_id not in games_seen or r.is_home:
-            games_seen[r.game_id] = r
-    missing = sum(1 for r in games_seen.values() if r.series_key is None)
-    by_key: dict[SeriesStateKey, list[TeamGameRow]] = {}
-    for r in games_seen.values():
-        if r.series_key is not None:
-            by_key.setdefault(r.series_key, []).append(r)
+        row_counts[gid] = row_counts.get(gid, 0) + 1
+        if gid not in games_seen or home:
+            games_seen[gid] = i
+    keys = rows.series_key
+    missing = sum(1 for i in games_seen.values() if keys[i] is None)
+    by_key: dict[SeriesStateKey, list[int]] = {}
+    for i in games_seen.values():
+        if keys[i] is not None:
+            by_key.setdefault(keys[i], []).append(i)
     buckets = [
         SeriesStateBucket(
             key=key,
-            games=len(rs),
-            team_rows=sum(row_counts[r.game_id] for r in rs),
-            mean_abs_disparity=_mean([float(abs(r.disparity)) for r in rs]),
-            mean_game_rim=_mean([r.game_rim for r in rs]),
+            games=len(sel),
+            team_rows=sum(row_counts[rows.game_id[i]] for i in sel),
+            mean_abs_disparity=_mean([float(abs(rows.disparity[i])) for i in sel]),
+            mean_game_rim=_mean([rows.game_rim[i] for i in sel]),
         )
-        for key, rs in sorted(by_key.items(), key=lambda kv: kv[0])
+        for key, sel in sorted(by_key.items(), key=lambda kv: kv[0])
     ]
     return SeriesStateSummary(
         buckets=buckets,

@@ -205,7 +205,8 @@ class _Slice:
 
     @cached_property
     def rows(self):
-        return [r for r in self.ctx.team_rows if r.season_type == self.season_type]
+        rows = self.ctx.team_rows
+        return rows.select([i for i, st in enumerate(rows.season_type) if st == self.season_type])
 
     @cached_property
     def min_games(self) -> int:

@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .model import POSTSEASON, TARGET_FORMS, TeamGameRow
-from .outliers import PanelRow
+from .model import POSTSEASON, TARGET_FORMS, TeamGameColumns, TeamGameRow
+from .outliers import PanelColumns, PanelRow
 from .special import student_t_quantile
 
 if TYPE_CHECKING:
@@ -425,7 +425,7 @@ def _design(blocks: list[_Block], clusters: Sequence[str], notes: Sequence[str])
 
 
 def build_design(
-    rows: Sequence[TeamGameRow],
+    rows: Iterable[TeamGameRow],
     targets: Sequence[TeamSideTarget],
     *,
     outcomes: Sequence[str],
@@ -448,19 +448,20 @@ def build_design(
             raise DesignError(f"unknown outcome {outcome!r}")
     if target_form not in TARGET_FORMS:
         raise DesignError(f"unknown target_form {target_form!r}")
-    rows = list(rows)
-    fitted = [r for r in rows if r.series_key is not None] if include_series else rows
+    rows = TeamGameColumns.of(rows)
+    fitted = (rows.select([i for i, key in enumerate(rows.series_key) if key is not None])
+              if include_series else rows)
     excluded = len(rows) - len(fitted)
     notes = [f"excluded {excluded} rows without series state"] if excluded else []
     if not fitted:
         raise DesignError("no rows to fit")
 
-    team, opponent = _coded([r.team for r in fitted]), _coded([r.opponent for r in fitted])
-    is_home = np.array([r.is_home for r in fitted], dtype=bool)
+    team, opponent = _coded(fitted.team), _coded(fitted.opponent)
+    is_home = np.array(fitted.is_home, dtype=bool)
     families = {"team": (team, "team_"), "opponent": (opponent, "opp_"),
-                "season": (_coded([r.season for r in fitted]), "season_")}
+                "season": (_coded(fitted.season), "season_")}
     if include_series:
-        families["series"] = (_coded([r.series_key.label for r in fitted]), "series_")
+        families["series"] = (_coded([key.label for key in fitted.series_key]), "series_")
     blocks = _blocks(len(fitted), *families.values())
     blocks.insert(1, _column(is_home, "home"))
     notes += [f"{family} reference {_reference(c)}" for family, (c, _) in families.items()]
@@ -472,8 +473,8 @@ def build_design(
         if target_form == "paired":
             column[_rows_equal(opponent, tgt.team) & (is_home != (tgt.side == HOME))] = -1.0
         blocks.append(_column(column, f"{tgt.name}[{target_form}]"))
-    ys = {o: np.array([getattr(r, o) for r in fitted], dtype=float) for o in outcomes}
-    return _design(blocks, [r.game_id for r in fitted], notes), ys
+    ys = {o: np.array(getattr(fitted, o), dtype=float) for o in outcomes}
+    return _design(blocks, fitted.game_id, notes), ys
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +583,7 @@ def _fit_outcomes(design: Design, outcomes: Mapping[str, np.ndarray]) -> dict[st
 
 
 def team_side_effects(
-    rows: Sequence[TeamGameRow],
+    rows: Iterable[TeamGameRow],
     targets: Sequence[TeamSideTarget],
     *,
     outcomes: Sequence[str] = TEAM_OUTCOMES,
@@ -603,7 +604,7 @@ def team_side_effects(
     return _fit_outcomes(design, ys)
 
 
-def series_state_effects(rows: Sequence[TeamGameRow]) -> dict[str, FitResult]:
+def series_state_effects(rows: Iterable[TeamGameRow]) -> dict[str, FitResult]:
     """Game-level pregame series-state effects relative to 0--0.
 
     One observation per postseason game with a known state; outcomes are
@@ -614,31 +615,33 @@ def series_state_effects(rows: Sequence[TeamGameRow]) -> dict[str, FitResult]:
     """
     import numpy as np
 
-    per_game = {r.game_id: r for r in rows
-                if r.season_type == POSTSEASON and r.series_key is not None and r.is_home}
+    rows = TeamGameColumns.of(rows)
+    per_game = {gid: i for i, (gid, st, key, home) in enumerate(
+                    zip(rows.game_id, rows.season_type, rows.series_key, rows.is_home))
+                if st == POSTSEASON and key is not None and home}
     if not per_game:
         raise DesignError("no postseason rows with series state")
-    game_rows = [per_game[g] for g in sorted(per_game)]
-    n = len(game_rows)
+    games = rows.select([per_game[g] for g in sorted(per_game)])
+    n = len(games)
 
-    series = _coded([r.series_key.label for r in game_rows])  # type: ignore[union-attr]
+    series = _coded([key.label for key in games.series_key])
     blocks = _blocks(
         n,
-        (_coded([r.team for r in game_rows]), "home_team_"),
-        (_coded([r.opponent for r in game_rows]), "away_team_"),
-        (_coded([r.season for r in game_rows]), "season_"),
+        (_coded(games.team), "home_team_"),
+        (_coded(games.opponent), "away_team_"),
+        (_coded(games.season), "season_"),
         (series, "series_"),
     )
     ys = {
-        "abs_disparity": np.array([float(abs(r.disparity)) for r in game_rows]),
-        "game_rim": np.array([r.game_rim for r in game_rows]),
+        "abs_disparity": np.abs(np.array(games.disparity, dtype=float)),
+        "game_rim": np.array(games.game_rim),
     }
     notes = (f"series reference {_reference(series)}", f"games {n}")
-    return _fit_outcomes(_design(blocks, [r.game_id for r in game_rows], notes), ys)
+    return _fit_outcomes(_design(blocks, games.game_id, notes), ys)
 
 
 def ref_team_residual_effects(
-    rows: Sequence[PanelRow],
+    rows: Iterable[PanelRow],
     target_pairs: Sequence[tuple[str, str]],
     *,
     min_pair_games: int = 5,
@@ -656,18 +659,17 @@ def ref_team_residual_effects(
     """
     import numpy as np
 
-    rows = list(rows)
+    rows = PanelColumns.of(rows)
     if not rows:
         raise DesignError("no panel rows to fit")
-    ys = {"team_rim": np.array([r.team_rim for r in rows]),
-          "disparity": np.array([r.disparity for r in rows])}
-    referee, team = _coded([r.referee for r in rows]), _coded([r.team for r in rows])
+    ys = {"team_rim": np.array(rows.team_rim), "disparity": np.array(rows.disparity)}
+    referee, team = _coded(rows.referee), _coded(rows.team)
     blocks = _blocks(
         len(rows),
         (referee, "ref_"),
         (team, "team_"),
-        (_coded([r.opponent for r in rows]), "opp_"),
-        (_coded([r.season for r in rows]), "season_"),
+        (_coded(rows.opponent), "opp_"),
+        (_coded(rows.season), "season_"),
     )
     # A row's code is its pair's position among the kept pairs (-1: none);
     # a repeated pair's earliest copy takes the rows.
@@ -685,4 +687,4 @@ def ref_team_residual_effects(
     notes = [f"pair minimum {min_pair_games} games"]
     if excluded:
         notes.append("excluded targets below minimum: " + ", ".join(sorted(excluded)))
-    return _fit_outcomes(_design(blocks, [r.game_id for r in rows], notes), ys)
+    return _fit_outcomes(_design(blocks, rows.game_id, notes), ys)

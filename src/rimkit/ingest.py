@@ -291,8 +291,10 @@ def _summary_from_doc(
     season_type = _text(doc, "season_type", "summary", exact)
     home_team = _text(doc, "home_team", "summary", exact)
     away_team = _text(doc, "away_team", "summary", exact)
-    officials = doc.get("officials") or []
-    if type(officials) is not list:
+    officials = doc.get("officials")
+    if officials is None:  # absent or null: no officials listed
+        officials = []
+    elif type(officials) is not list:
         raise ParseError("summary: 'officials' must be a list")
     for i, o in enumerate(officials):
         if type(o) is not str:

@@ -10,6 +10,7 @@ negations of each other.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -17,8 +18,10 @@ from .model import (
     REGULATION_PERIODS,
     EventColumns,
     GameRecord,
+    TeamGameColumns,
     TeamGameRow,
     canonical_series_key,
+    new_team_row,
 )
 
 OT_BUCKET = "OT"
@@ -111,28 +114,14 @@ def compute_game_metrics(game: GameRecord) -> GameMetrics:
         if game.series_state is not None
         else None
     )
-    shared = dict(
-        game_id=game.game_id,
-        season=game.season,
-        season_type=game.season_type,
-        game_rim=rim,
-        n_calls=len(events),
-        series_key=series_key,
-    )
-    home_row = TeamGameRow(
-        team=home, opponent=away, is_home=True, disparity=disparity, team_rim=q_home, **shared
-    )
-    away_row = TeamGameRow(
-        team=away, opponent=home, is_home=False, disparity=-disparity, team_rim=-q_home, **shared
-    )
+    n_calls = len(events)
+    home_row = new_team_row((game.game_id, home, away, True, game.season, game.season_type,
+                             disparity, q_home, rim, n_calls, series_key))
+    away_row = new_team_row((game.game_id, away, home, False, game.season, game.season_type,
+                             -disparity, -q_home, rim, n_calls, series_key))
     return GameMetrics(home_row, away_row, tuple(bucket_rim), tuple(bucket_disp))
 
 
-def expand_rows(games: Iterable[GameRecord]) -> list[TeamGameRow]:
-    """Both team rows for every game, in game order (home row first)."""
-    rows: list[TeamGameRow] = []
-    for g in games:
-        m = compute_game_metrics(g)
-        rows.append(m.home_row)
-        rows.append(m.away_row)
-    return rows
+def expand_rows(games: Iterable[GameRecord]) -> TeamGameColumns:
+    """Both team rows for every game, in game order (home row first), as one table."""
+    return TeamGameColumns.of(chain.from_iterable(compute_game_metrics(g)[:2] for g in games))

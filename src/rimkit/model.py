@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import re
 from array import array
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 REGULAR = "regular"
@@ -82,7 +83,88 @@ class FoulEvent(NamedTuple):
 new_event = partial(tuple.__new__, FoulEvent)
 
 
-class EventColumns(Sequence):
+class Columns(Sequence):
+    """Rows of one ``NamedTuple`` type held as typed columns, one per field.
+
+    A number field is held in an ``array`` of the typecode ``_numbers``
+    gives it (``'q'`` for 64-bit ints, ``'d'`` for floats), any other field
+    in a tuple whose strings are shared. It reads as ``_reads_as`` (a tuple
+    or a list) of the same rows: indexing and iteration build each row in C,
+    a slice is a ``_reads_as`` of them, and it compares equal to, adds to
+    and prints as that sequence. The columns are not to be written to.
+    """
+
+    __slots__ = ()
+    _new: Callable[[Iterable], tuple]  # a row from its field values
+    _numbers: Mapping[str, str] = {}
+    _reads_as: type = list
+
+    def __init__(self, **columns):
+        for name in self.__slots__:
+            setattr(self, name, columns.pop(name))
+        if columns:
+            raise TypeError(f"no field named {next(iter(columns))!r}")
+        if len({len(column) for column in self._columns()}) > 1:
+            raise ValueError("columns differ in length")
+
+    @classmethod
+    def of(cls, rows: Iterable):
+        """``rows`` as such a table: itself if it is one, else its rows' fields, read in order."""
+        if type(rows) is cls:
+            return rows
+        columns = {name: array(cls._numbers[name]) if name in cls._numbers else []
+                   for name in cls.__slots__}
+        appends = [column.append for column in columns.values()]
+        for values in map(attrgetter(*cls.__slots__), rows):
+            for append, value in zip(appends, values):
+                append(value)
+        return cls(**{name: column if name in cls._numbers else tuple(column)
+                      for name, column in columns.items()})
+
+    def select(self, indices: Sequence[int]):
+        """The table of the rows at ``indices``, in that order."""
+        return type(self)(**{name: _picked(column, indices)
+                             for name, column in zip(self.__slots__, self._columns())})
+
+    def _columns(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__slots__[0]))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._reads_as(map(self._new, zip(*(c[index] for c in self._columns()))))
+        return self._new(column[index] for column in self._columns())
+
+    def __iter__(self) -> Iterator:
+        return map(self._new, zip(*self._columns()))
+
+    def __eq__(self, other):
+        if isinstance(other, (self._reads_as, type(self))):
+            return self._reads_as(self) == self._reads_as(other)
+        return NotImplemented
+
+    def __add__(self, other):
+        if isinstance(other, (self._reads_as, type(self))):
+            return self._reads_as(self) + self._reads_as(other)
+        return NotImplemented
+
+    def __radd__(self, other):
+        if isinstance(other, self._reads_as):
+            return other + self._reads_as(self)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._reads_as(self))
+
+
+def _picked(column, indices: Sequence[int]):
+    values = map(column.__getitem__, indices)
+    return array(column.typecode, values) if type(column) is array else tuple(values)
+
+
+class EventColumns(Columns):
     """One game's events as typed columns, one per ``FoulEvent`` field.
 
     A loaded game holds its events this way: ``event_id`` and ``period`` in
@@ -94,11 +176,16 @@ class EventColumns(Sequence):
     hashes like and has the repr of the tuple of the same events. The
     kernels read the columns directly, building no event; the arrays hold
     only 64-bit ints and floats, so every event number is of a type the
-    analyses accept. The columns are not to be written to.
+    analyses accept.
     """
 
     __slots__ = FoulEvent._fields
+    _new = new_event
+    _numbers = {"event_id": "q", "period": "q", "clock_seconds_remaining": "d",
+                "pre_wp": "d", "post_wp": "d"}
+    _reads_as = tuple
 
+    # One per loaded game, so the columns are set as given, unchecked.
     def __init__(self, event_id: array, period: array, clock_seconds_remaining: array,
                  charged_team: tuple[str | None, ...], pre_wp: array, post_wp: array,
                  description: tuple[str, ...]):
@@ -110,31 +197,8 @@ class EventColumns(Sequence):
         self.post_wp = post_wp
         self.description = description
 
-    def _columns(self) -> tuple:
-        return (self.event_id, self.period, self.clock_seconds_remaining, self.charged_team,
-                self.pre_wp, self.post_wp, self.description)
-
-    def __len__(self) -> int:
-        return len(self.event_id)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        return new_event(column[index] for column in self._columns())
-
-    def __iter__(self) -> Iterator[FoulEvent]:
-        return map(new_event, zip(*self._columns()))
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, EventColumns)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
     def __hash__(self) -> int:
         return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -182,14 +246,14 @@ class GameRecord:
     series_state: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class TeamGameRow:
+class TeamGameRow(NamedTuple):
     """One team's side of one game, the unit of every panel downstream.
 
     ``disparity`` is opponent fouls minus own fouls (positive favors
     ``team``); ``team_rim`` is the net win-probability movement toward
     ``team`` over all calls. The two rows of a game are exact mirrors:
-    disparity and team_rim negate, shared game-level fields match.
+    disparity and team_rim negate, shared game-level fields match. Use
+    ``_replace`` to derive a modified row.
     """
 
     game_id: str
@@ -203,6 +267,22 @@ class TeamGameRow:
     game_rim: float
     n_calls: int
     series_key: SeriesStateKey | None = None
+
+
+# A TeamGameRow from an iterable of its field values, without its Python-level __new__.
+new_team_row = partial(tuple.__new__, TeamGameRow)
+
+
+class TeamGameColumns(Columns):
+    """Team-game rows as typed columns: ``disparity`` and ``n_calls`` in
+    ``array('q')``, ``team_rim`` and ``game_rim`` in ``array('d')``, the
+    strings, ``is_home`` and ``series_key`` in tuples. It reads as the list
+    of the same ``TeamGameRow`` rows; the analyses read its columns.
+    """
+
+    __slots__ = TeamGameRow._fields
+    _new = new_team_row
+    _numbers = {"disparity": "q", "team_rim": "d", "game_rim": "d", "n_calls": "q"}
 
 
 def _period_length(period: int) -> float:

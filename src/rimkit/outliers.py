@@ -9,16 +9,18 @@ about intent.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import chain
+from typing import NamedTuple
 
 from .aggregate import _total, pearson
 from .metrics import compute_game_metrics
-from .model import GameRecord
+from .model import Columns, GameRecord
 
 
-@dataclass(frozen=True, slots=True)
-class PanelRow:
+class PanelRow(NamedTuple):
     """One (crew member, team side, game) observation."""
 
     game_id: str
@@ -28,6 +30,21 @@ class PanelRow:
     opponent: str
     team_rim: float
     disparity: float
+
+
+# A PanelRow from an iterable of its field values, without its Python-level __new__.
+new_panel_row = partial(tuple.__new__, PanelRow)
+
+
+class PanelColumns(Columns):
+    """Crew panel rows as typed columns: ``team_rim`` and ``disparity`` in
+    ``array('d')``, the strings in tuples. It reads as the list of the same
+    ``PanelRow`` rows; the screen and the referee–team fit read its columns.
+    """
+
+    __slots__ = PanelRow._fields
+    _new = new_panel_row
+    _numbers = {"team_rim": "d", "disparity": "d"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,43 +76,36 @@ def excess(
     return observed - (referee_mean + team_mean - global_mean)
 
 
-def panel_rows(games: Iterable[GameRecord]) -> tuple[list[PanelRow], int]:
-    """Expand games into (crew member × team side) rows.
+def panel_rows(games: Iterable[GameRecord]) -> tuple[PanelColumns, int]:
+    """Expand games into (crew member × team side) rows, as one table.
 
     Returns the rows plus the count of games skipped for lacking a crew.
     With full three-person crews the row count is exactly 6× the game
     count: 3 crew members × 2 sides.
     """
-    rows: list[PanelRow] = []
-    skipped = 0
-    for g in games:
-        if not g.crew:
-            skipped += 1
-            continue
-        m = compute_game_metrics(g)
-        for ref in g.crew:
-            for row in (m.home_row, m.away_row):
-                rows.append(
-                    PanelRow(
-                        game_id=g.game_id,
-                        season=g.season,
-                        referee=ref,
-                        team=row.team,
-                        opponent=row.opponent,
-                        team_rim=row.team_rim,
-                        disparity=float(row.disparity),
-                    )
-                )
-    return rows, skipped
+    games = list(games)
+    crewed = [g for g in games if g.crew]
+    rows = PanelColumns.of(chain.from_iterable(map(_crew_rows, crewed)))
+    return rows, len(games) - len(crewed)
 
 
-def build_cells(rows: Sequence[PanelRow]) -> list[RefTeamCell]:
+def _crew_rows(game: GameRecord) -> Iterator[PanelRow]:
+    """A crewed game's panel rows: each crew member with the home, then the away side."""
+    m = compute_game_metrics(game)
+    for ref in game.crew:
+        for row in m[:2]:
+            yield new_panel_row((game.game_id, game.season, ref, row.team, row.opponent,
+                                 row.team_rim, float(row.disparity)))
+
+
+def build_cells(rows: Iterable[PanelRow]) -> list[RefTeamCell]:
     """Group panel rows into referee-team cells with excess per metric.
 
     All means are row-weighted (each game-row counts once): the referee,
     team, and global means are taken over panel rows, NOT over cell means,
     so frequently-paired cells carry proportionate weight.
     """
+    rows = PanelColumns.of(rows)
     if not rows:
         return []
     ref_acc: dict[str, list[float]] = {}
@@ -103,16 +113,16 @@ def build_cells(rows: Sequence[PanelRow]) -> list[RefTeamCell]:
     pair_acc: dict[tuple[str, str], list[float]] = {}
     tot_rim = 0.0
     tot_disp = 0.0
-    for r in rows:
-        ra = ref_acc.setdefault(r.referee, [0.0, 0.0, 0.0])
-        ta = team_acc.setdefault(r.team, [0.0, 0.0, 0.0])
-        pa = pair_acc.setdefault((r.referee, r.team), [0.0, 0.0, 0.0])
+    for ref, team, rim, disp in zip(rows.referee, rows.team, rows.team_rim, rows.disparity):
+        ra = ref_acc.setdefault(ref, [0.0, 0.0, 0.0])
+        ta = team_acc.setdefault(team, [0.0, 0.0, 0.0])
+        pa = pair_acc.setdefault((ref, team), [0.0, 0.0, 0.0])
         for acc in (ra, ta, pa):
-            acc[0] += r.team_rim
-            acc[1] += r.disparity
+            acc[0] += rim
+            acc[1] += disp
             acc[2] += 1.0
-        tot_rim += r.team_rim
-        tot_disp += r.disparity
+        tot_rim += rim
+        tot_disp += disp
     n = float(len(rows))
     m_rim = tot_rim / n
     m_disp = tot_disp / n

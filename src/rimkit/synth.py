@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -26,13 +27,13 @@ from .model import (
     SAFE_LABEL,
     FoulEvent,
     GameRecord,
-    TeamGameRow,
+    TeamGameColumns,
 )
 
 if TYPE_CHECKING:
     import numpy as np
 
-    from .outliers import PanelRow
+    from .outliers import PanelColumns
 
 
 # The shape of a foul's win-probability move, Beta(MOVE_ALPHA, MOVE_BETA)
@@ -430,7 +431,7 @@ def simulate_team_side_rows(
     n_games: int,
     n_teams: int = 30,
     home_disparity_shift: Mapping[str, float] | None = None,
-) -> list[TeamGameRow]:
+) -> TeamGameColumns:
     """Team-game rows from a known disparity model, mirrors included.
 
     Regular-season games of season ``S1``. Foul counts are Poisson on each
@@ -439,46 +440,36 @@ def simulate_team_side_rows(
     team RIM is normal with SD 0.08.
     """
     shifts = home_disparity_shift or {}
-    rows: list[TeamGameRow] = []
+    names = [team_name(t) for t in range(n_teams)]
     season, half = "S1", 20.0
+    game_id: list[str] = []
+    team: list[str] = []
+    opponent: list[str] = []
+    disparity, n_calls = array("q"), array("q")
+    team_rim, game_rim = array("d"), array("d")
     for i in range(n_games):
         hi, ai = rng.choice(n_teams, size=2, replace=False)
-        home, away = team_name(int(hi)), team_name(int(ai))
+        home, away = names[hi], names[ai]
         delta = float(shifts.get(home, 0.0))
         f_home = int(rng.poisson(max(half - delta / 2.0, 0.1)))
         f_away = int(rng.poisson(max(half + delta / 2.0, 0.1)))
         q_home = float(rng.normal(0.0, 0.08))
         rim = abs(q_home) + float(rng.gamma(2.0, 0.05))
         gid = f"{season}-mc-{i:05d}"
-        shared = dict(
-            game_id=gid,
-            season=season,
-            season_type=REGULAR,
-            game_rim=rim,
-            n_calls=f_home + f_away,
-            series_key=None,
-        )
-        rows.append(
-            TeamGameRow(
-                team=home,
-                opponent=away,
-                is_home=True,
-                disparity=f_away - f_home,
-                team_rim=q_home,
-                **shared,
-            )
-        )
-        rows.append(
-            TeamGameRow(
-                team=away,
-                opponent=home,
-                is_home=False,
-                disparity=f_home - f_away,
-                team_rim=-q_home,
-                **shared,
-            )
-        )
-    return rows
+        game_id += (gid, gid)
+        team += (home, away)
+        opponent += (away, home)
+        disparity.extend((f_away - f_home, f_home - f_away))
+        team_rim.extend((q_home, -q_home))
+        game_rim.extend((rim, rim))
+        n_calls.extend((f_home + f_away,) * 2)
+    n_rows = 2 * n_games
+    return TeamGameColumns(
+        game_id=tuple(game_id), team=tuple(team), opponent=tuple(opponent),
+        is_home=(True, False) * n_games, season=(season,) * n_rows,
+        season_type=(REGULAR,) * n_rows, disparity=disparity, team_rim=team_rim,
+        game_rim=game_rim, n_calls=n_calls, series_key=(None,) * n_rows,
+    )
 
 
 def simulate_ref_team_panel(
@@ -488,7 +479,7 @@ def simulate_ref_team_panel(
     n_teams: int = 20,
     n_referees: int = 20,
     pair_shift: Mapping[tuple[str, str], float] | None = None,
-) -> list[PanelRow]:
+) -> PanelColumns:
     """Referee-team-game rows of season ``S1`` with known pair effects.
 
     Each game has a crew of three. A shared per-game shock (SD 0.05,
@@ -496,37 +487,40 @@ def simulate_ref_team_panel(
     row noise (SD 0.02) sits on top. Referees and teams have no effect of
     their own.
     """
-    from .outliers import PanelRow
+    from .outliers import PanelColumns
 
     pairs = pair_shift or {}
     season = "S1"
-    rows: list[PanelRow] = []
+    team_names = [team_name(t) for t in range(n_teams)]
+    referee_names = [referee_name(r) for r in range(n_referees)]
+    game_id: list[str] = []
+    referee: list[str] = []
+    team: list[str] = []
+    opponent: list[str] = []
+    team_rim, disparity = array("d"), array("d")
     for i in range(n_games):
         hi, ai = rng.choice(n_teams, size=2, replace=False)
-        home, away = team_name(int(hi)), team_name(int(ai))
-        crew = [referee_name(int(r)) for r in rng.choice(n_referees, size=3, replace=False)]
+        home, away = team_names[hi], team_names[ai]
+        crew = [referee_names[r] for r in rng.choice(n_referees, size=3, replace=False)]
         g_shock = float(rng.normal(0.0, 0.05))
         gid = f"{season}-pnl-{i:05d}"
-        disparity = float(rng.normal(0.0, 4.0))
+        home_disparity = float(rng.normal(0.0, 4.0))
         for ref in crew:
-            for team, opp, side_sign, disp in (
-                (home, away, 1.0, disparity),
-                (away, home, -1.0, -disparity),
+            for side, opp, side_sign, disp in (
+                (home, away, 1.0, home_disparity),
+                (away, home, -1.0, -home_disparity),
             ):
-                y = (
-                    float(pairs.get((ref, team), 0.0))
+                team_rim.append(
+                    float(pairs.get((ref, side), 0.0))
                     + side_sign * g_shock
                     + float(rng.normal(0.0, 0.02))
                 )
-                rows.append(
-                    PanelRow(
-                        game_id=gid,
-                        season=season,
-                        referee=ref,
-                        team=team,
-                        opponent=opp,
-                        team_rim=y,
-                        disparity=disp,
-                    )
-                )
-    return rows
+                disparity.append(disp)
+                game_id.append(gid)
+                referee.append(ref)
+                team.append(side)
+                opponent.append(opp)
+    return PanelColumns(
+        game_id=tuple(game_id), season=(season,) * len(game_id), referee=tuple(referee),
+        team=tuple(team), opponent=tuple(opponent), team_rim=team_rim, disparity=disparity,
+    )

@@ -5,7 +5,6 @@ oracle, and the three effect studies."""
 import math
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -427,7 +426,7 @@ def test_build_design_notes_constant_outcome():
 
 
 def test_only_the_constant_outcome_fit_notes_degeneracy():
-    rows = [replace(r, disparity=4) for r in four_team_rows()]
+    rows = [r._replace(disparity=4) for r in four_team_rows()]
     design, ys = build_design(rows, (), outcomes=("disparity", "team_rim"),
                               target_form="indicator", include_series=False)
     constant = fit_clustered(design, "disparity", ys["disparity"])

@@ -366,16 +366,29 @@ _NO_GAME_ID = {k: v for k, v in summary_doc().items() if k != "game_id"}
         (_NO_GAME_ID, "summary: missing required field 'game_id'"),
         (dict(summary_doc(), plays=5), "summary: 'plays' must be a list"),
         (dict(summary_doc(), officials="Tony Brothers"), "summary: 'officials' must be a list"),
+        # Falsy values that are not a list are not an empty crew either.
+        (dict(summary_doc(), officials=""), "summary: 'officials' must be a list"),
+        (dict(summary_doc(), officials=0), "summary: 'officials' must be a list"),
+        (dict(summary_doc(), officials=False), "summary: 'officials' must be a list"),
+        (dict(summary_doc(), officials={}), "summary: 'officials' must be a list"),
         (dict(summary_doc(), series=[1, 0]), "summary: 'series' must be an object"),
         (dict(summary_doc(), series={"home_wins": 1}),
          "summary.series: missing required field 'away_wins'"),
     ],
-    ids=["missing-field", "plays", "officials", "series", "series-field"],
+    ids=["missing-field", "plays", "officials", "officials-empty-string", "officials-zero",
+         "officials-false", "officials-empty-object", "series", "series-field"],
 )
 def test_parse_game_summary_raises_on_the_orjson_document_without_a_json_decode(doc, error):
     # A missing key or a container of the wrong type reads the same from
     # either decoder, so decoding the document again cannot change the error.
     assert _refuses_json(parse_game_summary, dumps(doc)) == error
+
+
+def test_parse_game_summary_reads_absent_or_null_officials_as_no_crew():
+    absent = {k: v for k, v in summary_doc().items() if k != "officials"}
+    for doc in (absent, dict(summary_doc(), officials=None)):
+        game, _ = parse_game_summary(dumps(doc))
+        assert game.crew == ()
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -206,7 +204,7 @@ def _exact_metrics(m) -> tuple:
     def exact(v):
         return v.hex() if type(v) is float else v
 
-    rows = [[exact(getattr(r, f.name)) for f in dataclasses.fields(r)]
+    rows = [[exact(v) for v in r]
             for r in (m.home_row, m.away_row)]
     return rows, [exact(v) for v in m.period_rim], m.period_home_disparity
 

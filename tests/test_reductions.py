@@ -7,7 +7,8 @@ tied to the last bit could swap ranks. ``aggregate`` and ``outliers`` add
 left to right from +0.0 instead, the order of Python 3.11's ``sum()``.
 They need neither numpy nor orjson, so each installed 3.12 and 3.13
 interpreter runs them in a subprocess here and must give the bits of a
-plain sequential loop.
+plain sequential loop, and ``build_cells`` and ``home_away_summary`` on
+tables must give the bits they give in this process.
 """
 
 from __future__ import annotations
@@ -29,13 +30,38 @@ from rimkit import aggregate, outliers
 
 SRC = str(Path(rimkit.__file__).resolve().parents[1])
 
+# Builds a crew panel and team rows as tables from float.hex inputs and runs
+# ``build_cells`` and ``home_away_summary`` on them, every float out as
+# float.hex; run in process and in each interpreter under test.
+_TABLE_BITS = """
+from rimkit import aggregate, outliers
+from rimkit.model import TeamGameColumns, TeamGameRow
+from rimkit.outliers import PanelColumns, PanelRow
+
+def table_bits(panel, team):
+    h = float.fromhex
+    panel = PanelColumns.of(PanelRow(*r[:5], h(r[5]), h(r[6])) for r in panel)
+    team = TeamGameColumns.of(TeamGameRow(*r[:6], r[6], h(r[7]), h(r[8]), r[9]) for r in team)
+    x = lambda v: None if v is None else float(v).hex()
+    cells = [[c.referee, c.team, c.games] + [x(getattr(m, f)) for m in (c.rim, c.disparity)
+             for f in ("observed", "referee_mean", "team_mean", "global_mean", "excess")]
+             for c in outliers.build_cells(panel)]
+    summary = aggregate.home_away_summary(team)
+    league = [[s.season_type, s.side, s.n_rows, x(s.mean_disparity), x(s.mean_team_rim)]
+              for s in summary.league]
+    teams = [[t.team, t.home_games, t.away_games, x(t.home_mean_disparity),
+              x(t.away_mean_disparity), x(t.home_mean_team_rim), x(t.away_mean_team_rim)]
+             for t in summary.teams]
+    return [cells, league, teams]
+"""
+
 # Runs in the interpreter under test: the inputs arrive as float.hex lists on
 # stdin, the results leave as float.hex (or null) on stdout.
 _SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from rimkit import aggregate, outliers
-
+""" + _TABLE_BITS + """
 def out(v):
     if v is None:
         return None
@@ -43,13 +69,14 @@ def out(v):
         return [out(x) for x in v]
     return float(v).hex()
 
+payload = json.load(sys.stdin)
 results = []
-for xs, ys in json.load(sys.stdin):
+for xs, ys in payload["reductions"]:
     xs = [float.fromhex(h) for h in xs]
     ys = [float.fromhex(h) for h in ys]
     results.append([out(aggregate._mean(xs)), out(aggregate._sample_sd(xs)),
                     out(aggregate.pearson(xs, ys)), out(outliers._zscores(xs))])
-print(json.dumps(results))
+print(json.dumps({"reductions": results, "tables": table_bits(*payload["tables"])}))
 """
 
 
@@ -77,6 +104,26 @@ def _sequential(values) -> float:
     for v in values:
         total += v
     return total
+
+
+def _table_inputs() -> tuple[list, list]:
+    """A crew panel and team rows whose sums a compensated sum would round
+    differently: wide-ranging outcomes over few referees and teams."""
+    r = random.Random(21)
+    panel, team = [], []
+    for g in range(400):
+        home, away = r.sample(["T1", "T2", "T3", "T4", "T5"], 2)
+        scale = 10.0 ** r.randint(-3, 3)
+        rim, disp = r.gauss(0.0, scale), float(r.randint(-9, 9))
+        for ref in r.sample(["R1", "R2", "R3", "R4", "R5", "R6"], 3):
+            for side, opp, sign in ((home, away, 1.0), (away, home, -1.0)):
+                panel.append([f"g{g}", "S1", ref, side, opp, (sign * rim + r.gauss(0.0, 1e-3)).hex(),
+                              (sign * disp).hex()])
+        season_type = r.choice(["regular", "postseason"])
+        for side, opp, home_side, sign in ((home, away, True, 1), (away, home, False, -1)):
+            team.append([f"g{g}", side, opp, home_side, "S1", season_type, sign * int(disp),
+                         (sign * rim).hex(), abs(rim).hex(), r.randint(0, 60)])
+    return panel, team
 
 
 def _oracle(xs: list[float], ys: list[float]) -> list:
@@ -151,12 +198,31 @@ def test_reductions_give_the_same_bits_under_another_interpreter(minor):
     if not interpreters:
         pytest.skip(f"no python3.{minor} interpreter is installed")
     cases = _inputs()
-    payload = json.dumps([[[x.hex() for x in xs], [y.hex() for y in ys]] for xs, ys in cases])
+    tables = _table_inputs()
+    payload = json.dumps({
+        "reductions": [[[x.hex() for x in xs], [y.hex() for y in ys]] for xs, ys in cases],
+        "tables": tables,
+    })
     expected = [_hexes(_oracle(xs, ys)) for xs, ys in cases]
+    namespace: dict = {}
+    exec(_TABLE_BITS, namespace)
+    expected_tables = namespace["table_bits"](*tables)
     for exe in interpreters:
         p = subprocess.run([exe, "-I", "-c", _SCRIPT, SRC], input=payload,
                            capture_output=True, text=True, timeout=120)
         assert p.returncode == 0, (exe, p.stderr[-800:])
         got = json.loads(p.stdout)
-        bad = [i for i, (g, e) in enumerate(zip(got, expected)) if g != e]
-        assert not bad and len(got) == len(expected), (exe, len(bad), bad[:5])
+        bad = [i for i, (g, e) in enumerate(zip(got["reductions"], expected)) if g != e]
+        assert not bad and len(got["reductions"]) == len(expected), (exe, len(bad), bad[:5])
+        assert got["tables"] == expected_tables, exe
+
+
+def test_a_compensated_mean_changes_the_table_bits(monkeypatch):
+    # The table inputs are ones a compensated mean rounds differently, so the
+    # comparison above would see an interpreter whose sum() compensates.
+    tables = _table_inputs()
+    namespace: dict = {}
+    exec(_TABLE_BITS, namespace)
+    sequential = namespace["table_bits"](*tables)
+    monkeypatch.setattr(aggregate, "_mean", lambda values: math.fsum(values) / len(values))
+    assert namespace["table_bits"](*tables)[1:] != sequential[1:]

@@ -1,7 +1,9 @@
 """Tests for the synthetic-corpus generator and its independent oracles."""
 
+import gc
 import json
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -506,3 +508,35 @@ def test_ref_team_panel_structure_and_pair_effect():
     assert len(hit) > 20
     assert abs(np.mean(hit) - effect) < 0.03
     assert abs(np.mean(rest)) < 0.005
+
+
+def _held_bytes(make) -> int:
+    make()  # numpy's first-call caches are not the table's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = make()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table)
+    return held
+
+
+# Bytes a row under tracemalloc, table, game ids and name strings included.
+# Each row as a slotted dataclass with its own floats and names held 252
+# (team side) and 191 (panel); as columns they hold 120 and 67.
+TEAM_ROW_BYTES = 160
+PANEL_ROW_BYTES = 100
+
+
+def test_the_rig_tables_hold_few_bytes_a_row():
+    team = _held_bytes(lambda: simulate_team_side_rows(
+        np.random.default_rng(1), n_games=1230, n_teams=30,
+        home_disparity_shift={"T05": 1.5}))
+    panel = _held_bytes(lambda: simulate_ref_team_panel(
+        np.random.default_rng(2), n_games=3690, n_teams=30, n_referees=70,
+        pair_shift={("Ref01", "T01"): 0.05}))
+    assert team / 2460 < TEAM_ROW_BYTES, f"{team / 2460:.0f} bytes a team row"
+    assert panel / 22140 < PANEL_ROW_BYTES, f"{panel / 22140:.0f} bytes a panel row"
