@@ -67,6 +67,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if not 0.0 <= self.start_prior <= 1.0:
             raise ConfigError("start_prior must lie in [0, 1]")
+        for name in ("dataset", "out_dir"):  # paths, which no file name can match
+            if "\0" in (getattr(self, name) or ""):
+                raise ConfigError(f"{name} holds a NUL byte")
 
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}

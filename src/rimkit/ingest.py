@@ -18,6 +18,9 @@ dataset behind. Each game line is encoded by orjson, with json's escapes
 applied to the characters orjson writes raw, where one rule over the
 record's values shows json would write the same bytes (see
 :func:`_serialize_game_line`), and by json, the reference, everywhere else.
+A load keeps the games each partition decodes to in a cache entry named by
+the partition's sha256, for a later load of the same bytes to read instead
+of decoding them (see :func:`_write_entry`).
 """
 
 from __future__ import annotations
@@ -35,10 +38,11 @@ import shutil
 import sys
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
+from functools import cache
+from itertools import accumulate, chain
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -947,14 +951,19 @@ def _read_partition(path: Path) -> bytes | mmap.mmap:
     gives the bytes read, as bytes.
     """
     with open(path, "rb", buffering=0) as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if not size:
-            return b""
-        data = mmap.mmap(-1, size)
-        got = 0
-        with memoryview(data) as view:
-            while got < size and (n := fh.readinto(view[got:])):
-                got += n
+        return _mapped(fh)
+
+
+def _mapped(fh) -> bytes | mmap.mmap:
+    """The rest of the unbuffered file ``fh`` as :func:`_read_partition` reads a partition."""
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size <= 0:
+        return b""
+    data = mmap.mmap(-1, size)
+    got = 0
+    with memoryview(data) as view:
+        while got < size and (n := fh.readinto(view[got:])):
+            got += n
     if got < size:
         short = data[:got]
         data.close()
@@ -962,21 +971,49 @@ def _read_partition(path: Path) -> bytes | mmap.mmap:
     return data
 
 
-def _partition_games(path: Path, part: PartitionInfo, games: list[GameRecord], seen: set,
-                     strings: dict) -> int:
-    """Append the games of one partition, its hash verified before any
-    decode, to ``games``; returns how many. Its bytes are read once into a
-    map of their own (see :func:`_read_partition`) and decoded line by line
-    through views of it, so a load holds one partition's bytes, outside
-    the malloc heap, besides the games it has built."""
+def _close(data: bytes | mmap.mmap) -> None:
+    if type(data) is not bytes:  # a map, which is unmapped now
+        data.close()
+
+
+def _verified_partition(path: Path, part: PartitionInfo) -> bytes | mmap.mmap:
+    """The bytes of one partition (see :func:`_read_partition`), refused
+    unless they hash to the manifest's sha256."""
     try:
         data = _read_partition(path)
     except OSError as e:  # a directory, or a file this process may not read
         raise DatasetError(f"partition unreadable: {part.path}: {e.strerror}") from e
+    if hashlib.sha256(data).hexdigest() != part.sha256:
+        _close(data)
+        raise DatasetError(f"partition hash mismatch: {part.path}")
+    return data
+
+
+def _partition_games(path: Path, part: PartitionInfo, games: list[GameRecord], seen: set,
+                     strings: dict, cache: Path | None) -> int:
+    """Append the games of one partition, its hash verified first, to
+    ``games``; returns how many.
+
+    With a ``cache`` directory, the partition's entry there (see
+    :func:`_open_entry`) gives the games when it holds them; the
+    partition's map is closed before the entry's is read. Otherwise, and
+    whenever the entry fails, the partition is decoded, the reference for
+    every game and every error, line by line through views of its map, so
+    a load holds one partition's bytes, outside the malloc heap, besides
+    the games it has built; a partition that decodes completely is then
+    written to the cache for the next load (see :func:`_write_entry`).
+    """
+    data = _verified_partition(path, part)
+    entry = None if cache is None else _open_entry(cache / part.sha256)
+    if entry is not None:
+        _close(data)
+        cached = _entry_games(*entry, seen, strings)
+        if cached is not None:
+            games += cached
+            return len(cached)
+        data = _verified_partition(path, part)
+    before = len(games)
     try:
-        if hashlib.sha256(data).hexdigest() != part.sha256:
-            raise DatasetError(f"partition hash mismatch: {part.path}")
-        count = 0
         for line_no, (buf, start, end) in enumerate(_line_spans(data), start=1):
             if _BLANK.fullmatch(buf, start, end):
                 continue
@@ -996,11 +1033,11 @@ def _partition_games(path: Path, part: PartitionInfo, games: list[GameRecord], s
                 raise DatasetError(f"{part.path}:{line_no}: duplicate game_id {game.game_id!r}")
             seen.add(game.game_id)
             games.append(game)
-            count += 1
     finally:
-        if type(data) is not bytes:  # a map, which is unmapped now
-            data.close()
-    return count
+        _close(data)
+    if cache is not None:
+        _write_entry(cache / part.sha256, games[before:])
+    return len(games) - before
 
 
 def load_dataset(root: Path) -> tuple[list[GameRecord], DatasetManifest]:
@@ -1012,6 +1049,11 @@ def load_dataset(root: Path) -> tuple[list[GameRecord], DatasetManifest]:
     bytes: each partition is read once into an anonymous map, decoded
     through views of it, and unmapped before the next is read, so no
     partition's bytes stay resident in the malloc heap after the load.
+
+    A partition decoded before, by any process running this code, is read
+    from the cache of decoded partitions instead (see
+    :func:`_partition_games`); the games, and every error, are those the
+    decode gives. The dataset directory is only read.
 
     A game whose values the analyses cannot use still loads, for
     :func:`validate_game` to report and :func:`unusable_values` to name.
@@ -1027,15 +1069,226 @@ def load_dataset(root: Path) -> tuple[list[GameRecord], DatasetManifest]:
     seen: set[str] = set()
     strings: dict = {}  # one copy of each team and description string per load
     inside = root.resolve()
+    cache = _cache_dir()
     for part in manifest.partitions:
+        if "\0" in part.path:  # no file name holds one
+            raise DatasetError(f"partition path holds a NUL byte: {part.path!r}")
         path = root / part.path
         if not path.resolve().is_relative_to(inside):
             raise DatasetError(f"partition path leaves the dataset root: {part.path}")
         if not path.exists():
             raise DatasetError(f"partition missing: {part.path}")
-        count = _partition_games(path, part, games, seen, strings)
+        count = _partition_games(path, part, games, seen, strings, cache)
         if count != part.games:
             raise DatasetError(
                 f"partition {part.path}: manifest says {part.games} games, found {count}"
             )
     return games, manifest
+
+
+# ---------------------------------------------------------------------------
+# Decoded-partition cache
+# ---------------------------------------------------------------------------
+
+# A partition's bytes decode to the same games every time, so a load keeps
+# what it decodes in an entry named by the partition's sha256, under
+# ``${XDG_CACHE_HOME:-~/.cache}/rimkit``, and a later load of the same bytes
+# reads the entry instead of decoding them. An entry starts with _MAGIC, the
+# fingerprint of the code that wrote it (see _fingerprint) and the sha256 of
+# its payload, which holds, in native byte order:
+#   counts       int64 x 5: games, crew members, events, strings, shared strings
+#   games        int64 x 10 a game: the string codes of its five headers, its
+#                crew size and event count, 1 and the series state's two
+#                numbers, or 0, 0, 0 for no series state
+#   crew         int64 a crew member: its string code
+#   events       each EventColumns column in turn, 8 bytes an event: a number
+#                as stored, a team or description as its string code
+#   string ends  int64 a string: where its UTF-8 bytes end in the text
+#   text         the strings' UTF-8 bytes, one after another
+# String code 0 is None (an unattributed call). Codes 1 up to the shared
+# count are the event teams and descriptions, which a load shares through
+# its string dict as the decode does; the rest are header and crew strings.
+_MAGIC = b"rimkit\x00\x01"
+_HEADER = len(_MAGIC) + 64
+_COUNTS = 5
+_GAME_FIELDS = 10
+# Each EventColumns column's typecode in an entry; None for a string column.
+_ENTRY_COLUMNS = tuple(EventColumns._numbers.get(name) for name in EventColumns.__slots__)
+
+
+@cache
+def _fingerprint() -> bytes | None:
+    """What the games an entry holds depend on besides the partition's
+    bytes: the interpreter's bytecode tag, the byte order, orjson's version
+    and the sha256 of this module's and ``model``'s source. None when a
+    source cannot be read, which turns the cache off."""
+    from . import model
+
+    parts = [str(sys.implementation.cache_tag), sys.byteorder, orjson.__version__]
+    try:
+        parts += [hashlib.sha256(Path(m.__file__).read_bytes()).hexdigest()
+                  for m in (sys.modules[__name__], model)]
+    except (OSError, TypeError):  # TypeError: a module with no file
+        return None
+    return hashlib.sha256("\0".join(parts).encode()).digest()
+
+
+def _cache_dir() -> Path | None:
+    """``$XDG_CACHE_HOME/rimkit``, or ``~/.cache/rimkit`` when that is unset,
+    empty or relative; None when no home directory is found or the code
+    cannot be fingerprinted."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        try:
+            base = os.path.join(Path.home(), ".cache")
+        except RuntimeError:  # no home directory to be found
+            return None
+    if not os.path.isabs(base) or _fingerprint() is None:
+        return None
+    return Path(base, "rimkit")
+
+
+def _open_entry(path: Path):
+    """The entry at ``path``, open past its header, and its payload's
+    sha256, when the header names this code; else None."""
+    try:
+        fh = open(path, "rb", buffering=0)
+    except OSError:  # none there, or no directory to hold one
+        return None
+    try:
+        header = fh.read(_HEADER)
+    except OSError:
+        header = b""
+    if len(header) != _HEADER or header[:-32] != _MAGIC + _fingerprint():
+        fh.close()
+        return None
+    return fh, header[-32:]
+
+
+def _entry_games(fh, digest: bytes, seen: set, strings: dict) -> list[GameRecord] | None:
+    """The games of the open entry ``fh``, their ids added to ``seen``; None
+    when its payload does not hash to ``digest`` or one of its ids is in
+    ``seen``, for the decode to report. The payload is read as a partition
+    is, into a map of its own, and each game's arrays are filled straight
+    from slices of it."""
+    try:
+        with fh:
+            payload = _mapped(fh)
+    except OSError:
+        return None
+    try:
+        if hashlib.sha256(payload).digest() != digest:
+            return None
+        games = _payload_games(memoryview(payload), strings)
+    finally:
+        _close(payload)
+    if games is None:
+        return None
+    ids = {g.game_id for g in games}
+    if len(ids) < len(games) or not seen.isdisjoint(ids):
+        return None
+    seen |= ids
+    return games
+
+
+def _filled(typecode: str, data: memoryview) -> array:
+    column = array(typecode)
+    column.frombytes(data)
+    return column
+
+
+def _payload_games(payload: memoryview, strings: dict) -> list[GameRecord] | None:
+    """The games an entry's payload holds, or None for one of another shape."""
+    try:
+        n_games, n_crew, n_events, n_strings, n_shared = payload[:8 * _COUNTS].cast("q")
+        sections, at = [], 8 * _COUNTS
+        for size in (_GAME_FIELDS * n_games, n_crew, *(n_events,) * len(_ENTRY_COLUMNS),
+                     n_strings):
+            sections.append(payload[at:at + 8 * size])
+            at += 8 * size
+        records, crew, *columns, ends = sections
+        text = payload[at:]
+        table, start = [None], 0
+        for end in ends.cast("q"):
+            table.append(str(text[start:end], "utf-8"))
+            start = end
+        shared = table[1:n_shared + 1]
+        table[1:n_shared + 1] = map(strings.setdefault, shared, shared)
+        get = table.__getitem__
+        columns = [(typecode, column if typecode else column.cast("q"))
+                   for typecode, column in zip(_ENTRY_COLUMNS, columns)]
+        crew = crew.cast("q")
+        games: list[GameRecord] = []
+        crew_at = events_at = 0
+        for (game_id, season, season_type, home, away, size, count, stated, home_wins,
+             away_wins) in zip(*[iter(records.cast("q"))] * _GAME_FIELDS):
+            lo, hi = events_at, events_at + count
+            events = EventColumns(*[
+                _filled(typecode, column[8 * lo:8 * hi]) if typecode
+                else tuple(map(get, column[lo:hi])) for typecode, column in columns
+            ]) if count else ()
+            games.append(GameRecord(get(game_id), get(season), get(season_type), get(home),
+                                    get(away), tuple(map(get, crew[crew_at:crew_at + size])),
+                                    events, (home_wins, away_wins) if stated else None))
+            crew_at, events_at = crew_at + size, hi
+    except (ValueError, TypeError, IndexError):  # ValueError: a cast or decode that fails
+        return None
+    return games
+
+
+def _write_entry(path: Path, games: list[GameRecord]) -> None:
+    """Write the entry at ``path`` for a partition that decoded to ``games``.
+
+    None is written when one of them holds what an entry has no place for:
+    events held as a tuple (see :func:`_events`), a header or crew member
+    that is not a string, or a series number beyond 64 bits. The entry is
+    written to a file named with this process's id, then moved into place,
+    so a reader sees a whole entry or none. A cache that cannot be written
+    is left as it is; the load goes on.
+    """
+    headers = attrgetter(*HEADERS)
+    if any(type(g.events) is not EventColumns and g.events for g in games):
+        return
+    if not all(type(s) is str for g in games for s in (*headers(g), *g.crew)):
+        return
+    columns = [g.events for g in games if g.events]
+    shared = dict.fromkeys(chain.from_iterable(
+        chain(events.charged_team, events.description) for events in columns))
+    shared.pop(None, None)
+    named = dict.fromkeys(chain.from_iterable((*headers(g), *g.crew) for g in games))
+    texts = [*shared, *(s for s in named if s not in shared)]
+    codes = dict(zip(texts, range(1, len(texts) + 1)))
+    codes[None] = 0
+    code = codes.__getitem__
+    digest = hashlib.sha256()
+    temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        encoded = [s.encode() for s in texts]  # UnicodeEncodeError: a lone surrogate
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(temp, "wb") as fh:
+            fh.write(bytes(_HEADER))  # written last, once the payload's sha256 is known
+
+            def put(data) -> None:
+                digest.update(data)
+                fh.write(data)
+
+            put(array("q", (len(games), sum(len(g.crew) for g in games),
+                            sum(map(len, columns)), len(texts), len(shared))))
+            for g in games:
+                state = g.series_state
+                put(array("q", (*map(code, headers(g)), len(g.crew), len(g.events),
+                                state is not None, *(state or (0, 0)))))
+            put(array("q", map(code, chain.from_iterable(g.crew for g in games))))
+            for name, typecode in zip(EventColumns.__slots__, _ENTRY_COLUMNS):
+                for events in columns:
+                    column = getattr(events, name)
+                    put(column if typecode else array("q", map(code, column)))
+            put(array("q", accumulate(map(len, encoded))))
+            for data in encoded:
+                put(data)
+            fh.seek(0)
+            fh.write(_MAGIC + _fingerprint() + digest.digest())
+        os.replace(temp, path)
+    except (OSError, UnicodeEncodeError, OverflowError):  # OverflowError: beyond 64 bits
+        with suppress(OSError):
+            os.unlink(temp)

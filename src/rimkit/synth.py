@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from array import array
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
@@ -437,7 +438,8 @@ def simulate_team_side_rows(
     Regular-season games of season ``S1``. Foul counts are Poisson on each
     side, 20 a side on average, with the home side's rate tilted so the
     expected home disparity equals the configured shift exactly. The home
-    team RIM is normal with SD 0.08.
+    team RIM is normal with SD 0.08. Game ids are interned, so the tables
+    of many calls, such as Monte Carlo replicates, share one copy of each.
     """
     shifts = home_disparity_shift or {}
     names = [team_name(t) for t in range(n_teams)]
@@ -455,7 +457,7 @@ def simulate_team_side_rows(
         f_away = int(rng.poisson(max(half + delta / 2.0, 0.1)))
         q_home = float(rng.normal(0.0, 0.08))
         rim = abs(q_home) + float(rng.gamma(2.0, 0.05))
-        gid = f"{season}-mc-{i:05d}"
+        gid = sys.intern(f"{season}-mc-{i:05d}")
         game_id += (gid, gid)
         team += (home, away)
         opponent += (away, home)
@@ -485,7 +487,7 @@ def simulate_ref_team_panel(
     Each game has a crew of three. A shared per-game shock (SD 0.05,
     sign-flipped across sides) gives clusters real within-game correlation;
     row noise (SD 0.02) sits on top. Referees and teams have no effect of
-    their own.
+    their own. Game ids are interned, as in :func:`simulate_team_side_rows`.
     """
     from .outliers import PanelColumns
 
@@ -503,7 +505,7 @@ def simulate_ref_team_panel(
         home, away = team_names[hi], team_names[ai]
         crew = [referee_names[r] for r in rng.choice(n_referees, size=3, replace=False)]
         g_shock = float(rng.normal(0.0, 0.05))
-        gid = f"{season}-pnl-{i:05d}"
+        gid = sys.intern(f"{season}-pnl-{i:05d}")
         home_disparity = float(rng.normal(0.0, 4.0))
         for ref in crew:
             for side, opp, side_sign, disp in (

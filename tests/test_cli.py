@@ -1169,3 +1169,34 @@ def test_a_simulated_corpus_rebuilds_from_its_ledger(tmp_path, capsys):
     for name in written:
         if (ds / name).is_file():
             assert (ds / name).read_bytes() == (rebuilt / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["metrics", "validate"])
+def test_a_partition_path_with_a_nul_byte_is_an_input_error(tmp_path, capsys, command):
+    # It used to reach path.resolve(): exit 1 with "ValueError: embedded null byte".
+    ds = tmp_path / "ds"
+    simulate_small(capsys, ds)
+    doc = json.loads((ds / "manifest.json").read_text(encoding="utf-8"))
+    doc["partitions"][0]["path"] = "a\x00b/games.jsonl"
+    (ds / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["--dataset", str(ds)] + (["--out", str(tmp_path / "out")] if command != "validate"
+                                     else [])
+    code, out = run(capsys, command, *argv)
+    assert code == 2 and "Traceback" not in out, out
+    assert r"error: partition path holds a NUL byte: 'a\x00b/games.jsonl'" in out
+
+
+@pytest.mark.parametrize("setting", ["out_dir", "dataset"])
+def test_a_path_setting_with_a_nul_byte_is_an_input_error(tmp_path, capsys, setting):
+    # An out_dir used to fail at out.mkdir(), after the whole load: exit 1
+    # with "ValueError: embedded null byte".
+    ds = tmp_path / "ds"
+    simulate_small(capsys, ds)
+    cfg = tmp_path / "settings.json"
+    paths = {"dataset": str(ds), "out_dir": str(tmp_path / "out")}
+    paths[setting] += "\x00x"
+    cfg.write_text(json.dumps(paths), encoding="utf-8")
+    code, out = run(capsys, "--config", str(cfg), "metrics")
+    assert code == 2 and "Traceback" not in out, out
+    assert f"error: {setting} holds a NUL byte" in out
+    assert not (tmp_path / "out").exists()

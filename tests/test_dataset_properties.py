@@ -22,7 +22,11 @@ reference build, result for result and error for error, and another that
 it flags every game whose event numbers the analyses cannot compute with.
 The loader reads a partition's lines through views of its bytes; a
 differential property pins the lines it keeps, and the line number in
-every error, to a read through ``splitlines`` copies.
+every error, to a read through ``splitlines`` copies. A load that reads
+the cache of decoded partitions gives what the decode gives, value for
+value and typecode for typecode, each event string shared once; a game
+the decode holds as stored, or with a value no entry can hold, writes no
+entry.
 """
 
 from __future__ import annotations
@@ -683,3 +687,105 @@ def test_a_load_shares_one_copy_of_each_event_string(tmp_path):
     strings = [s for g in games for e in g.events for s in (e.charged_team, e.description)
                if s is not None]
     assert len({id(s) for s in strings}) == len(set(strings)) < len(strings)
+
+
+# ---------------------------------------------------------------------------
+# A load that reads the cache gives what the decode gives
+# ---------------------------------------------------------------------------
+
+
+def _refuse_decode(*args, **kwargs):
+    raise AssertionError("a game line was decoded")
+
+
+def _typecodes(games) -> list:
+    return [[getattr(c, "typecode", type(c).__name__) for c in g.events._columns()]
+            if type(g.events) is EventColumns else type(g.events).__name__ for g in games]
+
+
+def _shares_each_event_string_once(games) -> bool:
+    strings = [s for g in games if type(g.events) is EventColumns
+               for s in (*g.events.charged_team, *g.events.description) if s is not None]
+    return len({id(s) for s in strings}) == len(set(strings))
+
+
+def _cold_then_warm(root: Path, cache: Path) -> tuple[list, list]:
+    """A load that decodes every partition, then one that must read every
+    partition from the entries the first wrote under ``cache``."""
+    with mock.patch.dict("os.environ", {"XDG_CACHE_HOME": str(cache)}):
+        cold, manifest = load_dataset(root)
+        entries = sorted(p.name for p in cache.glob("rimkit/*"))
+        assert entries == sorted({p.sha256 for p in manifest.partitions})
+        with mock.patch.object(ingest, "game_from_dict", _refuse_decode):
+            warm, again = load_dataset(root)
+    assert again == manifest
+    return cold, warm
+
+
+def _assert_same_load(cold: list, warm: list) -> None:
+    assert warm == cold
+    assert [_bits(g) for g in warm] == [_bits(g) for g in cold]
+    assert _typecodes(warm) == _typecodes(cold)
+    assert [(type(g.events), type(g.series_state)) for g in warm] == [
+        (type(g.events), type(g.series_state)) for g in cold]
+    assert _shares_each_event_string_once(cold) and _shares_each_event_string_once(warm)
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(games, max_size=6, unique_by=lambda g: g.game_id))
+@example([make_game([make_event(-0.0, 5e-324, charged=None, description=ESCAPES),
+                     make_event(0.25, 0.5, charged=ESCAPES, period=7, description=ESCAPES)],
+                    game_id=ESCAPES, home="\U0001f600", crew=(ESCAPES, "字"),
+                    season_type="postseason", series_state=(-(2**63), 2**63 - 1)),
+          make_game([], game_id="no events", series_state=(3, 0))])
+def test_a_load_from_the_cache_equals_the_decode(records):
+    # Non-ASCII text, astral characters (surrogate pairs on disk),
+    # unattributed calls, overtime periods, 64-bit bounds, games without
+    # events and the first load's strings shared across games.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "ds"
+        write_dataset(records, root)
+        _assert_same_load(*_cold_then_warm(root, Path(tmp) / "cache"))
+
+
+def test_a_simulated_corpus_loads_from_the_cache_as_it_decodes(tmp_path):
+    write_dataset(generate(SIM)[0], tmp_path / "ds")
+    tree = {p: p.read_bytes() for p in (tmp_path / "ds").rglob("*") if p.is_file()}
+    cold, warm = _cold_then_warm(tmp_path / "ds", tmp_path / "cache")
+    _assert_same_load(cold, warm)
+    assert any(g.series_state for g in warm) and any(g.series_state is None for g in warm)
+    # The dataset directory is only read.
+    assert {p: p.read_bytes() for p in (tmp_path / "ds").rglob("*") if p.is_file()} == tree
+
+
+def _typed_line(edit):
+    def rewrite(root: Path) -> None:
+        part = read_manifest(root).partitions[0]
+        doc = json.loads((root / part.path).read_bytes().splitlines()[0])
+        edit(doc)
+        _rewrite_line(root, 1, json.dumps(doc, sort_keys=True).encode())
+    return rewrite
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _typed_line(lambda d: d["events"][0].update(clock=600)),
+        _typed_line(lambda d: d["events"][0].update(pre_wp=True)),
+        _typed_line(lambda d: d.update(crew=["Ref A", 5])),
+        _typed_line(lambda d: d.update(home_team=7)),
+        _typed_line(lambda d: d.update(series_state=[2**63, 0], season_type="postseason")),
+    ],
+    ids=["int-clock", "bool-pre-wp", "crew-number", "header-number", "series-past-64-bits"],
+)
+def test_a_mistyped_or_tuple_held_game_writes_no_entry(tmp_path, monkeypatch, edit):
+    # The decode keeps each value as stored, so only it may build such a game.
+    root, cache = tmp_path / "ds", tmp_path / "cache"
+    write_dataset([make_game([make_event(0.5, 0.6)], game_id=f"g{i}") for i in range(3)], root)
+    edit(root)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    first, _ = load_dataset(root)
+    assert not any(cache.glob("rimkit/*"))
+    again, _ = load_dataset(root)
+    assert again == first and [_exact(g.events) for g in again] == [_exact(g.events) for g in first]

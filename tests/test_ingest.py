@@ -1033,7 +1033,9 @@ def test_validate_refuses_an_over_deep_dataset_line_without_crashing(tmp_path):
 
 def test_load_dataset_refuses_a_partition_the_manifest_lists_twice(tmp_path, rng):
     # It used to load every game twice: `validate` reported twice the games
-    # and `refs` counted each referee's games twice.
+    # and `refs` counted each referee's games twice. The second listing
+    # reads the entry the first wrote, meets its ids and is decoded again,
+    # so the error is the decode's.
     root = tmp_path / "ds"
     write_dataset(random_games(rng, 4), root)
     manifest_path = root / "manifest.json"
@@ -1197,6 +1199,205 @@ def test_load_dataset_refuses_a_partition_outside_the_root(tmp_path, rng):
     manifest_path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DatasetError, match="leaves the dataset root"):
         load_dataset(root)
+
+
+# ---------------------------------------------------------------------------
+# The cache of decoded partitions
+# ---------------------------------------------------------------------------
+
+
+def _cache() -> Path:
+    return Path(os.environ["XDG_CACHE_HOME"]) / "rimkit"
+
+
+def _counting_decodes(monkeypatch) -> list:
+    calls = []
+    decode = ingest.game_from_dict
+
+    def counted(*args):
+        calls.append(1)
+        return decode(*args)
+
+    monkeypatch.setattr(ingest, "game_from_dict", counted)
+    return calls
+
+
+def _two_partitions(root: Path, rng) -> list:
+    games = random_games(rng, 6)
+    games += [dataclasses.replace(g, game_id=f"2020-21-reg-{i}", season="2020-21")
+              for i, g in enumerate(random_games(rng, 4))]
+    write_dataset(games, root)
+    return load_dataset(root)[0]
+
+
+def test_a_warm_load_reads_one_entry_per_partition_and_decodes_nothing(tmp_path, rng,
+                                                                       monkeypatch):
+    root = tmp_path / "ds"
+    cold = _two_partitions(root, rng)
+    manifest = read_manifest(root)
+    assert sorted(p.name for p in _cache().iterdir()) == sorted(
+        p.sha256 for p in manifest.partitions)
+    decodes = _counting_decodes(monkeypatch)
+    assert load_dataset(root)[0] == cold
+    assert decodes == []
+
+
+def _truncate(data: bytes) -> bytes:
+    return data[: len(data) // 2]
+
+
+def _flip_payload_bit(data: bytes) -> bytes:
+    at = len(data) - 3  # in the text of the last strings
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+def _other_fingerprint(data: bytes) -> bytes:
+    at = len(ingest._MAGIC)
+    return data[:at] + bytes(32) + data[at + 32:]
+
+
+def _empty(data: bytes) -> bytes:
+    return b""
+
+
+@pytest.mark.parametrize("spoil", [_truncate, _flip_payload_bit, _other_fingerprint, _empty],
+                         ids=["truncated", "bit-flipped", "other-fingerprint", "empty"])
+def test_a_spoiled_entry_is_decoded_past_and_rewritten(tmp_path, rng, monkeypatch, spoil):
+    root = tmp_path / "ds"
+    cold = _two_partitions(root, rng)
+    entries = {p: p.read_bytes() for p in _cache().iterdir()}
+    spoiled = min(entries)
+    spoiled.write_bytes(spoil(entries[spoiled]))
+    decodes = _counting_decodes(monkeypatch)
+    assert load_dataset(root)[0] == cold
+    part = next(p for p in read_manifest(root).partitions if p.sha256 == spoiled.name)
+    assert len(decodes) == part.games  # that partition alone is decoded again
+    assert {p: p.read_bytes() for p in _cache().iterdir()} == entries
+
+
+def _file_in_place_of_the_cache(tmp_path, monkeypatch):
+    (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "afile"))
+
+
+def _no_home(tmp_path, monkeypatch):
+    def no_home(cls):
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.delenv("HOME")
+    monkeypatch.setattr(Path, "home", classmethod(no_home))
+
+
+def _relative_home(tmp_path, monkeypatch):
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.setenv("HOME", "home")  # a cache here would land in the working directory
+
+
+@pytest.mark.parametrize("place", [_file_in_place_of_the_cache, _no_home, _relative_home],
+                         ids=["cache-is-a-file", "no-home", "relative-home"])
+def test_a_load_without_a_usable_cache_decodes(tmp_path, rng, monkeypatch, place):
+    root = tmp_path / "ds"
+    want = _two_partitions(root, rng)
+    monkeypatch.chdir(tmp_path)
+    place(tmp_path, monkeypatch)
+    decodes = _counting_decodes(monkeypatch)
+    assert load_dataset(root)[0] == want
+    assert load_dataset(root)[0] == want
+    assert len(decodes) == 2 * len(want)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["ds"] + (["afile"] if place is _file_in_place_of_the_cache else []))
+
+
+def test_a_tampered_partition_fails_its_hash_with_an_entry_for_the_manifest_sha(tmp_path, rng):
+    root = tmp_path / "ds"
+    _two_partitions(root, rng)
+    part = read_manifest(root).partitions[0]
+    assert (_cache() / part.sha256).exists()
+    target = root / part.path
+    target.write_bytes(target.read_bytes().replace(b"regular", b"regulra", 1))
+    with pytest.raises(DatasetError, match=rf"^partition hash mismatch: {part.path}$"):
+        load_dataset(root)
+
+
+def _manifest_edited(root: Path, edit) -> None:
+    manifest_path = root / "manifest.json"
+    doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+    edit(doc)
+    manifest_path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def test_a_duplicate_id_across_partitions_is_the_decode_error_with_a_warm_cache(tmp_path, rng):
+    root = tmp_path / "ds"
+    games = _two_partitions(root, rng)
+    first, second = read_manifest(root).partitions
+    # The second partition's first game takes an id of the first partition.
+    target = root / second.path
+    lines = target.read_bytes().splitlines(keepends=True)
+    taken = games[0].game_id  # of 2020-21, which the loader reads first
+    doc = json.loads(lines[0])
+    doc["game_id"] = taken
+    lines[0] = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    target.write_bytes(b"".join(lines))
+    sha = hashlib.sha256(target.read_bytes()).hexdigest()
+    _manifest_edited(root, lambda d: d["partitions"][1].update(sha256=sha))
+    _manifest_edited(root, lambda d: d.update(partitions=d["partitions"][1:]))
+    load_dataset(root)  # the edited partition alone loads, and its entry is written
+    assert (_cache() / sha).exists()
+    _manifest_edited(root, lambda d: d.update(partitions=[
+        {"path": first.path, "games": first.games, "sha256": first.sha256}, *d["partitions"]]))
+    with pytest.raises(DatasetError,
+                       match=rf"^{second.path}:1: duplicate game_id {taken!r}$"):
+        load_dataset(root)
+
+
+def test_a_count_mismatch_is_the_decode_error_with_a_warm_cache(tmp_path, rng):
+    root = tmp_path / "ds"
+    _two_partitions(root, rng)
+    part = read_manifest(root).partitions[0]
+    _manifest_edited(root, lambda d: d["partitions"][0].update(games=part.games + 1))
+    with pytest.raises(DatasetError, match=rf"^partition {part.path}: manifest says "
+                                           rf"{part.games + 1} games, found {part.games}$"):
+        load_dataset(root)
+
+
+def test_a_warm_load_maps_each_entry_after_closing_its_partition(tmp_path, rng, monkeypatch):
+    # An entry is read as a partition is, into an anonymous map of its own
+    # (see test_a_load_holds_one_partition_besides_its_games), opened only
+    # once the partition's map is closed, and each game's arrays are filled
+    # from slices of it, so no entry's bytes pass through the malloc heap.
+    import mmap
+    import tracemalloc
+    from types import SimpleNamespace
+
+    from rimkit.synth import SimConfig, generate
+
+    games, _ = generate(SimConfig(seed=4, seasons=("2020-21", "2021-22"), games_per_season=200,
+                                  postseason_games_per_season=20, n_teams=10, n_referees=16))
+    manifest = write_dataset(games, tmp_path / "ds")
+    del games
+    want, _ = load_dataset(tmp_path / "ds")
+    largest = max(p.stat().st_size for p in _cache().iterdir())
+    opened = []
+
+    def opening(*args):
+        assert all(m.closed for m in opened), "a map is still open"
+        opened.append(m := mmap.mmap(*args))
+        return m
+
+    monkeypatch.setattr(ingest, "mmap", SimpleNamespace(mmap=opening))
+    decodes = _counting_decodes(monkeypatch)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded, _ = load_dataset(tmp_path / "ds")
+        retained, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert loaded == want and decodes == []
+    assert len(opened) == 2 * len(manifest.partitions) and all(m.closed for m in opened)
+    assert peak - retained < largest * 0.25, (retained, peak, largest)
 
 
 # ---------------------------------------------------------------------------
